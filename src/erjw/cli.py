@@ -386,10 +386,12 @@ def _cmd_bo(args):
         "weight": args.weight,
         "generator_degrees": list(pres.generator_degrees),
         "relations": [str(rel) for rel in pres.relations],
+        # a relation that vanishes at this weight has no head: null
         "heads": [
-            {"monomial": str(GradedSeries(pres.spec, {key: TwoLocal(1)})),
-             "coefficient": str(coeff)}
-            for key, coeff in pres.heads
+            None if head is None else
+            {"monomial": str(GradedSeries(pres.spec, {head[0]: TwoLocal(1)})),
+             "coefficient": str(head[1])}
+            for head in pres.heads
         ],
     }
     lines = [f"class ring, n={args.n}, q={q}, weight={args.weight}"]

@@ -15,8 +15,11 @@ class MathInvariantError(ErjwError):
     """An internal consistency check failed; results cannot be trusted."""
 
 
-class InputError(ErjwError):
-    """The caller asked for something malformed or out of range."""
+class InputError(ErjwError, ValueError):
+    """The caller asked for something malformed or out of range.
+
+    Also a ValueError, so callers that catch bad arguments that way still do.
+    """
 
 
 class NonUnitDivisionError(MathInvariantError):

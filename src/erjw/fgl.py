@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import (
     ConstantTermError,
+    InputError,
     IntegralityError,
     MathInvariantError,
     NonUnitDivisionError,
@@ -337,11 +338,11 @@ class GroupLaw(_LawBase):
 
     def __init__(self, n: int, precision: int | None = None):
         if n < 1:
-            raise ValueError("n must be at least 1")
+            raise InputError("n must be at least 1")
         self.n = n
         self.precision = precision if precision is not None else 2 ** (n + 2)
         if self.precision < 2:
-            raise ValueError("precision below 2 carries no law content")
+            raise InputError("precision below 2 carries no law content")
         self.spec = GradingSpec(n, alphabet="standard")
 
     # -- logarithm and exponential (rational world) -----------------------

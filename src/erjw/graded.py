@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import MathInvariantError
+from .errors import InputError, MathInvariantError
 from .scalar2 import TwoLocal
 
 
@@ -45,11 +45,11 @@ class GradingSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise InputError("n must be at least 1")
         if self.q < 0 or self.roots < 0:
-            raise ValueError("negative slot counts")
+            raise InputError("negative slot counts")
         if self.alphabet not in ("hat", "standard"):
-            raise ValueError(f"unknown alphabet {self.alphabet!r}")
+            raise InputError(f"unknown alphabet {self.alphabet!r}")
 
     @property
     def lam(self) -> int:

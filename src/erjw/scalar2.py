@@ -162,7 +162,11 @@ class TwoLocal:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # TwoLocal(k) == k, so the hash must be hash(k); Fraction's hash is
+        # the one rational hash that extends it
+        if self.den == 1:
+            return hash(self.num)
+        return hash(Fraction(self.num, self.den))
 
     def __str__(self):
         if self.den == 1:
@@ -184,6 +188,9 @@ def _coerce(x):
 
 ZERO = TwoLocal._raw(0, 1)
 ONE = TwoLocal._raw(1, 1)
+# shared values for the small integers that fill most transforms
+_SMALL = {i: TwoLocal._raw(i, 1) for i in range(-8, 9)}
+_SMALL[0], _SMALL[1] = ZERO, ONE
 
 
 @dataclass(frozen=True)
@@ -245,15 +252,21 @@ class LocalMatrix:
         self.ncols = ncols
 
     @classmethod
+    def _of(cls, data: list, ncols: int) -> "LocalMatrix":
+        # caller guarantees: fresh lists of TwoLocal, each of length ncols
+        self = object.__new__(cls)
+        self.data = data
+        self.nrows = len(data)
+        self.ncols = ncols
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "LocalMatrix":
         return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "LocalMatrix":
         return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
-
-    def copy(self) -> "LocalMatrix":
-        return LocalMatrix([row[:] for row in self.data], self.ncols)
 
     def transpose(self) -> "LocalMatrix":
         return LocalMatrix([[self.data[i][j] for i in range(self.nrows)]
@@ -276,18 +289,8 @@ class LocalMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        out = []
-        for row in self.data:
-            acc = [ZERO] * other.ncols
-            for k, a in enumerate(row):
-                if a.num == 0:
-                    continue
-                orow = other.data[k]
-                for j, b in enumerate(orow):
-                    if b.num:
-                        acc[j] = acc[j] + a * b
-            out.append(acc)
-        return LocalMatrix(out, other.ncols)
+        return LocalMatrix._of([row_times_matrix(row, other) for row in self.data],
+                               other.ncols)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -307,17 +310,104 @@ def stack_rows(mats: Sequence[LocalMatrix]) -> LocalMatrix:
 def row_times_matrix(v: Sequence[TwoLocal], M: LocalMatrix) -> list:
     if len(v) != M.nrows:
         raise ValueError("length mismatch")
-    acc = [ZERO] * M.ncols
-    for k, a in enumerate(v):
-        if not isinstance(a, TwoLocal):
-            a = TwoLocal(a)
-        if a.num == 0:
+    nums, d = _clear_vector(v)
+    acc, dm = _vec_mat(nums, M)
+    return _from_ints(acc, d * dm)
+
+
+# -- the integer kernel ------------------------------------------------------
+#
+# Elimination runs on Python ints.  A row of TwoLocal entries is held as an
+# int list together with one odd scale s, the list being s times the true
+# row; clearing a row's odd denominators is then a unit scaling, and each
+# row update u*row_i - (a_i >> v)*row_k multiplies the scale by the odd u.
+# The row's odd content is divided out against its scale after every update,
+# so the ints stay as small as the true entries allow.  Scales may be
+# negative.  V is held by columns, each with one odd denominator.
+
+
+def _clear(entries) -> tuple[list, int]:
+    """(nums, d) with nums == d * entries; d is the lcm of the denominators."""
+    d = 1
+    for x in entries:
+        if x.den != 1:
+            d = d * x.den // math.gcd(d, x.den)
+    if d == 1:
+        return [x.num for x in entries], 1
+    return [x.num * (d // x.den) for x in entries], d
+
+
+def _clear_rows(M: LocalMatrix) -> tuple[list, list]:
+    """Integer rows A and odd dens with A[i] == dens[i] * M[i]."""
+    A, dens = [], []
+    for row in M.data:
+        nums, d = _clear(row)
+        A.append(nums)
+        dens.append(d)
+    return A, dens
+
+
+def _clear_vector(v) -> tuple[list, int]:
+    return _clear([a if isinstance(a, TwoLocal) else TwoLocal(a) for a in v])
+
+
+def _from_ints(nums, den: int) -> list:
+    """The entries of nums / den as TwoLocal (den odd, of either sign)."""
+    if den < 0:
+        nums, den = [-x for x in nums], -den
+    raw = TwoLocal._raw
+    if den == 1:
+        small = _SMALL.get
+        return [y if (y := small(x)) is not None else raw(x, 1) for x in nums]
+    gcd = math.gcd
+    return [(raw(x // g, den // g) if (g := gcd(x, den)) != 1 else raw(x, den))
+            if x else ZERO for x in nums]
+
+
+def _vec_mat(nums, M: LocalMatrix) -> tuple[list, int]:
+    """(acc, d) with acc / d == nums @ M, for an int vector nums."""
+    acc = [0] * M.ncols
+    d = 1
+    for a, row in zip(nums, M.data):
+        if not a:
             continue
-        row = M.data[k]
         for j, b in enumerate(row):
-            if b.num:
-                acc[j] = acc[j] + a * b
-    return acc
+            bn = b.num
+            if bn:
+                bd = b.den
+                if d % bd:
+                    f = bd // math.gcd(d, bd)
+                    acc = [x * f for x in acc]
+                    d *= f
+                acc[j] += a * bn * (d // bd)
+    return acc, d
+
+
+def _eliminate(rows, aux, scale, k: int, col: int, v: int) -> None:
+    """Clear column col below row k: row_i <- u*row_i - (a_i >> v)*row_k.
+
+    rows[k][col] is 2^v times the odd u, and no entry below it in the
+    column has a smaller valuation, so every shift is exact.  aux[i] (the
+    rows of U, or empty lists) gets the same update and shares scale[i].
+    """
+    prow, paux = rows[k], aux[k]
+    u = prow[col] >> v
+    for i in range(k + 1, len(rows)):
+        row = rows[i]
+        a = row[col]
+        if not a:
+            continue
+        q = a >> v
+        row = [u * x - q * y for x, y in zip(row, prow)]
+        arow = [u * x - q * y for x, y in zip(aux[i], paux)]
+        s = scale[i] * u
+        if s != 1 and s != -1:
+            g = math.gcd(s, *row, *arow)
+            if g != 1:
+                row = [x // g for x in row]
+                arow = [x // g for x in arow]
+                s //= g
+        rows[i], aux[i], scale[i] = row, arow, s
 
 
 def snf_with_transforms(M: LocalMatrix):
@@ -325,69 +415,120 @@ def snf_with_transforms(M: LocalMatrix):
 
     U and V are invertible over Z_(2) (unit determinant) and the nonzero
     diagonal of D consists of powers of 2 in nondecreasing valuation.
+
+    Each step takes as pivot the first entry, in row-major order over the
+    remaining block, of minimum valuation v; scales its row by a unit so
+    the pivot is exactly 2^v; clears the rows below with row operations
+    (also applied to U); then clears the pivot row with column operations
+    (applied to V).  The certificate U @ M @ V == D is checked on the
+    integer matrices before they are converted.
     """
-    D = M.copy()
-    U = LocalMatrix.identity(M.nrows)
-    V = LocalMatrix.identity(M.ncols)
-    limit = min(D.nrows, D.ncols)
-    k = 0
-    while k < limit:
+    m, n = M.nrows, M.ncols
+    A, dens = _clear_rows(M)
+    D = [row[:] for row in A]
+    scale = dens[:]
+    U = [[0] * m for _ in range(m)]
+    for i, d in enumerate(dens):
+        U[i][i] = d
+    V = [[0] * n for _ in range(n)]  # V[j] is vden[j] times column j
+    for j in range(n):
+        V[j][j] = 1
+    vden = [1] * n
+    pivots = []
+    for k in range(min(m, n)):
         bi = bj = -1
         bv = math.inf
-        for i in range(k, D.nrows):
-            row = D.data[i]
-            for j in range(k, D.ncols):
-                v = val2(row[j])
-                if v < bv:
-                    bv, bi, bj = v, i, j
-                    if v == 0:
-                        break
-            if bv == 0:
+        for i in range(k, m):
+            row = D[i]
+            for j in range(k, n):
+                x = row[j]
+                if x:
+                    v = (x & -x).bit_length() - 1
+                    if v < bv:
+                        bv, bi, bj = v, i, j
+                        if not v:
+                            break
+            if not bv:
                 break
-        if bv is math.inf:
+        if bi < 0:
             break  # remaining block is zero
         if bi != k:
-            D.data[k], D.data[bi] = D.data[bi], D.data[k]
-            U.data[k], U.data[bi] = U.data[bi], U.data[k]
+            D[k], D[bi] = D[bi], D[k]
+            U[k], U[bi] = U[bi], U[k]
+            scale[k], scale[bi] = scale[bi], scale[k]
         if bj != k:
-            for row in D.data:
+            for i in range(k, m):
+                row = D[i]
                 row[k], row[bj] = row[bj], row[k]
-            for row in V.data:
-                row[k], row[bj] = row[bj], row[k]
-        pivot = D.data[k][k]
-        # absorb the unit part of the pivot into U, leaving a clean 2^bv
-        unit_inv = TwoLocal(pivot.den, pivot.num >> bv)
-        if unit_inv != ONE:
-            D.data[k] = [unit_inv * x for x in D.data[k]]
-            U.data[k] = [unit_inv * x for x in U.data[k]]
-        pivot = D.data[k][k]
-        for i in range(k + 1, D.nrows):
-            a = D.data[i][k]
-            if a.num == 0:
+            V[k], V[bj] = V[bj], V[k]
+            vden[k], vden[bj] = vden[bj], vden[k]
+        prow = D[k]
+        # absorbing the unit part u of the pivot leaves row k == D[k] / u
+        u = prow[k] >> bv
+        scale[k] = u
+        _eliminate(D, U, scale, k, k, bv)
+        # the pivot column is zero below row k, so only V and row k change
+        pcol, pden = V[k], vden[k]
+        for j in range(k + 1, n):
+            a = prow[j]
+            if not a:
                 continue
-            c = a / pivot  # exact: pivot has minimal valuation
-            drow, prow = D.data[i], D.data[k]
-            for j in range(k, D.ncols):
-                if prow[j].num:
-                    drow[j] = drow[j] - c * prow[j]
-            urow, upow = U.data[i], U.data[k]
-            for j in range(U.ncols):
-                if upow[j].num:
-                    urow[j] = urow[j] - c * upow[j]
-        for j in range(k + 1, D.ncols):
-            a = D.data[k][j]
-            if a.num == 0:
-                continue
-            c = a / pivot
-            # the pivot column is zero away from row k, so only row k changes
-            D.data[k][j] = ZERO
-            for row in V.data:
-                if row[k].num:
-                    row[j] = row[j] - c * row[k]
-        k += 1
-    if (U @ M) @ V != D:
-        raise MathInvariantError("Smith reduction lost U*M*V == D")
-    return D, U, V
+            # column j <- column j - (a >> bv) / u * column k
+            x_mul, y_mul = u * pden, (a >> bv) * vden[j]
+            col = [x_mul * x - y_mul * y for x, y in zip(V[j], pcol)]
+            d = vden[j] * x_mul
+            if d != 1 and d != -1:
+                g = math.gcd(d, *col)
+                if g != 1:
+                    col = [x // g for x in col]
+                    d //= g
+            V[j], vden[j] = col, d
+        pivots.append(bv)
+    _certify(A, dens, U, scale, V, vden, pivots)
+    Dout = [[ZERO] * n for _ in range(m)]
+    for i, v in enumerate(pivots):
+        Dout[i][i] = TwoLocal._raw(1 << v, 1)
+    Vcols = [_from_ints(col, d) for col, d in zip(V, vden)]
+    return (LocalMatrix._of(Dout, n),
+            LocalMatrix._of([_from_ints(row, s) for row, s in zip(U, scale)], m),
+            LocalMatrix._of([list(row) for row in zip(*Vcols)], n))
+
+
+def _certify(A, dens, U, scale, V, vden, pivots) -> None:
+    """Raise MathInvariantError unless U @ M @ V == D.
+
+    With A[k] == dens[k] * M[k], U[i] == scale[i] * (row i of U) and
+    V[j] == vden[j] * (column j of V), and P the lcm of dens, entry (i, j)
+    of U @ (P * M) @ V computed in ints must be scale[i] * P * vden[j]
+    times D[i][j], which is 2^pivots[i] on the diagonal and 0 elsewhere.
+    """
+    n = len(V)
+    if not U or not n:
+        return  # an empty product has nothing to check
+    P = 1
+    for d in dens:
+        P = P * d // math.gcd(P, d)
+    Arows = [[(j, x * (P // d)) for j, x in enumerate(row) if x]
+             for row, d in zip(A, dens)]
+    Vrows = [[(j, col[l]) for j, col in enumerate(V) if col[l]] for l in range(n)]
+    r = len(pivots)
+    for i, urow in enumerate(U):
+        w = [0] * n
+        for k, x in enumerate(urow):
+            if x:
+                for j, y in Arows[k]:
+                    w[j] += x * y
+        z = [0] * n
+        for l, x in enumerate(w):
+            if x:
+                for j, y in Vrows[l]:
+                    z[j] += x * y
+        if i < r:
+            if z[i] != (scale[i] * P * vden[i]) << pivots[i]:
+                raise MathInvariantError("Smith reduction lost U*M*V == D")
+            z[i] = 0
+        if any(z):
+            raise MathInvariantError("Smith reduction lost U*M*V == D")
 
 
 def _diag_rank(D: LocalMatrix) -> int:
@@ -428,18 +569,22 @@ def solve_left(A: LocalMatrix, v: Sequence, decomp=None):
     if decomp is None:
         decomp = snf_with_transforms(A)
     D, U, V = decomp
+    if len(v) != V.nrows:
+        raise ValueError("length mismatch")
     r = _diag_rank(D)
-    w = row_times_matrix(list(v), V)
-    y = [ZERO] * A.nrows
+    # x @ A == v exactly when y @ D == v @ V for y = x @ U^-1
+    nums, d = _clear_vector(v)
+    w, dw = _vec_mat(nums, V)
+    y = [0] * A.nrows
     for i in range(r):
-        try:
-            y[i] = w[i] / D.data[i][i]
-        except NonUnitDivisionError:
+        e = D.data[i][i].num.bit_length() - 1  # D[i][i] == 2^e
+        if w[i] & ((1 << e) - 1):
             return None
-    for i in range(r, A.ncols):
-        if w[i].num:
-            return None
-    return row_times_matrix(y, U)
+        y[i] = w[i] >> e
+    if any(w[r:A.ncols]):
+        return None
+    x, dx = _vec_mat(y, U)
+    return _from_ints(x, d * dw * dx)
 
 
 def row_basis(M: LocalMatrix) -> LocalMatrix:
@@ -448,34 +593,30 @@ def row_basis(M: LocalMatrix) -> LocalMatrix:
     Columns are processed left to right with a minimum-valuation pivot, so
     every elimination quotient stays in Z_(2).
     """
-    W = M.copy()
+    W, scale = _clear_rows(M)
+    m = len(W)
+    aux = [[] for _ in range(m)]
     r = 0
-    for j in range(W.ncols):
-        if r == W.nrows:
+    for j in range(M.ncols):
+        if r == m:
             break
         bi, bv = -1, math.inf
-        for i in range(r, W.nrows):
-            v = val2(W.data[i][j])
-            if v < bv:
-                bi, bv = i, v
-                if v == 0:
-                    break
-        if bv is math.inf:
+        for i in range(r, m):
+            x = W[i][j]
+            if x:
+                v = (x & -x).bit_length() - 1
+                if v < bv:
+                    bi, bv = i, v
+                    if not v:
+                        break
+        if bi < 0:
             continue
         if bi != r:
-            W.data[r], W.data[bi] = W.data[bi], W.data[r]
-        p = W.data[r][j]
-        for i in range(r + 1, W.nrows):
-            a = W.data[i][j]
-            if a.num == 0:
-                continue
-            c = a / p
-            wrow, prow = W.data[i], W.data[r]
-            for jj in range(j, W.ncols):
-                if prow[jj].num:
-                    wrow[jj] = wrow[jj] - c * prow[jj]
+            W[r], W[bi] = W[bi], W[r]
+            scale[r], scale[bi] = scale[bi], scale[r]
+        _eliminate(W, aux, scale, r, j, bv)
         r += 1
-    return LocalMatrix([W.data[i][:] for i in range(r)], W.ncols)
+    return LocalMatrix._of([_from_ints(W[i], scale[i]) for i in range(r)], M.ncols)
 
 
 def quotient_structure(K: LocalMatrix, B: LocalMatrix) -> ModuleStructure:

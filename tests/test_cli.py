@@ -144,6 +144,25 @@ def test_bo_q_defaults_to_weight(capsys):
     assert len(envelope["result"]["generator_degrees"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["bo", "--n", "1", "--weight", "2"],
+    ["bo", "--n", "2", "--weight", "4"],
+    ["bo", "--n", "2", "--weight", "4", "--format", "json"],
+])
+def test_bo_default_q_with_a_vanishing_relation(argv, capsys):
+    # at q = weight the last (even) relation is zero and has no head
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert "Traceback" not in out
+    if "json" in argv:
+        result = json.loads(out)["result"]
+        assert result["relations"][-1] == "0"
+        assert result["heads"][-1] is None
+        assert len(result["heads"]) == len(result["relations"])
+    else:
+        assert out.rstrip().endswith(" = 0")
+
+
 def test_coeff_relation_line(capsys):
     code, out, _ = run(["coeff", "--n", "2", "--relation",
                         "alpha*alpha_2 = 2*w"], capsys)
@@ -161,6 +180,17 @@ def test_fgl_text_sections(capsys):
     assert code == 0
     assert "[-1](u):" in out and "[2](u):" in out
     assert "u^1: 2" in out  # doubling starts at 2u
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fgl", "--n", "1", "--precision", "1"], "precision below 2"),
+    (["fgl", "--n", "0"], "n must be at least 1"),
+])
+def test_fgl_bad_arguments_exit_two(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_chern_text_lists_conjugates(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from erjw.errors import (
     ConstantTermError,
+    InputError,
     IntegralityError,
     MathInvariantError,
     PrecisionError,
@@ -22,6 +23,13 @@ LAW2 = GroupLaw(2, precision=8)
 def _v(spec, i, exp=1, coeff=None):
     return GradedSeries.gen(spec, f"v{i}", exp=exp,
                             coeff=coeff if coeff is not None else TwoLocal(1))
+
+
+def test_group_law_rejects_bad_input():
+    with pytest.raises(InputError):
+        GroupLaw(0)
+    with pytest.raises(InputError):
+        GroupLaw(1, precision=1)
 
 
 def test_uniseries_arithmetic():

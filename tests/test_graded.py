@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erjw.errors import MathInvariantError, NonUnitDivisionError
+from erjw.errors import InputError, MathInvariantError, NonUnitDivisionError
 from erjw.graded import GradedSeries, GradingSpec, parse_series
 from erjw.scalar2 import TwoLocal
 
@@ -205,6 +205,15 @@ def test_homogeneous_parts():
     assert s.homogeneous_part(16) == vh1
     assert s.homogeneous_part(3).is_zero
     assert sorted(s.degrees()) == [-6, 16]
+
+
+def test_grading_spec_rejects_bad_input():
+    # InputError is also a ValueError, for callers that catch it that way
+    assert issubclass(InputError, ValueError)
+    for kwargs in ({"n": 0}, {"n": 2, "q": -1}, {"n": 2, "roots": -1},
+                   {"n": 2, "alphabet": "greek"}):
+        with pytest.raises(InputError):
+            GradingSpec(**kwargs)
 
 
 def test_key_validation():

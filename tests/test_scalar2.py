@@ -1,8 +1,9 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from erjw.errors import MathInvariantError, NonUnitDivisionError
 from erjw.scalar2 import (
@@ -24,6 +25,34 @@ from erjw.scalar2 import (
 
 odd = st.integers(-99, 99).map(lambda k: 2 * k + 1)
 two_locals = st.builds(TwoLocal, st.integers(-200, 200), odd)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=12):
+    """Matrices up to max_dim square: few nonzeros, odd denominators, and
+    numerators well beyond +-2 with a spread of 2-adic valuations."""
+    nrows = draw(st.integers(0, max_dim))
+    ncols = draw(st.integers(1, max_dim))
+    data = [[TwoLocal(0)] * ncols for _ in range(nrows)]
+    if nrows:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        nums = st.builds(lambda a, e: a << e,
+                         st.integers(-60, 60).filter(bool), st.integers(0, 5))
+        dens = st.sampled_from([1, 1, 1, 3, 5, 7, 9, 15, 21, 45])
+        for (i, j), a, d in draw(st.lists(st.tuples(cells, nums, dens),
+                                          max_size=nrows * ncols // 2 + 1)):
+            data[i][j] = TwoLocal(a, d)
+    return LocalMatrix(data, ncols)
+
+
+def _cleared_ints(M):
+    """M with each row's denominators cleared: an integer matrix whose
+    Smith invariants over Z_(2) are those of M."""
+    rows = []
+    for row in M.data:
+        d = math.lcm(*(x.den for x in row))
+        rows.append([x.num * (d // x.den) for x in row])
+    return rows
 
 
 def test_val2_spot_values():
@@ -92,6 +121,21 @@ def test_ring_laws(a, b, c):
         assert (a / b) * b == a
 
 
+def test_hash_agrees_with_int():
+    assert len({TwoLocal(3), 3}) == 1
+    assert {TwoLocal(0): "zero"}[0] == "zero"
+    assert hash(TwoLocal(-7)) == hash(-7)
+
+
+@given(two_locals, two_locals, st.integers(-300, 300))
+def test_equal_values_hash_equally(a, b, k):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert hash(TwoLocal(k)) == hash(k)
+    assert hash(a) == hash(a.to_fraction())
+    assert hash(TwoLocal(a.num * 3, a.den * 3)) == hash(a)
+
+
 @given(two_locals, two_locals)
 def test_valuation_laws(a, b):
     assert val2(a * b) == val2(a) + val2(b)
@@ -119,6 +163,25 @@ def test_snf_frozen_examples():
     assert snf(LocalMatrix([[2, 1], [0, 2]])) == (1, 4)
     assert snf(LocalMatrix([[2, 0], [0, 8]])) == (2, 8)
     assert snf(LocalMatrix.zeros(2, 3)) == ()
+
+
+def test_snf_transforms_frozen():
+    # odd denominators, non-unit pivot parts and a kernel row: the exact
+    # transforms, not only their validity, are part of the output contract
+    M = LocalMatrix([[6, TwoLocal(3, 5), 10], [12, 6, TwoLocal(14, 3)],
+                     [9, 0, 2], [3, TwoLocal(6, 7), -4]])
+    D, U, V = snf_with_transforms(M)
+
+    def text(X):
+        return [[str(x) for x in row] for row in X.data]
+
+    assert text(D) == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"],
+                       ["0", "0", "0"]]
+    assert text(U) == [["5/3", "0", "0", "0"], ["0", "0", "1/9", "0"],
+                       ["30/127", "-3/127", "-16/127", "0"],
+                       ["520/889", "-179/889", "-1213/2667", "1"]]
+    assert text(V) == [["0", "1", "-2/9"], ["1", "-10", "-130/9"],
+                       ["0", "0", "1"]]
 
 
 def test_cokernel_structure():
@@ -210,3 +273,74 @@ def test_solve_left_randomized_round_trip():
         y = solve_left(A, v)
         assert y is not None
         assert row_times_matrix(y, A) == v
+
+
+# -- cross-checks of the Smith kernel on larger sparse matrices --------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_snf_certificate_through_matmul(m):
+    D, U, V = snf_with_transforms(m)
+    # re-evaluate the certificate with TwoLocal arithmetic, outside the kernel
+    assert (U @ m) @ V == D
+    assert (D.nrows, D.ncols) == (m.nrows, m.ncols)
+    assert (U.nrows, U.ncols, V.nrows, V.ncols) == (m.nrows,) * 2 + (m.ncols,) * 2
+    r = len(snf(m))
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            x = D[i, j]
+            if i == j and i < r:
+                assert x.den == 1 and x.num > 0 and x.num & (x.num - 1) == 0
+            else:
+                assert x == TwoLocal(0)
+    diag = [D[i, i].num for i in range(r)]
+    assert diag == sorted(diag)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_snf_matches_sympy_two_parts(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    ints = _cleared_ints(m)
+    S = smith_normal_form(sympy.Matrix(m.nrows, m.ncols, sum(ints, [])),
+                          domain=sympy.ZZ)
+    nonzero = [abs(int(S[i, i])) for i in range(min(m.nrows, m.ncols))
+               if S[i, i] != 0]
+    two_parts = sorted(d & -d for d in nonzero)
+    assert list(snf(m)) == two_parts
+    # the transforms are invertible over Z_(2): odd determinant once cleared
+    D, U, V = snf_with_transforms(m)
+    for T in (U, V):
+        if T.nrows:
+            assert sympy.Matrix(_cleared_ints(T)).det() % 2 == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_kernel_rows_annihilate(m):
+    K = kernel_basis(m)
+    assert K.nrows == m.nrows - rank(m)
+    for row in K.data:
+        assert all(x == TwoLocal(0) for x in row_times_matrix(row, m))
+    if K.nrows:
+        assert rank(K) == K.nrows
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_solve_left_and_row_basis_on_sparse(m, rnd):
+    x = [TwoLocal(rnd.randrange(-9, 10), rnd.choice([1, 3, 5]))
+         for _ in range(m.nrows)]
+    v = row_times_matrix(x, m)
+    # the integer accumulation against plain Fraction arithmetic
+    assert [a.to_fraction() for a in v] == [
+        sum((a.to_fraction() * row[j].to_fraction() for a, row in zip(x, m.data)),
+            Fraction(0)) for j in range(m.ncols)]
+    y = solve_left(m, v)
+    assert y is not None and row_times_matrix(y, m) == v
+    B = row_basis(m)
+    assert B.nrows == rank(m)
+    for row in m.data:
+        assert solve_left(B, row) is not None
