@@ -35,7 +35,7 @@ from .coeff import (
     total_period,
 )
 from .errors import EmptyBasisError, InputError, MathInvariantError
-from .fgl import GroupLaw
+from .fgl import SERIES_COST_BOUND, GroupLaw, series_cost
 from .graded import GradedSeries
 from .orient import orientability_scan
 from .scalar2 import ModuleStructure, TwoLocal
@@ -291,6 +291,13 @@ def _series_terms(uni, cut: int) -> list[dict]:
 
 def _cmd_fgl(args):
     law = GroupLaw(args.n, precision=args.precision)
+    cost = series_cost(law.n, law.precision)
+    if cost > SERIES_COST_BOUND:
+        flag = ("--precision" if args.precision is not None
+                else "--n (or pass a smaller --precision)")
+        raise InputError(
+            f"n={law.n} at precision {law.precision} is estimated at {cost}"
+            f" work units, past the bound of {SERIES_COST_BOUND}; lower {flag}")
     negation = law.hat_iota()
     doubling = law.hat_k_series(2)
     result = {
@@ -520,16 +527,20 @@ def _config_echo(args) -> dict:
     return out
 
 
+_DASH_VALUED = ("--window", "--reduce", "--relation")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # windows like -48..48 start with a dash; glue them to their flag so
-    # the parser does not mistake them for options
+    # windows like -48..48 and expressions like -2*c1 start with a dash;
+    # glue them to their flag so the parser does not read them as options
     argv = list(argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] == "--window" and argv[i].startswith("-"):
-            argv[i - 1:i + 1] = [f"--window={argv[i]}"]
+        if argv[i - 1] in _DASH_VALUED and argv[i].startswith("-") \
+                and not argv[i].startswith("--"):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         result, text = args.func(args)

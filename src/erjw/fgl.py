@@ -10,6 +10,12 @@ l_1 = -v_1/2), but the group law F = exp(log x + log y), the formal
 inverse, and every k-series must come out 2-locally integral; conversion
 asserts that and raises IntegralityError otherwise.
 
+GroupLaw computes [k](u) = exp(k log u) in one variable, the inverse
+included ([-1](u)), and never needs the two-variable law table for it.
+The table is built only on request; it carries the apply2 route
+(_LawBase.k_series, iota_by_inversion, formal sums), which serves toy laws
+and checks the one-variable route independently.
+
 Series in one formal variable are kept as a tuple of coefficient-ring
 elements indexed by the power of the variable; precision means the series
 is exact through that power and unknown beyond it.
@@ -18,6 +24,7 @@ is exact through that power and unknown beyond it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     ConstantTermError,
@@ -40,6 +47,58 @@ def _to_two_local(series: GradedSeries) -> GradedSeries:
         except NonUnitDivisionError as e:
             raise IntegralityError(f"coefficient {c} is not 2-locally integral") from e
     return series.map_coefficients(conv)
+
+
+def _check_k_series(series: UniSeries, k: int) -> UniSeries:
+    """Cheap invariants of a standard-grading [k](u), raised on failure.
+
+    No constant term, leading term k*u, and every u^m coefficient
+    homogeneous of degree 2 - 2m (the law is homogeneous of degree 2).
+    """
+    if series.coeffs[0]:
+        raise MathInvariantError(f"[{k}](u) has a constant term")
+    if series.coeffs[1] != GradedSeries.unit(series.spec, TwoLocal(k)):
+        raise MathInvariantError(f"[{k}](u) does not start with {k}u")
+    for m, c in enumerate(series.coeffs):
+        if not c.degrees() <= {2 - 2 * m}:
+            raise MathInvariantError(f"[{k}](u) coefficient of u^{m} off-degree")
+    return series
+
+
+# Largest series_cost that `erjw fgl` accepts: about 4 s on one core of a
+# 2-vCPU Xeon.  Precision 32 at n = 3 costs 17,716 units; precision 48 at
+# n = 3 and the default 64 at n = 4 cost 3 and 22 times the bound.
+SERIES_COST_BOUND = 40_000
+
+
+def series_cost(n: int, precision: int) -> int:
+    """Estimated work units of the exponential, [-1](u) and [2](u).
+
+    The u^m coefficient of a k-series has t(m) monomials, the solutions of
+    sum a_i (2^i - 1) = m - 1 over v_1..v_n.  A composition through the
+    precision N multiplies coefficient pairs of u^i and u^j with
+    i + j <= N + 1, so it costs about S = sum of t(i)*t(j) over those
+    pairs; the powers of the inner series add about N^3/50, which
+    dominates at n = 1.  The estimate is S + N^3 // 50.  `erjw fgl` took
+    80 to 150 microseconds per unit for n = 1..4 and N = 12..96 on one
+    core of a 2-vCPU Xeon.  When N^3 // 50 alone passes
+    SERIES_COST_BOUND it is returned as is, so pricing a huge request
+    costs nothing.
+    """
+    N = precision
+    cube = N ** 3 // 50
+    if cube > SERIES_COST_BOUND:
+        return cube
+    t = [1] + [0] * N
+    i = 1
+    while i <= n and 2 ** i - 1 <= N:
+        w = 2 ** i - 1
+        for d in range(w, N + 1):
+            t[d] += t[d - w]
+        i += 1
+    # t[m - 1] counts the monomials of the u^m coefficient
+    pairs = sum(t[i] * t[j] for i in range(N) for j in range(N - i))
+    return pairs + cube
 
 
 class UniSeries:
@@ -287,26 +346,34 @@ class _LawBase:
             raise MathInvariantError("formal inverse failed to invert")
         return inv
 
+    @cached_property
+    def _iota(self) -> UniSeries:
+        return self.iota_by_inversion()
+
     def iota(self) -> UniSeries:
-        if not hasattr(self, "_iota"):
-            self._iota = self.iota_by_inversion()
         return self._iota
 
+    @cached_property
+    def _k_cache(self) -> dict:
+        return {0: UniSeries.zero(self.spec, self.precision),
+                1: UniSeries.identity(self.spec, self.precision)}
+
     def k_series(self, k: int) -> UniSeries:
-        """The k-fold formal sum of the identity, for any integer k."""
-        if not hasattr(self, "_k_cache"):
-            self._k_cache = {
-                0: UniSeries.zero(self.spec, self.precision),
-                1: UniSeries.identity(self.spec, self.precision),
-            }
+        """The k-fold formal sum of the identity, for any integer k.
+
+        This is the apply2 route over the law table; the recursion stays on
+        it even where a subclass overrides k_series, so calling
+        _LawBase.k_series(law, k) gives an independent check.
+        """
         cache = self._k_cache
         if k not in cache:
             if k < 0:
-                cache[k] = self.iota().compose(self.k_series(-k))
+                cache[k] = self.iota().compose(_LawBase.k_series(self, -k))
             elif k & 1:
-                cache[k] = self.apply2(self.k_series(k - 1), cache[1])
+                cache[k] = self.apply2(_LawBase.k_series(self, k - 1),
+                                       cache[1])
             else:
-                half = self.k_series(k // 2)
+                half = _LawBase.k_series(self, k // 2)
                 cache[k] = self.apply2(half, half)
         return cache[k]
 
@@ -347,9 +414,8 @@ class GroupLaw(_LawBase):
 
     # -- logarithm and exponential (rational world) -----------------------
 
-    def log_series(self) -> UniSeries:
-        if hasattr(self, "_log"):
-            return self._log
+    @cached_property
+    def _log(self) -> UniSeries:
         spec, N = self.spec, self.precision
         lk = [GradedSeries.unit(spec, Fraction(1))]
         k = 1
@@ -363,38 +429,86 @@ class GroupLaw(_LawBase):
                 acc = acc + lk[j] * vi
             lk.append(acc * Fraction(1, 2 - 2 ** (2 ** k)))
             k += 1
-        self._log = UniSeries.from_terms(
+        return UniSeries.from_terms(
             spec, {2 ** j: c for j, c in enumerate(lk)}, N)
+
+    def log_series(self) -> UniSeries:
         return self._log
 
-    def exp_series(self) -> UniSeries:
-        if hasattr(self, "_exp"):
-            return self._exp
+    @cached_property
+    def _exp(self) -> UniSeries:
+        """The functional inverse of log, one coefficient at a time.
+
+        Write exp(u) = u*F(u).  From log(exp(u)) = u, the coefficient of u^m
+        is E_m = -sum over a = 2^k in 2..m of l_k [F^a]_(m-a), which needs F
+        only through F_(m-2) = E_(m-1).  Each power G = F^a gains one
+        coefficient per step by J. C. P. Miller's recurrence
+        i*G_i = sum over j = 1..i of ((a+1)*j - i) * F_j * G_(i-j).
+        """
         spec, N = self.spec, self.precision
         log = self.log_series()
         z = GradedSeries.zero(spec)
-        E = [z, GradedSeries.unit(spec, Fraction(1))]
+        one = GradedSeries.unit(spec, Fraction(1))
+        F = [one]
+        powers: dict[int, list[GradedSeries]] = {}
         for m in range(2, N + 1):
-            partial = UniSeries(spec, E + [z] * (m + 1 - len(E)))
             c = z
-            k = 1
-            while 2 ** k <= m:
-                lc = log[2 ** k]
+            a = 2
+            while a <= m:
+                lc = log[a]
                 if lc:
-                    c = c + lc * (partial ** (2 ** k))[m]
-                k += 1
-            E.append(-c)
-        self._exp = UniSeries(spec, E)
+                    G = powers.setdefault(a, [one])
+                    i = m - a
+                    while len(G) <= i:
+                        t = len(G)
+                        acc = z
+                        for j in range(1, t + 1):
+                            w = (a + 1) * j - t
+                            if w and F[j] and G[t - j]:
+                                acc = acc + (F[j] * w) * G[t - j]
+                        G.append(acc * Fraction(1, t))
+                    c = c + lc * G[i]
+                a *= 2
+            F.append(-c)
+        exp = UniSeries(spec, [z] + F)
         # functional inverse really inverts, through the precision
-        if not (self._exp.compose(log) - UniSeries.identity(spec, N)).is_zero():
+        if not (exp.compose(log) - UniSeries.identity(spec, N)).is_zero():
             raise MathInvariantError("exp does not invert log")
+        return exp
+
+    def exp_series(self) -> UniSeries:
         return self._exp
+
+    # -- one-variable series of the law -------------------------------------
+
+    @cached_property
+    def _k_by_log(self) -> dict:
+        return {}
+
+    def k_series(self, k: int) -> UniSeries:
+        """[k](u) = exp(k*log(u)), in one variable; no law table is built.
+
+        _LawBase.k_series(self, k) is the independent apply2 route.
+        """
+        cache = self._k_by_log
+        if k not in cache:
+            inner = self.log_series().scale(Fraction(k))
+            cache[k] = _check_k_series(
+                _to_two_local(self.exp_series().compose(inner)), k)
+        return cache[k]
+
+    @cached_property
+    def _iota(self) -> UniSeries:
+        return self.k_series(-1)
+
+    # the same as _LawBase.iota; bench/tracer.py times it on GroupLaw itself
+    def iota(self) -> UniSeries:
+        return self._iota
 
     # -- the law itself ----------------------------------------------------
 
-    def law_table(self) -> dict:
-        if hasattr(self, "_table"):
-            return self._table
+    @cached_property
+    def _table(self) -> dict:
         N = self.precision
         spec2 = GradingSpec(self.n, q=0, roots=2, alphabet="standard")
         log = self.log_series()
@@ -427,35 +541,34 @@ class GroupLaw(_LawBase):
         for (i, j), entry in table.items():
             if entry.internal_degree() != lam_like - 2 * (i + j):
                 raise MathInvariantError(f"law coefficient {(i, j)} off-degree")
-        self._table = table
         return table
 
-    def iota(self) -> UniSeries:
-        if hasattr(self, "_iota"):
-            return self._iota
-        log = self.log_series()
-        exp = self.exp_series()
-        self._iota = _to_two_local(exp.compose(-log))
-        return self._iota
+    def law_table(self) -> dict:
+        return self._table
 
     # -- hat-alphabet views -------------------------------------------------
 
+    @cached_property
+    def _hat_iota(self) -> UniSeries:
+        return self.iota().regrade_to_hat()
+
     def hat_iota(self) -> UniSeries:
-        if not hasattr(self, "_hat_iota"):
-            self._hat_iota = self.iota().regrade_to_hat()
         return self._hat_iota
 
+    @cached_property
+    def _hat_k(self) -> dict:
+        return {}
+
     def hat_k_series(self, k: int) -> UniSeries:
-        if not hasattr(self, "_hat_k"):
-            self._hat_k = {}
         if k not in self._hat_k:
             self._hat_k[k] = self.k_series(k).regrade_to_hat()
         return self._hat_k[k]
 
+    @cached_property
+    def _hat_table(self) -> dict:
+        return {ij: c.regrade_to_hat() for ij, c in self.law_table().items()}
+
     def hat_law_table(self) -> dict:
-        if not hasattr(self, "_hat_table"):
-            self._hat_table = {ij: c.regrade_to_hat()
-                               for ij, c in self.law_table().items()}
         return self._hat_table
 
     # -- the defining identity, checked through an independent route --------

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from erjw import cli
+from erjw.fgl import SERIES_COST_BOUND, series_cost
 from erjw.scalar2 import ModuleStructure
 
 
@@ -134,6 +136,16 @@ def test_bo_expression_guardrails(capsys):
         assert err.startswith("error:")
 
 
+# argparse takes a value with a space for a value anyway; without one, a
+# leading "-" made it an option before main glued it to its flag
+@pytest.mark.parametrize("expr", ["-2*c1", "-c1^2"])
+def test_bo_reduce_accepts_leading_minus(expr, capsys):
+    code, out, err = run(["bo", "--n", "2", "--q", "1", "--weight", "6",
+                          "--reduce", expr], capsys)
+    assert code == 0 and err == ""
+    assert f"reduce({expr}) = " in out
+
+
 def test_bo_q_defaults_to_weight(capsys):
     code, out, _ = run(["bo", "--n", "1", "--weight", "3",
                         "--format", "json"], capsys)
@@ -175,11 +187,60 @@ def test_coeff_relation_line(capsys):
     assert err.startswith("error:")
 
 
+def test_coeff_relation_accepts_leading_minus(capsys):
+    code, out, err = run(["coeff", "--n", "2", "--relation", "-2*w=-2*w"],
+                         capsys)
+    assert code == 0 and err == ""
+    assert "'-2*w=-2*w' holds" in out
+
+
 def test_fgl_text_sections(capsys):
     code, out, _ = run(["fgl", "--n", "1", "--terms", "4"], capsys)
     assert code == 0
     assert "[-1](u):" in out and "[2](u):" in out
     assert "u^1: 2" in out  # doubling starts at 2u
+
+
+# First 16 hex digits of the sha256 of stdout, recorded when [2](u) still
+# came from the two-variable law table.  The JSON envelope's "version" value
+# is blanked to "*" first, so a version bump does not move the digest.
+FGL_GOLDEN = {
+    (1, "text"): "304bb90eafcc731f",
+    (1, "json"): "3eb44be03e9c3b72",
+    (2, "text"): "c0512a12cf9ba1af",
+    (2, "json"): "0dd65a1f8092b7db",
+    (3, "text"): "6dc7317089531904",
+    (3, "json"): "556b65442230b315",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(FGL_GOLDEN))
+def test_fgl_golden_output(n, fmt, capsys):
+    code, out, err = run(["fgl", "--n", str(n), "--format", fmt], capsys)
+    assert code == 0 and err == ""
+    out = out.replace(f'"version": {json.dumps(cli._version())}',
+                      '"version": "*"')
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == FGL_GOLDEN[n, fmt]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fgl", "--n", "4"], "--n"),
+    (["fgl", "--n", "3", "--precision", "48"], "--precision"),
+    (["fgl", "--n", "1", "--precision", "100000000000"], "--precision"),
+    (["fgl", "--n", "40", "--format", "json"], "--n"),
+])
+def test_fgl_refuses_costly_requests_up_front(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"lower {flag}" in err and str(SERIES_COST_BOUND) in err
+
+
+def test_fgl_cost_bound_admits_documented_inputs():
+    # README and test inputs (n = 1, 2, 3 at their default precisions)
+    # and the benchmark's fgl jobs all sit under the bound
+    for n, precision in ((1, 8), (2, 16), (3, 32), (3, 20), (3, 12)):
+        assert series_cost(n, precision) <= SERIES_COST_BOUND
 
 
 @pytest.mark.parametrize("argv, message", [

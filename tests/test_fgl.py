@@ -9,7 +9,16 @@ from erjw.errors import (
     MathInvariantError,
     PrecisionError,
 )
-from erjw.fgl import GroupLaw, ToyLaw, UniSeries, additive_law
+from erjw.fgl import (
+    SERIES_COST_BOUND,
+    GroupLaw,
+    ToyLaw,
+    UniSeries,
+    _check_k_series,
+    _LawBase,
+    additive_law,
+    series_cost,
+)
 from erjw.graded import GradedSeries, GradingSpec
 from erjw.scalar2 import TwoLocal
 
@@ -223,3 +232,88 @@ def test_integrality_error_path():
     from erjw.fgl import _to_two_local
     with pytest.raises(IntegralityError):
         _to_two_local(bad[1])
+
+
+# -- cross-route checks of the one-variable k-series and the exponential ----
+
+
+def _exp_by_powers(law):
+    """exp as the seed computed it: every coefficient re-derived from the
+    full powers partial ** 2^k of the series found so far."""
+    spec, N = law.spec, law.precision
+    log = law.log_series()
+    z = GradedSeries.zero(spec)
+    E = [z, GradedSeries.unit(spec, Fraction(1))]
+    for m in range(2, N + 1):
+        partial = UniSeries(spec, E + [z] * (m + 1 - len(E)))
+        c = z
+        k = 1
+        while 2 ** k <= m:
+            lc = log[2 ** k]
+            if lc:
+                c = c + lc * (partial ** (2 ** k))[m]
+            k += 1
+        E.append(-c)
+    return UniSeries(spec, E)
+
+
+@pytest.mark.parametrize("n,precision", [(1, 16), (2, 16), (3, 16), (3, 5)])
+def test_exp_matches_power_recursion(n, precision):
+    law = GroupLaw(n, precision=precision)
+    assert law.exp_series() == _exp_by_powers(law)
+
+
+@pytest.mark.parametrize("n,precision", [(1, 12), (2, 10), (3, 12)])
+def test_k_series_routes_agree(n, precision):
+    # exp(k log u) in one variable against repeated formal sums over the
+    # two-variable law table; negative k also goes through iota, which is
+    # checked against the inverse solved from the table
+    law = GroupLaw(n, precision=precision)
+    assert law.iota() == law.iota_by_inversion()
+    for k in range(-3, 6):
+        assert law.k_series(k) == _LawBase.k_series(law, k), k
+
+
+def test_k_series_one_variable_route_skips_the_table():
+    law = GroupLaw(2, precision=8)
+    law.k_series(2)
+    law.hat_k_series(3)
+    law.hat_iota()
+    assert "_table" not in vars(law)
+    assert law.k_series(2) is law.k_series(2)
+    assert law.hat_iota() is law.hat_iota()
+
+
+def test_corrupted_k_series_trips_the_check():
+    law = GroupLaw(2, precision=8)
+    good = law.k_series(3)
+    assert _check_k_series(good, 3) is good
+    v1 = _v(SPEC2, 1)
+    for m, bump in ((0, GradedSeries.unit(SPEC2, TwoLocal(1))),
+                    (1, GradedSeries.unit(SPEC2, TwoLocal(2))),
+                    (3, v1),                  # degree -2 where -4 belongs
+                    (5, v1 * v1)):
+        coeffs = list(good.coeffs)
+        coeffs[m] = coeffs[m] + bump
+        with pytest.raises(MathInvariantError):
+            _check_k_series(UniSeries(SPEC2, coeffs), 3)
+
+
+def test_corrupted_exponential_trips_the_k_series_check():
+    # an integral but off-degree term planted in exp survives into [2](u)
+    law = GroupLaw(1, precision=6)
+    exp = law.exp_series()
+    coeffs = list(exp.coeffs)
+    coeffs[3] = coeffs[3] + _v(SPEC1, 1, coeff=Fraction(2))
+    vars(law)["_exp"] = UniSeries(SPEC1, coeffs)
+    with pytest.raises(MathInvariantError, match="u\\^3 off-degree"):
+        law.k_series(2)
+
+
+def test_series_cost_grows_and_stays_cheap():
+    assert series_cost(3, 32) < SERIES_COST_BOUND < series_cost(3, 48)
+    assert series_cost(4, 64) > SERIES_COST_BOUND
+    assert series_cost(1, 8) < series_cost(1, 16) < series_cost(2, 16)
+    # huge requests are priced without building anything of their size
+    assert series_cost(40, 2 ** 42) > SERIES_COST_BOUND
+    assert series_cost(10 ** 9, 4) < SERIES_COST_BOUND
