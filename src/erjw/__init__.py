@@ -52,7 +52,6 @@ from .coeff import (
     filtration_profile,
     named_generators,
     relation_check,
-    systematic_name,
     total_period,
 )
 from .fgl import GroupLaw, ToyLaw, UniSeries, additive_law
@@ -120,7 +119,6 @@ __all__ = [
     "relation_check",
     "residue_certificate",
     "step_engine_page",
-    "systematic_name",
     "thom_ratio",
     "total_period",
     "val2",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bss import PresentedModule
+from .bss import DegreeColumns
 from .coeff import named_generators, total_period
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
@@ -72,13 +72,17 @@ def _head(spec: GradingSpec, series: GradedSeries):
     return (best[1], best[2])
 
 
-def _check_carrier(series: GradedSeries, spec: GradingSpec) -> None:
-    P = spec.hat_offset
-    for (y, vh, vn, c, x) in series.terms:
+def _check_element(z: GradedSeries, p: RingPresentation) -> None:
+    if z.spec != p.spec:
+        raise InputError("element over a different class ring")
+    P = p.spec.hat_offset
+    for (y, vh, vn, c, x) in z.terms:
         if y or any(x):
             raise InputError("element leaves the class ring")
         if vn if P == 0 else vn % P:
             raise InputError("periodicity exponent off the hat lattice")
+    if any(p.spec.weight_of(k) > p.weight for k in z.terms):
+        raise InputError(f"element exceeds the weight bound {p.weight}")
 
 
 def _into_class_spec(series: GradedSeries, spec: GradingSpec) -> GradedSeries:
@@ -86,7 +90,7 @@ def _into_class_spec(series: GradedSeries, spec: GradingSpec) -> GradedSeries:
     out = {}
     for (y, vh, vn, c, x), coeff in series.terms.items():
         if any(x):
-            raise MathInvariantError("root content survived elimination")
+            raise MathInvariantError("root content in a class polynomial")
         out[(y, vh, vn, c, ())] = coeff
     return GradedSeries(spec, out, series.trunc)
 
@@ -176,11 +180,7 @@ def reduce(z: GradedSeries, p: RingPresentation) -> GradedSeries:
     both being on the hat lattice) and the head coefficient's 2-adic
     valuation does not exceed the term's.
     """
-    if z.spec != p.spec:
-        raise InputError("element over a different class ring")
-    _check_carrier(z, p.spec)
-    if any(p.spec.weight_of(k) > p.weight for k in z.terms):
-        raise InputError(f"element exceeds the weight bound {p.weight}")
+    _check_element(z, p)
     work = z.truncated(p.weight)
     rules = []
     for h, rel in zip(p.heads, p.relations):
@@ -230,26 +230,22 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
     can therefore only mean the capped multiple lattice misses z, never
     that a cap silently projected a row.
     """
-    if z.spec != p.spec:
-        raise InputError("element over a different class ring")
-    _check_carrier(z, p.spec)
-    if any(p.spec.weight_of(k) > p.weight for k in z.terms):
-        raise InputError(f"element exceeds the weight bound {p.weight}")
-    module = PresentedModule(p.spec, p.weight, (),
-                             flat_certificate="membership probe", caps=caps)
+    _check_element(z, p)
     for D in z.degrees():
-        part = z.homogeneous_part(D)
-        cols = _Columns(module.ambient_basis(D))
-        vec = _series_cols(part, cols)
-        rows = _lattice_rows(module, p.relations, D, 0, cols, p.weight)
-        num = _materialize(rows, cols.width)
-        padded = [vec.get(c, ZERO) for c in range(cols.width)]
-        if num.nrows == 0:
-            if any(v.num for v in padded):
-                return False
-        elif solve_left(num, padded, snf_with_transforms(num)) is None:
+        cols = DegreeColumns(p.spec, D, caps, p.weight)
+        vec = cols.row(z.homogeneous_part(D))
+        num = cols.matrix(cols.lattice_rows(p.relations, 0, p.weight))
+        if not _spans(num, cols.matrix([vec]).data):
             return False
     return True
+
+
+def _spans(num: LocalMatrix, rows) -> bool:
+    """Whether every row lies in the row span of num."""
+    if num.nrows == 0:
+        return not any(x.num for row in rows for x in row)
+    decomp = snf_with_transforms(num)
+    return all(solve_left(num, row, decomp) is not None for row in rows)
 
 
 # -- periodicity decomposition ----------------------------------------------
@@ -351,78 +347,6 @@ class FlatnessCertificate:
     failures: tuple[int, ...]
 
 
-class _Columns:
-    """Column registry: the capped basis first, overflow keys after."""
-
-    def __init__(self, basis):
-        self.index = {key: i for i, key in enumerate(basis)}
-        self.base = len(basis)
-        self.extra: dict = {}
-
-    def col(self, key) -> int:
-        c = self.index.get(key)
-        if c is not None:
-            return c
-        return self.extra.setdefault(key, self.base + len(self.extra))
-
-    @property
-    def width(self) -> int:
-        return self.base + len(self.extra)
-
-
-def _series_cols(series: GradedSeries, cols: _Columns) -> dict:
-    row: dict[int, TwoLocal] = {}
-    for key, coeff in series.terms.items():
-        c = cols.col(key)
-        row[c] = row.get(c, ZERO) + coeff
-    return {c: v for c, v in row.items() if v.num}
-
-
-def _lattice_rows(module: PresentedModule, relations, D: int, k: int,
-                  cols: _Columns, deep: int) -> list[dict]:
-    """Relation multiples plus the stage-k ideal at degree D.
-
-    Rows live in the registry's extended coordinates: tails past the vhat
-    cap or past the basis weight bound stay visible as overflow instead of
-    vanishing.  Silent truncation here would close rewriting staircases
-    and fabricate torsion the completed ring does not have, so the
-    relations come in expanded to `deep` and the enumeration never clips
-    below that.  After everything degree-D is enumerated, the stage ideal
-    gets a doubling row for every registered column, overflow included:
-    twice any ambient monomial lies in the ideal regardless of whether
-    the monomial fits the reporting basis.
-    """
-    spec = module.spec
-    rows = []
-    for rel in relations:
-        if not rel:
-            continue
-        d = rel.internal_degree()
-        for mono in module.ambient_basis(D - d):
-            prod = GradedSeries(spec, {mono: ONE}, deep) * rel
-            row = _series_cols(prod, cols)
-            if row:
-                rows.append(row)
-    if k >= 1:
-        lam1 = spec.lam - 1
-        for l in range(1, k):
-            wl = (2 ** l - 1) * lam1
-            gen = GradedSeries.gen(spec, f"vh{l}", trunc=deep)
-            for mono in module.ambient_basis(D - wl):
-                prod = GradedSeries(spec, {mono: ONE}, deep) * gen
-                row = _series_cols(prod, cols)
-                if row:
-                    rows.append(row)
-        for col in range(cols.width):
-            rows.append({col: TwoLocal(2)})
-    return rows
-
-
-def _materialize(rows: list[dict], width: int) -> LocalMatrix:
-    data = [[row.get(c, ZERO) for c in range(width)] for row in rows]
-    return LocalMatrix(data, width)
-
-
 def _stage_multiplier(spec: GradingSpec, k: int, weight: int) -> GradedSeries:
     if k == 0:
         return GradedSeries.unit(spec, TwoLocal(2), weight)
@@ -455,9 +379,6 @@ def landweber_window_check(n: int, q: int, k: int,
     if iota is None:
         iota = GroupLaw(n, precision=deep + 1).hat_iota()
     pres = present(n, q, deep, iota=iota)
-    module = PresentedModule(pres.spec, weight, (),
-                             flat_certificate="window check input",
-                             caps=caps)
     spec = pres.spec
     lam1 = spec.lam - 1
     wk = 0 if k == 0 else (2 ** k - 1) * lam1
@@ -474,30 +395,18 @@ def landweber_window_check(n: int, q: int, k: int,
     failures = []
     for D in degrees:
         tgt = D + wk
-        src_basis = module.ambient_basis(D)
-        src_cols = _Columns(src_basis)
-        tgt_cols = _Columns(module.ambient_basis(tgt))
-        img = [_series_cols(GradedSeries(spec, {mono: ONE}, deep) * mult,
-                            tgt_cols) for mono in src_basis]
-        den_rows = _lattice_rows(module, pres.relations, tgt, k, tgt_cols,
-                                 deep)
-        num_rows = _lattice_rows(module, pres.relations, D, k, src_cols,
-                                 deep)
-        A = _materialize(img, tgt_cols.width)
-        den = _materialize(den_rows, tgt_cols.width)
-        num = _materialize(num_rows, src_cols.width)
+        src_cols = DegreeColumns(spec, D, caps, weight)
+        tgt_cols = DegreeColumns(spec, tgt, caps, weight)
+        img = [tgt_cols.row(GradedSeries(spec, {mono: ONE}, deep) * mult)
+               for mono in src_cols.basis]
+        den = tgt_cols.matrix(tgt_cols.lattice_rows(pres.relations, k, deep))
+        A = tgt_cols.matrix(img)
+        num = src_cols.matrix(src_cols.lattice_rows(pres.relations, k, deep))
         pre = preimage_rows(A, den)
-        decomp = snf_with_transforms(num) if num.nrows else None
-        bad = False
-        for row in pre.data:
-            padded = list(row) + [ZERO] * (src_cols.width - len(row))
-            if num.nrows == 0:
-                bad = bad or any(v.num for v in padded)
-            elif solve_left(num, padded, decomp) is None:
-                bad = True
-        if bad:
-            failures.append(D)
-        else:
+        pad = [ZERO] * (src_cols.width - pre.ncols)
+        if _spans(num, [row + pad for row in pre.data]):
             checked.append((D, tgt))
+        else:
+            failures.append(D)
     return FlatnessCertificate(n, q, k, (lo, hi), weight, caps,
                                not failures, tuple(checked), tuple(failures))

@@ -30,13 +30,16 @@ The engines:
 Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
 (class generators and homogeneous relations); the latter yields chart
-structures through per-degree lattice quotients.
+structures through per-degree lattice quotients.  Their rows come from
+DegreeColumns, the one lattice-row builder: a relation or ideal multiple
+that leaves the capped basis keeps its outside monomials as overflow
+columns, never dropped, and the degrees where that happens are reported.
+Every capped basis here and in the oracle is graded.degree_basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product as iter_product
 
 from .errors import (
     EmptyBasisError,
@@ -45,12 +48,13 @@ from .errors import (
     MathInvariantError,
     PageShapeError,
 )
-from .graded import GradedSeries, GradingSpec
+from .graded import GradedSeries, GradingSpec, degree_basis
 from .scalar2 import (
+    ONE,
+    ZERO,
     LocalMatrix,
     ModuleStructure,
     TwoLocal,
-    cokernel_structure,
     preimage_rows,
     quotient_structure,
     row_basis,
@@ -58,9 +62,6 @@ from .scalar2 import (
     solve_left,
     stack_rows,
 )
-
-ZERO = TwoLocal(0)
-ONE = TwoLocal(1)
 
 
 def admissible_differentials(n: int) -> tuple[int, ...]:
@@ -71,6 +72,16 @@ def _page_level(r: int) -> int:
     if r < 1:
         raise InputError(f"page index {r} out of range")
     return r.bit_length() - 1
+
+
+def _nonzero_cells(structure_at, m_max: int, t_values) -> dict:
+    out = {}
+    for m in range(m_max + 1):
+        for t in t_values:
+            st = structure_at(m, t)
+            if not st.is_zero:
+                out[(m, t)] = st
+    return out
 
 
 def _merge(parts) -> ModuleStructure:
@@ -177,23 +188,14 @@ class StandardSummand:
         monomial is one Z/2."""
         if self.is_zero:
             return ModuleStructure(0, ())
-        n = self.n
-        spec = GradingSpec(n, alphabet="hat")
-        lam1 = spec.lam - 1
-        wl = [(2 ** l - 1) * lam1 for l in range(1, n)]
-        wn = -2 * (2 ** n - 1)
-        target = D - self.shift
+        i, j = self.i, self.j
         count = 0
-        for a in iter_product(range(caps + 1), repeat=n - 1):
-            if self.j >= 1 and any(a[l] for l in range(self.j - 1)):
+        for _, a, b, _, _ in degree_basis(GradingSpec(self.n, alphabet="hat"),
+                                          D - self.shift, caps):
+            if j >= 1 and any(a[:j - 1]):
                 continue
-            if self.i > self.j >= 1:
-                if not any(a[l] for l in range(self.j - 1, self.i - 1)):
-                    continue
-            rem = target - sum(e * w for e, w in zip(a, wl))
-            if rem % wn:
+            if i > j >= 1 and not any(a[j - 1:i - 1]):
                 continue
-            b = rem // wn
             if (b - self.c) % 2 ** self.s:
                 continue
             count += 1
@@ -209,10 +211,6 @@ class Page:
     rows: dict[int, tuple[StandardSummand, ...]]
     m_max: int
 
-    @property
-    def level(self) -> int:
-        return min(_page_level(self.r), self.n + 1)
-
     def chart_structure(self, m: int, t: int, caps: int = 6) -> ModuleStructure:
         spec = GradingSpec(self.n, alphabet="hat")
         D = t + m * spec.lam
@@ -220,13 +218,8 @@ class Page:
                       for s in self.rows.get(m, ()) if not s.is_zero)
 
     def chart(self, t_values, caps: int = 6) -> dict:
-        out = {}
-        for m in range(self.m_max + 1):
-            for t in t_values:
-                st = self.chart_structure(m, t, caps)
-                if not st.is_zero:
-                    out[(m, t)] = st
-        return out
+        return _nonzero_cells(lambda m, t: self.chart_structure(m, t, caps),
+                              self.m_max, t_values)
 
 
 def closed_form_page(n: int, r: int, m_max: int | None = None) -> Page:
@@ -328,16 +321,15 @@ class TruncatedOracle:
         self.t_lo, self.t_hi = t_lo, t_hi
         self.m_max = m_max if m_max is not None else 2 ** (n + 2)
         self.spec = GradingSpec(n, alphabet="hat")
-        lam1 = self.spec.lam - 1
-        self._wl = [(2 ** l - 1) * lam1 for l in range(1, n)]
-        self._wn = -2 * (2 ** n - 1)
         self.basis: dict[tuple[int, int], list] = {}
         self.index: dict[tuple[int, int], dict] = {}
         content = 0
         constant_only = True
         for m in range(self.m_max + 1):
             for t in range(t_lo, t_hi + 1):
-                keys = self._basis_for(m, t)
+                # the y = 0 basis of internal degree t + m * lambda, at row m
+                keys = [(m,) + key[1:] for key in degree_basis(
+                    self.spec, t + m * self.spec.lam, caps)]
                 if keys:
                     cell = (m, t)
                     self.basis[cell] = keys
@@ -355,17 +347,6 @@ class TruncatedOracle:
         self.flags: set[tuple[int, int]] = set()
         self.level = 0
         self.charts: dict[int, dict] = {1: self._chart_now()}
-
-    def _basis_for(self, m: int, t: int) -> list:
-        D = t + m * self.spec.lam
-        keys = []
-        for a in iter_product(range(self.caps + 1), repeat=self.n - 1):
-            rem = D - sum(e * w for e, w in zip(a, self._wl))
-            if rem % self._wn:
-                continue
-            b = rem // self._wn
-            keys.append((m, a, b, (), ()))
-        return keys
 
     def _structure(self, cell) -> ModuleStructure:
         return quotient_structure(self.Z[cell], self.B[cell])
@@ -441,7 +422,8 @@ class TruncatedOracle:
             src = (m - r, t - 1)
             if m - r >= 0:
                 if t - 1 < self.t_lo:
-                    if self._basis_for(m - r, t - 1):
+                    if degree_basis(self.spec, t - 1 + (m - r) * self.spec.lam,
+                                    self.caps):
                         new_flags.add(cell)
                 elif src in self.flags:
                     new_flags.add(cell)
@@ -509,10 +491,6 @@ class TruncatedOracle:
             raise InputError(f"oracle has not advanced to page {idx} yet")
         return self.charts[idx]
 
-    def populated_unflagged(self, r: int) -> list:
-        chart = self.chart_at(r)
-        return [cell for cell in chart if cell not in self.flags]
-
     def inadmissible_pairs(self, r: int) -> list:
         """Positions where a d_r could act between nonzero groups.
 
@@ -546,6 +524,70 @@ class FreeModule:
     description: str = ""
 
 
+class DegreeColumns:
+    """Lattice coordinates at one internal degree of the capped class ring.
+
+    The first columns are the capped degree basis (hat-lattice monomials
+    with vhat exponents at most `caps` and class weight at most
+    `weight`); after them comes every overflow key a row registers.
+    """
+
+    def __init__(self, spec: GradingSpec, D: int, caps: int, weight: int):
+        self.spec, self.D, self.caps, self.weight = spec, D, caps, weight
+        self.basis = degree_basis(spec, D, caps, weight, hat_lattice=True)
+        self.index = {key: i for i, key in enumerate(self.basis)}
+
+    @property
+    def width(self) -> int:
+        return len(self.index)
+
+    def row(self, series: GradedSeries) -> dict:
+        row: dict[int, TwoLocal] = {}
+        for key, coeff in series.terms.items():
+            c = self.index.setdefault(key, len(self.index))
+            row[c] = row.get(c, ZERO) + coeff
+        return {c: v for c, v in row.items() if v.num}
+
+    def matrix(self, rows: list[dict]) -> LocalMatrix:
+        width = self.width
+        return LocalMatrix([[row.get(c, ZERO) for c in range(width)]
+                            for row in rows], width)
+
+    def lattice_rows(self, relations, k: int, deep: int) -> list[dict]:
+        """Relation multiples plus the stage-k ideal I_k at this degree.
+
+        Rows live in the extended coordinates: tails past the vhat cap or
+        past the basis weight bound stay visible as overflow instead of
+        vanishing.  Silent truncation here would close rewriting
+        staircases and fabricate torsion the completed ring does not
+        have, so relations may come in expanded to `deep` and products
+        are clipped at `deep` only.  After everything degree-D is
+        enumerated, I_k gets a doubling row for every registered column,
+        overflow included: twice any ambient monomial lies in the ideal
+        regardless of whether the monomial fits the reporting basis.
+        """
+        spec = self.spec
+        rows = []
+
+        def multiples(d: int, factor: GradedSeries) -> None:
+            for mono in degree_basis(spec, self.D - d, self.caps, self.weight,
+                                     hat_lattice=True):
+                row = self.row(GradedSeries(spec, {mono: ONE}, deep) * factor)
+                if row:
+                    rows.append(row)
+
+        for rel in relations:
+            if rel:
+                multiples(rel.internal_degree(), rel)
+        if k >= 1:
+            lam1 = spec.lam - 1
+            for l in range(1, k):
+                multiples((2 ** l - 1) * lam1,
+                          GradedSeries.gen(spec, f"vh{l}", trunc=deep))
+            rows += [{col: TwoLocal(2)} for col in range(self.width)]
+        return rows
+
+
 @dataclass
 class PresentedModule:
     """Quotient of a weight-truncated class ring by homogeneous relations.
@@ -554,9 +596,11 @@ class PresentedModule:
     generators, truncated above class weight `weight`; that truncation is
     a ring quotient, so dropping overweight terms of relation multiples
     is exact.  The vhat exponent caps are a window, not a quotient:
-    degrees where a relation or ideal multiple left the capped basis are
-    recorded in `incomplete_degrees` and its answers there are
-    approximations.
+    relation and ideal multiples that leave the capped basis keep their
+    outside monomials as overflow columns (`DegreeColumns`), and each
+    answer is the image of the capped basis in that extended quotient.
+    Degrees where an overflow column appeared are recorded in
+    `incomplete_degrees`; answers there are approximations.
     """
 
     spec: GradingSpec
@@ -578,134 +622,51 @@ class PresentedModule:
         self.incomplete_degrees: set[int] = set()
         self._cache: dict = {}
 
-    # ambient monomials y^0 vhat^a c^e vhatn^tau at one internal degree
-    def ambient_basis(self, D: int) -> list:
-        n = self.spec.n
-        key = ("basis", D)
-        if key in self._cache:
-            return self._cache[key]
-        lam1 = self.spec.lam - 1
-        wl = [(2 ** l - 1) * lam1 for l in range(1, n)]
-        wtopE = (2 ** n - 1) * lam1
-        P = self.spec.hat_offset
-        out = []
-        for e in self._class_tuples():
-            cdeg = -lam1 * sum(k * ek for k, ek in enumerate(e, start=1))
-            for a in iter_product(range(self.caps + 1), repeat=n - 1):
-                rem = D - cdeg - sum(x * w for x, w in zip(a, wl))
-                if n == 1:
-                    if rem == 0:
-                        out.append((0, a, 0, e, ()))
-                    continue
-                if rem % wtopE:
-                    continue
-                tau = rem // wtopE
-                out.append((0, a, -tau * P, e, ()))
-        out.sort()
-        self._cache[key] = out
-        return out
-
-    def _class_tuples(self):
-        key = ("classes",)
-        if key not in self._cache:
-            q, W = self.spec.q, self.weight
-            tuples = []
-            for e in iter_product(*(range(W // k + 1) for k in range(1, q + 1))):
-                if sum(k * ek for k, ek in enumerate(e, start=1)) <= W:
-                    tuples.append(e)
-            self._cache[key] = tuples or [()]
-        return self._cache[key]
-
-    def _series_to_row(self, series: GradedSeries, D: int):
-        idx = {k: i for i, k in enumerate(self.ambient_basis(D))}
-        row = [ZERO] * len(idx)
-        complete = True
-        for k, coeff in series.terms.items():
-            col = idx.get(k)
-            if col is None:
-                complete = False
-            else:
-                row[col] = row[col] + coeff
-        return row, complete
-
-    def relation_rows(self, D: int) -> LocalMatrix:
-        key = ("rel", D)
-        if key in self._cache:
-            return self._cache[key]
-        nb = len(self.ambient_basis(D))
-        rows = []
-        for rel in self.relations:
-            if not rel:
-                continue
-            d = rel.internal_degree()
-            for mono in self.ambient_basis(D - d):
-                prod = (GradedSeries(self.spec, {mono: ONE}, self.weight)
-                        * rel.truncated(self.weight))
-                row, complete = self._series_to_row(prod, D)
-                if not complete:
-                    self.incomplete_degrees.add(D)
-                    continue
-                if any(x.num for x in row):
-                    rows.append(row)
-        mat = LocalMatrix(rows, nb)
-        self._cache[key] = mat
-        return mat
-
-    def _ideal_rows(self, D: int, i: int) -> LocalMatrix:
-        """Generators of I_i applied to the degree-D basis, as rows."""
-        basis = self.ambient_basis(D)
-        nb = len(basis)
-        rows = [[(2 if col == rix else 0) for col in range(nb)]
-                for rix in range(nb)]
-        lam1 = self.spec.lam - 1
-        for l in range(1, i):
-            wl = (2 ** l - 1) * lam1
-            for mono in self.ambient_basis(D - wl):
-                prod = GradedSeries(self.spec, {mono: ONE}, self.weight) \
-                    * GradedSeries.gen(self.spec, f"vh{l}", trunc=self.weight)
-                row, complete = self._series_to_row(prod, D)
-                if not complete:
-                    self.incomplete_degrees.add(D)
-                    continue
-                rows.append(row)
-        return LocalMatrix(rows, nb)
-
     def structure_at(self, D: int) -> ModuleStructure:
-        return cokernel_structure(self.relation_rows(D))
+        return self.twisted_structure_at(D, 0, 0)
 
     def twisted_structure_at(self, D: int, i: int, j: int) -> ModuleStructure:
-        """Structure of I_i (M / I_j M) in internal degree D."""
+        """Structure of I_i (M / I_j M) in internal degree D.
+
+        The answer is the image of the capped elements of I_i M + I_j M
+        in the extended quotient by the relations and I_j.
+        """
         n = self.spec.n
         if (0 < i <= j) or j == n + 1:
             return ModuleStructure(0, ())
         if i == n + 1:
             # the top ideal contains the invertible periodicity generator
             i = 0
-        key = ("tw", D, i, j)
+        key = (D, i, j)
         if key in self._cache:
             return self._cache[key]
-        nb = len(self.ambient_basis(D))
+        cols = DegreeColumns(self.spec, D, self.caps, self.weight)
+        nb = len(cols.basis)
         if nb == 0:
             self._cache[key] = ModuleStructure(0, ())
             return self._cache[key]
-        rel = self.relation_rows(D)
-        denom_parts = [rel]
-        if j >= 1:
-            denom_parts.append(self._ideal_rows(D, j))
-        denom = stack_rows([p for p in denom_parts if p.nrows]
-                           or [LocalMatrix.zeros(0, nb)])
-        if i == 0:
-            numer = LocalMatrix.identity(nb)
-        else:
-            numer = self._ideal_rows(D, i)
-        K = row_basis(stack_rows([numer, denom]))
-        st = quotient_structure(K, denom)
+        capped = [{c: ONE} for c in range(nb)]
+        den_rows = cols.lattice_rows(self.relations, j, self.weight)
+        num_rows = cols.lattice_rows((), i, self.weight) if i else capped
+        if cols.width > nb:
+            self.incomplete_degrees.add(D)
+        den = cols.matrix(den_rows)
+        K = row_basis(stack_rows([cols.matrix(num_rows), den]))
+        if i:
+            # I_i multiples may overflow; keep the capped part of the span
+            K = preimage_rows(K, stack_rows([cols.matrix(capped), den])) @ K
+        st = quotient_structure(K, den)
         self._cache[key] = st
         return st
 
 
 class TensoredPage:
-    """Chart view of a page tensored with a presented flat module."""
+    """Chart view of a page tensored with a presented flat module.
+
+    `flags` holds the cells whose answer read a degree in the module's
+    `incomplete_degrees`, as `TruncatedOracle.flags` holds the cells its
+    window polluted.
+    """
 
     def __init__(self, page: Page, module: PresentedModule):
         if module.spec.n != page.n:
@@ -713,10 +674,12 @@ class TensoredPage:
         self.page = page
         self.module = module
         self.spec = module.spec
+        self._reads: dict[tuple[int, int], set[int]] = {}
 
     @property
-    def r(self) -> int:
-        return self.page.r
+    def flags(self) -> set[tuple[int, int]]:
+        bad = self.module.incomplete_degrees
+        return {cell for cell, degrees in self._reads.items() if degrees & bad}
 
     def chart_structure(self, m: int, t: int) -> ModuleStructure:
         n = self.page.n
@@ -724,7 +687,7 @@ class TensoredPage:
         P = self.spec.hat_offset
         wn = -2 * (2 ** n - 1)
         D = t + m * lam
-        parts = []
+        reads = []
         for s in self.page.rows.get(m, ()):
             if s.is_zero:
                 continue
@@ -735,22 +698,17 @@ class TensoredPage:
                 b = rem // wn
                 if (b - s.c) % 2 ** s.s:
                     continue
-                parts.append(self.module.twisted_structure_at(0, s.i, s.j))
+                reads.append((0, s))
             else:
                 for tp in range(P // 2 ** s.s):
                     e = 2 ** s.s * tp + s.c
-                    parts.append(self.module.twisted_structure_at(
-                        D - s.shift - e * wn, s.i, s.j))
-        return _merge(parts)
+                    reads.append((D - s.shift - e * wn, s))
+        self._reads[(m, t)] = {d for d, _ in reads}
+        return _merge(self.module.twisted_structure_at(d, s.i, s.j)
+                      for d, s in reads)
 
     def chart(self, t_values) -> dict:
-        out = {}
-        for m in range(self.page.m_max + 1):
-            for t in t_values:
-                st = self.chart_structure(m, t)
-                if not st.is_zero:
-                    out[(m, t)] = st
-        return out
+        return _nonzero_cells(self.chart_structure, self.page.m_max, t_values)
 
 
 def flat_base_change(page: Page, module):

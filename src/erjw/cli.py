@@ -289,15 +289,19 @@ def _series_terms(uni, cut: int) -> list[dict]:
     return out
 
 
-def _cmd_fgl(args):
-    law = GroupLaw(args.n, precision=args.precision)
+def _refuse_costly_law(law: GroupLaw, flag: str) -> None:
+    """Exit 2 up front when the law's series would take too long."""
     cost = series_cost(law.n, law.precision)
     if cost > SERIES_COST_BOUND:
-        flag = ("--precision" if args.precision is not None
-                else "--n (or pass a smaller --precision)")
         raise InputError(
             f"n={law.n} at precision {law.precision} is estimated at {cost}"
             f" work units, past the bound of {SERIES_COST_BOUND}; lower {flag}")
+
+
+def _cmd_fgl(args):
+    law = GroupLaw(args.n, precision=args.precision)
+    _refuse_costly_law(law, "--precision" if args.precision is not None
+                       else "--n (or pass a smaller --precision)")
     negation = law.hat_iota()
     doubling = law.hat_k_series(2)
     result = {
@@ -315,7 +319,9 @@ def _cmd_fgl(args):
 
 
 def _cmd_chern(args):
-    iota = GroupLaw(args.n, precision=args.weight + 4).hat_iota()
+    law = GroupLaw(args.n, precision=args.weight + 4)
+    _refuse_costly_law(law, "--weight")
+    iota = law.hat_iota()
     ctx = SymmetricContext(iota, args.q, args.weight)
     classes = []
     for k in range(1, args.q + 1):
@@ -419,6 +425,9 @@ def _cmd_bo(args):
 
 
 def _cmd_orient(args):
+    # the conjugation-fixed step builds the law at precision weight + 4
+    _refuse_costly_law(GroupLaw(args.n, precision=args.weight + 4),
+                       "--weight")
     scan = orientability_scan(args.n, weight=args.weight, span=args.span,
                               caps=args.caps)
     result = {

@@ -22,7 +22,6 @@ __all__ = [
     "RelationReport",
     "named_generators",
     "total_period",
-    "systematic_name",
     "relation_check",
     "filtration_profile",
 ]
@@ -31,10 +30,6 @@ __all__ = [
 def total_period(n: int) -> int:
     """Total degree of the invertible class on the limit chart."""
     return 2 ** (n + 2) * (2 ** n - 1)
-
-
-def systematic_name(total_degree: int, row: int) -> str:
-    return f"gen{total_degree}_{row}"
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from functools import lru_cache
+from itertools import product as iter_product
+from typing import Callable
 
 from .errors import InputError, MathInvariantError
 from .scalar2 import TwoLocal
@@ -116,6 +118,40 @@ class GradingSpec:
         names += [f"c{k}" for k in range(1, self.q + 1)]
         names += [f"x{i}" for i in range(1, self.roots + 1)]
         return names
+
+
+# bounded: one three-engine page chart asks for a few thousand degrees
+@lru_cache(maxsize=1 << 13)
+def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
+                 hat_lattice: bool = False) -> tuple:
+    """Sorted keys y^0 vhat^a vn^b c^e of internal degree D.
+
+    Every vhat exponent is at most `caps` and the class weight at most
+    `weight`; the vn exponent b is whatever the degree forces.  With
+    `hat_lattice` only vn powers of the top hat generator count: b must
+    be a multiple of P, which at n = 1 (P = 0) means b = 0.
+    """
+    if spec.alphabet != "hat" or spec.roots:
+        raise InputError("degree bases live over the hat class ring")
+    n, P = spec.n, spec.hat_offset
+    lam1 = spec.lam - 1
+    wl = [(2 ** l - 1) * lam1 for l in range(1, n)]
+    wn = -2 * (2 ** n - 1)
+    out = []
+    for e in iter_product(*(range(weight // k + 1)
+                            for k in range(1, spec.q + 1))):
+        w = sum(k * ek for k, ek in enumerate(e, start=1))
+        if w > weight:
+            continue
+        for a in iter_product(range(caps + 1), repeat=n - 1):
+            rem = D + w * lam1 - sum(x * wx for x, wx in zip(a, wl))
+            if rem % wn:
+                continue
+            b = rem // wn
+            if hat_lattice and (b % P if P else b):
+                continue
+            out.append((0, a, b, e, ()))
+    return tuple(sorted(out))
 
 
 def _key_mul(a, b):

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boring import in_ideal, present, reduce
+from .boring import _into_class_spec, in_ideal, present, reduce
 from .bss import closed_form_page
 from .errors import InputError, MathInvariantError
 from .fgl import GroupLaw
-from .graded import GradedSeries, GradingSpec
+from .graded import GradedSeries
 from .symchern import thom_ratio
 
 __all__ = [
@@ -102,20 +102,11 @@ class OrientationScan:
     notes: tuple[str, ...]
 
 
-def _strip_roots(series: GradedSeries, spec: GradingSpec) -> GradedSeries:
-    out = {}
-    for (y, vh, vn, c, x), coeff in series.terms.items():
-        if any(x):
-            raise MathInvariantError("root content in a class polynomial")
-        out[(y, vh, vn, c, ())] = coeff
-    return GradedSeries(spec, out, series.trunc)
-
-
 def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:
     iota = GroupLaw(n, precision=weight + 4).hat_iota()
     ratio = thom_ratio(iota, 1, weight)
     pres = present(n, 2, weight)
-    delta = _strip_roots(ratio, pres.spec) - GradedSeries.unit(
+    delta = _into_class_spec(ratio, pres.spec) - GradedSeries.unit(
         pres.spec, 1, weight)
     # the ratio is not 1 in the class ring: its defect from 1 is a
     # nonzero top-class annihilator.  The Thom class meets the ratio
@@ -154,9 +145,8 @@ def _degree_gap_step(n: int, k: int, r: int, span: int,
     # degree target; the arithmetic claim is about that row's blocks
     m = 2 ** k + r
     page = closed_form_page(n, m)
-    lamb = GradingSpec(n, alphabet="hat").lam
     rechecked = tuple(target + j * modulus for j in range(-span, span + 1))
-    verdict = all(page.chart_structure(m, D - m * lamb, caps).is_zero
+    verdict = all(page.chart_structure(m, D - m * lam, caps).is_zero
                   for D in rechecked)
     return OrientationStep(k, 2 ** k + r, "degree-gap", verdict, target,
                            residue, modulus, rechecked)

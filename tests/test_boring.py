@@ -16,7 +16,7 @@ from erjw.boring import (
 from erjw.bss import PresentedModule, closed_form_page, flat_base_change
 from erjw.errors import InputError, ReductionError
 from erjw.fgl import GroupLaw, UniSeries
-from erjw.graded import GradedSeries, GradingSpec
+from erjw.graded import GradedSeries, GradingSpec, degree_basis
 from erjw.scalar2 import TwoLocal
 
 
@@ -265,7 +265,8 @@ def test_presentation_matches_tensored_chart():
                              caps=4)
     for k, degree in enumerate(pres.generator_degrees, start=1):
         key = next(iter(_class_gen(pres.spec, k).terms))
-        assert key in module.ambient_basis(degree)
+        assert key in degree_basis(module.spec, degree, module.caps,
+                                   module.weight, hat_lattice=True)
     page = closed_form_page(2, 8)
     tensored = flat_base_change(page, module)
     for degree in pres.generator_degrees:

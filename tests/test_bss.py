@@ -24,7 +24,7 @@ from erjw.errors import (
 )
 from erjw.fgl import GroupLaw
 from erjw.graded import GradedSeries, GradingSpec
-from erjw.scalar2 import ModuleStructure
+from erjw.scalar2 import ModuleStructure, TwoLocal
 
 
 def mono(spec, coeff=1, **kw):
@@ -364,3 +364,36 @@ def test_presented_module_flags_cap_overflow():
                           flat_certificate="window probe", caps=1)
     mod.structure_at(-16)
     assert -16 in mod.incomplete_degrees
+    # the tensored chart reports the cells whose answer read that degree
+    tens = TensoredPage(closed_form_page(2, 1, m_max=2), mod)
+    assert not tens.flags
+    tens.chart(range(-20, 21))
+    assert (0, -16) in tens.flags
+
+
+def test_presented_module_keeps_overflow_columns():
+    # 2 = vh1*c1 and vh1*c1 = 0, with vh1 capped away: both relations
+    # leave the basis {1} through the same overflow monomial vh1*c1, so
+    # only together they show 2 = 0.  Dropping them would leave Z.
+    spec = GradingSpec(2, q=1, alphabet="hat")
+    vc = GradedSeries.monomial(spec, vh=(1,), c=(1,), trunc=2)
+    two = GradedSeries.unit(spec, TwoLocal(2), trunc=2)
+    mod = PresentedModule(spec, 2, (two - vc, vc),
+                          flat_certificate="overflow probe", caps=0)
+    assert mod.structure_at(0) == ModuleStructure(0, (2,))
+    assert mod.incomplete_degrees == {0}
+
+
+@pytest.mark.parametrize("n, caps, r", [(2, 2, 8), (3, 1, 16), (3, 2, 16)])
+def test_trivial_module_matches_blocks_past_the_cap(n, caps, r):
+    # blocks I_i(R/I_j) with i >= 2 multiply by vh_l, which overflows at
+    # the cap; the answer keeps the capped part, as the blocks count it
+    triv = PresentedModule(GradingSpec(n, alphabet="hat"), 0, (),
+                           "rank one free", caps=caps)
+    page = closed_form_page(n, r, m_max=3)
+    tens = TensoredPage(page, triv)
+    for m in range(4):
+        for t in range(-100, 101):
+            assert tens.chart_structure(m, t) == \
+                page.chart_structure(m, t, caps), (m, t)
+    assert tens.flags

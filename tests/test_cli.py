@@ -223,6 +223,46 @@ def test_fgl_golden_output(n, fmt, capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == FGL_GOLDEN[n, fmt]
 
 
+# Digests in the style of FGL_GOLDEN for the page charts (the README window
+# at caps 4, all three engines), the orientation scan and a class-ring
+# normal form.  They pin the capped degree bases and the lattice rows.
+CLI_GOLDEN = {
+    ("page", "--n", "1", "--r", "8", "--window=-48..48", "--caps", "4",
+     "--format", "text"): "d9526df002d633b7",
+    ("page", "--n", "1", "--r", "8", "--window=-48..48", "--caps", "4",
+     "--format", "json"): "bb5431ee0b477fa6",
+    ("page", "--n", "1", "--r", "8", "--window=-48..48", "--caps", "4",
+     "--format", "svg"): "23a1c53fca1d0bab",
+    ("page", "--n", "2", "--r", "8", "--window=-48..48", "--caps", "4",
+     "--format", "text"): "92aa1c806d7ec76a",
+    ("page", "--n", "2", "--r", "8", "--window=-48..48", "--caps", "4",
+     "--format", "json"): "e5913dc775327803",
+    ("page", "--n", "2", "--r", "8", "--window=-48..48", "--caps", "4",
+     "--format", "svg"): "27c8d51a767925f2",
+    ("page", "--n", "3", "--r", "16", "--window=-48..48", "--caps", "4",
+     "--format", "text"): "a0323411b7d7d61a",
+    ("page", "--n", "3", "--r", "16", "--window=-48..48", "--caps", "4",
+     "--format", "json"): "8bda92d987e31c5c",
+    ("page", "--n", "3", "--r", "16", "--window=-48..48", "--caps", "4",
+     "--format", "svg"): "5fba06a4ae0143a4",
+    ("orient", "--n", "2", "--format", "text"): "3a71de2b7548c8d8",
+    ("orient", "--n", "2", "--format", "json"): "326ae169b0b0df4f",
+    ("bo", "--n", "2", "--q", "2", "--weight", "4", "--reduce=2*c1",
+     "--format", "text"): "11dc93dcb6ae0c56",
+    ("bo", "--n", "2", "--q", "2", "--weight", "4", "--reduce=2*c1",
+     "--format", "json"): "e8730d2c14520ad2",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN))
+def test_cli_golden_output(argv, capsys):
+    code, out, err = run(list(argv), capsys)
+    assert code == 0 and err == ""
+    out = out.replace(f'"version": {json.dumps(cli._version())}',
+                      '"version": "*"')
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == CLI_GOLDEN[argv]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["fgl", "--n", "4"], "--n"),
     (["fgl", "--n", "3", "--precision", "48"], "--precision"),
@@ -241,6 +281,27 @@ def test_fgl_cost_bound_admits_documented_inputs():
     # and the benchmark's fgl jobs all sit under the bound
     for n, precision in ((1, 8), (2, 16), (3, 32), (3, 20), (3, 12)):
         assert series_cost(n, precision) <= SERIES_COST_BOUND
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "--n", "3", "--q", "1", "--weight", "60"],
+    ["orient", "--n", "3", "--weight", "60"],
+    ["orient", "--n", "1", "--weight", "1000", "--format", "json"],
+])
+def test_weight_bound_refuses_costly_laws_up_front(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "lower --weight" in err and str(SERIES_COST_BOUND) in err
+
+
+def test_weight_bound_admits_documented_inputs():
+    # chern and orient build the law at precision weight + 4: the README
+    # (chern --n 2 --weight 6, orient at the default weight 4), the tests
+    # and the benchmark's classring jobs (n = 1..3, weight 4..6)
+    for n in (1, 2, 3):
+        for weight in (4, 5, 6):
+            assert series_cost(n, weight + 4) <= SERIES_COST_BOUND
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,7 +1,7 @@
 import pytest
 
 from erjw.coeff import (NamedClass, filtration_profile, named_generators,
-                        relation_check, systematic_name, total_period)
+                        relation_check, total_period)
 from erjw.errors import InputError
 from erjw.graded import GradedSeries, GradingSpec
 from erjw.scalar2 import TwoLocal
@@ -130,6 +130,3 @@ def test_filtration_profile_n3():
     for m in range(7, 15):
         assert prof[m][1] == ("R/I_3[v^±16]",)
 
-
-def test_systematic_name():
-    assert systematic_name(-17, 1) == "gen-17_1"

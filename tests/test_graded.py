@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from erjw.errors import InputError, MathInvariantError, NonUnitDivisionError
-from erjw.graded import GradedSeries, GradingSpec, parse_series
+from erjw.graded import GradedSeries, GradingSpec, degree_basis, parse_series
 from erjw.scalar2 import TwoLocal
 
 HAT2 = GradingSpec(n=2, q=2, roots=2, alphabet="hat")
@@ -298,3 +299,40 @@ def test_mixing_coefficient_fields_raises():
         _ = a + b
     with pytest.raises(TypeError):
         _ = a * b
+
+
+def _boxed_basis(spec, D, caps, weight, hat_lattice):
+    # every y = 0 key of a box one step past caps and weight, filtered
+    n, P, lam1 = spec.n, spec.hat_offset, spec.lam - 1
+    step = 2 * (2 ** n - 1)  # |vn|
+    top = (caps + 1) * sum((2 ** l - 1) * lam1 for l in range(1, n))
+    bottom = (weight + 1) * lam1 * max(spec.q, 1)
+    keys = []
+    for a in product(range(caps + 2), repeat=n - 1):
+        for e in product(range(weight + 2), repeat=spec.q):
+            for b in range((-D - bottom) // step - 1, (top - D) // step + 2):
+                key = (0, a, b, e, ())
+                if (spec.degree_of(key) == D and max(a, default=0) <= caps
+                        and spec.weight_of(key) <= weight
+                        and not (hat_lattice and (b % P if P else b))):
+                    keys.append(key)
+    return tuple(sorted(keys))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 4),
+       st.integers(0, 3), st.integers(-6, 6), st.booleans(), st.booleans())
+def test_degree_basis_matches_a_filtered_box(n, q, caps, weight, j,
+                                             on_hat_lattice, hat_lattice):
+    spec = GradingSpec(n, q=q, alphabet="hat")
+    # D on the even degree lattice, or on the coarser hat-lattice one
+    D = j * (spec.lam - 1 if on_hat_lattice else 2)
+    got = degree_basis(spec, D, caps, weight, hat_lattice)
+    assert got == _boxed_basis(spec, D, caps, weight, hat_lattice)
+
+
+def test_degree_basis_rejects_other_alphabets():
+    with pytest.raises(InputError):
+        degree_basis(GradingSpec(2, alphabet="standard"), 0, 2)
+    with pytest.raises(InputError):
+        degree_basis(GradingSpec(2, roots=1), 0, 2)

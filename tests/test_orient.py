@@ -2,6 +2,7 @@
 
 import pytest
 
+from erjw.boring import _into_class_spec as _strip_roots
 from erjw.boring import in_ideal, present, reduce
 from erjw.bss import closed_form_page
 from erjw.errors import InputError
@@ -11,7 +12,6 @@ from erjw.orient import (
     lambda_of,
     obstruction_residue,
     orientability_scan,
-    _strip_roots,
 )
 from erjw.symchern import thom_ratio
 
