@@ -35,8 +35,8 @@ from .coeff import named_generators, total_period
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import (ONE, ZERO, LocalMatrix, TwoLocal, preimage_rows,
-                      snf_with_transforms, solve_left, val2)
+from .scalar2 import ONE, ZERO, TwoLocal, preimage_rows, spans, val2
+from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
 __all__ = [
@@ -235,17 +235,9 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
         cols = DegreeColumns(p.spec, D, caps, p.weight)
         vec = cols.row(z.homogeneous_part(D))
         num = cols.matrix(cols.lattice_rows(p.relations, 0, p.weight))
-        if not _spans(num, cols.matrix([vec]).data):
+        if not spans(num, cols.matrix([vec]).data):
             return False
     return True
-
-
-def _spans(num: LocalMatrix, rows) -> bool:
-    """Whether every row lies in the row span of num."""
-    if num.nrows == 0:
-        return not any(x.num for row in rows for x in row)
-    decomp = snf_with_transforms(num)
-    return all(solve_left(num, row, decomp) is not None for row in rows)
 
 
 # -- periodicity decomposition ----------------------------------------------
@@ -404,7 +396,7 @@ def landweber_window_check(n: int, q: int, k: int,
         num = src_cols.matrix(src_cols.lattice_rows(pres.relations, k, deep))
         pre = preimage_rows(A, den)
         pad = [ZERO] * (src_cols.width - pre.ncols)
-        if _spans(num, [row + pad for row in pre.data]):
+        if spans(num, [row + pad for row in pre.data]):
             checked.append((D, tgt))
         else:
             failures.append(D)

@@ -58,8 +58,8 @@ from .scalar2 import (
     preimage_rows,
     quotient_structure,
     row_basis,
-    snf_with_transforms,
-    solve_left,
+    snf_with_transforms,  # noqa: F401 (bench/tests traces it)
+    spans,
     stack_rows,
 )
 
@@ -297,6 +297,22 @@ def step_engine_page(n: int, r: int, m_max: int | None = None) -> Page:
 # -- the truncated oracle ---------------------------------------------------
 
 
+# Largest page_cost that `erjw page` accepts: about 4 s for all three
+# engines at 11 to 36 microseconds a unit (n = 1..5, a 2-vCPU Xeon).
+PAGE_COST_BOUND = 200_000
+
+
+def page_cost(n: int, window: tuple[int, int], caps: int) -> int:
+    """Estimated work units of one page chart over the window.
+
+    The oracle's cells (rows 0..2^(n+2) by the window) times 8 plus the
+    capped basis size (caps+1)^(n-1); n is clamped at 32, past the bound.
+    """
+    k = min(max(n, 1), 32)
+    return ((2 ** (k + 2) + 1) * (window[1] - window[0] + 1)
+            * (max(caps + 1, 0) ** (k - 1) + 8))
+
+
 class TruncatedOracle:
     """Honest subquotient bookkeeping on a capped monomial window.
 
@@ -439,16 +455,10 @@ class TruncatedOracle:
                 X = preimage_rows(images, Btgt)
                 # the boundary lattice must consist of next-page cycles:
                 # d_r of every boundary has to be an existing boundary
-                if self.B[cell].nrows:
-                    bimg = self.B[cell] @ Din
-                    decomp = snf_with_transforms(Btgt) if Btgt.nrows else None
-                    for row in bimg.data:
-                        if not any(x.num for x in row):
-                            continue
-                        if Btgt.nrows == 0 or solve_left(Btgt, row, decomp) is None:
-                            if cell not in new_flags:
-                                raise MathInvariantError(
-                                    f"boundary at {cell} escapes under d_{r}")
+                if self.B[cell].nrows and cell not in new_flags and \
+                        not spans(Btgt, (self.B[cell] @ Din).data):
+                    raise MathInvariantError(
+                        f"boundary at {cell} escapes under d_{r}")
                 for row in images.data:
                     if any(x.num for x in row):
                         extra[tgt].append(row)

@@ -16,16 +16,17 @@ for byte.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from importlib import metadata
 
 from .boring import present, reduce
 from .bss import (
+    PAGE_COST_BOUND,
     TruncatedOracle,
     admissible_differentials,
     closed_form_page,
+    page_cost,
     step_engine_page,
 )
 from .coeff import (
@@ -36,7 +37,7 @@ from .coeff import (
 )
 from .errors import EmptyBasisError, InputError, MathInvariantError
 from .fgl import SERIES_COST_BOUND, GroupLaw, series_cost
-from .graded import GradedSeries
+from .graded import GradedSeries, parse_series
 from .orient import orientability_scan
 from .scalar2 import ModuleStructure, TwoLocal
 from .symchern import SymmetricContext
@@ -110,6 +111,11 @@ def _chart_for(args) -> tuple[dict, dict]:
     n, r, window, caps = args.n, args.r, args.window, args.caps
     if r < 1:
         raise InputError("page index must be at least 1")
+    cost = page_cost(n, window, caps)
+    if cost > PAGE_COST_BOUND:
+        raise InputError(f"the chart is estimated at {cost} work units, past"
+                         f" the bound of {PAGE_COST_BOUND}; lower --caps or"
+                         " --n, or narrow --window")
     band = _band(n)
     guard = _visible(ENGINES["closed"](n, r, window, caps), band)
     if not guard or set(guard) == {(0, 0)} and guard[0, 0].torsion == ():
@@ -222,59 +228,6 @@ def emit_chart(chart: dict, n: int, r: int, window: tuple[int, int],
         parts.append("".join(glyphs))
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-# -- class ring expressions ---------------------------------------------------
-
-
-def _parse_ring_expr(text: str, spec, weight: int) -> GradedSeries:
-    """Sums, differences, products and powers of ring generators."""
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError as exc:
-        raise InputError(f"cannot parse expression: {exc}") from None
-
-    def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return GradedSeries.unit(spec, node.value, weight)
-        if isinstance(node, ast.Name):
-            return GradedSeries.gen(spec, node.id, trunc=weight)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return ev(node.operand).map_coefficients(lambda c: c * -1)
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                if not (isinstance(node.left, ast.Name)
-                        and isinstance(node.right,
-                                       (ast.Constant, ast.UnaryOp))):
-                    raise InputError("powers apply to single generators")
-                exp_node = node.right
-                sign = 1
-                if isinstance(exp_node, ast.UnaryOp):
-                    if not isinstance(exp_node.op, ast.USub):
-                        raise InputError("unsupported operator in exponent")
-                    sign, exp_node = -1, exp_node.operand
-                if not (isinstance(exp_node, ast.Constant)
-                        and isinstance(exp_node.value, int)):
-                    raise InputError("exponents must be integer literals")
-                return GradedSeries.gen(spec, node.left.id,
-                                        exp=sign * exp_node.value,
-                                        trunc=weight)
-            left, right = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            raise InputError("only +, -, * and integer powers are allowed")
-        raise InputError(f"unsupported syntax: {ast.dump(node)[:40]}")
-
-    try:
-        return ev(tree)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
 
 
 # -- subcommands --------------------------------------------------------------
@@ -413,7 +366,7 @@ def _cmd_bo(args):
     for i, rel in enumerate(result["relations"], start=1):
         lines.append(f"  r{i} = {rel}")
     if args.reduce is not None:
-        series = _parse_ring_expr(args.reduce, pres.spec, args.weight)
+        series = parse_series(args.reduce, pres.spec, trunc=args.weight)
         nf = reduce(series, pres)
         result["reduce"] = {
             "input": args.reduce,

@@ -9,12 +9,11 @@ sides live.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .bss import StandardSummand, closed_form_page
 from .errors import InputError, MathInvariantError
-from .graded import GradedSeries, GradingSpec
+from .graded import GradedSeries, GradingSpec, parse_series
 from .scalar2 import ONE, TwoLocal
 
 __all__ = [
@@ -89,61 +88,6 @@ def named_generators(n: int) -> dict[str, NamedClass]:
 
 # -- relation checking -----------------------------------------------------
 
-_TOKEN = re.compile(r"(=|\*|\^|-?\d+|[A-Za-z_][A-Za-z_0-9]*)")
-
-
-def _tokenize(text: str) -> list[str]:
-    out = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise InputError(f"cannot read relation near {text[pos:]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-def _eval_side(tokens: list[str], spec: GradingSpec,
-               table: dict[str, NamedClass]) -> GradedSeries:
-    if not tokens:
-        raise InputError("empty side in relation")
-    var_names = set(spec.variable_names())
-    acc = GradedSeries.unit(spec)
-    pos = 0
-    while pos < len(tokens):
-        if pos and tokens[pos] == "*":
-            pos += 1
-        tok = tokens[pos]
-        pos += 1
-        exp = 1
-        if pos < len(tokens) and tokens[pos] == "^":
-            if pos + 1 >= len(tokens) or not re.fullmatch(r"-?\d+",
-                                                          tokens[pos + 1]):
-                raise InputError("power must be an integer")
-            exp = int(tokens[pos + 1])
-            pos += 2
-        if re.fullmatch(r"-?\d+", tok):
-            if exp < 0:
-                raise InputError("negative power of a scalar")
-            acc = acc * TwoLocal(int(tok) ** exp)
-        elif tok in table:
-            if exp < 0:
-                raise InputError(f"negative power of named class {tok}")
-            acc = acc * table[tok].series ** exp
-        elif tok in var_names:
-            if exp < 0 and tok != "vn":
-                raise InputError(f"negative power of {tok}")
-            acc = acc * GradedSeries.gen(spec, tok, exp=exp)
-        else:
-            raise InputError(f"unknown symbol {tok!r}")
-    return acc.map_coefficients(
-        lambda c: c if isinstance(c, TwoLocal) else TwoLocal(c))
-
 
 def _single_term(series: GradedSeries):
     items = series.items_sorted()
@@ -210,23 +154,20 @@ def _render(spec: GradingSpec, nf) -> str:
 def relation_check(n: int, text: str) -> RelationReport:
     """Check a chain of equalities between monomial expressions.
 
-    Both sides are read as products of integer scalars, chart variables and
-    named classes, located in their chart block, reduced to normal form
-    there, and compared.  Equalities across different rows or blocks never
-    hold unless both sides vanish.
+    Each side is read by graded.parse_series over the chart variables and
+    named classes, must be a single monomial, and is located and reduced
+    to normal form in its chart block.  Equalities across different rows
+    or blocks never hold unless both sides vanish.
     """
     spec = GradingSpec(n, alphabet="hat")
-    table = named_generators(n)
-    tokens = _tokenize(text)
-    sides: list[list[str]] = [[]]
-    for tok in tokens:
-        if tok == "=":
-            sides.append([])
-        else:
-            sides[-1].append(tok)
+    names = {name: cls.series for name, cls in named_generators(n).items()}
+    sides = text.split("=")
     if len(sides) < 2:
         raise InputError("a relation needs an equals sign")
-    terms = [_single_term(_eval_side(side, spec, table)) for side in sides]
+    if not all(side.strip() for side in sides):
+        raise InputError("empty side in relation")
+    terms = [_single_term(parse_series(side, spec, names=names))
+             for side in sides]
 
     located = []
     for term in terms:

@@ -511,25 +511,10 @@ class GroupLaw(_LawBase):
     def _table(self) -> dict:
         N = self.precision
         spec2 = GradingSpec(self.n, q=0, roots=2, alphabet="standard")
+        x1, x2 = (GradedSeries.gen(spec2, s, trunc=N) for s in ("x1", "x2"))
         log = self.log_series()
-        exp = self.exp_series()
-        L = GradedSeries.zero(spec2, trunc=N)
-        for m, c in enumerate(log.coeffs):
-            if not c:
-                continue
-            for slot in ("x1", "x2"):
-                L = L + c.extended_to(spec2) * GradedSeries.gen(
-                    spec2, slot, exp=m, trunc=N)
-        S = GradedSeries.zero(spec2, trunc=N)
-        p = GradedSeries.unit(spec2, 1, trunc=N)
-        for m in range(1, N + 1):
-            p = p * L
-            if p.is_zero:
-                break
-            em = exp[m]
-            if em:
-                S = S + em.extended_to(spec2) * p
-        S = _to_two_local(S)
+        S = _to_two_local(self.exp_series().evaluate_at(
+            log.evaluate_at(x1) + log.evaluate_at(x2)))
         table: dict[tuple[int, int], GradedSeries] = {}
         for (y, vh, vn, c, x), coeff in S.terms.items():
             key = (y, vh, vn, (), ())

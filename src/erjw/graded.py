@@ -27,14 +27,15 @@ Mixing the two in one expression raises TypeError, on purpose.
 
 from __future__ import annotations
 
-import re
+import ast
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from typing import Callable
 
-from .errors import InputError, MathInvariantError
+from .errors import InputError, MathInvariantError, NonUnitDivisionError
 from .scalar2 import TwoLocal
 
 
@@ -527,10 +528,6 @@ class GradedSeries:
         return " + ".join(parts)
 
 
-_TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)$")
-_VAR_RE = re.compile(r"^([a-z]+\d*)(?:\^(-?\d+))?$")
-
-
 def _slot_table(spec: GradingSpec) -> dict[str, tuple[str, int]]:
     table: dict[str, tuple[str, int]] = {}
     names = spec.variable_names()
@@ -551,49 +548,89 @@ def _slot_table(spec: GradingSpec) -> dict[str, tuple[str, int]]:
     return table
 
 
+# Larger exponents and integer powers of more bits are refused: 3^99999999
+# would run for minutes, and no int past 4300 digits can be printed.
+EXPONENT_BOUND = 1000
+
+_RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+             ast.Mult: operator.mul}
+
+
 def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
-                 trunc: int | None = None) -> GradedSeries:
-    """Inverse of str(series) for the given spec."""
-    text = text.strip()
-    if text == "0":
-        return GradedSeries.zero(spec, trunc)
-    table = _slot_table(spec)
-    terms: dict = {}
-    for part in text.split(" + "):
-        part = part.strip()
-        coeff = coeff_type(1)
-        if part.startswith("-"):
-            coeff = -coeff
-            part = part[1:]
-        y = 0
-        vh = [0] * (spec.n - 1)
-        vn = 0
-        c = [0] * spec.q
-        x = [0] * spec.roots
-        for factor in part.split("*"):
-            m = _TERM_RE.match(factor)
-            if m:
-                if "/" in factor:
-                    p, qd = factor.split("/")
-                    coeff = coeff * coeff_type(int(p)) / coeff_type(int(qd))
-                else:
-                    coeff = coeff * coeff_type(int(factor))
-                continue
-            m = _VAR_RE.match(factor)
-            if not m or m.group(1) not in table:
-                raise ValueError(f"cannot parse factor {factor!r}")
-            name, e = m.group(1), int(m.group(2) or 1)
-            kind, idx = table[name]
-            if kind == "y":
-                y += e
-            elif kind == "vn":
-                vn += e
-            elif kind == "vh":
-                vh[idx] += e
-            elif kind == "c":
-                c[idx] += e
-            else:
-                x[idx] += e
-        key = (y, tuple(vh), vn, tuple(c), tuple(x))
-        terms[key] = terms.get(key, coeff_type(0)) + coeff
-    return GradedSeries(spec, terms, trunc)
+                 trunc: int | None = None,
+                 names: dict[str, GradedSeries] | None = None) -> GradedSeries:
+    """Read a ring expression over spec; the inverse of str(series).
+
+    The grammar: integer and p/q constants; the spec's variable names and
+    the keys of `names` (series for named classes, looked up first); unary
+    minus, +, - and *; and powers written ^ or **, of a name or an integer,
+    by an integer literal of absolute value at most EXPONENT_BOUND (and of
+    at most that many bits for an integer), negative only on vn.  All else,
+    and values outside the coefficient ring, raise InputError.
+    """
+    slots = _slot_table(spec)
+
+    def literal(node) -> int | None:
+        # bool is an int subclass, but True is not a number here
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            value = literal(node.operand)
+            return None if value is None else -value
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        return None
+
+    def power(base, exp: int) -> GradedSeries:
+        if abs(exp) > EXPONENT_BOUND:
+            raise InputError(f"exponent {exp} is past the bound "
+                             f"{EXPONENT_BOUND}")
+        ident = base.id if isinstance(base, ast.Name) else None
+        if exp < 0 and slots.get(ident, ("",))[0] != "vn":
+            raise InputError(f"negative power of {ast.unparse(base)}: only"
+                             " vn is invertible")
+        if names and ident in names:
+            # x^0 is still the unit with a coeff_type coefficient
+            return names[ident] ** exp if exp else \
+                GradedSeries.unit(spec, coeff_type(1), trunc)
+        if ident is not None:
+            return GradedSeries.gen(spec, ident, exp, coeff_type(1), trunc)
+        value = literal(base)
+        if value is None:
+            raise InputError("expected a generator or an integer, got "
+                             f"{ast.unparse(base)}")
+        if exp > 1 and abs(value).bit_length() * exp > EXPONENT_BOUND:
+            raise InputError(f"{value}^{exp} is past {EXPONENT_BOUND} bits")
+        return GradedSeries.unit(spec, coeff_type(value ** exp), trunc)
+
+    def ev(node) -> GradedSeries:
+        if isinstance(node, (ast.Name, ast.Constant)):
+            return power(node, 1)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return -ev(node.operand)
+        if not isinstance(node, ast.BinOp):
+            raise InputError(f"unsupported syntax: {ast.unparse(node)}")
+        op, left, right = type(node.op), node.left, node.right
+        if op is ast.Pow:
+            exp = literal(right)
+            if exp is None:
+                raise InputError("exponents must be integer literals")
+            return power(left, exp)
+        if op in _RING_OPS:
+            return _RING_OPS[op](ev(left), ev(right))
+        p, q = literal(left), literal(right)
+        if op is ast.Div and None not in (p, q):
+            # p/q is a constant, never a quotient of series
+            return GradedSeries.unit(spec, coeff_type(p) / coeff_type(q),
+                                     trunc)
+        raise InputError("only +, -, *, p/q constants and integer powers"
+                         " are allowed")
+
+    try:
+        return ev(ast.parse(text.strip().replace("^", "**"), mode="eval").body)
+    except SyntaxError as exc:
+        raise InputError(f"cannot parse expression: {exc}") from None
+    except RecursionError:
+        raise InputError("expression nests too deeply") from None
+    except InputError:
+        raise
+    except (ValueError, ZeroDivisionError, NonUnitDivisionError) as exc:
+        raise InputError(str(exc)) from None

@@ -70,14 +70,6 @@ class TwoLocal:
         self.den = den
         return self
 
-    @classmethod
-    def parse(cls, text: str) -> "TwoLocal":
-        """Inverse of str(): "p" or "p/q"."""
-        if "/" in text:
-            p, q = text.split("/", 1)
-            return cls(int(p), int(q))
-        return cls(int(text))
-
     def to_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
@@ -585,6 +577,15 @@ def solve_left(A: LocalMatrix, v: Sequence, decomp=None):
         return None
     x, dx = _vec_mat(y, U)
     return _from_ints(x, d * dw * dx)
+
+
+def spans(A: LocalMatrix, rows) -> bool:
+    """Whether every row lies in the row span of A over Z_(2)."""
+    rows = [row for row in rows if any(x.num for x in row)]
+    if not rows or A.nrows == 0:
+        return not rows
+    decomp = snf_with_transforms(A)
+    return all(solve_left(A, row, decomp) is not None for row in rows)
 
 
 def row_basis(M: LocalMatrix) -> LocalMatrix:

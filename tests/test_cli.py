@@ -1,9 +1,11 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from erjw import cli
+from erjw.bss import PAGE_COST_BOUND, page_cost
 from erjw.fgl import SERIES_COST_BOUND, series_cost
 from erjw.scalar2 import ModuleStructure
 
@@ -302,6 +304,40 @@ def test_weight_bound_admits_documented_inputs():
     for n in (1, 2, 3):
         for weight in (4, 5, 6):
             assert series_cost(n, weight + 4) <= SERIES_COST_BOUND
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["coeff", "--n", "2", "--relation", "3^99999999*x = 0"],
+     "past the bound 1000"),
+    (["bo", "--n", "1", "--q", "2", "--weight", "4", "--reduce",
+      "c1^99999999"], "past the bound 1000"),
+    (["page", "--n", "5", "--r", "1", "--window", "0..4"],
+     f"past the bound of {PAGE_COST_BOUND}; lower --caps"),
+    (["page", "--n", "1", "--r", "8", "--window", "-5000..5000"],
+     "narrow --window"),
+])
+def test_unbounded_requests_exit_two_at_once(argv, fragment, capsys):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert fragment in err
+
+
+def test_page_cost_bound_admits_documented_inputs():
+    # README (n = 1 at the default caps 6), the tests (the goldens up to
+    # n = 3 at caps 4; n = 5 over one degree at caps 0) and the
+    # benchmark's pages jobs (n = 3, caps 4, 97 degrees; n = 2, caps 6,
+    # 193 degrees), with their windows shifted by 16
+    for n, window, caps in ((1, (-48, 48), 6), (1, (-16, 16), 6),
+                            (1, (-8, 8), 6), (2, (-48, 48), 4),
+                            (3, (-48, 48), 4), (5, (0, 0), 0),
+                            (3, (-32, 64), 4), (2, (-80, 112), 6)):
+        assert page_cost(n, window, caps) <= PAGE_COST_BOUND
+    assert page_cost(5, (0, 4), 6) > PAGE_COST_BOUND
+    # pricing a huge request is itself cheap
+    assert page_cost(10 ** 9, (0, 0), 10 ** 9) > PAGE_COST_BOUND
 
 
 @pytest.mark.parametrize("argv, message", [

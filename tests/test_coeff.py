@@ -97,6 +97,19 @@ def test_relation_error_paths():
         relation_check(2, "x^-1 = 0")
     with pytest.raises(InputError):
         relation_check(2, "vh1^-2 = 0")
+    with pytest.raises(InputError):
+        relation_check(2, "2 x = 0")
+    with pytest.raises(InputError, match="past the bound"):
+        relation_check(2, "3^99999999*x = 0")
+
+
+def test_relation_sides_use_the_expression_reader():
+    # sums, parentheses, unary minus and p/q constants, as in bo --reduce
+    assert relation_check(2, "x + x = 0").holds
+    assert relation_check(2, "-(-x) = (x)").holds
+    assert relation_check(2, "1/3*x = x").holds
+    assert relation_check(2, "2**2*w = 4*w").holds
+    assert relation_check(2, "alpha^0*x = x").holds
 
 
 def test_relation_accepts_periodicity_units():

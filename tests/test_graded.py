@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -251,6 +252,47 @@ def test_parse_fraction_coefficients():
     spec = GradingSpec(1, q=1, alphabet="standard")
     s = GradedSeries(spec, {(0, (), 1, (1,), ()): Fraction(-3, 7)})
     assert parse_series(str(s), spec, coeff_type=Fraction) == s
+
+
+
+def test_parse_series_reads_the_expression_grammar():
+    spec = GradingSpec(2, q=2)
+    c1, c2, vn = (GradedSeries.gen(spec, name, coeff=TwoLocal(1))
+                  for name in ("c1", "c2", "vn"))
+    assert parse_series("2^2*c1 - c2**2", spec) == c1 * 4 - c2 ** 2
+    assert parse_series("3/5*c1 + -(vn^-2)", spec) == \
+        c1 * TwoLocal(3, 5) - vn ** -2
+    assert parse_series("(c1 + c2)*c1", spec, trunc=2) == c1 * c1
+    # named series are looked up first; a zeroth power keeps the type
+    names = {"a": c1 * 2, "c2": c1}
+    assert parse_series("a*a^0 + c2", spec, names=names) == c1 * 3
+    one = parse_series("a^0", spec, names=names)
+    assert all(isinstance(c, TwoLocal) for c in one.terms.values())
+    # the bit bound is on powers, not on literals
+    big = "9" * 400
+    assert parse_series(big, spec) == GradedSeries.unit(spec, TwoLocal(int(big)))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3^99999999*c1", "past the bound"),
+    ("c1^1001", "past the bound"),
+    ("c1^-1", "negative power of c1"),
+    ("2^-1", "negative power of 2"),
+    ("2 c1", "cannot parse"),
+    ("c1/c2", "only +, -, *"),
+    ("1/2*c1", "not 2-locally integral"),
+    ("1/0", "division by zero"),
+    ("True*c1", "expected a generator or an integer"),
+    ("(c1 + c2)^2", "expected a generator or an integer"),
+    ("c1^c2", "exponents must be integer literals"),
+    ("c9", "'c9' is not a variable"),
+    ("99999^1000*c1", "past 1000 bits"),
+    ("__import__('os')", "unsupported syntax"),
+    ("1+" * 3000 + "1", "nests too deeply"),
+])
+def test_parse_series_refuses_with_input_errors(text, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_series(text, GradingSpec(2, q=2))
 
 
 small_exps = st.integers(0, 2)
