@@ -25,7 +25,8 @@ The engines:
     monomials in a (m, t) window with capped vhat exponents, keeps honest
     cycle and boundary lattices per position, and advances them with the
     raw formulas.  Window and cap overflows are flagged per position so
-    comparisons skip exactly the positions the truncation polluted.
+    comparisons skip exactly the positions the truncation polluted.  It
+    recomputes nothing whose result it has (see its docstring).
 
 Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
@@ -114,38 +115,38 @@ def apply_differential(series: GradedSeries, r: int,
     k = (r + 1).bit_length() - 2
     P = spec.hat_offset
     out: dict = {}
-    for (y, vh, vn, c, x), A in series.terms.items():
-        if k == 0:
-            if vn % 2 == 0:
-                continue
-            key = (y + 1, vh, vn - (2 ** n - 1), c, x)
-            coeff = 2 * A
-        else:
-            if vn % (2 ** k):
-                if strict:
-                    raise InputError(
-                        f"vn exponent {vn} is not a multiple of 2^{k}")
-                continue
-            b = vn // (2 ** k)
-            if b % 2 == 0:
-                continue
-            new_vn = vn + 2 ** k - 2 ** (n + k)
-            if k == n:
-                new_vn -= P
-                new_vh = vh
-            else:
-                lst = list(vh)
-                lst[k - 1] += 1
-                new_vh = tuple(lst)
-            key = (y + r, new_vh, new_vn, c, x)
-            coeff = A * (-b)
-        prev = out.get(key, 0)
-        tot = prev + coeff
+    for key, A in series.terms.items():
+        if strict and key[2] % (2 ** k):
+            raise InputError(
+                f"vn exponent {key[2]} is not a multiple of 2^{k}")
+        image = _d_key(key, r, n, P)
+        if image is None:
+            continue
+        key, coeff = image
+        tot = out.get(key, 0) + A * coeff
         if tot:
             out[key] = tot
         else:
             out.pop(key, None)
     return GradedSeries(spec, out, series.trunc)
+
+
+def _d_key(key: tuple, r: int, n: int, P: int):
+    """d_r of the hat monomial `key` as (image key, int coefficient), or
+    None where the formulas above give zero; P is the spec's hat_offset."""
+    y, vh, vn, c, x = key
+    if r == 1:
+        if vn % 2 == 0:
+            return None
+        return (y + 1, vh, vn - (2 ** n - 1), c, x), 2
+    k = r.bit_length() - 1
+    if vn % (2 << k) != 1 << k:
+        return None
+    new_vn = vn + (1 << k) - (1 << (n + k))
+    if k == n:
+        return (y + r, vh, new_vn - P, c, x), -(vn >> k)
+    vh = vh[:k - 1] + (vh[k - 1] + 1,) + vh[k:]
+    return (y + r, vh, new_vn, c, x), -(vn >> k)
 
 
 # -- standard blocks and closed-form pages ---------------------------------
@@ -297,8 +298,8 @@ def step_engine_page(n: int, r: int, m_max: int | None = None) -> Page:
 # -- the truncated oracle ---------------------------------------------------
 
 
-# Largest page_cost that `erjw page` accepts: about 4 s for all three
-# engines at 11 to 36 microseconds a unit (n = 1..5, a 2-vCPU Xeon).
+# Largest page_cost that `erjw page` accepts: about 2 s for all three
+# engines at 3 to 11 microseconds a unit (n = 1..5, a 2-vCPU Xeon).
 PAGE_COST_BOUND = 200_000
 
 
@@ -322,6 +323,11 @@ class TruncatedOracle:
     the images of current cycles, all positions simultaneously.  A
     position is flagged, permanently, when the truncation makes any of
     that arithmetic unknowable there.
+
+    Where d_r vanishes on the whole basis and nothing overflows, every
+    cycle stays a cycle: Z is kept as is, and B @ d_r = 0 cannot escape.
+    A position whose Z and B were both kept reads its structure from the
+    previous chart, computed with all its checks on the same matrices.
     """
 
     def __init__(self, n: int, t_lo: int, t_hi: int, caps: int = 6,
@@ -362,56 +368,47 @@ class TruncatedOracle:
                   for cell, keys in self.basis.items()}
         self.flags: set[tuple[int, int]] = set()
         self.level = 0
-        self.charts: dict[int, dict] = {1: self._chart_now()}
+        self.charts: dict[int, dict] = {1: self._chart_now(self.basis, {})}
 
-    def _structure(self, cell) -> ModuleStructure:
-        return quotient_structure(self.Z[cell], self.B[cell])
-
-    def _chart_now(self) -> dict:
+    def _chart_now(self, changed, previous: dict) -> dict:
         out = {}
         for cell in self.basis:
-            st = self._structure(cell)
-            if not st.is_zero:
+            st = quotient_structure(self.Z[cell], self.B[cell]) \
+                if cell in changed else previous.get(cell)
+            if st is not None and not st.is_zero:
                 out[cell] = st
         return out
 
     def structure_at(self, m: int, t: int) -> ModuleStructure:
-        cell = (m, t)
-        if cell not in self.basis:
-            if not (0 <= m <= self.m_max and self.t_lo <= t <= self.t_hi):
-                raise InputError(f"position {cell} outside the window")
-            return ModuleStructure(0, ())
-        return self._structure(cell)
+        if not (0 <= m <= self.m_max and self.t_lo <= t <= self.t_hi):
+            raise InputError(f"position {(m, t)} outside the window")
+        return self.charts[2 ** self.level].get((m, t), ModuleStructure(0, ()))
 
     def _diff_data(self, cell, r):
         """Matrix of d_r on the cell basis, split into the representable
-        part and overflow columns (image monomials the window lacks)."""
+        part and overflow columns (image monomials the window lacks), with
+        the overflow keys in column order and the target cell."""
         m, t = cell
         tgt = (m + r, t + 1)
-        tindex = self.index.get(tgt, {})
-        over_cols: dict = {}
-        rows_in = []
-        rows_over = []
+        cols = dict(self.index.get(tgt, {}))  # then each overflow key
+        width = len(cols)
+        n, P = self.n, self.spec.hat_offset
+        entries = []
         for key in self.basis[cell]:
-            img = apply_differential(GradedSeries(self.spec, {key: ONE}),
-                                     r, strict=False)
-            if apply_differential(img, r, strict=False):
-                raise MathInvariantError("d∘d is nonzero at the formula level")
-            rin = [ZERO] * len(tindex)
-            rover = {}
-            for kk, cc in img.terms.items():
-                col = tindex.get(kk)
-                if col is None:
-                    rover[over_cols.setdefault(kk, len(over_cols))] = cc
-                else:
-                    rin[col] = cc
-            rows_in.append(rin)
-            rows_over.append(rover)
-        Din = LocalMatrix(rows_in, len(tindex))
-        Dover = LocalMatrix(
-            [[row.get(j, ZERO) for j in range(len(over_cols))]
-             for row in rows_over], len(over_cols))
-        return Din, Dover, tgt
+            image = _d_key(key, r, n, P)
+            if image and _d_key(image[0], r, n, P):
+                raise MathInvariantError(
+                    "d∘d is nonzero at the formula level")
+            entries.append(image and (cols.setdefault(image[0], len(cols)),
+                                      TwoLocal._raw(image[1], 1)))
+        rows = [[ZERO] * len(cols) for _ in entries]
+        for row, entry in zip(rows, entries):
+            if entry:
+                row[entry[0]] = entry[1]
+        return (LocalMatrix._of([row[:width] for row in rows], width),
+                LocalMatrix._of([row[width:] for row in rows],
+                                len(cols) - width),
+                list(cols)[width:], tgt)
 
     def advance(self) -> int:
         """Run the next admissible differential; returns the new page index."""
@@ -427,7 +424,7 @@ class TruncatedOracle:
             if cell in self.flags:
                 continue
             m, t = cell
-            _, Dover, tgt = data[cell]
+            _, Dover, _, tgt = data[cell]
             if Dover.ncols and any(
                     x.num for row in (self.Z[cell] @ Dover).data for x in row):
                 new_flags.add(cell)
@@ -445,9 +442,11 @@ class TruncatedOracle:
                     new_flags.add(cell)
 
         new_Z = {}
-        extra = {cell: [] for cell in cells}
+        extra: dict = {}
         for cell in cells:
-            Din, _, tgt = data[cell]
+            Din, Dover, _, tgt = data[cell]
+            if not Dover.ncols and not any(map(any, Din.data)):
+                continue  # d_r = 0 here: Z stays, and B @ Din is zero
             Z = self.Z[cell]
             images = Z @ Din
             if tgt in self.basis:
@@ -461,17 +460,15 @@ class TruncatedOracle:
                         f"boundary at {cell} escapes under d_{r}")
                 for row in images.data:
                     if any(x.num for x in row):
-                        extra[tgt].append(row)
+                        extra.setdefault(tgt, []).append(row)
             else:
                 X = preimage_rows(images, LocalMatrix.zeros(0, Din.ncols))
             new_Z[cell] = X @ Z
 
-        for cell in cells:
-            self.Z[cell] = new_Z[cell]
-        for cell in cells:
-            if extra[cell]:
-                self.B[cell] = row_basis(stack_rows(
-                    [self.B[cell], LocalMatrix(extra[cell], self.B[cell].ncols)]))
+        self.Z.update(new_Z)
+        for cell, rows in extra.items():
+            self.B[cell] = row_basis(stack_rows(
+                [self.B[cell], LocalMatrix(rows, self.B[cell].ncols)]))
         self.flags = new_flags
 
         for cell in cells:
@@ -485,8 +482,9 @@ class TruncatedOracle:
                         raise MathInvariantError(
                             f"odd-exponent cycle survived d_1 at {cell}")
 
+        self.charts[2 ** (k + 1)] = self._chart_now(
+            new_Z.keys() | extra.keys(), self.charts[2 ** k])
         self.level += 1
-        self.charts[2 ** self.level] = self._chart_now()
         return 2 ** self.level
 
     def run(self) -> None:

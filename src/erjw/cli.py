@@ -251,6 +251,19 @@ def _refuse_costly_law(law: GroupLaw, flag: str) -> None:
             f" work units, past the bound of {SERIES_COST_BOUND}; lower {flag}")
 
 
+# Largest closed-form page `erjw coeff` builds, in rows: n = 15 takes about
+# 1.3 s and 90 MB, 2.2 s with --relation (a second page), on a 2-vCPU Xeon.
+COEFF_ROW_BOUND = 2 ** 17 + 1
+
+
+def _refuse_costly_coeff(n: int) -> None:
+    """Exit 2 up front when coeff's closed-form pages would be too large."""
+    rows = 2 ** (min(max(n, 1), 64) + 2) + 1
+    if rows > COEFF_ROW_BOUND:
+        raise InputError(f"n={n} needs closed-form pages of {rows} rows,"
+                         f" past the bound of {COEFF_ROW_BOUND}; lower --n")
+
+
 def _cmd_fgl(args):
     law = GroupLaw(args.n, precision=args.precision)
     _refuse_costly_law(law, "--precision" if args.precision is not None
@@ -315,6 +328,7 @@ def _cmd_page(args):
 
 
 def _cmd_coeff(args):
+    _refuse_costly_coeff(args.n)
     gens = named_generators(args.n)
     result = {
         "period": total_period(args.n),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bss import StandardSummand, closed_form_page
+from .bss import Page, StandardSummand, closed_form_page
 from .errors import InputError, MathInvariantError
 from .graded import GradedSeries, GradingSpec, parse_series
 from .scalar2 import ONE, TwoLocal
@@ -98,16 +98,16 @@ def _single_term(series: GradedSeries):
     return items[0]
 
 
-def _locate(n: int, key, coeff: TwoLocal) -> StandardSummand | None:
-    """The chart block a monomial represents a class in.
+def _locate(page: Page, key, coeff: TwoLocal) -> StandardSummand | None:
+    """The chart block of the limit page a monomial represents a class in.
 
-    Returns None when the whole row vanishes.  A monomial whose leading
-    data does not match any block is not the name of a chart class at all,
-    which is an input error rather than a zero.
+    Returns None when the whole row vanishes; every row from 2^(n+1) - 1
+    on does, so a row past the page's last one reads as that one.  A
+    monomial whose leading data does not match any block is not the name
+    of a chart class at all, which is an input error rather than a zero.
     """
     m = key[0]
-    page = closed_form_page(n, 2 ** (n + 1), m_max=max(2 ** (n + 2), m))
-    blocks = [s for s in page.rows[m] if not s.is_zero]
+    blocks = [s for s in page.rows[min(m, page.m_max)] if not s.is_zero]
     if not blocks:
         return None
     b = key[2]
@@ -169,13 +169,14 @@ def relation_check(n: int, text: str) -> RelationReport:
     terms = [_single_term(parse_series(side, spec, names=names))
              for side in sides]
 
+    page = closed_form_page(n, 2 ** (n + 1))
     located = []
     for term in terms:
         if term is None:
             located.append((None, None))
         else:
             key, coeff = term
-            located.append((_locate(n, key, coeff), term))
+            located.append((_locate(page, key, coeff), term))
     nfs = [_normal_form(block, term) for block, term in located]
 
     nonzero = [(block, nf) for (block, _), nf in zip(located, nfs)

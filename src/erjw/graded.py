@@ -548,8 +548,9 @@ def _slot_table(spec: GradingSpec) -> dict[str, tuple[str, int]]:
     return table
 
 
-# Larger exponents and integer powers of more bits are refused: 3^99999999
-# would run for minutes, and no int past 4300 digits can be printed.
+# Larger exponents, and integer powers or coefficients of more bits, are
+# refused: 3^99999999 would run for minutes, and no int past 4300 digits
+# can be printed.
 EXPONENT_BOUND = 1000
 
 _RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
@@ -565,10 +566,22 @@ def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
     the keys of `names` (series for named classes, looked up first); unary
     minus, +, - and *; and powers written ^ or **, of a name or an integer,
     by an integer literal of absolute value at most EXPONENT_BOUND (and of
-    at most that many bits for an integer), negative only on vn.  All else,
-    and values outside the coefficient ring, raise InputError.
+    at most that many bits for an integer), negative only on vn.  The
+    result of each ring operation may have no coefficient numerator or
+    denominator past EXPONENT_BOUND bits, and an integer literal must be
+    printable in decimal.  All else, and values outside the coefficient
+    ring, raise InputError.
     """
     slots = _slot_table(spec)
+
+    def bounded(series: GradedSeries) -> GradedSeries:
+        for c in series.terms.values():
+            num, den = (c.num, c.den) if isinstance(c, TwoLocal) \
+                else (c.numerator, c.denominator)
+            if max(abs(num), den).bit_length() > EXPONENT_BOUND:
+                raise InputError(
+                    f"a coefficient is past {EXPONENT_BOUND} bits")
+        return series
 
     def literal(node) -> int | None:
         # bool is an int subclass, but True is not a number here
@@ -576,6 +589,7 @@ def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
             value = literal(node.operand)
             return None if value is None else -value
         if isinstance(node, ast.Constant) and type(node.value) is int:
+            str(node.value)  # ValueError past the decimal digit limit (hex)
             return node.value
         return None
 
@@ -615,7 +629,7 @@ def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
                 raise InputError("exponents must be integer literals")
             return power(left, exp)
         if op in _RING_OPS:
-            return _RING_OPS[op](ev(left), ev(right))
+            return bounded(_RING_OPS[op](ev(left), ev(right)))
         p, q = literal(left), literal(right)
         if op is ast.Div and None not in (p, q):
             # p/q is a constant, never a quotient of series

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from erjw import bss
 from erjw.bss import (
     FreeModule,
     Page,
@@ -20,11 +21,12 @@ from erjw.errors import (
     EmptyBasisError,
     FlatnessCertificateError,
     InputError,
+    MathInvariantError,
     PageShapeError,
 )
 from erjw.fgl import GroupLaw
 from erjw.graded import GradedSeries, GradingSpec
-from erjw.scalar2 import ModuleStructure, TwoLocal
+from erjw.scalar2 import ONE, ZERO, LocalMatrix, ModuleStructure, TwoLocal
 
 
 def mono(spec, coeff=1, **kw):
@@ -279,6 +281,194 @@ def test_oracle_structure_at_bounds():
     assert oracle.structure_at(0, 1).is_zero  # odd parity, empty basis
     with pytest.raises(InputError):
         oracle.structure_at(0, 40)
+
+
+# -- the oracle against a reference that skips no work ------------------------
+
+
+def reference_d(terms, r, n, P):
+    """d_r on a terms dict with strict=False: the formulas of the module
+    docstring written out on their own, independent of bss._d_key."""
+    k = (r + 1).bit_length() - 2
+    out = {}
+    for (y, vh, vn, c, x), A in terms.items():
+        if k == 0:
+            if vn % 2 == 0:
+                continue
+            key = (y + 1, vh, vn - (2 ** n - 1), c, x)
+            coeff = 2 * A
+        else:
+            if vn % (2 ** k):
+                continue
+            b = vn // (2 ** k)
+            if b % 2 == 0:
+                continue
+            new_vn = vn + 2 ** k - 2 ** (n + k)
+            if k == n:
+                new_vn -= P
+                new_vh = vh
+            else:
+                lst = list(vh)
+                lst[k - 1] += 1
+                new_vh = tuple(lst)
+            key = (y + r, new_vh, new_vn, c, x)
+            coeff = A * (-b)
+        tot = out.get(key, 0) + coeff
+        if tot:
+            out[key] = tot
+        else:
+            out.pop(key, None)
+    return out
+
+
+def reference_diff_data(oracle, cell, r):
+    """The oracle's d_r matrices built through one series per basis key."""
+    m, t = cell
+    tgt = (m + r, t + 1)
+    tindex = oracle.index.get(tgt, {})
+    P = oracle.spec.hat_offset
+    over_cols = {}
+    rows_in, rows_over = [], []
+    for key in oracle.basis[cell]:
+        img = GradedSeries(oracle.spec,
+                           reference_d({key: ONE}, r, oracle.n, P))
+        if reference_d(img.terms, r, oracle.n, P):
+            raise MathInvariantError("d∘d is nonzero at the formula level")
+        rin = [ZERO] * len(tindex)
+        rover = {}
+        for kk, cc in img.terms.items():
+            col = tindex.get(kk)
+            if col is None:
+                rover[over_cols.setdefault(kk, len(over_cols))] = cc
+            else:
+                rin[col] = cc
+        rows_in.append(rin)
+        rows_over.append(rover)
+    Din = LocalMatrix(rows_in, len(tindex))
+    Dover = LocalMatrix([[row.get(j, ZERO) for j in range(len(over_cols))]
+                         for row in rows_over], len(over_cols))
+    return Din, Dover, list(over_cols), tgt
+
+
+class RecomputingOracle(TruncatedOracle):
+    """The oracle with no work skipped: series-built matrices, a zero
+    overflow column on every cell so that no cell is carried forward, and
+    every cell re-charted on every page."""
+
+    def _diff_data(self, cell, r):
+        Din, Dover, over, tgt = reference_diff_data(self, cell, r)
+        padded = LocalMatrix([row + [ZERO] for row in Dover.data],
+                             Dover.ncols + 1)
+        return Din, padded, over + [None], tgt
+
+    def _chart_now(self, changed, previous):
+        return super()._chart_now(self.basis, previous)
+
+
+class ForgetfulOracle(TruncatedOracle):
+    """Planted fault: re-charts only the cells whose Z was replaced, so a
+    cell whose boundary lattice grew keeps a stale structure."""
+
+    def advance(self):
+        self.old_Z = dict(self.Z)
+        return super().advance()
+
+    def _chart_now(self, changed, previous):
+        old = getattr(self, "old_Z", None)
+        if old is not None:
+            changed = {cell for cell in changed
+                       if self.Z[cell] is not old[cell]}
+        return super()._chart_now(changed, previous)
+
+
+def run_side_by_side(oracle, reference):
+    """Advance both oracles to the last page.  Returns the pages whose
+    chart or flags differ, and how many cells kept their Z object."""
+    bad = [] if oracle.charts[1] == reference.charts[1] else [1]
+    carried = 0
+    while oracle.level <= oracle.n:
+        before = dict(oracle.Z)
+        page = oracle.advance()
+        reference.advance()
+        carried += sum(oracle.Z[cell] is z for cell, z in before.items())
+        if oracle.charts[page] != reference.charts[page] or \
+                oracle.flags != reference.flags:
+            bad.append(page)
+    return bad, carried
+
+
+ORACLE_WINDOWS = [(1, -20, 20, 2), (2, -24, 24, 3), (3, -32, 32, 3)]
+
+
+def test_apply_differential_matches_reference_formula():
+    rng = random.Random(5)
+    for n in (1, 2, 3):
+        spec = GradingSpec(n, alphabet="hat")
+        for r in admissible_differentials(n):
+            for _ in range(20):
+                terms = {}
+                for _ in range(6):
+                    key = (rng.randrange(4),
+                           tuple(rng.randrange(4) for _ in range(n - 1)),
+                           rng.randrange(-40, 40), (), ())
+                    terms[key] = TwoLocal(rng.randrange(1, 10),
+                                          rng.choice((1, 3, 5)))
+                s = GradedSeries(spec, terms)
+                want = reference_d(s.terms, r, n, spec.hat_offset)
+                assert apply_differential(s, r, strict=False) == \
+                    GradedSeries(spec, want)
+
+
+@pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
+def test_oracle_matrices_match_series_reference(n, lo, hi, caps):
+    oracle = TruncatedOracle(n, lo, hi, caps)
+    overflowing = 0
+    for r in admissible_differentials(n):
+        for cell in oracle.basis:
+            got = oracle._diff_data(cell, r)
+            assert got == reference_diff_data(oracle, cell, r), (cell, r)
+            overflowing += bool(got[2])
+    assert overflowing
+
+
+@pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
+def test_oracle_pages_match_full_recompute(n, lo, hi, caps, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called apply_differential")
+
+    monkeypatch.setattr(bss, "apply_differential", refuse)
+    oracle = TruncatedOracle(n, lo, hi, caps)
+    bad, carried = run_side_by_side(oracle,
+                                    RecomputingOracle(n, lo, hi, caps))
+    assert bad == []
+    assert carried and oracle.flags  # neither shortcut is vacuous here
+
+
+def test_stale_structure_is_caught_by_recompute():
+    n, lo, hi, caps = ORACLE_WINDOWS[1]
+    bad, _ = run_side_by_side(ForgetfulOracle(n, lo, hi, caps),
+                              RecomputingOracle(n, lo, hi, caps))
+    assert bad
+
+
+@pytest.mark.parametrize("r, shift", [(1, -1), (3, -2)])
+def test_wrong_vn_shift_trips_d_squared(monkeypatch, r, shift):
+    # d_1 shifting vn by 2^n, or d_3 by 2^(n+1) alone, leaves an odd
+    # multiple of 2^k whose own image is nonzero
+    true_d = bss._d_key
+
+    def planted(key, rr, n, P):
+        image = true_d(key, rr, n, P)
+        if image is None or rr != r:
+            return image
+        (y, vh, vn, c, x), coeff = image
+        return (y, vh, vn + shift, c, x), coeff
+
+    monkeypatch.setattr(bss, "_d_key", planted)
+    oracle = TruncatedOracle(2, -24, 24, caps=3)
+    with pytest.raises(MathInvariantError, match="d∘d"):
+        oracle.run()
+    assert oracle.level == (r + 1).bit_length() - 2
 
 
 # -- flat base change --------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from erjw import cli
 from erjw.bss import PAGE_COST_BOUND, page_cost
+from erjw.errors import InputError
 from erjw.fgl import SERIES_COST_BOUND, series_cost
 from erjw.scalar2 import ModuleStructure
 
@@ -315,6 +316,16 @@ def test_weight_bound_admits_documented_inputs():
      f"past the bound of {PAGE_COST_BOUND}; lower --caps"),
     (["page", "--n", "1", "--r", "8", "--window", "-5000..5000"],
      "narrow --window"),
+    (["coeff", "--n", "20"], f"past the bound of {cli.COEFF_ROW_BOUND}"),
+    (["coeff", "--n", "16", "--relation", "x = x"], "lower --n"),
+    # two 3000-digit literals multiply past the 4300 printable digits
+    (["bo", "--n", "1", "--q", "2", "--weight", "4", "--reduce",
+      f"{'9' * 3000}*{'9' * 3000}*c1"], "past 1000 bits"),
+    (["coeff", "--n", "2", "--relation", f"0x{'f' * 3000}*x = 0"],
+     "past 1000 bits"),
+    # a hex literal is read past the 4300 decimal digits it would print as
+    (["bo", "--n", "1", "--q", "2", "--weight", "4", "--reduce",
+      f"0x{'f' * 4000}"], "4300 digits"),
 ])
 def test_unbounded_requests_exit_two_at_once(argv, fragment, capsys):
     start = time.perf_counter()
@@ -323,6 +334,15 @@ def test_unbounded_requests_exit_two_at_once(argv, fragment, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_coeff_row_bound_admits_documented_inputs():
+    # README, test and benchmark coeff inputs use n = 1..3; the bound
+    # admits up to n = 15
+    for n in (1, 2, 3, 15):
+        assert cli._refuse_costly_coeff(n) is None
+    with pytest.raises(InputError, match="lower --n"):
+        cli._refuse_costly_coeff(16)
 
 
 def test_page_cost_bound_admits_documented_inputs():

@@ -3,20 +3,27 @@
 Every run of every subcommand must exit 0, 1 or 2 without a traceback, and
 exit 1 must come with an `invariant failure:` line.  `--reduce` and
 `--relation` values are drawn from a small alphabet of the expression
-syntax, so most are malformed on purpose.
+syntax, so most are malformed on purpose, or are *-chains of long
+literals.
 """
 
 import contextlib
 import io
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from erjw import cli
 
 _TOKENS = ("c1", "c2", "x", "alpha", "w", "vn", "2", "3",
            "+", "-", "*", "/", "^", "(", ")", "=", " ")
 
-expressions = st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+# *-chains of long literals: two 3000-digit factors, or the hex literal,
+# print past 4300 digits
+_LONG = ("9" * 3000, "0x" + "f" * 4000, "c1")
+
+expressions = (st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+               | st.lists(st.sampled_from(_LONG), min_size=1,
+                          max_size=3).map("*".join))
 
 
 def _flags(**draws):
@@ -59,6 +66,9 @@ argvs = st.one_of(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argvs)
+@example(["bo", "--n", "1", "--q", "2", "--weight", "4",
+          "--reduce", "*".join(_LONG)])
+@example(["coeff", "--n", "2", "--relation", f"{_LONG[0]}*x = {_LONG[1]}"])
 def test_every_run_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

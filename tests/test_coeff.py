@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from erjw.coeff import (NamedClass, filtration_profile, named_generators,
@@ -110,6 +112,16 @@ def test_relation_sides_use_the_expression_reader():
     assert relation_check(2, "1/3*x = x").holds
     assert relation_check(2, "2**2*w = 4*w").holds
     assert relation_check(2, "alpha^0*x = x").holds
+
+
+def test_relation_cost_does_not_grow_with_its_rows():
+    # rows from 2^(n+1) - 1 on vanish on the limit chart; locating a side
+    # there, or many sides, reads the one limit page relation_check builds
+    start = time.perf_counter()
+    report = relation_check(2, "*".join(["x^1000"] * 500) + " = 0")
+    assert report.holds and "vanish" in report.witness
+    assert relation_check(8, "=".join(["x"] * 1000)).holds
+    assert time.perf_counter() - start < 2
 
 
 def test_relation_accepts_periodicity_units():
