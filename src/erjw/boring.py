@@ -35,7 +35,7 @@ from .coeff import named_generators, total_period
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import ONE, ZERO, TwoLocal, preimage_rows, spans, val2
+from .scalar2 import ONE, LocalMatrix, TwoLocal, preimage_rows, spans, val2
 from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
@@ -235,7 +235,7 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
         cols = DegreeColumns(p.spec, D, caps, p.weight)
         vec = cols.row(z.homogeneous_part(D))
         num = cols.matrix(cols.lattice_rows(p.relations, 0, p.weight))
-        if not spans(num, cols.matrix([vec]).data):
+        if not spans(num, cols.matrix([vec])):
             return False
     return True
 
@@ -395,8 +395,10 @@ def landweber_window_check(n: int, q: int, k: int,
         A = tgt_cols.matrix(img)
         num = src_cols.matrix(src_cols.lattice_rows(pres.relations, k, deep))
         pre = preimage_rows(A, den)
-        pad = [ZERO] * (src_cols.width - pre.ncols)
-        if spans(num, [row + pad for row in pre.data]):
+        pad = [0] * (src_cols.width - pre.ncols)
+        if spans(num, LocalMatrix._of(((row + pad, d) for row, d
+                                       in zip(pre.rows, pre.dens)),
+                                      src_cols.width)):
             checked.append((D, tgt))
         else:
             failures.append(D)

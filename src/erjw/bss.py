@@ -400,13 +400,13 @@ class TruncatedOracle:
                 raise MathInvariantError(
                     "d∘d is nonzero at the formula level")
             entries.append(image and (cols.setdefault(image[0], len(cols)),
-                                      TwoLocal._raw(image[1], 1)))
-        rows = [[ZERO] * len(cols) for _ in entries]
+                                      image[1]))
+        rows = [[0] * len(cols) for _ in entries]
         for row, entry in zip(rows, entries):
             if entry:
                 row[entry[0]] = entry[1]
-        return (LocalMatrix._of([row[:width] for row in rows], width),
-                LocalMatrix._of([row[width:] for row in rows],
+        return (LocalMatrix._of(((row[:width], 1) for row in rows), width),
+                LocalMatrix._of(((row[width:], 1) for row in rows),
                                 len(cols) - width),
                 list(cols)[width:], tgt)
 
@@ -425,8 +425,7 @@ class TruncatedOracle:
                 continue
             m, t = cell
             _, Dover, _, tgt = data[cell]
-            if Dover.ncols and any(
-                    x.num for row in (self.Z[cell] @ Dover).data for x in row):
+            if Dover.ncols and any(map(any, (self.Z[cell] @ Dover).rows)):
                 new_flags.add(cell)
                 continue
             if tgt in self.flags:
@@ -445,7 +444,7 @@ class TruncatedOracle:
         extra: dict = {}
         for cell in cells:
             Din, Dover, _, tgt = data[cell]
-            if not Dover.ncols and not any(map(any, Din.data)):
+            if not Dover.ncols and not any(map(any, Din.rows)):
                 continue  # d_r = 0 here: Z stays, and B @ Din is zero
             Z = self.Z[cell]
             images = Z @ Din
@@ -455,20 +454,21 @@ class TruncatedOracle:
                 # the boundary lattice must consist of next-page cycles:
                 # d_r of every boundary has to be an existing boundary
                 if self.B[cell].nrows and cell not in new_flags and \
-                        not spans(Btgt, (self.B[cell] @ Din).data):
+                        not spans(Btgt, self.B[cell] @ Din):
                     raise MathInvariantError(
                         f"boundary at {cell} escapes under d_{r}")
-                for row in images.data:
-                    if any(x.num for x in row):
-                        extra.setdefault(tgt, []).append(row)
+                for row, d in zip(images.rows, images.dens):
+                    if any(row):
+                        extra.setdefault(tgt, []).append((row, d))
             else:
                 X = preimage_rows(images, LocalMatrix.zeros(0, Din.ncols))
             new_Z[cell] = X @ Z
 
         self.Z.update(new_Z)
-        for cell, rows in extra.items():
-            self.B[cell] = row_basis(stack_rows(
-                [self.B[cell], LocalMatrix(rows, self.B[cell].ncols)]))
+        for cell, pairs in extra.items():
+            B = self.B[cell]
+            self.B[cell] = row_basis(LocalMatrix._of(
+                [*zip(B.rows, B.dens), *pairs], B.ncols))
         self.flags = new_flags
 
         for cell in cells:
@@ -476,9 +476,9 @@ class TruncatedOracle:
                 continue
             odd_cols = [i for i, key in enumerate(self.basis[cell])
                         if key[2] % 2]
-            for row in self.Z[cell].data:
+            for row in self.Z[cell].rows:
                 for i in odd_cols:
-                    if row[i].num:
+                    if row[i]:
                         raise MathInvariantError(
                             f"odd-exponent cycle survived d_1 at {cell}")
 

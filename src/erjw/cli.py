@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import metadata
 
@@ -264,6 +265,28 @@ def _refuse_costly_coeff(n: int) -> None:
                          f" past the bound of {COEFF_ROW_BOUND}; lower --n")
 
 
+# `erjw bo` expands the conjugate classes in q formal roots through class
+# weight w, C(w + q, q) root monomials at up to w weights each, and is
+# priced at C(w + q, q) * w units.  On one core of a 2-vCPU Xeon, n = 1..3,
+# q = 3..7, w = 7..20, a unit took 80 to 240 microseconds: bo --n 1 --q 3
+# --weight 14 (9,520 units) 0.65 s, bo --n 3 --q 4 --weight 10 (10,010
+# units) 1.9 s, bo --n 3 --q 3 --weight 16 (15,504 units) 3.7 s.
+BO_COST_BOUND = 12_000
+
+
+def _refuse_costly_bo(n: int, q: int, weight: int) -> None:
+    """Exit 2 up front when bo's law or class expansion would take too long."""
+    if q < 1 or weight < 1:
+        return  # present refuses these with its own message
+    # present builds the law at precision weight + 1
+    _refuse_costly_law(GroupLaw(n, precision=weight + 1), "--weight")
+    cost = math.comb(weight + q, q) * weight
+    if cost > BO_COST_BOUND:
+        raise InputError(f"q={q} at weight {weight} is estimated at {cost}"
+                         f" work units, past the bound of {BO_COST_BOUND};"
+                         " lower --q or --weight")
+
+
 def _cmd_fgl(args):
     law = GroupLaw(args.n, precision=args.precision)
     _refuse_costly_law(law, "--precision" if args.precision is not None
@@ -360,6 +383,7 @@ def _cmd_coeff(args):
 
 def _cmd_bo(args):
     q = args.q if args.q is not None else args.weight
+    _refuse_costly_bo(args.n, q, args.weight)
     pres = present(args.n, q, args.weight)
     result = {
         "q": q,

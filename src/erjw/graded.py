@@ -611,7 +611,11 @@ def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
         if value is None:
             raise InputError("expected a generator or an integer, got "
                              f"{ast.unparse(base)}")
-        if exp > 1 and abs(value).bit_length() * exp > EXPONENT_BOUND:
+        # |value|^exp has at least (bits - 1) * exp + 1 bits: refuse past
+        # the bound before computing the power, then check its true size
+        bound = EXPONENT_BOUND
+        if exp > 1 and ((abs(value).bit_length() - 1) * exp + 1 > bound
+                        or abs(value ** exp).bit_length() > bound):
             raise InputError(f"{value}^{exp} is past {EXPONENT_BOUND} bits")
         return GradedSeries.unit(spec, coeff_type(value ** exp), trunc)
 

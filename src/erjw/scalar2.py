@@ -180,9 +180,6 @@ def _coerce(x):
 
 ZERO = TwoLocal._raw(0, 1)
 ONE = TwoLocal._raw(1, 1)
-# shared values for the small integers that fill most transforms
-_SMALL = {i: TwoLocal._raw(i, 1) for i in range(-8, 9)}
-_SMALL[0], _SMALL[1] = ZERO, ONE
 
 
 @dataclass(frozen=True)
@@ -223,66 +220,82 @@ class ModuleStructure:
 
 
 class LocalMatrix:
-    """Dense matrix over TwoLocal, stored row-major."""
+    """Matrix over Z_(2), row-major: entry (i, j) is rows[i][j] / dens[i].
 
-    __slots__ = ("nrows", "ncols", "data")
+    Each row is an int list with one odd positive denominator, in lowest
+    terms (the gcd of the row and its denominator is 1), so equal
+    matrices store equal rows and `==` is a plain compare.  Rows are
+    immutable by convention and may be shared between matrices.
+    TwoLocal entries appear only at the edge: the constructor, `row`,
+    `[i, j]`, `data` and `repr`.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "dens")
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        data = []
-        for row in rows:
-            data.append([x if isinstance(x, TwoLocal) else TwoLocal(x) for x in row])
-        if data:
+        rows = [[x if isinstance(x, TwoLocal) else TwoLocal(x) for x in row]
+                for row in rows]
+        if rows:
             if ncols is None:
-                ncols = len(data[0])
-            for row in data:
-                if len(row) != ncols:
-                    raise ValueError("ragged rows")
+                ncols = len(rows[0])
+            if any(len(row) != ncols for row in rows):
+                raise ValueError("ragged rows")
         elif ncols is None:
             raise ValueError("an empty matrix needs an explicit column count")
-        self.data = data
-        self.nrows = len(data)
-        self.ncols = ncols
+        self._store([_over([x.num for x in row], [x.den for x in row])
+                     for row in rows], ncols)
 
     @classmethod
-    def _of(cls, data: list, ncols: int) -> "LocalMatrix":
-        # caller guarantees: fresh lists of TwoLocal, each of length ncols
+    def _of(cls, pairs, ncols: int) -> "LocalMatrix":
+        # caller guarantees: (int list of length ncols, odd den) pairs
         self = object.__new__(cls)
-        self.data = data
-        self.nrows = len(data)
-        self.ncols = ncols
+        self._store(pairs, ncols)
         return self
+
+    def _store(self, pairs, ncols: int) -> None:
+        pairs = [_canon(row, d) for row, d in pairs]
+        self.rows = [row for row, _ in pairs]
+        self.dens = [d for _, d in pairs]
+        self.nrows, self.ncols = len(pairs), ncols
 
     @classmethod
     def identity(cls, n: int) -> "LocalMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
+        return cls._of((([int(i == j) for j in range(n)], 1)
+                        for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "LocalMatrix":
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
+        return cls._of((([0] * ncols, 1) for _ in range(nrows)), ncols)
 
     def transpose(self) -> "LocalMatrix":
-        return LocalMatrix([[self.data[i][j] for i in range(self.nrows)]
-                            for j in range(self.ncols)], self.nrows)
+        return LocalMatrix._of((_over([row[j] for row in self.rows], self.dens)
+                                for j in range(self.ncols)), self.nrows)
 
     def row(self, i: int) -> list:
-        return self.data[i][:]
+        d = self.dens[i]
+        return [TwoLocal(x, d) for x in self.rows[i]]
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return TwoLocal(self.rows[i][j], self.dens[i])
+
+    @property
+    def data(self) -> list:
+        """The entries, as fresh lists of TwoLocal."""
+        return [self.row(i) for i in range(self.nrows)]
 
     def __eq__(self, other):
         if not isinstance(other, LocalMatrix):
             return NotImplemented
         return (self.nrows == other.nrows and self.ncols == other.ncols
-                and self.data == other.data)
+                and self.dens == other.dens and self.rows == other.rows)
 
     def __matmul__(self, other: "LocalMatrix") -> "LocalMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ "
                              f"{other.nrows}x{other.ncols}")
-        return LocalMatrix._of([row_times_matrix(row, other) for row in self.data],
-                               other.ncols)
+        return LocalMatrix._of((_vec_mat(row, d, other) for row, d
+                                in zip(self.rows, self.dens)), other.ncols)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -293,86 +306,64 @@ def stack_rows(mats: Sequence[LocalMatrix]) -> LocalMatrix:
     ncols = {m.ncols for m in mats}
     if len(ncols) != 1:
         raise ValueError("column counts differ")
-    rows = []
-    for m in mats:
-        rows.extend(row[:] for row in m.data)
-    return LocalMatrix(rows, ncols.pop())
+    return LocalMatrix._of([p for m in mats for p in zip(m.rows, m.dens)],
+                           ncols.pop())
 
 
-def row_times_matrix(v: Sequence[TwoLocal], M: LocalMatrix) -> list:
-    if len(v) != M.nrows:
-        raise ValueError("length mismatch")
-    nums, d = _clear_vector(v)
-    acc, dm = _vec_mat(nums, M)
-    return _from_ints(acc, d * dm)
+def row_times_matrix(v: Sequence, M: LocalMatrix) -> list:
+    """The row vector v @ M, for entries of v int or TwoLocal."""
+    return (LocalMatrix([v], M.nrows) @ M).row(0)
 
 
 # -- the integer kernel ------------------------------------------------------
 #
-# Elimination runs on Python ints.  A row of TwoLocal entries is held as an
-# int list together with one odd scale s, the list being s times the true
-# row; clearing a row's odd denominators is then a unit scaling, and each
-# row update u*row_i - (a_i >> v)*row_k multiplies the scale by the odd u.
-# The row's odd content is divided out against its scale after every update,
-# so the ints stay as small as the true entries allow.  Scales may be
-# negative.  V is held by columns, each with one odd denominator.
+# Elimination runs on the stored ints.  A row under elimination is an int
+# list together with one odd scale s, the list being s times the true row;
+# each row update u*row_i - (a_i >> v)*row_k multiplies the scale by the odd
+# u.  The row's odd content is divided out against its scale after every
+# update, so the ints stay as small as the true entries allow.  Scales may
+# be negative until the row is stored.  V is held by columns, each with one
+# odd denominator.
 
 
-def _clear(entries) -> tuple[list, int]:
-    """(nums, d) with nums == d * entries; d is the lcm of the denominators."""
-    d = 1
-    for x in entries:
-        if x.den != 1:
-            d = d * x.den // math.gcd(d, x.den)
+def _canon(row: list, d: int) -> tuple[list, int]:
+    """row / d in the stored form: d > 0 and gcd(d, *row) == 1."""
     if d == 1:
-        return [x.num for x in entries], 1
-    return [x.num * (d // x.den) for x in entries], d
+        return row, 1
+    g = math.gcd(d, *row)
+    if d < 0:
+        g = -g
+    if g != 1:
+        row = [x // g for x in row]
+        d //= g
+    return row, d
 
 
-def _clear_rows(M: LocalMatrix) -> tuple[list, list]:
-    """Integer rows A and odd dens with A[i] == dens[i] * M[i]."""
-    A, dens = [], []
-    for row in M.data:
-        nums, d = _clear(row)
-        A.append(nums)
-        dens.append(d)
-    return A, dens
+def _over(nums, dens) -> tuple[list, int]:
+    """(row, d) with row / d the entries nums[j] / dens[j] (dens odd)."""
+    lcm = 1
+    for x, d in zip(nums, dens):
+        if x and lcm % d:
+            lcm *= abs(d) // math.gcd(lcm, d)
+    return [x * lcm // d for x, d in zip(nums, dens)], lcm
 
 
-def _clear_vector(v) -> tuple[list, int]:
-    return _clear([a if isinstance(a, TwoLocal) else TwoLocal(a) for a in v])
-
-
-def _from_ints(nums, den: int) -> list:
-    """The entries of nums / den as TwoLocal (den odd, of either sign)."""
-    if den < 0:
-        nums, den = [-x for x in nums], -den
-    raw = TwoLocal._raw
-    if den == 1:
-        small = _SMALL.get
-        return [y if (y := small(x)) is not None else raw(x, 1) for x in nums]
-    gcd = math.gcd
-    return [(raw(x // g, den // g) if (g := gcd(x, den)) != 1 else raw(x, den))
-            if x else ZERO for x in nums]
-
-
-def _vec_mat(nums, M: LocalMatrix) -> tuple[list, int]:
-    """(acc, d) with acc / d == nums @ M, for an int vector nums."""
+def _vec_mat(nums, d: int, M: LocalMatrix) -> tuple[list, int]:
+    """(acc, e) with acc / e == (nums / d) @ M, for an int vector nums."""
     acc = [0] * M.ncols
-    d = 1
-    for a, row in zip(nums, M.data):
+    e = 1
+    for a, row, rd in zip(nums, M.rows, M.dens):
         if not a:
             continue
+        if e % rd:
+            f = rd // math.gcd(e, rd)
+            acc = [x * f for x in acc]
+            e *= f
+        a *= e // rd
         for j, b in enumerate(row):
-            bn = b.num
-            if bn:
-                bd = b.den
-                if d % bd:
-                    f = bd // math.gcd(d, bd)
-                    acc = [x * f for x in acc]
-                    d *= f
-                acc[j] += a * bn * (d // bd)
-    return acc, d
+            if b:
+                acc[j] += a * b
+    return acc, d * e
 
 
 def _eliminate(rows, aux, scale, k: int, col: int, v: int) -> None:
@@ -413,10 +404,10 @@ def snf_with_transforms(M: LocalMatrix):
     the pivot is exactly 2^v; clears the rows below with row operations
     (also applied to U); then clears the pivot row with column operations
     (applied to V).  The certificate U @ M @ V == D is checked on the
-    integer matrices before they are converted.
+    integer matrices before they are stored.
     """
     m, n = M.nrows, M.ncols
-    A, dens = _clear_rows(M)
+    A, dens = M.rows, M.dens
     D = [row[:] for row in A]
     scale = dens[:]
     U = [[0] * m for _ in range(m)]
@@ -477,13 +468,13 @@ def snf_with_transforms(M: LocalMatrix):
             V[j], vden[j] = col, d
         pivots.append(bv)
     _certify(A, dens, U, scale, V, vden, pivots)
-    Dout = [[ZERO] * n for _ in range(m)]
+    Dout = [[0] * n for _ in range(m)]
     for i, v in enumerate(pivots):
-        Dout[i][i] = TwoLocal._raw(1 << v, 1)
-    Vcols = [_from_ints(col, d) for col, d in zip(V, vden)]
-    return (LocalMatrix._of(Dout, n),
-            LocalMatrix._of([_from_ints(row, s) for row, s in zip(U, scale)], m),
-            LocalMatrix._of([list(row) for row in zip(*Vcols)], n))
+        Dout[i][i] = 1 << v
+    return (LocalMatrix._of(((row, 1) for row in Dout), n),
+            LocalMatrix._of(zip(U, scale), m),
+            LocalMatrix._of((_over([col[l] for col in V], vden)
+                             for l in range(n)), n))
 
 
 def _certify(A, dens, U, scale, V, vden, pivots) -> None:
@@ -526,7 +517,7 @@ def _certify(A, dens, U, scale, V, vden, pivots) -> None:
 def _diag_rank(D: LocalMatrix) -> int:
     r = 0
     for i in range(min(D.nrows, D.ncols)):
-        if D.data[i][i].num:
+        if D.rows[i][i]:
             r += 1
         else:
             break
@@ -536,7 +527,7 @@ def _diag_rank(D: LocalMatrix) -> int:
 def snf(M: LocalMatrix) -> tuple[int, ...]:
     """Nonzero Smith invariants of M, as plain ints (powers of 2)."""
     D, _, _ = snf_with_transforms(M)
-    return tuple(D.data[i][i].num for i in range(_diag_rank(D)))
+    return tuple(D.rows[i][i] for i in range(_diag_rank(D)))
 
 
 def rank(M: LocalMatrix) -> int:
@@ -553,39 +544,48 @@ def kernel_basis(M: LocalMatrix) -> LocalMatrix:
     """Basis of the left kernel {x : x @ M == 0}, as rows."""
     D, U, _ = snf_with_transforms(M)
     r = _diag_rank(D)
-    return LocalMatrix([U.data[i][:] for i in range(r, M.nrows)], M.nrows)
+    return LocalMatrix._of(zip(U.rows[r:], U.dens[r:]), M.nrows)
 
 
 def solve_left(A: LocalMatrix, v: Sequence, decomp=None):
-    """One solution x of x @ A == v over Z_(2), or None if there is none."""
+    """One solution x of x @ A == v over Z_(2), or None if there is none.
+
+    v's entries are int or TwoLocal; x is a list of TwoLocal.
+    """
     if decomp is None:
         decomp = snf_with_transforms(A)
+    w = LocalMatrix([v], A.ncols)
+    x = _solve(decomp, w.rows[0], w.dens[0])
+    return None if x is None else [TwoLocal(a, x[1]) for a in x[0]]
+
+
+def _solve(decomp, nums: list, d: int) -> tuple[list, int] | None:
+    """(x, dx) with x / dx @ A == nums / d, for decomp the Smith form of A,
+    or None if there is no solution."""
     D, U, V = decomp
-    if len(v) != V.nrows:
-        raise ValueError("length mismatch")
     r = _diag_rank(D)
     # x @ A == v exactly when y @ D == v @ V for y = x @ U^-1
-    nums, d = _clear_vector(v)
-    w, dw = _vec_mat(nums, V)
-    y = [0] * A.nrows
+    w, dw = _vec_mat(nums, d, V)
+    y = [0] * U.nrows
     for i in range(r):
-        e = D.data[i][i].num.bit_length() - 1  # D[i][i] == 2^e
+        e = D.rows[i][i].bit_length() - 1  # D[i][i] == 2^e
         if w[i] & ((1 << e) - 1):
             return None
         y[i] = w[i] >> e
-    if any(w[r:A.ncols]):
+    if any(w[r:]):
         return None
-    x, dx = _vec_mat(y, U)
-    return _from_ints(x, d * dw * dx)
+    return _vec_mat(y, dw, U)
 
 
-def spans(A: LocalMatrix, rows) -> bool:
-    """Whether every row lies in the row span of A over Z_(2)."""
-    rows = [row for row in rows if any(x.num for x in row)]
+def spans(A: LocalMatrix, B: LocalMatrix) -> bool:
+    """Whether every row of B lies in the row span of A over Z_(2)."""
+    if A.ncols != B.ncols:
+        raise ValueError("ambient dimensions differ")
+    rows = [(row, d) for row, d in zip(B.rows, B.dens) if any(row)]
     if not rows or A.nrows == 0:
         return not rows
     decomp = snf_with_transforms(A)
-    return all(solve_left(A, row, decomp) is not None for row in rows)
+    return all(_solve(decomp, row, d) is not None for row, d in rows)
 
 
 def row_basis(M: LocalMatrix) -> LocalMatrix:
@@ -594,7 +594,8 @@ def row_basis(M: LocalMatrix) -> LocalMatrix:
     Columns are processed left to right with a minimum-valuation pivot, so
     every elimination quotient stays in Z_(2).
     """
-    W, scale = _clear_rows(M)
+    W = [row[:] for row in M.rows]
+    scale = M.dens[:]
     m = len(W)
     aux = [[] for _ in range(m)]
     r = 0
@@ -617,7 +618,7 @@ def row_basis(M: LocalMatrix) -> LocalMatrix:
             scale[r], scale[bi] = scale[bi], scale[r]
         _eliminate(W, aux, scale, r, j, bv)
         r += 1
-    return LocalMatrix._of([_from_ints(W[i], scale[i]) for i in range(r)], M.ncols)
+    return LocalMatrix._of(zip(W[:r], scale), M.ncols)
 
 
 def quotient_structure(K: LocalMatrix, B: LocalMatrix) -> ModuleStructure:
@@ -629,22 +630,18 @@ def quotient_structure(K: LocalMatrix, B: LocalMatrix) -> ModuleStructure:
     if K.ncols != B.ncols:
         raise ValueError("ambient dimensions differ")
     if K.nrows == 0:
-        for row in B.data:
-            if any(x.num for x in row):
-                raise MathInvariantError("nonzero row against an empty span")
+        if any(map(any, B.rows)):
+            raise MathInvariantError("nonzero row against an empty span")
         return ModuleStructure(0, ())
     if B.nrows == 0:
         return ModuleStructure(K.nrows, ())
     decomp = snf_with_transforms(K)
     if _diag_rank(decomp[0]) != K.nrows:
         raise MathInvariantError("quotient basis rows are dependent")
-    coords = []
-    for row in B.data:
-        x = solve_left(K, row, decomp)
-        if x is None:
-            raise MathInvariantError("row escapes the span it must lie in")
-        coords.append(x)
-    return cokernel_structure(LocalMatrix(coords, K.nrows))
+    coords = [_solve(decomp, row, d) for row, d in zip(B.rows, B.dens)]
+    if None in coords:
+        raise MathInvariantError("row escapes the span it must lie in")
+    return cokernel_structure(LocalMatrix._of(coords, K.nrows))
 
 
 def preimage_rows(A: LocalMatrix, T: LocalMatrix) -> LocalMatrix:
@@ -653,7 +650,6 @@ def preimage_rows(A: LocalMatrix, T: LocalMatrix) -> LocalMatrix:
         raise ValueError("ambient dimensions differ")
     if T.nrows == 0:
         return kernel_basis(A)
-    G = stack_rows([A, T])
-    K = kernel_basis(G)
-    X = LocalMatrix([row[:A.nrows] for row in K.data], A.nrows)
-    return row_basis(X)
+    K = kernel_basis(stack_rows([A, T]))
+    return row_basis(LocalMatrix._of(((row[:A.nrows], d) for row, d
+                                      in zip(K.rows, K.dens)), A.nrows))

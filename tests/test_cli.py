@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -326,6 +327,10 @@ def test_weight_bound_admits_documented_inputs():
     # a hex literal is read past the 4300 decimal digits it would print as
     (["bo", "--n", "1", "--q", "2", "--weight", "4", "--reduce",
       f"0x{'f' * 4000}"], "4300 digits"),
+    (["bo", "--n", "1", "--q", "8", "--weight", "8"],
+     f"past the bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
+    (["bo", "--n", "2", "--q", "6", "--weight", "12"],
+     "lower --q or --weight"),
 ])
 def test_unbounded_requests_exit_two_at_once(argv, fragment, capsys):
     start = time.perf_counter()
@@ -334,6 +339,24 @@ def test_unbounded_requests_exit_two_at_once(argv, fragment, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert fragment in err
+
+
+def test_bo_bound_admits_documented_inputs():
+    # README (n = 1, q = 2, weight 4), the tests (q up to the weight, at
+    # weight 6 or less), the benchmark's classring jobs (n = 1..3, q = 1..2,
+    # weight 4..6) and the fuzz grid (n, q, weight at most 4)
+    for n in (1, 2, 3):
+        for weight in range(1, 7):
+            for q in range(1, weight + 1):
+                cli._refuse_costly_bo(n, q, weight)
+    # the edges: q = 3 admits weight 14 only, weight 7 admits q = 5 only
+    for q, weight, admitted in ((3, 14, True), (3, 15, False),
+                                (5, 7, True), (6, 7, False)):
+        cost = math.comb(weight + q, q) * weight
+        assert (cost <= cli.BO_COST_BOUND) is admitted
+        if not admitted:
+            with pytest.raises(InputError, match="lower --q or --weight"):
+                cli._refuse_costly_bo(1, q, weight)
 
 
 def test_coeff_row_bound_admits_documented_inputs():

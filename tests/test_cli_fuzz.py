@@ -69,6 +69,11 @@ argvs = st.one_of(
 @example(["bo", "--n", "1", "--q", "2", "--weight", "4",
           "--reduce", "*".join(_LONG)])
 @example(["coeff", "--n", "2", "--relation", f"{_LONG[0]}*x = {_LONG[1]}"])
+# the edges of the bo cost bound: admitted just below, refused just above
+@example(["bo", "--n", "1", "--q", "3", "--weight", "14", "--reduce", "c3^4"])
+@example(["bo", "--n", "1", "--q", "3", "--weight", "15"])
+@example(["bo", "--n", "1", "--q", "5", "--weight", "7", "--reduce", "2*c5"])
+@example(["bo", "--n", "1", "--q", "6", "--weight", "7"])
 def test_every_run_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

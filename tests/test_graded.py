@@ -295,6 +295,20 @@ def test_parse_series_refuses_with_input_errors(text, message):
         parse_series(text, GradingSpec(2, q=2))
 
 
+def test_parse_series_prices_integer_powers_by_their_true_size():
+    spec = GradingSpec(1, q=2)
+    # 2^600 has 601 bits and 2^999 has 1000: both are admitted
+    assert parse_series("2^600*c1", spec) == \
+        parse_series("c1", spec) * TwoLocal(2 ** 600)
+    assert parse_series("(-2)^999", spec) == \
+        GradedSeries.unit(spec, TwoLocal(-2 ** 999))
+    # refused before the power is computed (3^1000 has at least 1001
+    # bits) and after it, by its true size (3^700 has 1110 bits)
+    for text in ("2^1000", "3^700", "3^1000", "99999^1000"):
+        with pytest.raises(InputError, match=re.escape("past 1000 bits")):
+            parse_series(text, spec)
+
+
 small_exps = st.integers(0, 2)
 keys2 = st.tuples(small_exps,
                   st.tuples(small_exps),

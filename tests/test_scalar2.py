@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erjw import scalar2
 from erjw.errors import MathInvariantError, NonUnitDivisionError
 from erjw.graded import GradingSpec, parse_series
 from erjw.scalar2 import (
@@ -21,6 +22,7 @@ from erjw.scalar2 import (
     snf,
     snf_with_transforms,
     solve_left,
+    stack_rows,
     val2,
 )
 
@@ -346,3 +348,116 @@ def test_solve_left_and_row_basis_on_sparse(m, rnd):
     assert B.nrows == rank(m)
     for row in m.data:
         assert solve_left(B, row) is not None
+
+
+# -- the stored form: int rows over one odd denominator each ----------------
+
+dims = st.integers(0, 4)
+fractions = st.builds(Fraction, st.integers(-40, 40),
+                      st.sampled_from([1, 1, 3, 5, 7, 9, 15, 21]))
+
+
+def _fraction_rows(data, nrows, ncols):
+    return [[data.draw(fractions) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _local(rows, ncols):
+    # ints where the entry is integral, TwoLocal elsewhere
+    return LocalMatrix([[int(x) if x.denominator == 1 else TwoLocal(x)
+                         for x in row] for row in rows], ncols)
+
+
+def _as_fractions(M):
+    return [[x.to_fraction() for x in row] for row in M.data]
+
+
+def _product(a, b, k, n):
+    return [[sum((row[l] * b[l][j] for l in range(k)), Fraction(0))
+             for j in range(n)] for row in a]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_matrix_operations_match_fraction_reference(data):
+    m, k, n, p = (data.draw(dims) for _ in range(4))
+    a = _fraction_rows(data, m, k)
+    b = _fraction_rows(data, k, n)
+    c = _fraction_rows(data, p, k)
+    A, B, C = _local(a, k), _local(b, n), _local(c, k)
+    AB = A @ B
+    assert (AB.nrows, AB.ncols) == (m, n)
+    assert _as_fractions(AB) == _product(a, b, k, n)
+    assert AB == _local(_product(a, b, k, n), n)
+    S = stack_rows([A, C])
+    assert (S.nrows, S.ncols) == (m + p, k)
+    assert _as_fractions(S) == a + c and S == _local(a + c, k)
+    T = A.transpose()
+    assert (T.nrows, T.ncols) == (k, m)
+    assert _as_fractions(T) == [[a[i][j] for i in range(m)] for j in range(k)]
+    assert T.transpose() == A
+    v = _fraction_rows(data, 1, k)[0]
+    w = row_times_matrix([TwoLocal(x) for x in v], B)
+    assert [x.to_fraction() for x in w] == _product([v], b, k, n)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_stored_rows_round_trip_and_compare_canonically(data):
+    m, n = data.draw(dims), data.draw(dims)
+    a = _fraction_rows(data, m, n)
+    A = _local(a, n)
+    assert _as_fractions(A) == a
+    assert LocalMatrix(A.data, n) == A
+    for i in range(m):
+        assert A.row(i) == A.data[i] == [A[i, j] for j in range(n)]
+        assert [x.to_fraction() for x in A.row(i)] == a[i]
+    for row, d in zip(A.rows, A.dens):
+        assert d > 0 and d % 2 == 1 and math.gcd(d, *row) == 1
+    # the same rows scaled by odd factors of either sign are stored alike
+    ks = [data.draw(st.sampled_from([1, -1, 3, -5, 9, -15])) for _ in range(m)]
+    scaled = LocalMatrix._of([([k * x for x in row], k * d)
+                              for row, d, k in zip(A.rows, A.dens, ks)], n)
+    assert scaled == A
+    assert (scaled.rows, scaled.dens) == (A.rows, A.dens)
+    if m and n:
+        other = [row[:] for row in a]
+        other[0][0] += 1
+        assert _local(other, n) != A
+
+
+def test_stored_form_spot_values():
+    M = LocalMatrix([[TwoLocal(2, 3), -1, 0], [0, 0, 0], [TwoLocal(-5, 9), 1,
+                                                          TwoLocal(7, 3)]])
+    assert M.rows == [[2, -3, 0], [0, 0, 0], [-5, 9, 21]]
+    assert M.dens == [3, 1, 9]
+    assert LocalMatrix._of([([-6, 9, 0], -9), ([0, 0, 0], 7),
+                            ([5, -9, -21], -9)], 3) == M
+    assert str(M[2, 2]) == "7/3" and M.row(0)[0] == TwoLocal(2, 3)
+    assert repr(M) == "LocalMatrix(3x3: 2/3 -1 0; 0 0 0; -5/9 1 7/3)"
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        Z = LocalMatrix.zeros(*shape)
+        assert (Z.nrows, Z.ncols) == shape and Z.data == [[]] * shape[0]
+        assert Z.transpose() == LocalMatrix.zeros(*reversed(shape))
+    assert (LocalMatrix.zeros(2, 0) @ LocalMatrix.zeros(0, 3)
+            == LocalMatrix.zeros(2, 3))
+    with pytest.raises(ValueError):
+        LocalMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        LocalMatrix([])
+
+
+def test_certificate_catches_a_planted_elimination_fault(monkeypatch):
+    M = LocalMatrix([[1, 1], [1, 3]])
+    snf_with_transforms(M)
+    real = scalar2._eliminate
+
+    def faulty(rows, aux, scale, k, col, v):
+        # the row operations reach D but U records a different one
+        real(rows, aux, scale, k, col, v)
+        for row in aux[k + 1:]:
+            if row:
+                row[k] += 2
+
+    monkeypatch.setattr(scalar2, "_eliminate", faulty)
+    with pytest.raises(MathInvariantError, match=r"U\*M\*V == D"):
+        snf_with_transforms(M)
