@@ -298,22 +298,6 @@ def step_engine_page(n: int, r: int, m_max: int | None = None) -> Page:
 # -- the truncated oracle ---------------------------------------------------
 
 
-# Largest page_cost that `erjw page` accepts: about 2 s for all three
-# engines at 3 to 11 microseconds a unit (n = 1..5, a 2-vCPU Xeon).
-PAGE_COST_BOUND = 200_000
-
-
-def page_cost(n: int, window: tuple[int, int], caps: int) -> int:
-    """Estimated work units of one page chart over the window.
-
-    The oracle's cells (rows 0..2^(n+2) by the window) times 8 plus the
-    capped basis size (caps+1)^(n-1); n is clamped at 32, past the bound.
-    """
-    k = min(max(n, 1), 32)
-    return ((2 ** (k + 2) + 1) * (window[1] - window[0] + 1)
-            * (max(caps + 1, 0) ** (k - 1) + 8))
-
-
 class TruncatedOracle:
     """Honest subquotient bookkeeping on a capped monomial window.
 

@@ -23,11 +23,9 @@ from importlib import metadata
 
 from .boring import present, reduce
 from .bss import (
-    PAGE_COST_BOUND,
     TruncatedOracle,
     admissible_differentials,
     closed_form_page,
-    page_cost,
     step_engine_page,
 )
 from .coeff import (
@@ -37,7 +35,7 @@ from .coeff import (
     total_period,
 )
 from .errors import EmptyBasisError, InputError, MathInvariantError
-from .fgl import SERIES_COST_BOUND, GroupLaw, series_cost
+from .fgl import GroupLaw
 from .graded import GradedSeries, parse_series
 from .orient import orientability_scan
 from .scalar2 import ModuleStructure, TwoLocal
@@ -112,11 +110,6 @@ def _chart_for(args) -> tuple[dict, dict]:
     n, r, window, caps = args.n, args.r, args.window, args.caps
     if r < 1:
         raise InputError("page index must be at least 1")
-    cost = page_cost(n, window, caps)
-    if cost > PAGE_COST_BOUND:
-        raise InputError(f"the chart is estimated at {cost} work units, past"
-                         f" the bound of {PAGE_COST_BOUND}; lower --caps or"
-                         " --n, or narrow --window")
     band = _band(n)
     guard = _visible(ENGINES["closed"](n, r, window, caps), band)
     if not guard or set(guard) == {(0, 0)} and guard[0, 0].torsion == ():
@@ -231,6 +224,163 @@ def emit_chart(chart: dict, n: int, r: int, window: tuple[int, int],
     return "\n".join(parts)
 
 
+# -- admission ----------------------------------------------------------------
+# Every request is priced by arithmetic on its flags before it runs, and
+# refused with one line naming the flags to lower.  Out-of-range values
+# (n < 1, precision < 2, q or weight < 1, negative span or caps) pass to
+# the commands' own checks.
+
+# Largest height of every subcommand: fgl --precision 4, and bo and chern
+# at weight 2, take under 0.2 s at n = 64 on a 2-vCPU Xeon; fgl --n 20000
+# --precision 4 takes 5 s.  No model below is priced at a larger n.
+HEIGHT_BOUND = 64
+
+# Largest series_cost accepted: 80 to 150 microseconds a unit (n = 1..4,
+# N = 12..96), about 4 s, on one core of a 2-vCPU Xeon.  Precision 32 at
+# n = 3 costs 17,716 units; precision 48 at n = 3 and the default 64 at
+# n = 4 cost 3 and 22 times the bound.
+SERIES_COST_BOUND = 40_000
+
+
+def series_cost(n: int, precision: int) -> int:
+    """Estimated work units of the exponential, [-1](u) and [2](u).
+
+    The u^m coefficient of a k-series has t(m) monomials, the solutions of
+    sum a_i (2^i - 1) = m - 1 over v_1..v_n.  A composition through
+    precision N multiplies the coefficients of u^i and u^j for
+    i + j <= N + 1, about S = sum of t(i)*t(j) over those pairs; the
+    powers of the inner series add N^3 // 50, which dominates at n = 1.
+    That term alone is returned once past the bound, so pricing is cheap.
+    """
+    N = precision
+    cube = N ** 3 // 50
+    if cube > SERIES_COST_BOUND:
+        return cube
+    t = [1] + [0] * N
+    i = 1
+    while i <= n and 2 ** i - 1 <= N:
+        w = 2 ** i - 1
+        for d in range(w, N + 1):
+            t[d] += t[d - w]
+        i += 1
+    # t[m - 1] counts the monomials of the u^m coefficient
+    pairs = sum(t[i] * t[j] for i in range(N) for j in range(N - i))
+    return pairs + cube
+
+
+# Largest page_cost accepted: about 2 s for all three engines at 3 to 11
+# microseconds a unit (n = 1..5, a 2-vCPU Xeon).
+PAGE_COST_BOUND = 200_000
+
+
+def page_cost(n: int, window: tuple[int, int], caps: int) -> int:
+    """Estimated work units of one page chart over the window.
+
+    The oracle's cells (rows 0..2^(n+2) by the window) times 8 plus the
+    capped basis size (caps+1)^(n-1).  n is read as at most HEIGHT_BOUND,
+    which is past the bound, so pricing a huge request costs nothing.
+    """
+    k = min(n, HEIGHT_BOUND)
+    return ((2 ** (k + 2) + 1) * (window[1] - window[0] + 1)
+            * (max(caps + 1, 0) ** (k - 1) + 8))
+
+
+# Largest closed-form page `erjw coeff` builds, in rows: n = 15 takes about
+# 1.3 s and 90 MB, 2.2 s with --relation (a second page), on a 2-vCPU Xeon.
+COEFF_ROW_BOUND = 2 ** 17 + 1
+
+# `erjw bo` and `erjw chern` expand the conjugate classes in q formal roots
+# through class weight w, C(w + q, q) root monomials at up to w weights
+# each, priced at C(w + q, q) * w units.  On one core of a 2-vCPU Xeon,
+# n = 1..3, q = 3..7, w = 7..20, a unit took 80 to 240 microseconds:
+# bo --n 1 --q 3 --weight 14 (9,520 units) 0.65 s, bo --n 3 --q 4 --weight
+# 10 (10,010 units) 1.9 s, bo --n 3 --q 3 --weight 16 (15,504 units) 3.7 s,
+# chern --n 1 --q 2 --weight 50 (66,300 units) 2.9 s.
+BO_COST_BOUND = 12_000
+
+# `erjw orient` decides one ideal membership at weight w (its
+# conjugation-fixed step), priced at w^8 * 2^s(n) units with s(n) = 0, 6,
+# 8, 11, 17 for n = 1..5 and 7n - 18 past that.  On one core of a 2-vCPU
+# Xeon a unit near the bound took 0.2 to 1.3 nanoseconds.  The largest
+# admitted weights for n = 1..6 are 17 (2.0 s), 10 (1.2 s), 8 (1.0 s),
+# 6 (1.3 s), 3 (0.9 s) and 2 (0.01 s); the next ones up take 3.8, 2.8,
+# 13.6, 3.1, 2.1 and 25 s.
+ORIENT_WEIGHT_BOUND = 8 * 10 ** 9
+
+# Its degree-gap steps, about 2^(n+2), each build a closed-form page of
+# about 2^(n+2) rows and re-read 2*span + 1 chart degrees over the capped
+# basis: page_cost(n, (-span, span), caps) + 8 * 4^(n+2) units.  On one core
+# of a 2-vCPU Xeon (n = 1..8, span 0..100000, caps 0..1000) a unit took
+# 0.27 to 0.76 microseconds: orient --n 1 --span 100000 (16.2M units)
+# 6.3 s, --n 3 --span 4 --caps 80 (2.0M) 0.7 s, --n 7 --span 0 --caps 0
+# (2.1M) 1.2 s, --n 8 --span 0 --caps 0 (8.4M) 4.7 s.
+ORIENT_SCAN_BOUND = 4_000_000
+
+
+def _shown(value: int) -> str:
+    # a refusal prints no computed number that str() could refuse
+    return str(value) if value < 10 ** 18 else "more than 10^18"
+
+
+def _law(n: int, precision: int, flags: str):
+    if precision >= 2:
+        yield (f"n={n} at precision {_shown(precision)}",
+               series_cost(n, precision), "work units", SERIES_COST_BOUND,
+               flags)
+
+
+def _classes(q: int, weight: int):
+    if q >= 1 and weight >= 1:
+        yield (f"q={q} at weight {weight}", math.comb(weight + q, q) * weight,
+               "work units", BO_COST_BOUND, "--q or --weight")
+
+
+def _models(a):
+    """Yield request a's cost models in order: (what, cost, unit, bound,
+    flags to lower).  Lazily, so none is priced past a refusal."""
+    if a.command == "fgl" and a.precision is not None:
+        yield from _law(a.n, a.precision, "--precision")
+    elif a.command == "fgl":  # GroupLaw's default precision is 2^(n+2)
+        yield from _law(a.n, 2 ** (a.n + 2),
+                        "--n (or pass a smaller --precision)")
+    elif a.command == "chern":
+        yield from _law(a.n, a.weight + 4, "--weight")
+        yield from _classes(a.q, a.weight)
+    elif a.command == "page":
+        yield ("the chart", page_cost(a.n, a.window, a.caps), "work units",
+               PAGE_COST_BOUND, "--caps or --n, or narrow --window")
+    elif a.command == "coeff":
+        yield (f"n={a.n}", 2 ** (a.n + 2) + 1, "closed-form page rows",
+               COEFF_ROW_BOUND, "--n")
+    elif a.command == "bo":
+        yield from _law(a.n, a.weight + 1, "--weight")  # present's law
+        yield from _classes(a.weight if a.q is None else a.q, a.weight)
+    elif a.command == "orient":
+        yield from _law(a.n, a.weight + 4, "--weight")
+        if a.weight >= 1:
+            shift = (0, 6, 8, 11, 17)[a.n - 1] if a.n <= 5 else 7 * a.n - 18
+            yield (f"n={a.n} at weight {a.weight}", a.weight ** 8 << shift,
+                   "work units", ORIENT_WEIGHT_BOUND, "--weight")
+        if a.span >= 0 and a.caps >= 0:
+            yield ("the degree-gap scan",
+                   page_cost(a.n, (-a.span, a.span), a.caps)
+                   + 8 * 4 ** (a.n + 2), "work units", ORIENT_SCAN_BOUND,
+                   "--span, --caps or --n")
+
+
+def _admit(args) -> None:
+    """Raise InputError for the first cost model past its bound."""
+    if args.n > HEIGHT_BOUND:
+        raise InputError(f"n={args.n} is past the height bound of"
+                         f" {HEIGHT_BOUND}; lower --n")
+    if args.n < 1:
+        return
+    for what, cost, unit, bound, flags in _models(args):
+        if cost > bound:
+            raise InputError(f"{what} is estimated at {_shown(cost)} {unit},"
+                             f" past the bound of {bound}; lower {flags}")
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -243,54 +393,8 @@ def _series_terms(uni, cut: int) -> list[dict]:
     return out
 
 
-def _refuse_costly_law(law: GroupLaw, flag: str) -> None:
-    """Exit 2 up front when the law's series would take too long."""
-    cost = series_cost(law.n, law.precision)
-    if cost > SERIES_COST_BOUND:
-        raise InputError(
-            f"n={law.n} at precision {law.precision} is estimated at {cost}"
-            f" work units, past the bound of {SERIES_COST_BOUND}; lower {flag}")
-
-
-# Largest closed-form page `erjw coeff` builds, in rows: n = 15 takes about
-# 1.3 s and 90 MB, 2.2 s with --relation (a second page), on a 2-vCPU Xeon.
-COEFF_ROW_BOUND = 2 ** 17 + 1
-
-
-def _refuse_costly_coeff(n: int) -> None:
-    """Exit 2 up front when coeff's closed-form pages would be too large."""
-    rows = 2 ** (min(max(n, 1), 64) + 2) + 1
-    if rows > COEFF_ROW_BOUND:
-        raise InputError(f"n={n} needs closed-form pages of {rows} rows,"
-                         f" past the bound of {COEFF_ROW_BOUND}; lower --n")
-
-
-# `erjw bo` expands the conjugate classes in q formal roots through class
-# weight w, C(w + q, q) root monomials at up to w weights each, and is
-# priced at C(w + q, q) * w units.  On one core of a 2-vCPU Xeon, n = 1..3,
-# q = 3..7, w = 7..20, a unit took 80 to 240 microseconds: bo --n 1 --q 3
-# --weight 14 (9,520 units) 0.65 s, bo --n 3 --q 4 --weight 10 (10,010
-# units) 1.9 s, bo --n 3 --q 3 --weight 16 (15,504 units) 3.7 s.
-BO_COST_BOUND = 12_000
-
-
-def _refuse_costly_bo(n: int, q: int, weight: int) -> None:
-    """Exit 2 up front when bo's law or class expansion would take too long."""
-    if q < 1 or weight < 1:
-        return  # present refuses these with its own message
-    # present builds the law at precision weight + 1
-    _refuse_costly_law(GroupLaw(n, precision=weight + 1), "--weight")
-    cost = math.comb(weight + q, q) * weight
-    if cost > BO_COST_BOUND:
-        raise InputError(f"q={q} at weight {weight} is estimated at {cost}"
-                         f" work units, past the bound of {BO_COST_BOUND};"
-                         " lower --q or --weight")
-
-
 def _cmd_fgl(args):
     law = GroupLaw(args.n, precision=args.precision)
-    _refuse_costly_law(law, "--precision" if args.precision is not None
-                       else "--n (or pass a smaller --precision)")
     negation = law.hat_iota()
     doubling = law.hat_k_series(2)
     result = {
@@ -308,9 +412,7 @@ def _cmd_fgl(args):
 
 
 def _cmd_chern(args):
-    law = GroupLaw(args.n, precision=args.weight + 4)
-    _refuse_costly_law(law, "--weight")
-    iota = law.hat_iota()
+    iota = GroupLaw(args.n, precision=args.weight + 4).hat_iota()
     ctx = SymmetricContext(iota, args.q, args.weight)
     classes = []
     for k in range(1, args.q + 1):
@@ -351,7 +453,6 @@ def _cmd_page(args):
 
 
 def _cmd_coeff(args):
-    _refuse_costly_coeff(args.n)
     gens = named_generators(args.n)
     result = {
         "period": total_period(args.n),
@@ -383,7 +484,6 @@ def _cmd_coeff(args):
 
 def _cmd_bo(args):
     q = args.q if args.q is not None else args.weight
-    _refuse_costly_bo(args.n, q, args.weight)
     pres = present(args.n, q, args.weight)
     result = {
         "q": q,
@@ -416,9 +516,6 @@ def _cmd_bo(args):
 
 
 def _cmd_orient(args):
-    # the conjugation-fixed step builds the law at precision weight + 4
-    _refuse_costly_law(GroupLaw(args.n, precision=args.weight + 4),
-                       "--weight")
     scan = orientability_scan(args.n, weight=args.weight, span=args.span,
                               caps=args.caps)
     result = {
@@ -543,6 +640,7 @@ def main(argv=None) -> int:
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
+        _admit(args)
         result, text = args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

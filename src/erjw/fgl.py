@@ -65,42 +65,6 @@ def _check_k_series(series: UniSeries, k: int) -> UniSeries:
     return series
 
 
-# Largest series_cost that `erjw fgl` accepts: about 4 s on one core of a
-# 2-vCPU Xeon.  Precision 32 at n = 3 costs 17,716 units; precision 48 at
-# n = 3 and the default 64 at n = 4 cost 3 and 22 times the bound.
-SERIES_COST_BOUND = 40_000
-
-
-def series_cost(n: int, precision: int) -> int:
-    """Estimated work units of the exponential, [-1](u) and [2](u).
-
-    The u^m coefficient of a k-series has t(m) monomials, the solutions of
-    sum a_i (2^i - 1) = m - 1 over v_1..v_n.  A composition through the
-    precision N multiplies coefficient pairs of u^i and u^j with
-    i + j <= N + 1, so it costs about S = sum of t(i)*t(j) over those
-    pairs; the powers of the inner series add about N^3/50, which
-    dominates at n = 1.  The estimate is S + N^3 // 50.  `erjw fgl` took
-    80 to 150 microseconds per unit for n = 1..4 and N = 12..96 on one
-    core of a 2-vCPU Xeon.  When N^3 // 50 alone passes
-    SERIES_COST_BOUND it is returned as is, so pricing a huge request
-    costs nothing.
-    """
-    N = precision
-    cube = N ** 3 // 50
-    if cube > SERIES_COST_BOUND:
-        return cube
-    t = [1] + [0] * N
-    i = 1
-    while i <= n and 2 ** i - 1 <= N:
-        w = 2 ** i - 1
-        for d in range(w, N + 1):
-            t[d] += t[d - w]
-        i += 1
-    # t[m - 1] counts the monomials of the u^m coefficient
-    pairs = sum(t[i] * t[j] for i in range(N) for j in range(N - i))
-    return pairs + cube
-
-
 class UniSeries:
     """Truncated power series in one variable over a coefficient ring."""
 

@@ -549,8 +549,9 @@ def _slot_table(spec: GradingSpec) -> dict[str, tuple[str, int]]:
 
 
 # Larger exponents, and integer powers or coefficients of more bits, are
-# refused: 3^99999999 would run for minutes, and no int past 4300 digits
-# can be printed.
+# refused: 3^99999999 runs for minutes, no int past 4300 digits prints.
+# The one bound outside erjw.cli's admission step: parse_series enforces
+# it while it reads, for the CLI and for library callers (relation_check).
 EXPONENT_BOUND = 1000
 
 _RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,

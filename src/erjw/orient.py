@@ -166,6 +166,9 @@ def orientability_scan(n: int, weight: int = 4, span: int = 8,
     lam = lambda_of(n)
     if lam % 2 == 0:
         raise MathInvariantError("degree unit must be odd")
+    if span < 0 or caps < 0:
+        # span -1 would re-read no degree and still certify
+        raise InputError("span and caps must be non-negative")
     steps = [_conjugation_fixed_step(n, weight)]
     for k in range(2, n + 2):
         steps.append(_swap_doubling_step(n, k))

@@ -1,14 +1,15 @@
 import hashlib
 import json
 import math
+import re
 import time
 
 import pytest
 
 from erjw import cli
-from erjw.bss import PAGE_COST_BOUND, page_cost
+from erjw.cli import (PAGE_COST_BOUND, SERIES_COST_BOUND, page_cost,
+                      series_cost)
 from erjw.errors import InputError
-from erjw.fgl import SERIES_COST_BOUND, series_cost
 from erjw.scalar2 import ModuleStructure
 
 
@@ -16,6 +17,12 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _admit(argv):
+    """Admission of a request, as main checks it before dispatch."""
+    args = cli._build_parser().parse_args([str(a) for a in argv])
+    return cli._admit(args)
 
 
 def test_page_text_happy_path(capsys):
@@ -331,6 +338,37 @@ def test_weight_bound_admits_documented_inputs():
      f"past the bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
     (["bo", "--n", "2", "--q", "6", "--weight", "12"],
      "lower --q or --weight"),
+    # chern expands the same classes as bo
+    (["chern", "--n", "1", "--q", "8", "--weight", "8"],
+     f"past the bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
+    (["chern", "--n", "1", "--q", "2", "--weight", "100"],
+     "lower --q or --weight"),
+    (["chern", "--n", "1", "--q", "200", "--weight", "2"],
+     "lower --q or --weight"),
+    (["chern", "--n", "1", "--q", "2", "--weight", "50"],
+     "lower --q or --weight"),
+    # the orientation scan's degree-gap steps and its membership lattice
+    (["orient", "--n", "1", "--span", "100000"],
+     f"past the bound of {cli.ORIENT_SCAN_BOUND}; lower --span"),
+    (["orient", "--n", "1", "--span", "1000000"], "lower --span"),
+    (["orient", "--n", "3", "--caps", "300"], "--caps"),
+    (["orient", "--n", "1", "--span", str(10 ** 999)],
+     "more than 10^18 work units"),
+    (["orient", "--n", "2", "--weight", "12", "--span", "0"],
+     f"past the bound of {cli.ORIENT_WEIGHT_BOUND}; lower --weight"),
+    (["orient", "--n", "1", "--weight", "40"], "lower --weight"),
+    (["orient", "--n", "2", "--span", "-1"], "must be non-negative"),
+    (["orient", "--n", "2", "--caps", "-1"], "must be non-negative"),
+    # heights past the bound, and costs past the printable digits
+    (["fgl", "--n", "5000"], "past the height bound of 64; lower --n"),
+    (["bo", "--n", "10000", "--q", "1", "--weight", "2"], "height bound"),
+    (["page", "--n", "32", "--r", "1", "--window", "0..0", "--caps",
+      str(10 ** 999)], "more than 10^18 work units"),
+    (["bo", "--n", "100000", "--q", "1", "--weight", "2"], "height bound"),
+    (["chern", "--n", "100000", "--q", "1", "--weight", "2"],
+     "height bound"),
+    (["orient", "--n", "100000"], "height bound"),
+    (["fgl", "--n", "20000", "--precision", "4"], "height bound"),
 ])
 def test_unbounded_requests_exit_two_at_once(argv, fragment, capsys):
     start = time.perf_counter()
@@ -348,7 +386,7 @@ def test_bo_bound_admits_documented_inputs():
     for n in (1, 2, 3):
         for weight in range(1, 7):
             for q in range(1, weight + 1):
-                cli._refuse_costly_bo(n, q, weight)
+                _admit(["bo", "--n", n, "--q", q, "--weight", weight])
     # the edges: q = 3 admits weight 14 only, weight 7 admits q = 5 only
     for q, weight, admitted in ((3, 14, True), (3, 15, False),
                                 (5, 7, True), (6, 7, False)):
@@ -356,16 +394,16 @@ def test_bo_bound_admits_documented_inputs():
         assert (cost <= cli.BO_COST_BOUND) is admitted
         if not admitted:
             with pytest.raises(InputError, match="lower --q or --weight"):
-                cli._refuse_costly_bo(1, q, weight)
+                _admit(["bo", "--n", 1, "--q", q, "--weight", weight])
 
 
 def test_coeff_row_bound_admits_documented_inputs():
     # README, test and benchmark coeff inputs use n = 1..3; the bound
     # admits up to n = 15
     for n in (1, 2, 3, 15):
-        assert cli._refuse_costly_coeff(n) is None
+        assert _admit(["coeff", "--n", n]) is None
     with pytest.raises(InputError, match="lower --n"):
-        cli._refuse_costly_coeff(16)
+        _admit(["coeff", "--n", 16])
 
 
 def test_page_cost_bound_admits_documented_inputs():
@@ -381,6 +419,63 @@ def test_page_cost_bound_admits_documented_inputs():
     assert page_cost(5, (0, 4), 6) > PAGE_COST_BOUND
     # pricing a huge request is itself cheap
     assert page_cost(10 ** 9, (0, 0), 10 ** 9) > PAGE_COST_BOUND
+
+
+# For every cost model, the last request it admits and the first it
+# refuses: a bound or a unit moved either way flips one of the pair.
+# orient's law model is chern's; its membership model refuses first.
+@pytest.mark.parametrize("admitted, refused, fragment", [
+    (["fgl", "--n", 64, "--precision", 4],
+     ["fgl", "--n", 65, "--precision", 4],
+     f"height bound of {cli.HEIGHT_BOUND}; lower --n"),
+    (["fgl", "--n", 3, "--precision", 38],
+     ["fgl", "--n", 3, "--precision", 39],
+     f"bound of {SERIES_COST_BOUND}; lower --precision"),
+    (["fgl", "--n", 1, "--precision", 118],
+     ["fgl", "--n", 1, "--precision", 119],
+     f"bound of {SERIES_COST_BOUND}; lower --precision"),
+    (["fgl", "--n", 3], ["fgl", "--n", 4],
+     f"bound of {SERIES_COST_BOUND}; lower --n (or pass"),
+    (["chern", "--n", 3, "--q", 1, "--weight", 34],
+     ["chern", "--n", 3, "--q", 1, "--weight", 35],
+     f"bound of {SERIES_COST_BOUND}; lower --weight"),
+    (["bo", "--n", 2, "--q", 1, "--weight", 48],
+     ["bo", "--n", 2, "--q", 1, "--weight", 50],
+     f"bound of {SERIES_COST_BOUND}; lower --weight"),
+    (["chern", "--n", 1, "--q", 2, "--weight", 27],
+     ["chern", "--n", 1, "--q", 2, "--weight", 28],
+     f"bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
+    (["bo", "--n", 1, "--q", 3, "--weight", 14],
+     ["bo", "--n", 1, "--q", 3, "--weight", 15],
+     f"bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
+    (["bo", "--n", 1, "--q", 1, "--weight", 109],
+     ["bo", "--n", 1, "--q", 1, "--weight", 110],
+     f"bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
+    (["page", "--n", 4, "--r", 1, "--window", "0..7", "--caps", 6],
+     ["page", "--n", 4, "--r", 1, "--window", "0..8", "--caps", 6],
+     f"bound of {PAGE_COST_BOUND}; lower --caps or --n, or narrow --window"),
+    (["page", "--n", 1, "--r", 1, "--window", "0..2468"],
+     ["page", "--n", 1, "--r", 1, "--window", "0..2469"],
+     f"bound of {PAGE_COST_BOUND}; lower --caps or --n, or narrow --window"),
+    (["coeff", "--n", 15], ["coeff", "--n", 16],
+     f"bound of {cli.COEFF_ROW_BOUND}; lower --n"),
+    *[(["orient", "--n", n, "--weight", w, "--span", 0, "--caps", 0],
+       ["orient", "--n", n, "--weight", w + 1, "--span", 0, "--caps", 0],
+       f"bound of {cli.ORIENT_WEIGHT_BOUND}; lower --weight")
+      for n, w in ((1, 17), (2, 10), (3, 8), (4, 6), (5, 3), (6, 2), (7, 1))],
+    (["orient", "--n", 1, "--span", 24687],
+     ["orient", "--n", 1, "--span", 24688],
+     f"bound of {cli.ORIENT_SCAN_BOUND}; lower --span, --caps or --n"),
+    (["orient", "--n", 3, "--caps", 83], ["orient", "--n", 3, "--caps", 84],
+     f"bound of {cli.ORIENT_SCAN_BOUND}; lower --span, --caps or --n"),
+    (["orient", "--n", 7, "--weight", 1, "--span", 0, "--caps", 0],
+     ["orient", "--n", 8, "--weight", 0, "--span", 0, "--caps", 0],
+     f"bound of {cli.ORIENT_SCAN_BOUND}; lower --span, --caps or --n"),
+])
+def test_admission_edges(admitted, refused, fragment):
+    assert _admit(admitted) is None
+    with pytest.raises(InputError, match=re.escape(fragment)):
+        _admit(refused)
 
 
 @pytest.mark.parametrize("argv, message", [

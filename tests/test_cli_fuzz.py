@@ -74,6 +74,15 @@ argvs = st.one_of(
 @example(["bo", "--n", "1", "--q", "3", "--weight", "15"])
 @example(["bo", "--n", "1", "--q", "5", "--weight", "7", "--reduce", "2*c5"])
 @example(["bo", "--n", "1", "--q", "6", "--weight", "7"])
+# the edges of the chern and orient models, and negative span and caps
+@example(["chern", "--n", "1", "--q", "2", "--weight", "27"])
+@example(["chern", "--n", "1", "--q", "2", "--weight", "28"])
+@example(["orient", "--n", "6", "--weight", "2", "--span", "0", "--caps", "0"])
+@example(["orient", "--n", "6", "--weight", "3", "--span", "0", "--caps", "0"])
+@example(["orient", "--n", "1", "--span", "24687", "--format", "json"])
+@example(["orient", "--n", "1", "--span", "24688"])
+@example(["orient", "--n", "2", "--span", "-1"])
+@example(["orient", "--n", "2", "--caps", "-1", "--format", "json"])
 def test_every_run_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -9,15 +9,14 @@ from erjw.errors import (
     MathInvariantError,
     PrecisionError,
 )
+from erjw.cli import SERIES_COST_BOUND, series_cost
 from erjw.fgl import (
-    SERIES_COST_BOUND,
     GroupLaw,
     ToyLaw,
     UniSeries,
     _check_k_series,
     _LawBase,
     additive_law,
-    series_cost,
 )
 from erjw.graded import GradedSeries, GradingSpec
 from erjw.scalar2 import TwoLocal

@@ -103,6 +103,14 @@ def test_rechecked_degrees_are_empty_on_the_chart():
             assert page.chart_structure(row, D - row * lam, caps=4).is_zero
 
 
+@pytest.mark.parametrize("span, caps", [(-1, 4), (8, -1), (-5, -5)])
+def test_scan_refuses_negative_span_and_caps(span, caps):
+    # span -1 would re-read no degree at all and still certify; caps -1
+    # would re-read every degree from an empty basis
+    with pytest.raises(InputError, match="non-negative"):
+        orientability_scan(2, span=span, caps=caps)
+
+
 def test_swap_steps_see_elementary_abelian_rows():
     scan = orientability_scan(3)
     swaps = [s for s in scan.steps if s.method == "swap-doubling"]
