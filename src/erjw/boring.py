@@ -75,11 +75,10 @@ def _head(spec: GradingSpec, series: GradedSeries):
 def _check_element(z: GradedSeries, p: RingPresentation) -> None:
     if z.spec != p.spec:
         raise InputError("element over a different class ring")
-    P = p.spec.hat_offset
     for (y, vh, vn, c, x) in z.terms:
         if y or any(x):
             raise InputError("element leaves the class ring")
-        if vn if P == 0 else vn % P:
+        if p.spec.hat_residue(vn):
             raise InputError("periodicity exponent off the hat lattice")
     if any(p.spec.weight_of(k) > p.weight for k in z.terms):
         raise InputError(f"element exceeds the weight bound {p.weight}")
@@ -157,9 +156,8 @@ def present(n: int, q: int, weight: int,
     named = named_generators(n)
     coeffs = (f"coefficient chart with {len(named)} named classes, "
               f"total period {total_period(n)}")
-    degrees = tuple(-k * (spec.lam - 1) for k in range(1, q + 1))
-    return RingPresentation(n, q, weight, spec, degrees, tuple(relations),
-                            tuple(heads), coeffs)
+    return RingPresentation(n, q, weight, spec, spec.slot_degrees[2],
+                            tuple(relations), tuple(heads), coeffs)
 
 
 # -- reduction to normal form ----------------------------------------------
@@ -277,29 +275,26 @@ def hat_decompose(element: GradedSeries,
         raise InputError("element must be homogeneous")
     n = spec.n
     hat_spec = GradingSpec(n, spec.q, spec.roots, "hat")
-    P = hat_spec.hat_offset
-    if P == 0 and residue_bound is None:
+    # the residue basis range(P); empty at height one, where P = 0
+    basis = range(hat_spec.hat_offset)
+    if not basis and residue_bound is None:
         raise InputError("height one needs an explicit residue bound")
     parts: dict[int, dict] = {}
     for (y, vh, vn, c, x), coeff in element.terms.items():
-        if P == 0:
-            if abs(vn) >= residue_bound:
-                raise InputError(f"exponent {vn} outside the residue bound")
-            j = vn
-        else:
-            j = vn % P
+        j = hat_spec.hat_residue(vn)
+        if not basis and abs(j) >= residue_bound:
+            raise InputError(f"exponent {vn} outside the residue bound")
         parts.setdefault(j, {})[(y, vh, vn - j, c, x)] = coeff
-    lam1 = hat_spec.lam - 1
     components = {}
     for j, terms in sorted(parts.items()):
         comp = GradedSeries(hat_spec, terms)
         for d in comp.degrees():
-            if lam1 and d % lam1:
+            if d not in hat_spec.hat_degrees(d, d):
                 raise MathInvariantError(
                     "component degree misses the hat lattice")
         components[j] = comp
-    residues = tuple(sorted(parts)) if P == 0 else tuple(range(P))
-    return HatDecomposition(n, spec, components, residues, P == 0)
+    return HatDecomposition(n, spec, components,
+                            tuple(basis or sorted(parts)), not basis)
 
 
 def residue_certificate(n: int) -> dict[int, int]:
@@ -372,16 +367,11 @@ def landweber_window_check(n: int, q: int, k: int,
         iota = GroupLaw(n, precision=deep + 1).hat_iota()
     pres = present(n, q, deep, iota=iota)
     spec = pres.spec
-    lam1 = spec.lam - 1
-    wk = 0 if k == 0 else (2 ** k - 1) * lam1
-    if lam1 == 0:
-        degrees = [0] if lo <= 0 <= hi else []
-    else:
-        start = -(-lo // lam1) * lam1
-        degrees = [D for D in range(start, hi + 1, lam1) if D + wk <= hi]
+    mult = _stage_multiplier(spec, k, deep)
+    wk = mult.internal_degree()
+    degrees = spec.hat_degrees(lo, hi - wk)
     if not degrees:
         raise InputError("window too small for any multiplication pair")
-    mult = _stage_multiplier(spec, k, deep)
 
     checked = []
     failures = []

@@ -522,12 +522,14 @@ class DegreeColumns:
     The first columns are the capped degree basis (hat-lattice monomials
     with vhat exponents at most `caps` and class weight at most
     `weight`); after them comes every overflow key a row registers.
+    `mixed` records whether a row met both kinds of column.
     """
 
     def __init__(self, spec: GradingSpec, D: int, caps: int, weight: int):
         self.spec, self.D, self.caps, self.weight = spec, D, caps, weight
         self.basis = degree_basis(spec, D, caps, weight, hat_lattice=True)
         self.index = {key: i for i, key in enumerate(self.basis)}
+        self.mixed = False
 
     @property
     def width(self) -> int:
@@ -538,7 +540,10 @@ class DegreeColumns:
         for key, coeff in series.terms.items():
             c = self.index.setdefault(key, len(self.index))
             row[c] = row.get(c, ZERO) + coeff
-        return {c: v for c, v in row.items() if v.num}
+        row = {c: v for c, v in row.items() if v.num}
+        nb = len(self.basis)
+        self.mixed |= min(row, default=nb) < nb <= max(row, default=0)
+        return row
 
     def matrix(self, rows: list[dict]) -> LocalMatrix:
         width = self.width
@@ -559,23 +564,17 @@ class DegreeColumns:
         regardless of whether the monomial fits the reporting basis.
         """
         spec = self.spec
+        factors = [rel for rel in relations if rel]
+        factors += [GradedSeries.gen(spec, f"vh{l}", trunc=deep)
+                    for l in range(1, k)]
         rows = []
-
-        def multiples(d: int, factor: GradedSeries) -> None:
-            for mono in degree_basis(spec, self.D - d, self.caps, self.weight,
-                                     hat_lattice=True):
+        for factor in factors:
+            for mono in degree_basis(spec, self.D - factor.internal_degree(),
+                                     self.caps, self.weight, hat_lattice=True):
                 row = self.row(GradedSeries(spec, {mono: ONE}, deep) * factor)
                 if row:
                     rows.append(row)
-
-        for rel in relations:
-            if rel:
-                multiples(rel.internal_degree(), rel)
         if k >= 1:
-            lam1 = spec.lam - 1
-            for l in range(1, k):
-                multiples((2 ** l - 1) * lam1,
-                          GradedSeries.gen(spec, f"vh{l}", trunc=deep))
             rows += [{col: TwoLocal(2)} for col in range(self.width)]
         return rows
 
@@ -591,8 +590,12 @@ class PresentedModule:
     relation and ideal multiples that leave the capped basis keep their
     outside monomials as overflow columns (`DegreeColumns`), and each
     answer is the image of the capped basis in that extended quotient.
-    Degrees where an overflow column appeared are recorded in
-    `incomplete_degrees`; answers there are approximations.
+    Degrees where a lattice row meets both the basis and an overflow
+    column are recorded in `incomplete_degrees`; answers there are
+    approximations.  Elsewhere they are exact: vhat exponents never fall
+    under multiplication, so the rows the cap leaves out lie wholly in
+    overflow columns, and a lattice whose rows each stay on one side
+    splits into a capped and an overflow part.
     """
 
     spec: GradingSpec
@@ -640,7 +643,7 @@ class PresentedModule:
         capped = [{c: ONE} for c in range(nb)]
         den_rows = cols.lattice_rows(self.relations, j, self.weight)
         num_rows = cols.lattice_rows((), i, self.weight) if i else capped
-        if cols.width > nb:
+        if cols.mixed:
             self.incomplete_degrees.add(D)
         den = cols.matrix(den_rows)
         K = row_basis(stack_rows([cols.matrix(num_rows), den]))
@@ -674,16 +677,17 @@ class TensoredPage:
         return {cell for cell, degrees in self._reads.items() if degrees & bad}
 
     def chart_structure(self, m: int, t: int) -> ModuleStructure:
-        n = self.page.n
-        lam = self.spec.lam
         P = self.spec.hat_offset
-        wn = -2 * (2 ** n - 1)
-        D = t + m * lam
+        wn = self.spec.slot_degrees[1]
+        D = t + m * self.spec.lam
         reads = []
         for s in self.page.rows.get(m, ()):
             if s.is_zero:
                 continue
-            if n == 1:
+            # With P = 0 (n = 1) the residues of v^e modulo the top hat
+            # generator are all of Z, not range(P), and the module sits in
+            # degree 0 alone: read the one exponent that degree D forces.
+            if self.page.n == 1:
                 rem = D - s.shift
                 if rem % wn:
                     continue

@@ -31,7 +31,7 @@ import ast
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 from typing import Callable
 
@@ -80,26 +80,36 @@ class GradingSpec:
         if any(e < 0 for e in c) or any(e < 0 for e in x):
             raise ValueError(f"negative class or root exponent in {key}")
 
+    @cached_property
+    def slot_degrees(self) -> tuple:
+        """Degrees of (vh_k for k < n, vn, c_k for k <= q, a root): the
+        standard ones, scaled by (1-L)/2 in the hat alphabet except vn."""
+        s = (1 - self.lam) // 2 if self.alphabet == "hat" else 1
+        return (tuple(-2 * (2 ** k - 1) * s for k in range(1, self.n)),
+                -2 * (2 ** self.n - 1),
+                tuple(2 * k * s for k in range(1, self.q + 1)),
+                2 * s)
+
     def degree_of(self, key) -> int:
         """Internal degree; y contributes nothing."""
-        y, vh, vn, c, x = key
-        n = self.n
-        if self.alphabet == "hat":
-            lam1 = self.lam - 1
-            d = -2 * (2 ** n - 1) * vn
-            for k, e in enumerate(vh, start=1):
-                d += e * (2 ** k - 1) * lam1
-            for k, e in enumerate(c, start=1):
-                d -= e * k * lam1
-            d -= lam1 * sum(x)
-            return d
-        d = -2 * (2 ** n - 1) * vn
-        for k, e in enumerate(vh, start=1):
-            d -= e * 2 * (2 ** k - 1)
-        for k, e in enumerate(c, start=1):
-            d += 2 * k * e
-        d += 2 * sum(x)
-        return d
+        _, vh, vn, c, x = key
+        dvh, dvn, dc, dx = self.slot_degrees
+        return (sum(map(operator.mul, dvh, vh)) + dvn * vn
+                + sum(map(operator.mul, dc, c)) + dx * sum(x))
+
+    def hat_residue(self, e: int) -> int:
+        """A vn exponent modulo P, zero exactly on the hat lattice; at
+        n = 1 (P = 0) every exponent is its own residue."""
+        P = self.hat_offset
+        return e % P if P else e
+
+    def hat_degrees(self, lo: int, hi: int) -> range:
+        """The hat-lattice degrees in [lo, hi]: multiples of L - 1, which
+        at n = 1 is 0, leaving degree 0 alone."""
+        lam1 = self.lam - 1
+        if lam1 == 0:
+            return range(max(lo, 0), min(hi, 0) + 1)
+        return range(-(-lo // lam1) * lam1, hi + 1, lam1)
 
     def weight_of(self, key) -> int:
         _, _, _, c, x = key
@@ -134,22 +144,18 @@ def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
     """
     if spec.alphabet != "hat" or spec.roots:
         raise InputError("degree bases live over the hat class ring")
-    n, P = spec.n, spec.hat_offset
-    lam1 = spec.lam - 1
-    wl = [(2 ** l - 1) * lam1 for l in range(1, n)]
-    wn = -2 * (2 ** n - 1)
+    wn = spec.slot_degrees[1]
     out = []
     for e in iter_product(*(range(weight // k + 1)
                             for k in range(1, spec.q + 1))):
-        w = sum(k * ek for k, ek in enumerate(e, start=1))
-        if w > weight:
+        if sum(k * ek for k, ek in enumerate(e, start=1)) > weight:
             continue
-        for a in iter_product(range(caps + 1), repeat=n - 1):
-            rem = D + w * lam1 - sum(x * wx for x, wx in zip(a, wl))
+        for a in iter_product(range(caps + 1), repeat=spec.n - 1):
+            rem = D - spec.degree_of((0, a, 0, e, ()))
             if rem % wn:
                 continue
             b = rem // wn
-            if hat_lattice and (b % P if P else b):
+            if hat_lattice and spec.hat_residue(b):
                 continue
             out.append((0, a, b, e, ()))
     return tuple(sorted(out))

@@ -35,7 +35,7 @@ from .boring import _into_class_spec, in_ideal, present, reduce
 from .bss import closed_form_page
 from .errors import InputError, MathInvariantError
 from .fgl import GroupLaw
-from .graded import GradedSeries
+from .graded import GradedSeries, GradingSpec
 from .symchern import thom_ratio
 
 __all__ = [
@@ -51,7 +51,7 @@ def lambda_of(n: int) -> int:
     """Degree unit of the fixed-point tower: 2^{2n+1} - 2^{n+2} + 1."""
     if n < 1:
         raise InputError("height must be at least one")
-    return 2 ** (2 * n + 1) - 2 ** (n + 2) + 1
+    return GradingSpec(n).lam
 
 
 def obstruction_residue(n: int, k: int, r: int) -> int:

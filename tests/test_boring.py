@@ -258,6 +258,18 @@ def test_landweber_vacuous_and_errors():
         landweber_window_check(2, 1, 0, (48, -48))
 
 
+def test_landweber_reports_failures():
+    # under the additive law's negation the only relation is 2*c1 = 0, so
+    # c1 is 2-torsion and doubling has a kernel in every window degree
+    bare = GradingSpec(2, alphabet="hat")
+    iota = UniSeries.from_terms(bare, {1: GradedSeries.unit(bare, -1)},
+                                precision=9)
+    cert = landweber_window_check(2, 1, 0, (-32, 0), weight=4, caps=2,
+                                  iota=iota)
+    assert not cert.ok and not cert.checked
+    assert cert.failures == (-32, -16, 0)
+
+
 def test_presentation_matches_tensored_chart():
     pres = present(2, 1, 4)
     module = PresentedModule(pres.spec, 4, pres.relations,

@@ -131,6 +131,27 @@ def test_page_oracle_reports_flags(capsys):
     assert "oracle flagged cells:" in out
 
 
+def test_page_engine_disagreement(capsys, monkeypatch):
+    # a skewed oracle cell fails the three-engine check unless flagged
+    closed, cell = cli.ENGINES["closed"], (0, 0)
+
+    def skewed_oracle(flags):
+        def engine(n, r, window, caps):
+            chart = dict(closed(n, r, window, caps))
+            chart[cell] = ModuleStructure(7, ())
+            return chart, flags
+        return engine
+
+    argv = ["page", "--n", "1", "--r", "4", "--window", "-8..8"]
+    monkeypatch.setitem(cli.ENGINES, "oracle", skewed_oracle(set()))
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert "engines disagree" in err and "oracle=Z^7" in err
+    monkeypatch.setitem(cli.ENGINES, "oracle", skewed_oracle({cell}))
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "all engines agree on the window" in out
+
+
 def test_bo_reduce_normal_form(capsys):
     code, out, _ = run(["bo", "--n", "1", "--q", "2", "--weight", "4",
                         "--reduce", "2*c1 + c1^2"], capsys)

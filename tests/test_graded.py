@@ -26,6 +26,15 @@ def test_lambda_and_offset_values():
         assert spec.lam + 1 == 2 * (2 ** n - 1) ** 2
 
 
+def test_hat_lattice_members():
+    # at n = 1 (P = lambda - 1 = 0) the lattice is the vn^0, degree-0 point
+    one, two = GradingSpec(1), GradingSpec(2)
+    assert list(two.hat_degrees(-20, 40)) == [-16, 0, 16, 32]
+    assert list(one.hat_degrees(-8, 8)) == [0] and not one.hat_degrees(1, 8)
+    assert two.hat_residue(-19) == 5 and not two.hat_residue(-16)
+    assert one.hat_residue(-19) == -19 and not one.hat_residue(0)
+
+
 def test_hat_degrees_n2():
     spec = GradingSpec(2, q=1, roots=1)
     vh1 = GradedSeries.gen(spec, "vh1")
