@@ -16,15 +16,16 @@ The table is built only on request; it carries the apply2 route
 (_LawBase.k_series, iota_by_inversion, formal sums), which serves toy laws
 and checks the one-variable route independently.
 
-Series in one formal variable are kept as a tuple of coefficient-ring
-elements indexed by the power of the variable; precision means the series
-is exact through that power and unknown beyond it.
+A series in one formal variable u is one GradedSeries over the bare spec
+plus a root x1 = u, truncated at its precision: exact through that power
+of u and unknown beyond it.  Its arithmetic is GradedSeries arithmetic, and
+UniSeries.evaluate_at is the one substitution routine (compose uses it).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import (
     ConstantTermError,
@@ -65,32 +66,47 @@ def _check_k_series(series: UniSeries, k: int) -> UniSeries:
     return series
 
 
-class UniSeries:
-    """Truncated power series in one variable over a coefficient ring."""
+@lru_cache(maxsize=16)
+def _root_spec(spec: GradingSpec) -> GradingSpec:
+    """The spec of a UniSeries' one series: spec plus one root x1 = u."""
+    if spec.q or spec.roots:
+        # class weight would mix with the u exponent under truncation
+        raise InputError("a one-variable series needs a spec without "
+                         "classes or roots")
+    return GradingSpec(spec.n, roots=1, alphabet=spec.alphabet)
 
-    __slots__ = ("spec", "coeffs")
+
+class UniSeries:
+    """Truncated power series in one variable over a coefficient ring.
+
+    It is one GradedSeries `series` over `_root_spec(spec)`, truncated at
+    the precision: u^m * (y, vh, vn, c, ()) is the key (y, vh, vn, c, (m,)).
+    """
+
+    __slots__ = ("spec", "series", "_coeffs")
 
     def __init__(self, spec: GradingSpec, coeffs):
         coeffs = tuple(coeffs)
-        for c in coeffs:
-            if not isinstance(c, GradedSeries) or c.spec != spec:
-                raise ValueError("coefficients must be series over the law's spec")
+        root_spec = _root_spec(spec)
+        if not all(isinstance(c, GradedSeries) and c.spec == spec
+                   for c in coeffs):
+            raise ValueError("coefficients must be series over the law's spec")
+        terms = {(y, vh, vn, cl, (m,)): v
+                 for m, c in enumerate(coeffs)
+                 for (y, vh, vn, cl, _), v in c.terms.items()}
         self.spec = spec
-        self.coeffs = coeffs
+        self.series = GradedSeries._raw(root_spec, terms, len(coeffs) - 1)
+        self._coeffs = coeffs
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, spec, precision: int):
-        z = GradedSeries.zero(spec)
-        return cls(spec, [z] * (precision + 1))
+        return cls.from_terms(spec, {}, precision)
 
     @classmethod
     def identity(cls, spec, precision: int):
-        z = GradedSeries.zero(spec)
-        coeffs = [z] * (precision + 1)
-        coeffs[1] = GradedSeries.unit(spec, 1)
-        return cls(spec, coeffs)
+        return cls.from_terms(spec, {1: 1}, precision)
 
     @classmethod
     def from_terms(cls, spec, terms: dict, precision: int):
@@ -107,27 +123,37 @@ class UniSeries:
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs) - 1
+        return self.series.trunc
 
     def __len__(self):
-        return len(self.coeffs)
+        return self.series.trunc + 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficient of each power of u, split off on first use."""
+        if self._coeffs is None:
+            parts = [{} for _ in range(len(self))]
+            for (y, vh, vn, cl, (m,)), v in self.series.terms.items():
+                parts[m][(y, vh, vn, cl, ())] = v
+            self._coeffs = tuple(GradedSeries._raw(self.spec, t, None)
+                                 for t in parts)
+        return self._coeffs
 
     def __getitem__(self, m: int) -> GradedSeries:
         return self.coeffs[m]
 
     def order(self):
-        for m, c in enumerate(self.coeffs):
-            if c:
-                return m
-        return None
+        return min((key[4][0] for key in self.series.terms), default=None)
 
     def is_zero(self) -> bool:
-        return self.order() is None
+        return self.series.is_zero
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
-        return self.spec == other.spec and self.coeffs == other.coeffs
+        # GradedSeries equality ignores trunc, which holds the precision
+        return (self.precision == other.precision
+                and self.series == other.series)
 
     def __repr__(self):
         parts = [f"({c})*u^{m}" for m, c in enumerate(self.coeffs) if c]
@@ -136,88 +162,59 @@ class UniSeries:
     def prefix(self, precision: int) -> "UniSeries":
         if precision >= self.precision:
             return self
-        return UniSeries(self.spec, self.coeffs[:precision + 1])
+        return self._with(self.series.truncated(precision))
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic: one GradedSeries operation each -------------------------
 
-    def _zip_len(self, other) -> int:
-        if self.spec != other.spec:
-            raise ValueError("spec mismatch")
-        return min(len(self.coeffs), len(other.coeffs))
+    def _with(self, series: GradedSeries, spec=None) -> "UniSeries":
+        out = object.__new__(UniSeries)
+        out.spec, out.series, out._coeffs = spec or self.spec, series, None
+        return out
 
     def __add__(self, other):
-        n = self._zip_len(other)
-        return UniSeries(self.spec,
-                         [self.coeffs[m] + other.coeffs[m] for m in range(n)])
+        return self._with(self.series + other.series)
 
     def __sub__(self, other):
-        n = self._zip_len(other)
-        return UniSeries(self.spec,
-                         [self.coeffs[m] - other.coeffs[m] for m in range(n)])
+        return self._with(self.series - other.series)
 
     def __neg__(self):
-        return UniSeries(self.spec, [-c for c in self.coeffs])
+        return self._with(-self.series)
 
     def scale(self, factor) -> "UniSeries":
         """Multiply every coefficient by a coefficient-ring element."""
-        if not isinstance(factor, GradedSeries):
-            factor = GradedSeries.unit(self.spec, factor)
-        return UniSeries(self.spec, [c * factor for c in self.coeffs])
+        if isinstance(factor, GradedSeries):
+            factor = factor.extended_to(self.series.spec)
+        return self._with(self.series * factor)
 
     def __mul__(self, other):
         if not isinstance(other, UniSeries):
             return NotImplemented
-        n = self._zip_len(other)
-        z = GradedSeries.zero(self.spec)
-        out = [z] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if not a:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return UniSeries(self.spec, out)
+        return self._with(self.series * other.series)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = UniSeries.from_terms(self.spec, {0: 1}, self.precision)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return self._with(self.series ** e)
 
     def compose(self, inner: "UniSeries") -> "UniSeries":
         """self evaluated at inner(u); inner must have zero constant term."""
-        if inner.coeffs[0]:
+        if inner.spec != self.spec:
+            raise ValueError("spec mismatch")
+        if inner.order() == 0:
             raise ConstantTermError("inner series has a constant term")
-        n = self._zip_len(inner)
-        out = UniSeries.zero(self.spec, n - 1)
-        p = UniSeries.from_terms(self.spec, {0: 1}, n - 1)
-        inner = inner.prefix(n - 1)
-        for k in range(n):
-            c = self.coeffs[k]
-            if c:
-                out = out + p.scale(c)
-            if k < n - 1:
-                p = p * inner
-                if p.is_zero():
-                    break
-        return out
+        # truncating inner truncates the answer: powers of inner past its
+        # precision vanish, so self needs no prefix of its own
+        n = min(self.precision, inner.precision)
+        return self._with(self.evaluate_at(inner.prefix(n).series))
 
     # -- bridges to the graded world --------------------------------------
 
     def map_coefficients(self, f) -> "UniSeries":
-        return UniSeries(self.spec, [c.map_coefficients(f) for c in self.coeffs])
+        return self._with(self.series.map_coefficients(f))
 
     def regrade_to_hat(self) -> "UniSeries":
-        coeffs = [c.regrade_to_hat() for c in self.coeffs]
-        return UniSeries(coeffs[0].spec, coeffs)
+        return self._with(self.series.regrade_to_hat(),
+                          GradingSpec(self.spec.n, alphabet="hat"))
 
     def evaluate_at(self, at: GradedSeries) -> GradedSeries:
         """Substitute a weight-positive truncated series for the variable.
@@ -266,10 +263,11 @@ class _LawBase:
         return table
 
     def apply2(self, a: UniSeries, b: UniSeries) -> UniSeries:
-        """F(a(u), b(u)) for series with zero constant term."""
-        if a.coeffs[0] or b.coeffs[0]:
+        """F(a(u), b(u)) for series with zero constant term, at the
+        smallest precision of a, b and the law table."""
+        if 0 in (a.order(), b.order()):
             raise ConstantTermError("apply2 needs order >= 1 on both inputs")
-        n = min(len(a), len(b)) - 1
+        n = min(len(a), len(b), self.precision + 1) - 1
         out = UniSeries.zero(self.spec, n)
         apow: dict[int, UniSeries] = {0: UniSeries.from_terms(self.spec, {0: 1}, n)}
         bpow: dict[int, UniSeries] = {0: UniSeries.from_terms(self.spec, {0: 1}, n)}

@@ -530,10 +530,6 @@ def snf(M: LocalMatrix) -> tuple[int, ...]:
     return tuple(D.rows[i][i] for i in range(_diag_rank(D)))
 
 
-def rank(M: LocalMatrix) -> int:
-    return len(snf(M))
-
-
 def cokernel_structure(M: LocalMatrix) -> ModuleStructure:
     """Structure of the column module modulo the row span of M."""
     invs = snf(M)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from erjw.errors import (
     ConstantTermError,
@@ -51,6 +52,103 @@ def test_uniseries_arithmetic():
     assert (u ** 3)[3] == GradedSeries.unit(SPEC1, 1)
     assert (u ** 3).order() == 3
     assert UniSeries.zero(SPEC1, 4).is_zero()
+
+
+def test_uniseries_equality_keeps_precision_and_spec():
+    assert UniSeries.identity(SPEC1, 6) != UniSeries.identity(SPEC1, 7)
+    assert UniSeries.zero(SPEC1, 3) != UniSeries.zero(SPEC1, 4)
+    assert UniSeries.identity(SPEC1, 6).prefix(4) == \
+        UniSeries.identity(SPEC1, 4)
+    assert UniSeries.zero(SPEC1, 4) != UniSeries.zero(SPEC2, 4)
+    for op in ("__add__", "__mul__", "compose"):
+        with pytest.raises(ValueError):
+            getattr(UniSeries.zero(SPEC1, 4), op)(UniSeries.identity(SPEC2, 4))
+
+
+def test_uniseries_refuses_classes_and_roots():
+    for spec in (GradingSpec(1, q=1, alphabet="standard"),
+                 GradingSpec(2, roots=1, alphabet="standard"),
+                 GradingSpec(1, q=2, roots=2)):
+        with pytest.raises(InputError):
+            UniSeries.identity(spec, 4)
+        with pytest.raises(InputError):
+            UniSeries(spec, [GradedSeries.zero(spec)])
+
+
+def test_apply2_stops_at_the_table_precision():
+    u = UniSeries.identity(SPEC1, 8)
+    short = GroupLaw(1, precision=4).apply2(u, u)
+    assert short.precision == 4
+    assert short == GroupLaw(1, precision=8).apply2(u, u).prefix(4)
+    assert GroupLaw(1, precision=8).apply2(u, u)[5] == _v(
+        SPEC1, 1, exp=4, coeff=TwoLocal(62, 7))
+
+
+# -- the coefficient-list product and substitution, kept as the reference ----
+
+
+def _ref_mul(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    out = [GradedSeries.zero(a[0].spec)] * n
+    for i, x in enumerate(a[:n]):
+        if not x:
+            continue
+        for j in range(n - i):
+            if b[j]:
+                out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def _ref_compose(outer: list, inner: list) -> list:
+    n = min(len(outer), len(inner))
+    spec = outer[0].spec
+    out = [GradedSeries.zero(spec)] * n
+    p = [GradedSeries.unit(spec, 1)] + [GradedSeries.zero(spec)] * (n - 1)
+    for k in range(n):
+        if outer[k]:
+            out = [o + x * outer[k] for o, x in zip(out, p)]
+        p = _ref_mul(p, inner[:n])
+    return out
+
+
+@st.composite
+def _uni_pairs(draw):
+    """Two series of unequal precision at one height; the inner one has
+    no constant term, the outer one may have."""
+    n = draw(st.integers(1, 3))
+    spec = GradingSpec(n, alphabet="standard")
+    kind, dens = draw(st.sampled_from([(Fraction, [1, 2, 3, 4]),
+                                       (TwoLocal, [1, 3, 5])]))
+    coeff = st.builds(kind, st.integers(-6, 6), st.sampled_from(dens))
+    vh = st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1)
+    key = st.builds(lambda y, vh, vn: (y, tuple(vh), vn, (), ()),
+                    st.integers(0, 1), vh, st.integers(-1, 2))
+    entry = st.dictionaries(key, coeff, max_size=3).map(
+        lambda t: GradedSeries(spec, t))
+
+    def series(constant):
+        coeffs = draw(st.lists(entry, min_size=1, max_size=7))
+        if not constant:
+            coeffs[0] = GradedSeries.zero(spec)
+        return UniSeries(spec, coeffs)
+    return series(True), series(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_uni_pairs())
+def test_uniseries_matches_coefficient_lists(pair):
+    a, b = pair
+    n = min(len(a), len(b))
+    la, lb = list(a.coeffs), list(b.coeffs)
+    assert (a * b).coeffs == tuple(_ref_mul(la, lb))
+    assert (a ** 2).coeffs == tuple(_ref_mul(la, la))
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(la, lb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(la, lb))
+    assert a.compose(b).coeffs == tuple(_ref_compose(la, lb))
+    assert b.compose(b).coeffs == tuple(_ref_compose(lb, lb))
+    assert len(a * b) == len(a.compose(b)) == n
+    assert UniSeries(a.spec, la) == a and a.order() == next(
+        (m for m, c in enumerate(la) if c), None)
 
 
 def test_uniseries_compose():

@@ -16,7 +16,6 @@ from erjw.scalar2 import (
     kernel_basis,
     preimage_rows,
     quotient_structure,
-    rank,
     row_basis,
     row_times_matrix,
     snf,
@@ -259,7 +258,7 @@ def test_snf_randomized_invariants():
         invs = snf(m)
         for a, b in zip(invs, invs[1:]):
             assert b % a == 0
-        assert rank(m) == rank(m.transpose())
+        assert len(snf(m)) == len(snf(m.transpose()))
         # kernel rows really annihilate and count matches rank deficiency
         K = kernel_basis(m)
         assert K.nrows == m.nrows - len(invs)
@@ -325,11 +324,11 @@ def test_snf_matches_sympy_two_parts(m):
 @given(sparse_matrices())
 def test_kernel_rows_annihilate(m):
     K = kernel_basis(m)
-    assert K.nrows == m.nrows - rank(m)
+    assert K.nrows == m.nrows - len(snf(m))
     for row in K.data:
         assert all(x == TwoLocal(0) for x in row_times_matrix(row, m))
     if K.nrows:
-        assert rank(K) == K.nrows
+        assert len(snf(K)) == K.nrows
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,7 +344,7 @@ def test_solve_left_and_row_basis_on_sparse(m, rnd):
     y = solve_left(m, v)
     assert y is not None and row_times_matrix(y, m) == v
     B = row_basis(m)
-    assert B.nrows == rank(m)
+    assert B.nrows == len(snf(m))
     for row in m.data:
         assert solve_left(B, row) is not None
 
