@@ -56,8 +56,8 @@ __all__ = [
 
 
 def _order_key(spec: GradingSpec, key):
-    y, vh, vn, c, x = key
-    return (spec.weight_of(key), c, vh, vn)
+    # class weight, the classes, then vhat and the periodicity exponent
+    return (spec.weight_of(key), key[spec.classes], key[1:spec.n + 1])
 
 
 def _head(spec: GradingSpec, series: GradedSeries):
@@ -75,23 +75,24 @@ def _head(spec: GradingSpec, series: GradedSeries):
 def _check_element(z: GradedSeries, p: RingPresentation) -> None:
     if z.spec != p.spec:
         raise InputError("element over a different class ring")
-    for (y, vh, vn, c, x) in z.terms:
-        if y or any(x):
+    for key in z.terms:
+        if key[0]:
             raise InputError("element leaves the class ring")
-        if p.spec.hat_residue(vn):
+        if p.spec.hat_residue(key[p.spec.n]):
             raise InputError("periodicity exponent off the hat lattice")
     if any(p.spec.weight_of(k) > p.weight for k in z.terms):
         raise InputError(f"element exceeds the weight bound {p.weight}")
 
 
 def _into_class_spec(series: GradedSeries, spec: GradingSpec) -> GradedSeries:
-    # drop the root slots once elimination has emptied them
-    out = {}
-    for (y, vh, vn, c, x), coeff in series.terms.items():
-        if any(x):
-            raise MathInvariantError("root content in a class polynomial")
-        out[(y, vh, vn, c, ())] = coeff
-    return GradedSeries(spec, out, series.trunc)
+    # drop the root slots once elimination has emptied them: the class
+    # ring's keys are the prefixes
+    cut = spec.width
+    if any(any(key[cut:]) for key in series.terms):
+        raise MathInvariantError("root content in a class polynomial")
+    return GradedSeries(spec, {key[:cut]: coeff
+                               for key, coeff in series.terms.items()},
+                        series.trunc)
 
 
 # -- presentation ----------------------------------------------------------
@@ -112,8 +113,7 @@ class RingPresentation:
 
 
 def _class_key(spec: GradingSpec, k: int):
-    return (0, (0,) * (spec.n - 1), 0,
-            tuple(1 if j == k else 0 for j in range(1, spec.q + 1)), ())
+    return next(iter(GradedSeries.gen(spec, f"c{k}").terms))
 
 
 def _assert_head_shape(spec: GradingSpec, rel: GradedSeries, k: int) -> None:
@@ -156,18 +156,11 @@ def present(n: int, q: int, weight: int,
     named = named_generators(n)
     coeffs = (f"coefficient chart with {len(named)} named classes, "
               f"total period {total_period(n)}")
-    return RingPresentation(n, q, weight, spec, spec.slot_degrees[2],
+    return RingPresentation(n, q, weight, spec, spec.degrees[spec.classes],
                             tuple(relations), tuple(heads), coeffs)
 
 
 # -- reduction to normal form ----------------------------------------------
-
-
-def _divides(head_key, key) -> bool:
-    _, vhh, _, ch, _ = head_key
-    _, vh, _, c, _ = key
-    return (all(a >= b for a, b in zip(vh, vhh))
-            and all(a >= b for a, b in zip(c, ch)))
 
 
 def reduce(z: GradedSeries, p: RingPresentation) -> GradedSeries:
@@ -185,27 +178,25 @@ def reduce(z: GradedSeries, p: RingPresentation) -> GradedSeries:
         if h is not None:
             rules.append((h[0], h[1], rel))
     limit = 64 * (len(work.terms) + 8) * (p.weight + 1)
+    quotient = p.spec.quotient
     steps = 0
     last = None
     while True:
         target = None
         for key, coeff in work.terms.items():
             for hk, hc, rel in rules:
-                if _divides(hk, key) and val2(hc) <= val2(coeff):
+                quot_key = quotient(key, hk)
+                if quot_key is not None and val2(hc) <= val2(coeff):
                     ok = _order_key(p.spec, key)
                     if target is None or ok < target[0]:
-                        target = (ok, key, coeff, hk, hc, rel)
+                        target = (ok, key, coeff, quot_key, hc, rel)
                     break
         if target is None:
             return work
-        ok, key, coeff, hk, hc, rel = target
+        ok, key, coeff, quot_key, hc, rel = target
         if last is not None and ok <= last:
             raise ReductionError("rewriting order failed to increase")
         last = ok
-        y, vh, vn, c, x = key
-        _, vhh, vnh, ch, _ = hk
-        quot_key = (0, tuple(a - b for a, b in zip(vh, vhh)), vn - vnh,
-                    tuple(a - b for a, b in zip(c, ch)), ())
         ratio = coeff / hc
         quot = GradedSeries(p.spec, {quot_key: ONE}, p.weight)
         work = work - (quot * rel).map_coefficients(lambda v: v * ratio)
@@ -252,10 +243,11 @@ class HatDecomposition:
     bounded: bool
 
     def recombine(self) -> GradedSeries:
+        n = self.n
         out = {}
         for j, comp in self.components.items():
-            for (y, vh, vn, c, x), coeff in comp.terms.items():
-                out[(y, vh, vn + j, c, x)] = coeff
+            for k, coeff in comp.terms.items():
+                out[k[:n] + (k[n] + j,) + k[n + 1:]] = coeff
         return GradedSeries(self.source_spec, out)
 
 
@@ -280,11 +272,11 @@ def hat_decompose(element: GradedSeries,
     if not basis and residue_bound is None:
         raise InputError("height one needs an explicit residue bound")
     parts: dict[int, dict] = {}
-    for (y, vh, vn, c, x), coeff in element.terms.items():
-        j = hat_spec.hat_residue(vn)
+    for k, coeff in element.terms.items():
+        j = hat_spec.hat_residue(k[n])
         if not basis and abs(j) >= residue_bound:
-            raise InputError(f"exponent {vn} outside the residue bound")
-        parts.setdefault(j, {})[(y, vh, vn - j, c, x)] = coeff
+            raise InputError(f"exponent {k[n]} outside the residue bound")
+        parts.setdefault(j, {})[k[:n] + (k[n] - j,) + k[n + 1:]] = coeff
     components = {}
     for j, terms in sorted(parts.items()):
         comp = GradedSeries(hat_spec, terms)

@@ -116,9 +116,9 @@ def apply_differential(series: GradedSeries, r: int,
     P = spec.hat_offset
     out: dict = {}
     for key, A in series.terms.items():
-        if strict and key[2] % (2 ** k):
+        if strict and key[n] % (2 ** k):
             raise InputError(
-                f"vn exponent {key[2]} is not a multiple of 2^{k}")
+                f"vn exponent {key[n]} is not a multiple of 2^{k}")
         image = _d_key(key, r, n, P)
         if image is None:
             continue
@@ -134,19 +134,24 @@ def apply_differential(series: GradedSeries, r: int,
 def _d_key(key: tuple, r: int, n: int, P: int):
     """d_r of the hat monomial `key` as (image key, int coefficient), or
     None where the formulas above give zero; P is the spec's hat_offset."""
-    y, vh, vn, c, x = key
+    vn = key[n]
+    image = list(key)
     if r == 1:
         if vn % 2 == 0:
             return None
-        return (y + 1, vh, vn - (2 ** n - 1), c, x), 2
+        image[0] += 1
+        image[n] -= 2 ** n - 1
+        return tuple(image), 2
     k = r.bit_length() - 1
     if vn % (2 << k) != 1 << k:
         return None
-    new_vn = vn + (1 << k) - (1 << (n + k))
+    image[0] += r
+    image[n] += (1 << k) - (1 << (n + k))
     if k == n:
-        return (y + r, vh, new_vn - P, c, x), -(vn >> k)
-    vh = vh[:k - 1] + (vh[k - 1] + 1,) + vh[k:]
-    return (y + r, vh, new_vn, c, x), -(vn >> k)
+        image[n] -= P
+    else:
+        image[k] += 1  # vh_k
+    return tuple(image), -(vn >> k)
 
 
 # -- standard blocks and closed-form pages ---------------------------------
@@ -191,13 +196,14 @@ class StandardSummand:
             return ModuleStructure(0, ())
         i, j = self.i, self.j
         count = 0
-        for _, a, b, _, _ in degree_basis(GradingSpec(self.n, alphabet="hat"),
-                                          D - self.shift, caps):
-            if j >= 1 and any(a[:j - 1]):
+        # a key is y, then vh_l at index l, then vn at index n
+        for key in degree_basis(GradingSpec(self.n, alphabet="hat"),
+                                D - self.shift, caps):
+            if j >= 1 and any(key[1:j]):
                 continue
-            if i > j >= 1 and not any(a[j - 1:i - 1]):
+            if i > j >= 1 and not any(key[j:i]):
                 continue
-            if (b - self.c) % 2 ** self.s:
+            if (key[self.n] - self.c) % 2 ** self.s:
                 continue
             count += 1
         if self.j == 0:
@@ -341,9 +347,8 @@ class TruncatedOracle:
                     self.basis[cell] = keys
                     self.index[cell] = {key: i for i, key in enumerate(keys)}
                     content += len(keys)
-                    for key in keys:
-                        if key[0] or any(key[1]) or key[2]:
-                            constant_only = False
+                    if any(map(any, keys)):
+                        constant_only = False
         if content == 0 or (content <= 1 and constant_only):
             raise EmptyBasisError("window and caps leave nothing to chart")
         self.Z = {cell: LocalMatrix.identity(len(keys))
@@ -459,7 +464,7 @@ class TruncatedOracle:
             if cell in self.flags:
                 continue
             odd_cols = [i for i, key in enumerate(self.basis[cell])
-                        if key[2] % 2]
+                        if key[self.n] % 2]
             for row in self.Z[cell].rows:
                 for i in odd_cols:
                     if row[i]:
@@ -678,7 +683,7 @@ class TensoredPage:
 
     def chart_structure(self, m: int, t: int) -> ModuleStructure:
         P = self.spec.hat_offset
-        wn = self.spec.slot_degrees[1]
+        wn = self.spec.degrees[self.spec.n]
         D = t + m * self.spec.lam
         reads = []
         for s in self.page.rows.get(m, ()):

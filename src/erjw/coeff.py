@@ -110,12 +110,12 @@ def _locate(page: Page, key, coeff: TwoLocal) -> StandardSummand | None:
     blocks = [s for s in page.rows[min(m, page.m_max)] if not s.is_zero]
     if not blocks:
         return None
-    b = key[2]
+    b = key[page.n]  # y at index 0, vh_l at index l, vn at index n
     for block in blocks:
         if (b - block.c) % (2 ** block.s):
             continue
         if block.i > 0 and coeff.is_unit and \
-                not any(key[1][l] for l in range(block.i - 1)):
+                not any(key[1:block.i]):
             raise InputError(
                 f"coefficient of the monomial misses the ideal of "
                 f"{block.notation()}")
@@ -132,7 +132,7 @@ def _normal_form(block: StandardSummand | None, term):
     # everything even and everything divisible by a low vh dies in R/I_j
     if not coeff.is_unit:
         return None
-    if any(key[1][l] for l in range(block.j - 1)):
+    if any(key[1:block.j]):
         return None
     return (key, ONE)
 

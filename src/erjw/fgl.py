@@ -80,7 +80,8 @@ class UniSeries:
     """Truncated power series in one variable over a coefficient ring.
 
     It is one GradedSeries `series` over `_root_spec(spec)`, truncated at
-    the precision: u^m * (y, vh, vn, c, ()) is the key (y, vh, vn, c, (m,)).
+    the precision: the key of u^m times a coefficient term is that term's
+    key followed by m, the exponent of the one root.
     """
 
     __slots__ = ("spec", "series", "_coeffs")
@@ -91,9 +92,8 @@ class UniSeries:
         if not all(isinstance(c, GradedSeries) and c.spec == spec
                    for c in coeffs):
             raise ValueError("coefficients must be series over the law's spec")
-        terms = {(y, vh, vn, cl, (m,)): v
-                 for m, c in enumerate(coeffs)
-                 for (y, vh, vn, cl, _), v in c.terms.items()}
+        terms = {k + (m,): v
+                 for m, c in enumerate(coeffs) for k, v in c.terms.items()}
         self.spec = spec
         self.series = GradedSeries._raw(root_spec, terms, len(coeffs) - 1)
         self._coeffs = coeffs
@@ -113,6 +113,8 @@ class UniSeries:
         z = GradedSeries.zero(spec)
         coeffs = [z] * (precision + 1)
         for m, c in terms.items():
+            if m < 0:
+                raise InputError(f"negative exponent {m} in a power series")
             if not isinstance(c, GradedSeries):
                 c = GradedSeries.unit(spec, c)
             if m <= precision:
@@ -133,8 +135,8 @@ class UniSeries:
         """The coefficient of each power of u, split off on first use."""
         if self._coeffs is None:
             parts = [{} for _ in range(len(self))]
-            for (y, vh, vn, cl, (m,)), v in self.series.terms.items():
-                parts[m][(y, vh, vn, cl, ())] = v
+            for k, v in self.series.terms.items():
+                parts[k[-1]][k[:-1]] = v
             self._coeffs = tuple(GradedSeries._raw(self.spec, t, None)
                                  for t in parts)
         return self._coeffs
@@ -143,7 +145,7 @@ class UniSeries:
         return self.coeffs[m]
 
     def order(self):
-        return min((key[4][0] for key in self.series.terms), default=None)
+        return min((key[-1] for key in self.series.terms), default=None)
 
     def is_zero(self) -> bool:
         return self.series.is_zero
@@ -251,7 +253,6 @@ class _LawBase:
         raise NotImplementedError
 
     def _check_table(self, table: dict) -> dict:
-        z = self.spec.unit_key()
         one = GradedSeries.unit(self.spec, 1)
         if table.get((0, 0)):
             raise MathInvariantError("law has a constant term")
@@ -478,11 +479,10 @@ class GroupLaw(_LawBase):
         S = _to_two_local(self.exp_series().evaluate_at(
             log.evaluate_at(x1) + log.evaluate_at(x2)))
         table: dict[tuple[int, int], GradedSeries] = {}
-        for (y, vh, vn, c, x), coeff in S.terms.items():
-            key = (y, vh, vn, (), ())
-            i, j = x
-            entry = table.setdefault((i, j), GradedSeries.zero(self.spec))
-            table[(i, j)] = entry + GradedSeries(self.spec, {key: coeff})
+        for key, coeff in S.terms.items():
+            ij = key[-2:]  # the exponents of x1 and x2
+            entry = table.setdefault(ij, GradedSeries.zero(self.spec))
+            table[ij] = entry + GradedSeries(self.spec, {key[:-2]: coeff})
         self._check_table(table)
         lam_like = 2  # standard grading: the law is homogeneous in degree 2
         for (i, j), entry in table.items():

@@ -1,14 +1,20 @@
 """Graded multivariate Laurent series with weight truncation.
 
-A monomial key is the tuple (y, vh, vn, c, x):
+A monomial key is one flat tuple of int exponents, laid out by the
+GradingSpec, which owns that layout:
 
-  y   exponent of the filtration class y (degree 0, filtration 1),
-  vh  exponents of the n-1 lower coefficient generators,
-  vn  exponent of the top generator (the only Laurent slot),
-  c   exponents of the q characteristic classes,
-  x   exponents of the formal roots.
+  index              slot    exponent of
+  0                  y       the filtration class y (degree 0, filtration 1)
+  1 .. n-1           vh_k    the lower coefficient generator k, at index k
+  n                  vn      the top generator (the only Laurent slot)
+  spec.classes       c_k     the q characteristic classes
+  last `roots`       x_i     the formal roots
 
-Two alphabets share this shape.  The "standard" one grades like a complex
+Every slot group has a fixed length within a spec, so keys sort exactly
+as the nested groups would.  A product of monomials adds keys slotwise;
+a quotient subtracts them, and only vn may go negative.
+
+Two alphabets share this layout.  The "standard" one grades like a complex
 oriented theory (|v_k| = -2(2^k-1), roots in degree 2, classes in degree
 2k).  The "hat" one rescales everything by (1-L)/2 where L is the period
 constant, and represents the top hat generator through a vn power: an
@@ -64,38 +70,67 @@ class GradingSpec:
         """P = 2^(n+1) * (2^(n-1) - 1); the top hat generator is vn^-P."""
         return 2 ** (self.n + 1) * (2 ** (self.n - 1) - 1)
 
-    def unit_key(self) -> tuple:
-        return (0, (0,) * (self.n - 1), 0, (0,) * self.q, (0,) * self.roots)
-
-    def validate_key(self, key) -> None:
-        y, vh, vn, c, x = key
-        if not (isinstance(y, int) and isinstance(vn, int)):
-            raise TypeError(f"bad exponent types in {key}")
-        if y < 0:
-            raise ValueError(f"negative y exponent in {key}")
-        if len(vh) != self.n - 1 or len(c) != self.q or len(x) != self.roots:
-            raise ValueError(f"key shape {key} does not fit {self}")
-        if any(e < 0 for e in vh):
-            raise ValueError(f"negative vh exponent in {key}")
-        if any(e < 0 for e in c) or any(e < 0 for e in x):
-            raise ValueError(f"negative class or root exponent in {key}")
+    @cached_property
+    def width(self) -> int:
+        return self.n + 1 + self.q + self.roots
 
     @cached_property
-    def slot_degrees(self) -> tuple:
-        """Degrees of (vh_k for k < n, vn, c_k for k <= q, a root): the
-        standard ones, scaled by (1-L)/2 in the hat alphabet except vn."""
+    def classes(self) -> slice:
+        """The slots of c_1..c_q; the roots fill the rest of a key."""
+        return slice(self.n + 1, self.n + 1 + self.q)
+
+    @cached_property
+    def slot_names(self) -> tuple:
+        """The printed name of each slot, in key order."""
+        if self.alphabet == "hat":
+            gens = [f"vh{k}" for k in range(1, self.n)] + ["vn"]
+        else:
+            gens = [f"v{k}" for k in range(1, self.n + 1)]
+        return ("y", *gens, *(f"c{k}" for k in range(1, self.q + 1)),
+                *(f"x{i}" for i in range(1, self.roots + 1)))
+
+    def slot_of(self, name) -> int | None:
+        """The key index of a variable, or None for any other name."""
+        names = self.slot_names
+        return names.index(name) if name in names else None
+
+    def unit_key(self) -> tuple:
+        return (0,) * self.width
+
+    def quotient(self, key, by) -> tuple | None:
+        """key / by slotwise, or None where a slot other than vn would go
+        negative: vn is the one invertible generator."""
+        quot = tuple(map(operator.sub, key, by))
+        n = self.n
+        return None if min(quot[:n] + quot[n + 1:]) < 0 else quot
+
+    def validate_key(self, key) -> None:
+        if len(key) != self.width:
+            raise ValueError(f"key shape {key} does not fit {self}")
+        if not all(isinstance(e, int) for e in key):
+            raise TypeError(f"bad exponent types in {key}")
+        if self.quotient(key, self.unit_key()) is None:
+            raise ValueError(f"negative exponent off the vn slot in {key}")
+
+    @cached_property
+    def degrees(self) -> tuple:
+        """The degree of each slot: none for y, the standard ones scaled
+        by (1-L)/2 in the hat alphabet, except vn."""
         s = (1 - self.lam) // 2 if self.alphabet == "hat" else 1
-        return (tuple(-2 * (2 ** k - 1) * s for k in range(1, self.n)),
+        return (0, *(-2 * (2 ** k - 1) * s for k in range(1, self.n)),
                 -2 * (2 ** self.n - 1),
-                tuple(2 * k * s for k in range(1, self.q + 1)),
-                2 * s)
+                *(2 * k * s for k in range(1, self.q + 1)),
+                *(2 * s,) * self.roots)
+
+    @cached_property
+    def weights(self) -> tuple:
+        """The weight of each slot: k for c_k, 1 for a root, else 0."""
+        return ((0,) * (self.n + 1) + tuple(range(1, self.q + 1))
+                + (1,) * self.roots)
 
     def degree_of(self, key) -> int:
         """Internal degree; y contributes nothing."""
-        _, vh, vn, c, x = key
-        dvh, dvn, dc, dx = self.slot_degrees
-        return (sum(map(operator.mul, dvh, vh)) + dvn * vn
-                + sum(map(operator.mul, dc, c)) + dx * sum(x))
+        return sum(map(operator.mul, self.degrees, key))
 
     def hat_residue(self, e: int) -> int:
         """A vn exponent modulo P, zero exactly on the hat lattice; at
@@ -112,23 +147,11 @@ class GradingSpec:
         return range(-(-lo // lam1) * lam1, hi + 1, lam1)
 
     def weight_of(self, key) -> int:
-        _, _, _, c, x = key
-        return sum(k * e for k, e in enumerate(c, start=1)) + sum(x)
+        return sum(map(operator.mul, self.weights, key))
 
     def total_of(self, key) -> int:
         """Chart column: internal degree minus y * lambda."""
         return self.degree_of(key) - key[0] * self.lam
-
-    def variable_names(self) -> list[str]:
-        n = self.n
-        if self.alphabet == "hat":
-            names = [f"vh{k}" for k in range(1, n)] + ["vn"]
-        else:
-            names = [f"v{k}" for k in range(1, n + 1)]
-        names.append("y")
-        names += [f"c{k}" for k in range(1, self.q + 1)]
-        names += [f"x{i}" for i in range(1, self.roots + 1)]
-        return names
 
 
 # bounded: one three-engine page chart asks for a few thousand degrees
@@ -144,29 +167,21 @@ def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
     """
     if spec.alphabet != "hat" or spec.roots:
         raise InputError("degree bases live over the hat class ring")
-    wn = spec.slot_degrees[1]
+    wn = spec.degrees[spec.n]
     out = []
     for e in iter_product(*(range(weight // k + 1)
                             for k in range(1, spec.q + 1))):
         if sum(k * ek for k, ek in enumerate(e, start=1)) > weight:
             continue
         for a in iter_product(range(caps + 1), repeat=spec.n - 1):
-            rem = D - spec.degree_of((0, a, 0, e, ()))
+            rem = D - spec.degree_of((0, *a, 0, *e))
             if rem % wn:
                 continue
             b = rem // wn
             if hat_lattice and spec.hat_residue(b):
                 continue
-            out.append((0, a, b, e, ()))
+            out.append((0, *a, b, *e))
     return tuple(sorted(out))
-
-
-def _key_mul(a, b):
-    return (a[0] + b[0],
-            tuple(p + q for p, q in zip(a[1], b[1])),
-            a[2] + b[2],
-            tuple(p + q for p, q in zip(a[3], b[3])),
-            tuple(p + q for p, q in zip(a[4], b[4])))
 
 
 def _min_trunc(a, b):
@@ -221,30 +236,24 @@ class GradedSeries:
 
     @classmethod
     def monomial(cls, spec, coeff=1, y=0, vh=None, vn=0, c=None, x=None, trunc=None):
-        key = (y,
-               tuple(vh) if vh is not None else (0,) * (spec.n - 1),
-               vn,
-               tuple(c) if c is not None else (0,) * spec.q,
-               tuple(x) if x is not None else (0,) * spec.roots)
-        return cls(spec, {key: coeff}, trunc)
+        groups = []
+        for group, size in ((vh, spec.n - 1), (c, spec.q), (x, spec.roots)):
+            group = (0,) * size if group is None else tuple(group)
+            if len(group) != size:
+                raise ValueError(f"slot group {group} does not fit {spec}")
+            groups.append(group)
+        vh, c, x = groups
+        return cls(spec, {(y, *vh, vn, *c, *x): coeff}, trunc)
 
     @classmethod
     def gen(cls, spec, name: str, exp: int = 1, coeff=1, trunc=None):
         """Single generator to a power, looked up by its printed name."""
-        slot = _slot_table(spec).get(name)
+        slot = spec.slot_of(name)
         if slot is None:
             raise ValueError(f"{name!r} is not a variable of {spec}")
-        kind, idx = slot
-        kwargs = {}
-        if kind == "y":
-            kwargs["y"] = exp
-        elif kind == "vn":
-            kwargs["vn"] = exp
-        else:
-            tup = [0] * {"vh": spec.n - 1, "c": spec.q, "x": spec.roots}[kind]
-            tup[idx] = exp
-            kwargs[kind] = tuple(tup)
-        return cls.monomial(spec, coeff=coeff, trunc=trunc, **kwargs)
+        key = [0] * spec.width
+        key[slot] = exp
+        return cls(spec, {tuple(key): coeff}, trunc)
 
     # -- basic protocol -------------------------------------------------
 
@@ -268,6 +277,7 @@ class GradedSeries:
         return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def coefficient(self, key):
+        self.spec.validate_key(key)
         return self.terms.get(key, 0)
 
     # -- arithmetic -----------------------------------------------------
@@ -327,10 +337,11 @@ class GradedSeries:
         tr = _min_trunc(self.trunc, other.trunc)
         out = {}
         wof = self.spec.weight_of
+        add = operator.add
         if tr is None:
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    key = _key_mul(k1, k2)
+                    key = tuple(map(add, k1, k2))
                     s = out.get(key, 0) + c1 * c2
                     if s:
                         out[key] = s
@@ -344,7 +355,7 @@ class GradedSeries:
                 for w2, k2 in right:
                     if w1 + w2 > tr:
                         break
-                    key = _key_mul(k1, k2)
+                    key = tuple(map(add, k1, k2))
                     s = out.get(key, 0) + c1 * other.terms[k2]
                     if s:
                         out[key] = s
@@ -374,8 +385,8 @@ class GradedSeries:
         if len(self.terms) != 1:
             raise MathInvariantError("inverse of a non-monomial series")
         (key, coeff), = self.terms.items()
-        y, vh, vn, c, x = key
-        if y or any(vh) or any(c) or any(x):
+        n = self.spec.n
+        if any(key[:n]) or any(key[n + 1:]):
             raise MathInvariantError(f"monomial {key} is not invertible")
         if isinstance(coeff, Fraction):
             inv = 1 / coeff
@@ -383,7 +394,7 @@ class GradedSeries:
             inv = TwoLocal(1) / coeff  # raises if not a unit
         else:
             inv = TwoLocal(1) / TwoLocal(coeff)
-        ikey = (0, vh, -vn, c, x)
+        ikey = tuple(map(operator.neg, key))
         return GradedSeries._raw(self.spec, {ikey: inv}, self.trunc)
 
     # -- structure ------------------------------------------------------
@@ -444,26 +455,21 @@ class GradedSeries:
             raise ValueError("target spec is narrower")
         cpad = (0,) * (spec.q - self.spec.q)
         xpad = (0,) * (spec.roots - self.spec.roots)
-        out = {}
-        for (y, vh, vn, c, x), v in self.terms.items():
-            out[(y, vh, vn, c + cpad, x + xpad)] = v
-        return GradedSeries._raw(spec, out, self.trunc)
+        cut = self.spec.classes.stop
+        return GradedSeries._raw(spec, {k[:cut] + cpad + k[cut:] + xpad: v
+                                        for k, v in self.terms.items()},
+                                 self.trunc)
 
     def divide_by_key(self, key) -> "GradedSeries":
         """Exact division by a monomial; any residue is an error."""
         self.spec.validate_key(key)
-        y0, vh0, vn0, c0, x0 = key
+        quotient = self.spec.quotient
         out = {}
-        for (y, vh, vn, c, x), v in self.terms.items():
-            if (y < y0 or any(a < b for a, b in zip(vh, vh0))
-                    or any(a < b for a, b in zip(c, c0))
-                    or any(a < b for a, b in zip(x, x0))):
+        for k, v in self.terms.items():
+            quot = quotient(k, key)
+            if quot is None:
                 raise MathInvariantError(f"monomial {key} does not divide a term")
-            out[(y - y0,
-                 tuple(a - b for a, b in zip(vh, vh0)),
-                 vn - vn0,
-                 tuple(a - b for a, b in zip(c, c0)),
-                 tuple(a - b for a, b in zip(x, x0)))] = v
+            out[quot] = v
         tr = self.trunc
         if tr is not None:
             tr -= self.spec.weight_of(key)
@@ -476,14 +482,12 @@ class GradedSeries:
         alphabet the lower hat generators are invariant and only a bare vn
         power contributes its parity.
         """
+        n = self.spec.n
+        # the sign is the parity of vn, or of every v generator
+        lo = n if self.spec.alphabet == "hat" else 1
         out = {}
         for key, v in self.terms.items():
-            y, vh, vn, c, x = key
-            if self.spec.alphabet == "hat":
-                sign = -1 if vn & 1 else 1
-            else:
-                sign = -1 if (vn + sum(vh)) & 1 else 1
-            out[key] = -v if sign < 0 else v
+            out[key] = -v if sum(key[lo:n + 1]) & 1 else v
         return GradedSeries._raw(self.spec, out, self.trunc)
 
     def regrade_to_hat(self) -> "GradedSeries":
@@ -496,10 +500,10 @@ class GradedSeries:
         if self.spec.alphabet != "standard":
             raise ValueError("regrade_to_hat starts from the standard alphabet")
         spec = GradingSpec(self.spec.n, self.spec.q, self.spec.roots, "hat")
-        P = spec.hat_offset
+        n, P = spec.n, spec.hat_offset
         out = {}
-        for (y, vh, vn, c, x), v in self.terms.items():
-            key = (y, vh, -vn * P, c, x)
+        for k, v in self.terms.items():
+            key = k[:n] + (-k[n] * P,) + k[n + 1:]
             s = out.get(key, 0) + v
             if s:
                 out[key] = s
@@ -512,16 +516,18 @@ class GradedSeries:
     def __str__(self):
         if not self.terms:
             return "0"
-        names = self.spec.variable_names()
+        spec = self.spec
+        # printed factor order: vh, vn, y, c, x
+        order = (*range(1, spec.n + 1), 0, *range(spec.n + 1, spec.width))
+        names = spec.slot_names
         parts = []
         for key, coeff in self.items_sorted():
-            y, vh, vn, c, x = key
-            exps = list(vh) + [vn, y] + list(c) + list(x)
             factors = []
-            for name, e in zip(names, exps):
+            for i in order:
+                e = key[i]
                 if e == 0:
                     continue
-                factors.append(name if e == 1 else f"{name}^{e}")
+                factors.append(names[i] if e == 1 else f"{names[i]}^{e}")
             cs = str(coeff)
             if not factors:
                 parts.append(cs)
@@ -532,26 +538,6 @@ class GradedSeries:
             else:
                 parts.append("*".join([cs] + factors))
         return " + ".join(parts)
-
-
-def _slot_table(spec: GradingSpec) -> dict[str, tuple[str, int]]:
-    table: dict[str, tuple[str, int]] = {}
-    names = spec.variable_names()
-    i = 0
-    for k in range(spec.n - 1):
-        table[names[i]] = ("vh", k)
-        i += 1
-    table[names[i]] = ("vn", 0)
-    i += 1
-    table["y"] = ("y", 0)
-    i += 1
-    for k in range(spec.q):
-        table[names[i]] = ("c", k)
-        i += 1
-    for k in range(spec.roots):
-        table[names[i]] = ("x", k)
-        i += 1
-    return table
 
 
 # Larger exponents, and integer powers or coefficients of more bits, are
@@ -579,8 +565,6 @@ def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
     printable in decimal.  All else, and values outside the coefficient
     ring, raise InputError.
     """
-    slots = _slot_table(spec)
-
     def bounded(series: GradedSeries) -> GradedSeries:
         for c in series.terms.values():
             num, den = (c.num, c.den) if isinstance(c, TwoLocal) \
@@ -605,7 +589,7 @@ def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
             raise InputError(f"exponent {exp} is past the bound "
                              f"{EXPONENT_BOUND}")
         ident = base.id if isinstance(base, ast.Name) else None
-        if exp < 0 and slots.get(ident, ("",))[0] != "vn":
+        if exp < 0 and spec.slot_of(ident) != spec.n:
             raise InputError(f"negative power of {ast.unparse(base)}: only"
                              " vn is invertible")
         if names and ident in names:

@@ -69,20 +69,17 @@ class SymmetricContext:
             return GradedSeries.unit(self.spec, 1, self.weight)
         if not 0 <= k <= self.q:
             raise InputError(f"elementary index {k} out of range")
-        terms = {}
-        for picks in combinations(range(self.q), k):
-            x = tuple(1 if i in picks else 0 for i in range(self.q))
-            terms[(0, (0,) * (self.spec.n - 1), 0, (0,) * self.q, x)] = 1
+        w = self.spec.width  # the roots are the last q slots
+        terms = {tuple(int(i in picks) for i in range(w)): 1
+                 for picks in combinations(range(w - self.q, w), k)}
         return GradedSeries(self.spec, terms, self.weight)
 
     # -- symmetry ----------------------------------------------------------
 
     def _swap_roots(self, series: GradedSeries, j: int) -> GradedSeries:
-        out = {}
-        for (y, vh, vn, c, x), coeff in series.terms.items():
-            lx = list(x)
-            lx[j], lx[j + 1] = lx[j + 1], lx[j]
-            out[(y, vh, vn, c, tuple(lx))] = coeff
+        i = self.spec.width - self.q + j  # the slot of root j
+        out = {k[:i] + (k[i + 1], k[i]) + k[i + 2:]: coeff
+               for k, coeff in series.terms.items()}
         return GradedSeries(self.spec, out, series.trunc)
 
     def is_symmetric(self, series: GradedSeries) -> bool:
@@ -99,7 +96,8 @@ class SymmetricContext:
         """
         if series.spec != self.spec:
             raise InputError("series from a different context")
-        if any(any(key[3]) for key in series.terms):
+        cut = self.spec.classes.stop  # the roots follow the classes
+        if any(any(key[self.spec.classes]) for key in series.terms):
             raise InputError("input already contains classes")
         if series.max_weight() > self.weight:
             raise InputError("input exceeds the context weight bound")
@@ -109,7 +107,7 @@ class SymmetricContext:
         out = GradedSeries.zero(self.spec, series.trunc)
         prev = None
         while residual:
-            alpha = max(key[4] for key in residual.terms)
+            alpha = max(key[cut:] for key in residual.terms)
             if any(alpha[i] < alpha[i + 1] for i in range(self.q - 1)):
                 raise SymmetryError(f"leading exponent {alpha} not dominant")
             if prev is not None and not alpha < prev:
@@ -117,9 +115,9 @@ class SymmetricContext:
             prev = alpha
             coeff_terms = {}
             zero_x = (0,) * self.q
-            for (y, vh, vn, c, x), coeff in residual.terms.items():
-                if x == alpha:
-                    coeff_terms[(y, vh, vn, c, zero_x)] = coeff
+            for key, coeff in residual.terms.items():
+                if key[cut:] == alpha:
+                    coeff_terms[key[:cut] + zero_x] = coeff
             C = GradedSeries(self.spec, coeff_terms, residual.trunc)
             cexp = [alpha[i] - (alpha[i + 1] if i + 1 < self.q else 0)
                     for i in range(self.q)]
@@ -171,13 +169,14 @@ class SymmetricContext:
         if series.spec != self.spec:
             raise InputError("series from a different context")
         out = GradedSeries.zero(self.spec, self.weight)
-        zq = (0,) * self.q
-        for (y, vh, vn, c, x), coeff in series.terms.items():
-            if any(x):
+        classes = self.spec.classes
+        zero = (0,) * (2 * self.q)  # the classes and the roots
+        for key, coeff in series.terms.items():
+            if any(key[classes.stop:]):
                 raise InputError("roots present; conjugate them directly")
-            term = GradedSeries(self.spec, {(y, vh, vn, zq, zq): coeff},
+            term = GradedSeries(self.spec, {key[:classes.start] + zero: coeff},
                                 self.weight).conjugate()
-            for j, e in enumerate(c, start=1):
+            for j, e in enumerate(key[classes], start=1):
                 if e:
                     term = term * self.conjugate_chern(j) ** e
             out = out + term

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from erjw.boring import (
     RingPresentation,
+    _order_key,
     hat_decompose,
     in_ideal,
     landweber_window_check,
@@ -32,6 +33,15 @@ def pres21_small():
 
 def _class_gen(spec, k, trunc=None):
     return GradedSeries.gen(spec, f"c{k}", trunc=trunc)
+
+
+def test_rewriting_order_reads_weight_classes_then_coefficients():
+    spec = GradingSpec(2, q=2)  # keys (y, vh1, vn, c1, c2)
+    keys = [(0, 0, 0, 0, 1), (0, 2, 0, 1, 0), (0, 0, 8, 2, 0),
+            (0, 1, -8, 0, 1), (0, 0, 3, 1, 0)]
+    assert sorted(keys, key=lambda k: _order_key(spec, k)) == [
+        (0, 0, 3, 1, 0), (0, 2, 0, 1, 0),
+        (0, 0, 0, 0, 1), (0, 1, -8, 0, 1), (0, 0, 8, 2, 0)]
 
 
 def test_generator_degrees():

@@ -91,8 +91,8 @@ def test_differential_squares_to_zero():
             terms = {}
             for _ in range(12):
                 key = (rng.randrange(4),
-                       tuple(rng.randrange(4) for _ in range(n - 1)),
-                       rng.randrange(-32, 32), (), ())
+                       *(rng.randrange(4) for _ in range(n - 1)),
+                       rng.randrange(-32, 32))
                 terms[key] = rng.randrange(1, 9)
             s = GradedSeries(spec, terms)
             assert apply_differential(
@@ -288,14 +288,15 @@ def test_oracle_structure_at_bounds():
 
 def reference_d(terms, r, n, P):
     """d_r on a terms dict with strict=False: the formulas of the module
-    docstring written out on their own, independent of bss._d_key."""
+    docstring written out on their own, independent of bss._d_key.  Keys
+    are (y, vh_1..vh_(n-1), vn): pages carry no classes or roots."""
     k = (r + 1).bit_length() - 2
     out = {}
-    for (y, vh, vn, c, x), A in terms.items():
+    for (y, *vh, vn), A in terms.items():
         if k == 0:
             if vn % 2 == 0:
                 continue
-            key = (y + 1, vh, vn - (2 ** n - 1), c, x)
+            key = (y + 1, *vh, vn - (2 ** n - 1))
             coeff = 2 * A
         else:
             if vn % (2 ** k):
@@ -304,14 +305,11 @@ def reference_d(terms, r, n, P):
             if b % 2 == 0:
                 continue
             new_vn = vn + 2 ** k - 2 ** (n + k)
-            if k == n:
-                new_vn -= P
-                new_vh = vh
+            if k != n:
+                vh[k - 1] += 1
             else:
-                lst = list(vh)
-                lst[k - 1] += 1
-                new_vh = tuple(lst)
-            key = (y + r, new_vh, new_vn, c, x)
+                new_vn -= P
+            key = (y + r, *vh, new_vn)
             coeff = A * (-b)
         tot = out.get(key, 0) + coeff
         if tot:
@@ -409,8 +407,8 @@ def test_apply_differential_matches_reference_formula():
                 terms = {}
                 for _ in range(6):
                     key = (rng.randrange(4),
-                           tuple(rng.randrange(4) for _ in range(n - 1)),
-                           rng.randrange(-40, 40), (), ())
+                           *(rng.randrange(4) for _ in range(n - 1)),
+                           rng.randrange(-40, 40))
                     terms[key] = TwoLocal(rng.randrange(1, 10),
                                           rng.choice((1, 3, 5)))
                 s = GradedSeries(spec, terms)
@@ -461,8 +459,8 @@ def test_wrong_vn_shift_trips_d_squared(monkeypatch, r, shift):
         image = true_d(key, rr, n, P)
         if image is None or rr != r:
             return image
-        (y, vh, vn, c, x), coeff = image
-        return (y, vh, vn + shift, c, x), coeff
+        (*head, vn), coeff = image  # vn is the last slot of a page key
+        return (*head, vn + shift), coeff
 
     monkeypatch.setattr(bss, "_d_key", planted)
     oracle = TruncatedOracle(2, -24, 24, caps=3)

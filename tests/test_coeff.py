@@ -124,6 +124,19 @@ def test_relation_cost_does_not_grow_with_its_rows():
     assert time.perf_counter() - start < 2
 
 
+def test_relation_reads_the_ideals_of_the_block():
+    # I_i R holds 2 and vh_l for l < i; R/I_j kills them for l < j
+    assert relation_check(2, "vh1*vn^4 = vh1*vn^4").summand == "I_2R[v^±8]v^4"
+    assert relation_check(3, "vh2*vn^8 = vh2*vn^8").holds
+    assert relation_check(2, "2*vn^2 = 2*vn^2").holds
+    for n, side in ((2, "vn^4"), (2, "vh1*vn^2"), (3, "vn^8")):
+        with pytest.raises(InputError, match="misses the ideal"):
+            relation_check(n, f"{side} = {side}")
+    assert relation_check(2, "x^3*vh1 = 0").holds
+    assert relation_check(3, "x^7*vh2 = 0").holds
+    assert not relation_check(3, "x^3*vh2 = 0").holds
+
+
 def test_relation_accepts_periodicity_units():
     # negative powers of the invertible generator are fine
     assert relation_check(2, "alpha*alpha_2*vn^-8 = 2*w*vn^-8").holds

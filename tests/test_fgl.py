@@ -75,6 +75,16 @@ def test_uniseries_refuses_classes_and_roots():
             UniSeries(spec, [GradedSeries.zero(spec)])
 
 
+def test_from_terms_refuses_a_negative_exponent():
+    # the exponent used to index the coefficient list, so -1 landed on
+    # u^4 and -5 on the constant term
+    for m in (-1, -5):
+        with pytest.raises(InputError, match="negative exponent"):
+            UniSeries.from_terms(SPEC1, {m: 1}, 4)
+    assert UniSeries.from_terms(SPEC1, {4: 1, 5: 1}, 4) == \
+        UniSeries.from_terms(SPEC1, {4: 1}, 4)
+
+
 def test_apply2_stops_at_the_table_precision():
     u = UniSeries.identity(SPEC1, 8)
     short = GroupLaw(1, precision=4).apply2(u, u)
@@ -121,7 +131,7 @@ def _uni_pairs(draw):
                                        (TwoLocal, [1, 3, 5])]))
     coeff = st.builds(kind, st.integers(-6, 6), st.sampled_from(dens))
     vh = st.lists(st.integers(0, 2), min_size=n - 1, max_size=n - 1)
-    key = st.builds(lambda y, vh, vn: (y, tuple(vh), vn, (), ()),
+    key = st.builds(lambda y, vh, vn: (y, *vh, vn),
                     st.integers(0, 1), vh, st.integers(-1, 2))
     entry = st.dictionaries(key, coeff, max_size=3).map(
         lambda t: GradedSeries(spec, t))
@@ -244,7 +254,7 @@ def test_araki_identity_dual_route():
     direct = LAW2.k_series(2)
     formal = LAW2.two_series_via_formal_sum()
     assert direct == formal
-    assert formal[4].coefficient((0, (0,), 1, (), ())) == TwoLocal(1)
+    assert formal[4].coefficient((0, 0, 1)) == TwoLocal(1)  # v2
 
 
 def _apply_series(law, a: GradedSeries, b: GradedSeries) -> GradedSeries:
@@ -293,7 +303,7 @@ def test_evaluate_at():
         LAW1.iota().evaluate_at(c1 + 1)
     deep = GradedSeries.gen(spec, "c1", exp=3, trunc=8)
     assert LAW1.iota().evaluate_at(deep).coefficient(
-        (0, (), 0, (3,), ())) == TwoLocal(-1)
+        (0, 0, 3)) == TwoLocal(-1)  # c1^3
 
 
 def test_toy_law_validation():

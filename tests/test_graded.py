@@ -148,8 +148,8 @@ def test_regrade_to_hat_degrees_scale():
     hat = GradingSpec(2, q=1, roots=1, alphabet="hat")
     scale = (1 - spec.lam) // 2
     s = GradedSeries(spec, {
-        (0, (1,), 3, (0,), (0,)): TwoLocal(3),
-        (2, (0,), -1, (2,), (1,)): TwoLocal(1, 5),
+        (0, 1, 3, 0, 0): TwoLocal(3),  # (y, v1, v2, c1, x1)
+        (2, 0, -1, 2, 1): TwoLocal(1, 5),
     })
     h = s.regrade_to_hat()
     assert h.spec == hat
@@ -163,19 +163,19 @@ def test_regrade_to_hat_degrees_scale():
 
 def test_regrade_n1_collapses():
     spec = GradingSpec(1, alphabet="standard")
-    s = GradedSeries(spec, {
-        (0, (), 2, (), ()): TwoLocal(3),
-        (0, (), 5, (), ()): TwoLocal(5),
-        (1, (), 1, (), ()): TwoLocal(1),
+    s = GradedSeries(spec, {  # (y, v1)
+        (0, 2): TwoLocal(3),
+        (0, 5): TwoLocal(5),
+        (1, 1): TwoLocal(1),
     })
     h = s.regrade_to_hat()
     assert h == GradedSeries(GradingSpec(1), {
-        (0, (), 0, (), ()): TwoLocal(8),
-        (1, (), 0, (), ()): TwoLocal(1),
+        (0, 0): TwoLocal(8),
+        (1, 0): TwoLocal(1),
     })
     cancel = GradedSeries(spec, {
-        (0, (), 2, (), ()): TwoLocal(1),
-        (0, (), 4, (), ()): TwoLocal(-1),
+        (0, 2): TwoLocal(1),
+        (0, 4): TwoLocal(-1),
     })
     assert cancel.regrade_to_hat().is_zero
 
@@ -228,26 +228,52 @@ def test_grading_spec_rejects_bad_input():
 
 
 def test_key_validation():
-    spec = GradingSpec(2, q=1)
+    spec = GradingSpec(2, q=1)  # keys (y, vh1, vn, c1)
+    assert GradedSeries(spec, {(0, 1, -3, 2): 1}).terms == {(0, 1, -3, 2): 1}
     with pytest.raises(ValueError):
-        GradedSeries(spec, {(-1, (0,), 0, (0,), ()): 1})
+        GradedSeries(spec, {(-1, 0, 0, 0): 1})
     with pytest.raises(ValueError):
-        GradedSeries(spec, {(0, (0, 0), 0, (0,), ()): 1})
+        GradedSeries(spec, {(0, 0, 0, 0, 0): 1})  # one slot too many
     with pytest.raises(ValueError):
-        GradedSeries(spec, {(0, (-1,), 0, (0,), ()): 1})
+        GradedSeries(spec, {(0, -1, 0, 0): 1})
     with pytest.raises(ValueError):
-        GradedSeries(spec, {(0, (0,), 0, (-1,), ()): 1})
+        GradedSeries(spec, {(0, 0, 0, -1): 1})
+    with pytest.raises(TypeError):
+        GradedSeries(spec, {(0, (0,), 0, 0): 1})  # a nested slot group
+    with pytest.raises(TypeError):
+        GradedSeries(spec, {(0, 0, 0.5, 0): 1})
     with pytest.raises(ValueError):
         GradedSeries.gen(spec, "nope")
+    # each slot group must have its own length, even when the total fits:
+    # a short vh with a long c would shift a class exponent into vn
+    wide = GradingSpec(3, q=1, roots=1)  # vh has 2 slots, c 1 and x 1
+    for groups in ({"vh": (1,), "c": (0, 1)}, {"c": (), "x": (1, 0)},
+                   {"vh": (0, 0, 1), "x": ()}, {"vh": (1,)}):
+        with pytest.raises(ValueError, match="slot group"):
+            GradedSeries.monomial(wide, **groups)
+    assert GradedSeries.monomial(wide, vh=[1, 0], vn=-1, c=[2], x=[1]) \
+        .terms == {(0, 1, 0, -1, 2, 1): 1}
+
+
+def test_coefficient_validates_its_key():
+    spec = GradingSpec(2, q=1)
+    s = GradedSeries.gen(spec, "vn", coeff=TwoLocal(3))
+    assert s.coefficient((0, 0, 1, 0)) == TwoLocal(3)
+    assert s.coefficient((0, 0, 2, 0)) == 0
+    # the nested five-field key of this monomial reads nothing: it raises
+    with pytest.raises(ValueError):
+        s.coefficient((0, (0,), 1, (0,), ()))
+    with pytest.raises(ValueError):
+        s.coefficient((0, 0, 1))
 
 
 def test_str_and_parse_round_trip():
     spec = GradingSpec(2, q=2, roots=1)
-    s = GradedSeries(spec, {
-        (0, (0,), 0, (0, 0), (0,)): TwoLocal(3, 5),
-        (1, (2,), -3, (0, 0), (0,)): TwoLocal(-1),
-        (0, (0,), 0, (1, 0), (0,)): TwoLocal(1),
-        (2, (0,), 1, (0, 2), (1,)): TwoLocal(-7),
+    s = GradedSeries(spec, {  # (y, vh1, vn, c1, c2, x1)
+        (0, 0, 0, 0, 0, 0): TwoLocal(3, 5),
+        (1, 2, -3, 0, 0, 0): TwoLocal(-1),
+        (0, 0, 0, 1, 0, 0): TwoLocal(1),
+        (2, 0, 1, 0, 2, 1): TwoLocal(-7),
     })
     text = str(s)
     assert text == "3/5 + c1 + -vh1^2*vn^-3*y + -7*vn*y^2*c2^2*x1"
@@ -259,7 +285,7 @@ def test_str_and_parse_round_trip():
 
 def test_parse_fraction_coefficients():
     spec = GradingSpec(1, q=1, alphabet="standard")
-    s = GradedSeries(spec, {(0, (), 1, (1,), ()): Fraction(-3, 7)})
+    s = GradedSeries(spec, {(0, 1, 1): Fraction(-3, 7)})  # v1*c1
     assert parse_series(str(s), spec, coeff_type=Fraction) == s
 
 
@@ -319,11 +345,9 @@ def test_parse_series_prices_integer_powers_by_their_true_size():
 
 
 small_exps = st.integers(0, 2)
-keys2 = st.tuples(small_exps,
-                  st.tuples(small_exps),
-                  st.integers(-2, 2),
-                  st.tuples(small_exps, small_exps),
-                  st.tuples(small_exps, small_exps))
+# (y, vh1, vn, c1, c2, x1, x2)
+keys2 = st.tuples(small_exps, small_exps, st.integers(-2, 2),
+                  small_exps, small_exps, small_exps, small_exps)
 series2 = st.dictionaries(keys2, st.integers(-4, 4), max_size=3).map(
     lambda t: GradedSeries(HAT2, t))
 
@@ -376,7 +400,7 @@ def _boxed_basis(spec, D, caps, weight, hat_lattice):
     for a in product(range(caps + 2), repeat=n - 1):
         for e in product(range(weight + 2), repeat=spec.q):
             for b in range((-D - bottom) // step - 1, (top - D) // step + 2):
-                key = (0, a, b, e, ())
+                key = (0, *a, b, *e)
                 if (spec.degree_of(key) == D and max(a, default=0) <= caps
                         and spec.weight_of(key) <= weight
                         and not (hat_lattice and (b % P if P else b))):
@@ -401,3 +425,145 @@ def test_degree_basis_rejects_other_alphabets():
         degree_basis(GradingSpec(2, alphabet="standard"), 0, 2)
     with pytest.raises(InputError):
         degree_basis(GradingSpec(2, roots=1), 0, 2)
+
+
+# -- the flat key layout against a reference over named slot groups ---------
+
+
+def _flat(groups):
+    y, vh, vn, c, x = groups
+    return (y, *vh, vn, *c, *x)
+
+
+def _groups(spec, key):
+    """A flat key as its named slot groups (y, vh, vn, c, x)."""
+    n, q = spec.n, spec.q
+    return key[0], key[1:n], key[n], key[n + 1:n + 1 + q], key[n + 1 + q:]
+
+
+def _named(series):
+    return {_groups(series.spec, k): v for k, v in series.terms.items()}
+
+
+def _ref_weight(g):
+    _, _, _, c, x = g
+    return sum(k * e for k, e in enumerate(c, start=1)) + sum(x)
+
+
+def _ref_degree(spec, g):
+    _, vh, vn, c, x = g
+    s = (1 - spec.lam) // 2 if spec.alphabet == "hat" else 1
+    return (sum(-2 * (2 ** k - 1) * s * e for k, e in enumerate(vh, start=1))
+            - 2 * (2 ** spec.n - 1) * vn
+            + sum(2 * k * s * e for k, e in enumerate(c, start=1))
+            + 2 * s * sum(x))
+
+
+def _ref_sum(pairs, trunc):
+    out = {}
+    for g, v in pairs:
+        if trunc is None or _ref_weight(g) <= trunc:
+            out[g] = out.get(g, 0) + v
+    return {g: v for g, v in out.items() if v}
+
+
+def _ref_key_mul(g, h):
+    def add(a, b):
+        return tuple(p + q for p, q in zip(a, b))
+    return (g[0] + h[0], add(g[1], h[1]), g[2] + h[2], add(g[3], h[3]),
+            add(g[4], h[4]))
+
+
+def _ref_quotient(g, d):
+    """g / d, or None where a group other than vn would go negative."""
+    parts = [g[0] - d[0], tuple(p - q for p, q in zip(g[1], d[1])),
+             g[2] - d[2], tuple(p - q for p, q in zip(g[3], d[3])),
+             tuple(p - q for p, q in zip(g[4], d[4]))]
+    if parts[0] < 0 or min(parts[1] + parts[3] + parts[4], default=0) < 0:
+        return None
+    return tuple(parts)
+
+
+def _ref_str(spec, terms):
+    if spec.alphabet == "hat":
+        gens = [f"vh{k}" for k in range(1, spec.n)] + ["vn"]
+    else:
+        gens = [f"v{k}" for k in range(1, spec.n + 1)]
+    parts = []
+    for g in sorted(terms):
+        y, vh, vn, c, x = g
+        named = [*zip(gens, (*vh, vn)), ("y", y),
+                 *((f"c{k}", e) for k, e in enumerate(c, start=1)),
+                 *((f"x{i}", e) for i, e in enumerate(x, start=1))]
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in named if e]
+        cs = str(terms[g])
+        if not factors:
+            parts.append(cs)
+        elif cs in ("1", "-1"):
+            parts.append(cs[:-1] + "*".join(factors))  # only the sign
+        else:
+            parts.append("*".join([cs] + factors))
+    return " + ".join(parts) or "0"
+
+
+@st.composite
+def _layout_cases(draw):
+    spec = GradingSpec(draw(st.integers(1, 3)), draw(st.integers(0, 2)),
+                       draw(st.integers(0, 2)),
+                       draw(st.sampled_from(["hat", "standard"])))
+    kind, dens = draw(st.sampled_from([(Fraction, [1, 2, 3]),
+                                       (TwoLocal, [1, 3, 5])]))
+    e = st.integers(0, 2)
+
+    def groups(vn):
+        return st.tuples(e, st.tuples(*[e] * (spec.n - 1)), vn,
+                         st.tuples(*[e] * spec.q),
+                         st.tuples(*[e] * spec.roots))
+    coeff = st.builds(kind, st.integers(-4, 4), st.sampled_from(dens))
+    terms = st.dictionaries(groups(st.integers(-3, 3)), coeff, max_size=4)
+    trunc = st.none() | st.integers(0, 4)
+    divisor = draw(groups(st.integers(-3, 3)).filter(
+        lambda g: g[0] < 2 and max(g[1] + g[3] + g[4], default=0) < 2))
+    return (spec, (draw(terms), draw(trunc)), (draw(terms), draw(trunc)),
+            divisor)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_layout_cases())
+def test_flat_keys_match_named_slot_groups(case):
+    spec, (ta, tra), (tb, trb), d = case
+    a = GradedSeries(spec, {_flat(g): v for g, v in ta.items()}, tra)
+    b = GradedSeries(spec, {_flat(g): v for g, v in tb.items()}, trb)
+    A, B = _ref_sum(ta.items(), tra), _ref_sum(tb.items(), trb)
+    assert _named(a) == A and _named(b) == B
+    tr = min((t for t in (tra, trb) if t is not None), default=None)
+    assert _named(a * b) == _ref_sum(
+        ((_ref_key_mul(g, h), u * v) for g, u in A.items()
+         for h, v in B.items()), tr)
+    assert _named(a + b) == _ref_sum([*A.items(), *B.items()], tr)
+    for g in A:
+        assert spec.degree_of(_flat(g)) == _ref_degree(spec, g)
+        assert spec.weight_of(_flat(g)) == _ref_weight(g)
+    assert str(a) == _ref_str(spec, A)
+    # division by a monomial: exact, or refused if any term escapes
+    quots = {g: _ref_quotient(g, d) for g in A}
+    if None in quots.values():
+        with pytest.raises(MathInvariantError):
+            a.divide_by_key(_flat(d))
+    else:
+        quot = a.divide_by_key(_flat(d))
+        assert _named(quot) == {quots[g]: v for g, v in A.items()}
+        assert quot.trunc == (None if tra is None else tra - _ref_weight(d))
+    wide = GradingSpec(spec.n, spec.q + 1, spec.roots + 2, spec.alphabet)
+    assert _named(a.extended_to(wide)) == {
+        (y, vh, vn, c + (0,), x + (0, 0)): v
+        for (y, vh, vn, c, x), v in A.items()}
+    hat = spec.alphabet == "hat"
+    assert _named(a.conjugate()) == {
+        g: -v if (g[2] + (0 if hat else sum(g[1]))) % 2 else v
+        for g, v in A.items()}
+    if not hat:
+        P = GradingSpec(spec.n).hat_offset
+        assert _named(a.regrade_to_hat()) == _ref_sum(
+            (((y, vh, -vn * P, c, x), v) for (y, vh, vn, c, x), v
+             in A.items()), None)
