@@ -1,11 +1,21 @@
-"""Arithmetic over the 2-local integers, plus Smith normal form over them.
+"""Arithmetic over the 2-local integers, plus echelon and Smith forms.
 
 The ring is Z localized at the prime 2: reduced fractions with odd
-denominator.  It is a discrete valuation ring, which keeps Smith reduction
-simple.  Picking a global minimum-valuation pivot means one clearing pass
-per pivot suffices (every quotient is exact and the remaining entries keep
-valuation >= the pivot's), and the diagonal comes out as a divisibility
-chain of powers of 2 with no extra sorting.
+denominator.  It is a discrete valuation ring, which keeps elimination
+simple: with a minimum-valuation pivot every quotient is exact and one
+clearing pass per pivot suffices.
+
+Two certified routines answer the lattice questions:
+
+- `echelon` (E = U @ M, row operations only) answers the row-span
+  questions: `kernel_basis` (U's rows past the rank), `spans` (reduction
+  along E), `row_basis` (E's rows) and `preimage_rows`.  Each reduction
+  checks U @ M == E in ints, that U is unimodular (full GF(2) rank of its
+  parity rows) and that E is in echelon shape.
+- `snf_with_transforms` (D = U @ M @ V, a global minimum-valuation pivot,
+  so the diagonal is a divisibility chain of powers of 2) answers what
+  needs the invariants: `snf`, `cokernel_structure`, `quotient_structure`
+  and `solve_left`.  Each reduction checks U @ M @ V == D in ints.
 
 Convention used by the whole package: matrices act on ROW vectors.  Rows
 index the source basis, columns the target, so the cokernel of M is the
@@ -370,8 +380,8 @@ def _eliminate(rows, aux, scale, k: int, col: int, v: int) -> None:
     """Clear column col below row k: row_i <- u*row_i - (a_i >> v)*row_k.
 
     rows[k][col] is 2^v times the odd u, and no entry below it in the
-    column has a smaller valuation, so every shift is exact.  aux[i] (the
-    rows of U, or empty lists) gets the same update and shares scale[i].
+    column has a smaller valuation, so every shift is exact.  aux[i], row
+    i of U, gets the same update and shares scale[i].
     """
     prow, paux = rows[k], aux[k]
     u = prow[col] >> v
@@ -488,11 +498,7 @@ def _certify(A, dens, U, scale, V, vden, pivots) -> None:
     n = len(V)
     if not U or not n:
         return  # an empty product has nothing to check
-    P = 1
-    for d in dens:
-        P = P * d // math.gcd(P, d)
-    Arows = [[(j, x * (P // d)) for j, x in enumerate(row) if x]
-             for row, d in zip(A, dens)]
+    P, Arows = _int_rows(A, dens)
     Vrows = [[(j, col[l]) for j, col in enumerate(V) if col[l]] for l in range(n)]
     r = len(pivots)
     for i, urow in enumerate(U):
@@ -514,6 +520,16 @@ def _certify(A, dens, U, scale, V, vden, pivots) -> None:
             raise MathInvariantError("Smith reduction lost U*M*V == D")
 
 
+def _int_rows(A, dens):
+    """(P, rows of P * M), for A[k] == dens[k] * M[k] and P the lcm of
+    dens; each row is a list of its nonzero (column, int) entries."""
+    P = 1
+    for d in dens:
+        P = P * d // math.gcd(P, d)
+    return P, [[(j, x * (P // d)) for j, x in enumerate(row) if x]
+               for row, d in zip(A, dens)]
+
+
 def _diag_rank(D: LocalMatrix) -> int:
     r = 0
     for i in range(min(D.nrows, D.ncols)):
@@ -522,6 +538,132 @@ def _diag_rank(D: LocalMatrix) -> int:
         else:
             break
     return r
+
+
+def echelon(M: LocalMatrix):
+    """Row echelon form over Z_(2): returns (E, U, pivots) with
+    U @ M == stack_rows([E, 0]).
+
+    U is invertible over Z_(2); E holds the r = len(pivots) nonzero rows,
+    row i with its first nonzero entry in column pivots[i], at strictly
+    increasing columns.  So E is a basis of M's row span and U's rows past
+    r one of its left kernel.  Columns are taken left to right, each with
+    the first remaining row of minimum valuation in it as pivot, and
+    cleared below it by `_eliminate` with U alongside.  The certificate
+    (`_certify_echelon`) is checked on the integer matrices before they
+    are stored.
+    """
+    m, n = M.nrows, M.ncols
+    W = [row[:] for row in M.rows]
+    scale = M.dens[:]
+    U = [[0] * m for _ in range(m)]
+    for i, d in enumerate(scale):
+        U[i][i] = d
+    pivots = []
+    for j in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        bi, bv = -1, math.inf
+        for i in range(r, m):
+            x = W[i][j]
+            if x:
+                v = (x & -x).bit_length() - 1
+                if v < bv:
+                    bi, bv = i, v
+                    if not v:
+                        break
+        if bi < 0:
+            continue
+        if bi != r:
+            W[r], W[bi] = W[bi], W[r]
+            U[r], U[bi] = U[bi], U[r]
+            scale[r], scale[bi] = scale[bi], scale[r]
+        _eliminate(W, U, scale, r, j, bv)
+        pivots.append(j)
+    _certify_echelon(M, W, U, scale, pivots)
+    return (LocalMatrix._of(zip(W[:len(pivots)], scale), n),
+            LocalMatrix._of(zip(U, scale), m), tuple(pivots))
+
+
+def _certify_echelon(M: LocalMatrix, W, U, scale, pivots) -> None:
+    """Raise MathInvariantError unless U @ M == E, U is unimodular and E
+    is in echelon shape, for E[i] == W[i] / scale[i] and U[i] / scale[i].
+
+    With P the lcm of M's denominators, U @ M == E is checked in ints as
+    sum_k U[i][k] * (P / dens[k]) * M.rows[k] == P * W[i].  U is
+    invertible over Z_(2) exactly when it is mod 2, and the odd scales
+    leave parities alone, so that is a full GF(2) rank of the parity
+    bitmasks of U's int rows.
+    """
+    m, r = M.nrows, len(pivots)
+    if not len(W) == len(U) == len(scale) == m:
+        raise MathInvariantError("echelon lost a row")
+    P, Arows = _int_rows(M.rows, M.dens)
+    lead = {}  # the GF(2) rows so far, by bit length
+    for urow, wrow, s in zip(U, W, scale):
+        z = [0] * M.ncols
+        bits = 0
+        for k, x in enumerate(urow):
+            if x:
+                bits |= (x & 1) << k
+                for j, y in Arows[k]:
+                    z[j] += x * y
+        if z != [P * x for x in wrow]:
+            raise MathInvariantError("echelon lost U*M == E")
+        while bits and bits.bit_length() in lead:
+            bits ^= lead[bits.bit_length()]
+        if not bits or not s & 1:
+            raise MathInvariantError("echelon transform is not unimodular")
+        lead[bits.bit_length()] = bits
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in W]
+    if leads != [*pivots, *[None] * (m - r)] or any(
+            a >= b for a, b in zip(pivots, pivots[1:])):
+        raise MathInvariantError("echelon shape broken")
+
+
+def kernel_basis(M: LocalMatrix) -> LocalMatrix:
+    """Basis of the left kernel {x : x @ M == 0}, as rows: the rows of the
+    echelon transform U past the rank."""
+    _, U, pivots = echelon(M)
+    r = len(pivots)
+    return LocalMatrix._of(zip(U.rows[r:], U.dens[r:]), M.nrows)
+
+
+def spans(A: LocalMatrix, B: LocalMatrix) -> bool:
+    """Whether every row of B lies in the row span of A over Z_(2)."""
+    if A.ncols != B.ncols:
+        raise ValueError("ambient dimensions differ")
+    rows = [row for row in B.rows if any(row)]
+    if not rows or A.nrows == 0:
+        return not rows
+    E, _, pivots = echelon(A)
+    return all(_reduces_to_zero(row, E, pivots) for row in rows)
+
+
+def _reduces_to_zero(w: list, E: LocalMatrix, pivots) -> bool:
+    """Whether the int row w (any odd multiple of a row vector) reduces to
+    zero along the echelon rows E: each pivot fixes its coefficient, which
+    must lie in Z_(2), and what is left after the last pivot must be 0."""
+    for erow, p in zip(E.rows, pivots):
+        a = w[p]
+        if not a:
+            continue
+        t = (erow[p] & -erow[p]).bit_length() - 1
+        if a & ((1 << t) - 1):
+            return False  # early: the remainder at p would stay to the end
+        u, q = erow[p] >> t, a >> t
+        w = [u * x - q * y for x, y in zip(w, erow)]
+        g = math.gcd(*w)
+        g //= g & -g or 1  # its odd part, which leaves valuations alone
+        if g > 1:
+            w = [x // g for x in w]
+    return not any(w)
+
+
+def row_basis(M: LocalMatrix) -> LocalMatrix:
+    """Lattice basis of the row span: the nonzero rows of M's echelon form."""
+    return echelon(M)[0]
 
 
 def snf(M: LocalMatrix) -> tuple[int, ...]:
@@ -534,13 +676,6 @@ def cokernel_structure(M: LocalMatrix) -> ModuleStructure:
     """Structure of the column module modulo the row span of M."""
     invs = snf(M)
     return ModuleStructure(M.ncols - len(invs), tuple(d for d in invs if d > 1))
-
-
-def kernel_basis(M: LocalMatrix) -> LocalMatrix:
-    """Basis of the left kernel {x : x @ M == 0}, as rows."""
-    D, U, _ = snf_with_transforms(M)
-    r = _diag_rank(D)
-    return LocalMatrix._of(zip(U.rows[r:], U.dens[r:]), M.nrows)
 
 
 def solve_left(A: LocalMatrix, v: Sequence, decomp=None):
@@ -571,50 +706,6 @@ def _solve(decomp, nums: list, d: int) -> tuple[list, int] | None:
     if any(w[r:]):
         return None
     return _vec_mat(y, dw, U)
-
-
-def spans(A: LocalMatrix, B: LocalMatrix) -> bool:
-    """Whether every row of B lies in the row span of A over Z_(2)."""
-    if A.ncols != B.ncols:
-        raise ValueError("ambient dimensions differ")
-    rows = [(row, d) for row, d in zip(B.rows, B.dens) if any(row)]
-    if not rows or A.nrows == 0:
-        return not rows
-    decomp = snf_with_transforms(A)
-    return all(_solve(decomp, row, d) is not None for row, d in rows)
-
-
-def row_basis(M: LocalMatrix) -> LocalMatrix:
-    """Lattice basis of the row span, via invertible row operations only.
-
-    Columns are processed left to right with a minimum-valuation pivot, so
-    every elimination quotient stays in Z_(2).
-    """
-    W = [row[:] for row in M.rows]
-    scale = M.dens[:]
-    m = len(W)
-    aux = [[] for _ in range(m)]
-    r = 0
-    for j in range(M.ncols):
-        if r == m:
-            break
-        bi, bv = -1, math.inf
-        for i in range(r, m):
-            x = W[i][j]
-            if x:
-                v = (x & -x).bit_length() - 1
-                if v < bv:
-                    bi, bv = i, v
-                    if not v:
-                        break
-        if bi < 0:
-            continue
-        if bi != r:
-            W[r], W[bi] = W[bi], W[r]
-            scale[r], scale[bi] = scale[bi], scale[r]
-        _eliminate(W, aux, scale, r, j, bv)
-        r += 1
-    return LocalMatrix._of(zip(W[:r], scale), M.ncols)
 
 
 def quotient_structure(K: LocalMatrix, B: LocalMatrix) -> ModuleStructure:

@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from erjw.scalar2 import (
     ModuleStructure,
     TwoLocal,
     cokernel_structure,
+    echelon,
     kernel_basis,
     preimage_rows,
     quotient_structure,
@@ -21,6 +23,7 @@ from erjw.scalar2 import (
     snf,
     snf_with_transforms,
     solve_left,
+    spans,
     stack_rows,
     val2,
 )
@@ -30,13 +33,13 @@ two_locals = st.builds(TwoLocal, st.integers(-200, 200), odd)
 
 
 @st.composite
-def sparse_matrices(draw, max_dim=12):
+def sparse_matrices(draw, max_dim=12, min_cols=1):
     """Matrices up to max_dim square: few nonzeros, odd denominators, and
     numerators well beyond +-2 with a spread of 2-adic valuations."""
     nrows = draw(st.integers(0, max_dim))
-    ncols = draw(st.integers(1, max_dim))
+    ncols = draw(st.integers(min_cols, max_dim))
     data = [[TwoLocal(0)] * ncols for _ in range(nrows)]
-    if nrows:
+    if nrows and ncols:
         cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
         nums = st.builds(lambda a, e: a << e,
                          st.integers(-60, 60).filter(bool), st.integers(0, 5))
@@ -460,3 +463,166 @@ def test_certificate_catches_a_planted_elimination_fault(monkeypatch):
     monkeypatch.setattr(scalar2, "_eliminate", faulty)
     with pytest.raises(MathInvariantError, match=r"U\*M\*V == D"):
         snf_with_transforms(M)
+
+
+# -- the certified echelon --------------------------------------------------
+
+
+def _reference_row_basis(M):
+    """row_basis as it stood before the echelon form: its own elimination
+    loop, with no transform and no certificate."""
+    W = [row[:] for row in M.rows]
+    scale = M.dens[:]
+    m, r = len(W), 0
+    for j in range(M.ncols):
+        if r == m:
+            break
+        bi, bv = -1, math.inf
+        for i in range(r, m):
+            x = W[i][j]
+            if x and val2(x) < bv:
+                bi, bv = i, val2(x)
+        if bi < 0:
+            continue
+        W[r], W[bi] = W[bi], W[r]
+        scale[r], scale[bi] = scale[bi], scale[r]
+        prow = W[r]
+        u = prow[j] >> bv
+        for i in range(r + 1, m):
+            a = W[i][j]
+            if a:
+                row = [u * x - (a >> bv) * y for x, y in zip(W[i], prow)]
+                s = scale[i] * u
+                g = math.gcd(s, *row)
+                W[i], scale[i] = [x // g for x in row], s // g
+        r += 1
+    return LocalMatrix._of(zip(W[:r], scale), M.ncols)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(sparse_matrices(min_cols=0), st.randoms(use_true_random=False))
+def test_echelon_against_smith(m, rnd):
+    """The echelon route and the Smith route answer the same row-span
+    questions; Smith's answers are read through its own decomposition."""
+    r = len(snf(m))
+    E, U, pivots = echelon(m)
+    assert len(pivots) == E.nrows == r
+    assert U @ m == stack_rows([E, LocalMatrix.zeros(m.nrows - r, m.ncols)])
+    K = kernel_basis(m)
+    assert (K.nrows, K.ncols) == (m.nrows - r, m.nrows)
+    assert K @ m == LocalMatrix.zeros(K.nrows, m.ncols)
+    decomp = snf_with_transforms(m)
+    smith_kernel = decomp[1].data[r:]
+    # the two kernel bases span each other, decided by Smith's solver
+    for row in smith_kernel:
+        assert solve_left(K, row) is not None
+    if smith_kernel:
+        S = LocalMatrix(smith_kernel, m.nrows)
+        for row in K.data:
+            assert solve_left(S, row) is not None
+    # membership: spans (reduction along E) against _solve on Smith's form
+    for _ in range(4):
+        x = [TwoLocal(rnd.randrange(-9, 10), rnd.choice([1, 3, 5]))
+             for _ in range(m.nrows)]
+        v = row_times_matrix(x, m) if m.nrows else [TwoLocal(0)] * m.ncols
+        if m.ncols and rnd.random() < 0.6:
+            j = rnd.randrange(m.ncols)
+            v[j] += TwoLocal(rnd.choice([1, 3]) << rnd.randrange(4),
+                             rnd.choice([1, 7]))
+        w = LocalMatrix([v], m.ncols)
+        solved = scalar2._solve(decomp, w.rows[0], w.dens[0]) is not None
+        assert spans(m, w) == (solved or not any(w.rows[0]))
+    B, ref = row_basis(m), _reference_row_basis(m)
+    assert (B.rows, B.dens, B.ncols) == (ref.rows, ref.dens, ref.ncols)
+
+
+def _wrong_u_update(real, rows, aux, scale, k, col, v):
+    real(rows, aux, scale, k, col, v)
+    for row in aux[k + 1:]:
+        row[k] += 2  # even, so U stays unimodular mod 2
+
+
+def _dropped_row(real, rows, aux, scale, k, col, v):
+    real(rows, aux, scale, k, col, v)
+    rows[-1] = [0] * len(rows[-1])  # gone from E, still in U
+
+
+def _dropped_row_and_transform(real, rows, aux, scale, k, col, v):
+    real(rows, aux, scale, k, col, v)
+    rows[-1] = [0] * len(rows[-1])
+    aux[-1] = [0] * len(aux[-1])
+
+
+def _even_pivot_unit(real, rows, aux, scale, k, col, v):
+    # doubling the pivot row leaves U @ M == E true but its unit part even
+    rows[k] = [2 * x for x in rows[k]]
+    aux[k] = [2 * x for x in aux[k]]
+    real(rows, aux, scale, k, col, v)
+
+
+def _entry_left_of_pivot(real, rows, aux, scale, k, col, v):
+    real(rows, aux, scale, k, col, v)
+    if k == 2:  # at the last pivot, row 2 += row 0 in E and U alike
+        s2, s0 = scale[2], scale[0]
+        rows[2] = [s0 * x + s2 * y for x, y in zip(rows[2], rows[0])]
+        aux[2] = [s0 * x + s2 * y for x, y in zip(aux[2], aux[0])]
+        scale[2] = s2 * s0
+
+
+@pytest.mark.parametrize("plant, message", [
+    (_wrong_u_update, r"U\*M == E"),
+    (_dropped_row, r"U\*M == E"),
+    (_dropped_row_and_transform, "not unimodular"),
+    (_even_pivot_unit, "not unimodular"),
+    (_entry_left_of_pivot, "echelon shape"),
+])
+def test_echelon_certificate_catches_planted_faults(monkeypatch, plant,
+                                                    message):
+    M = LocalMatrix([[2, 1, 0], [4, TwoLocal(3, 5), 1], [6, 5, 2],
+                     [1, 0, 7]])
+    E, U, pivots = echelon(M)
+    assert pivots == (0, 1, 2)
+    assert U @ M == stack_rows([E, LocalMatrix.zeros(1, 3)])
+    real = scalar2._eliminate
+    monkeypatch.setattr(scalar2, "_eliminate",
+                        lambda *args: plant(real, *args))
+    for ask in (echelon, kernel_basis, row_basis,
+                lambda A: spans(A, A)):
+        with pytest.raises(MathInvariantError, match=message):
+            ask(M)
+
+
+def test_echelon_certificate_catches_a_lost_row(monkeypatch):
+    real = scalar2._certify_echelon
+
+    def short(M, W, U, scale, pivots):
+        real(M, W[:-1], U[:-1], scale[:-1], pivots)
+
+    monkeypatch.setattr(scalar2, "_certify_echelon", short)
+    with pytest.raises(MathInvariantError, match="lost a row"):
+        echelon(LocalMatrix([[1, 2], [3, 4]]))
+
+
+def test_mutating_a_result_changes_no_later_answer():
+    """Results hold lists of their own: editing every list in one leaves
+    the next answer to the same question as it was."""
+    M = LocalMatrix([[2, 4, TwoLocal(6, 5)], [1, 3, 0], [3, 7, TwoLocal(6, 5)],
+                     [0, 2, 2]])
+    T = LocalMatrix([[0, 2, 0]])
+    asks = [lambda: (kernel_basis(M),), lambda: (row_basis(M),),
+            lambda: (preimage_rows(M, T),), lambda: snf_with_transforms(M),
+            lambda: echelon(M)]
+
+    def lists(result):
+        return [(X.rows, X.dens) for X in result if isinstance(X, LocalMatrix)]
+
+    for ask in asks:
+        first = ask()
+        expected = copy.deepcopy(lists(first))
+        for rows, dens in lists(first):
+            for row in rows:
+                row[:] = [x + 7 for x in row] + [1]
+            rows.append([5])
+            dens[:] = [3] * len(dens)
+        assert lists(ask()) == expected
+    assert spans(M, M) and not spans(M, LocalMatrix([[0, 0, 1]]))
