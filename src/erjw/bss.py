@@ -357,7 +357,10 @@ class TruncatedOracle:
                   for cell, keys in self.basis.items()}
         self.flags: set[tuple[int, int]] = set()
         self.level = 0
-        self.charts: dict[int, dict] = {1: self._chart_now(self.basis, {})}
+        # page 1 is Z = identity over B = 0, free on each cell's basis
+        self.charts: dict[int, dict] = {1: {
+            cell: ModuleStructure(len(keys), ())
+            for cell, keys in self.basis.items()}}
 
     def _chart_now(self, changed, previous: dict) -> dict:
         out = {}
@@ -541,11 +544,9 @@ class DegreeColumns:
         return len(self.index)
 
     def row(self, series: GradedSeries) -> dict:
-        row: dict[int, TwoLocal] = {}
-        for key, coeff in series.terms.items():
-            c = self.index.setdefault(key, len(self.index))
-            row[c] = row.get(c, ZERO) + coeff
-        row = {c: v for c, v in row.items() if v.num}
+        # distinct keys with nonzero coefficients, to distinct columns
+        row = {self.index.setdefault(key, len(self.index)): coeff
+               for key, coeff in series.terms.items()}
         nb = len(self.basis)
         self.mixed |= min(row, default=nb) < nb <= max(row, default=0)
         return row

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from importlib import metadata
 
@@ -655,9 +656,13 @@ def main(argv=None) -> int:
             "config": _config_echo(args),
             "result": result,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        print(text)
+        text = json.dumps(envelope, sort_keys=True, indent=2)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early; send the interpreter's last
+        # flush to devnull so it stays silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -8,14 +8,17 @@ clearing pass per pivot suffices.
 Two certified routines answer the lattice questions:
 
 - `echelon` (E = U @ M, row operations only) answers the row-span
-  questions: `kernel_basis` (U's rows past the rank), `spans` (reduction
-  along E), `row_basis` (E's rows) and `preimage_rows`.  Each reduction
-  checks U @ M == E in ints, that U is unimodular (full GF(2) rank of its
-  parity rows) and that E is in echelon shape.
+  questions.  One reduction along E, `_reduce`, gives a row's
+  coordinates along E or finds it outside the span: it answers `spans`,
+  `solve_left` and the coordinates in `quotient_structure`.
+  `kernel_basis` is U's rows past the rank, `row_basis` is E, and
+  `preimage_rows` rides on both.  Each reduction checks U @ M == E in
+  ints, that U is unimodular (full GF(2) rank of its parity rows) and
+  that E is in echelon shape.
 - `snf_with_transforms` (D = U @ M @ V, a global minimum-valuation pivot,
-  so the diagonal is a divisibility chain of powers of 2) answers what
-  needs the invariants: `snf`, `cokernel_structure`, `quotient_structure`
-  and `solve_left`.  Each reduction checks U @ M @ V == D in ints.
+  so the diagonal is a divisibility chain of powers of 2) answers only
+  the invariants: `snf`, `cokernel_structure`, and the last step of
+  `quotient_structure`.  Each reduction checks U @ M @ V == D in ints.
 
 Convention used by the whole package: matrices act on ROW vectors.  Rows
 index the source basis, columns the target, so the cokernel of M is the
@@ -530,16 +533,6 @@ def _int_rows(A, dens):
                for row, d in zip(A, dens)]
 
 
-def _diag_rank(D: LocalMatrix) -> int:
-    r = 0
-    for i in range(min(D.nrows, D.ncols)):
-        if D.rows[i][i]:
-            r += 1
-        else:
-            break
-    return r
-
-
 def echelon(M: LocalMatrix):
     """Row echelon form over Z_(2): returns (E, U, pivots) with
     U @ M == stack_rows([E, 0]).
@@ -638,27 +631,36 @@ def spans(A: LocalMatrix, B: LocalMatrix) -> bool:
     if not rows or A.nrows == 0:
         return not rows
     E, _, pivots = echelon(A)
-    return all(_reduces_to_zero(row, E, pivots) for row in rows)
+    return all(_reduce(row, 1, E, pivots) is not None for row in rows)
 
 
-def _reduces_to_zero(w: list, E: LocalMatrix, pivots) -> bool:
-    """Whether the int row w (any odd multiple of a row vector) reduces to
-    zero along the echelon rows E: each pivot fixes its coefficient, which
-    must lie in Z_(2), and what is left after the last pivot must be 0."""
-    for erow, p in zip(E.rows, pivots):
+def _reduce(w: list, d: int, E: LocalMatrix, pivots) -> tuple[list, int] | None:
+    """(y, e) with y / e @ E == w / d for the int row w over the odd d, or
+    None if w / d is outside the row span of the echelon rows E.  Each
+    pivot fixes its coefficient, which must lie in Z_(2); w and y share one
+    odd scale, as a row and its U row do in `_eliminate`."""
+    y = [0] * E.nrows
+    s = 1
+    for i, (erow, p) in enumerate(zip(E.rows, pivots)):
         a = w[p]
         if not a:
             continue
         t = (erow[p] & -erow[p]).bit_length() - 1
         if a & ((1 << t) - 1):
-            return False  # early: the remainder at p would stay to the end
+            return None  # early: the remainder at p would stay to the end
         u, q = erow[p] >> t, a >> t
-        w = [u * x - q * y for x, y in zip(w, erow)]
-        g = math.gcd(*w)
-        g //= g & -g or 1  # its odd part, which leaves valuations alone
-        if g > 1:
+        w = [u * x - q * z for x, z in zip(w, erow)]
+        y = [u * c for c in y]
+        y[i] = q
+        s *= u
+        g = math.gcd(s, *w, *y)
+        if g != 1:
             w = [x // g for x in w]
-    return not any(w)
+            y = [c // g for c in y]
+            s //= g
+    if any(w):
+        return None
+    return [c * ed for c, ed in zip(y, E.dens)], s * d
 
 
 def row_basis(M: LocalMatrix) -> LocalMatrix:
@@ -668,8 +670,8 @@ def row_basis(M: LocalMatrix) -> LocalMatrix:
 
 def snf(M: LocalMatrix) -> tuple[int, ...]:
     """Nonzero Smith invariants of M, as plain ints (powers of 2)."""
-    D, _, _ = snf_with_transforms(M)
-    return tuple(D.rows[i][i] for i in range(_diag_rank(D)))
+    D = snf_with_transforms(M)[0]
+    return tuple(row[i] for i, row in enumerate(D.rows[:D.ncols]) if row[i])
 
 
 def cokernel_structure(M: LocalMatrix) -> ModuleStructure:
@@ -678,34 +680,19 @@ def cokernel_structure(M: LocalMatrix) -> ModuleStructure:
     return ModuleStructure(M.ncols - len(invs), tuple(d for d in invs if d > 1))
 
 
-def solve_left(A: LocalMatrix, v: Sequence, decomp=None):
+def solve_left(A: LocalMatrix, v: Sequence):
     """One solution x of x @ A == v over Z_(2), or None if there is none.
 
-    v's entries are int or TwoLocal; x is a list of TwoLocal.
+    v's entries are int or TwoLocal; x is a list of TwoLocal.  With
+    E == U @ A the echelon form, x is (v's coordinates along E) @ U.
     """
-    if decomp is None:
-        decomp = snf_with_transforms(A)
     w = LocalMatrix([v], A.ncols)
-    x = _solve(decomp, w.rows[0], w.dens[0])
-    return None if x is None else [TwoLocal(a, x[1]) for a in x[0]]
-
-
-def _solve(decomp, nums: list, d: int) -> tuple[list, int] | None:
-    """(x, dx) with x / dx @ A == nums / d, for decomp the Smith form of A,
-    or None if there is no solution."""
-    D, U, V = decomp
-    r = _diag_rank(D)
-    # x @ A == v exactly when y @ D == v @ V for y = x @ U^-1
-    w, dw = _vec_mat(nums, d, V)
-    y = [0] * U.nrows
-    for i in range(r):
-        e = D.rows[i][i].bit_length() - 1  # D[i][i] == 2^e
-        if w[i] & ((1 << e) - 1):
-            return None
-        y[i] = w[i] >> e
-    if any(w[r:]):
+    E, U, pivots = echelon(A)
+    coords = _reduce(w.rows[0], w.dens[0], E, pivots)
+    if coords is None:
         return None
-    return _vec_mat(y, dw, U)
+    x, dx = _vec_mat(*coords, U)
+    return [TwoLocal(a, dx) for a in x]
 
 
 def quotient_structure(K: LocalMatrix, B: LocalMatrix) -> ModuleStructure:
@@ -713,19 +700,17 @@ def quotient_structure(K: LocalMatrix, B: LocalMatrix) -> ModuleStructure:
 
     K's rows must be independent (use kernel_basis or row_basis output) and
     every row of B must lie in span(K); violations raise MathInvariantError.
+    B's coordinates are taken along K's echelon rows E == U @ K: U is
+    unimodular, so they present the same quotient as coordinates along K.
     """
     if K.ncols != B.ncols:
         raise ValueError("ambient dimensions differ")
-    if K.nrows == 0:
-        if any(map(any, B.rows)):
-            raise MathInvariantError("nonzero row against an empty span")
-        return ModuleStructure(0, ())
-    if B.nrows == 0:
-        return ModuleStructure(K.nrows, ())
-    decomp = snf_with_transforms(K)
-    if _diag_rank(decomp[0]) != K.nrows:
+    E, _, pivots = echelon(K)
+    if len(pivots) != K.nrows:
         raise MathInvariantError("quotient basis rows are dependent")
-    coords = [_solve(decomp, row, d) for row, d in zip(B.rows, B.dens)]
+    if not B.nrows:
+        return ModuleStructure(K.nrows, ())
+    coords = [_reduce(row, d, E, pivots) for row, d in zip(B.rows, B.dens)]
     if None in coords:
         raise MathInvariantError("row escapes the span it must lie in")
     return cokernel_structure(LocalMatrix._of(coords, K.nrows))

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -122,6 +125,25 @@ def test_svg_skips_arrows_off_acting_pages(capsys):
     _, out, _ = run(["page", "--n", "1", "--r", "2", "--window", "-8..8",
                      "--format", "svg", "--engine", "closed"], capsys)
     assert "marker-end" not in out.split("</defs>", 1)[1]
+
+
+def test_closed_pipe_ends_quietly_with_exit_zero():
+    """A reader that closes the pipe early (`erjw ... | head -1`) ends the
+    run quietly.  The pipe's read end is closed before the run starts, so
+    the write always fails."""
+    r, w = os.pipe()
+    os.close(r)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "erjw.cli", "page", "--n", "1", "--r", "8",
+             "--window=-16..16", "--format", "svg"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_page_oracle_reports_flags(capsys):

@@ -499,6 +499,27 @@ def _reference_row_basis(M):
     return LocalMatrix._of(zip(W[:r], scale), M.ncols)
 
 
+def _smith_solve(decomp, v):
+    """Reference solver on the Smith route, in TwoLocal arithmetic: one x
+    with x @ A == v, or None, for decomp == (D, U, V) A's Smith form.
+    x @ A == v exactly when y @ D == v @ V for y == x @ U^-1."""
+    D, U, V = decomp
+    w = row_times_matrix(v, V)
+    diag = [D[i, i] for i in range(min(D.nrows, D.ncols)) if D[i, i]]
+    if any(w[len(diag):]) or any(val2(a) < val2(d) for a, d in zip(w, diag)):
+        return None
+    y = [a / d for a, d in zip(w, diag)] + [TwoLocal(0)] * (U.nrows - len(diag))
+    return row_times_matrix(y, U)
+
+
+def _smith_quotient(K, B):
+    """span(K) / span(B) from coordinates found by the Smith route."""
+    decomp = snf_with_transforms(K)
+    coords = [_smith_solve(decomp, row) for row in B.data]
+    assert None not in coords
+    return cokernel_structure(LocalMatrix(coords, K.nrows))
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(sparse_matrices(min_cols=0), st.randoms(use_true_random=False))
 def test_echelon_against_smith(m, rnd):
@@ -515,12 +536,12 @@ def test_echelon_against_smith(m, rnd):
     smith_kernel = decomp[1].data[r:]
     # the two kernel bases span each other, decided by Smith's solver
     for row in smith_kernel:
-        assert solve_left(K, row) is not None
+        assert _smith_solve(snf_with_transforms(K), row) is not None
     if smith_kernel:
-        S = LocalMatrix(smith_kernel, m.nrows)
+        S = snf_with_transforms(LocalMatrix(smith_kernel, m.nrows))
         for row in K.data:
-            assert solve_left(S, row) is not None
-    # membership: spans (reduction along E) against _solve on Smith's form
+            assert _smith_solve(S, row) is not None
+    # membership: spans (reduction along E) against Smith's solver
     for _ in range(4):
         x = [TwoLocal(rnd.randrange(-9, 10), rnd.choice([1, 3, 5]))
              for _ in range(m.nrows)]
@@ -530,8 +551,7 @@ def test_echelon_against_smith(m, rnd):
             v[j] += TwoLocal(rnd.choice([1, 3]) << rnd.randrange(4),
                              rnd.choice([1, 7]))
         w = LocalMatrix([v], m.ncols)
-        solved = scalar2._solve(decomp, w.rows[0], w.dens[0]) is not None
-        assert spans(m, w) == (solved or not any(w.rows[0]))
+        assert spans(m, w) == (_smith_solve(decomp, v) is not None)
     B, ref = row_basis(m), _reference_row_basis(m)
     assert (B.rows, B.dens, B.ncols) == (ref.rows, ref.dens, ref.ncols)
 
@@ -626,3 +646,55 @@ def test_mutating_a_result_changes_no_later_answer():
             dens[:] = [3] * len(dens)
         assert lists(ask()) == expected
     assert spans(M, M) and not spans(M, LocalMatrix([[0, 0, 1]]))
+
+
+# -- one solver: coordinates from the echelon, invariants from Smith ---------
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sparse_matrices(min_cols=0), st.randoms(use_true_random=False))
+def test_one_solver_against_smith_route(m, rnd):
+    """quotient_structure and solve_left, which read coordinates off the
+    echelon, against the same questions answered through Smith's D, U, V."""
+    K = row_basis(m)
+
+    def combination(A):
+        x = [TwoLocal(rnd.randrange(-9, 10) << rnd.randrange(3),
+                      rnd.choice([1, 3, 5])) for _ in range(A.nrows)]
+        return row_times_matrix(x, A)
+
+    rows = [combination(K) for _ in range(rnd.randrange(4))]
+    rows += [[TwoLocal(0)] * m.ncols for _ in range(rnd.randrange(2))]
+    rnd.shuffle(rows)
+    B = LocalMatrix(rows, m.ncols)
+    assert quotient_structure(K, B) == _smith_quotient(K, B)
+    # K's rows stacked on m's are dependent once both are nonempty
+    A = stack_rows([K, m])
+    v = combination(A)
+    x = solve_left(A, v)
+    assert x is not None and row_times_matrix(x, A) == v
+    if m.ncols:
+        v[rnd.randrange(m.ncols)] += TwoLocal(rnd.choice([1, 3]), 7)
+        x = solve_left(A, v)
+        assert (x is None) == (_smith_solve(snf_with_transforms(A), v) is None)
+        assert x is None or row_times_matrix(x, A) == v
+
+
+def test_quotient_structure_makes_one_smith_call(monkeypatch):
+    """Coordinates come from the echelon; Smith reduces only them."""
+    calls = []
+    real = scalar2.snf_with_transforms
+    monkeypatch.setattr(scalar2, "snf_with_transforms",
+                        lambda M: calls.append(M) or real(M))
+    K = LocalMatrix([[2, 1, 0], [0, 3, TwoLocal(4, 5)]])
+    B = LocalMatrix([[4, 2, 0], [0, 6, TwoLocal(8, 5)],
+                     [2, 4, TwoLocal(4, 5)]])
+    assert quotient_structure(K, B) == ModuleStructure(0, (2,))
+    assert len(calls) == 1
+
+
+def test_quotient_structure_refuses_dependent_rows_against_empty_b():
+    """The independence check runs before the empty-B answer."""
+    for K in (LocalMatrix([[1, 0], [1, 0]]), LocalMatrix([[0, 0]])):
+        with pytest.raises(MathInvariantError, match="dependent"):
+            quotient_structure(K, LocalMatrix.zeros(0, 2))
