@@ -23,8 +23,9 @@ The engines:
     from page 1 is the second, independent route.
   * TruncatedOracle forgets the closed forms entirely: it enumerates
     monomials in a (m, t) window with capped vhat exponents, keeps honest
-    cycle and boundary lattices per position, and advances them with the
-    raw formulas.  Window and cap overflows are flagged per position so
+    cycle and boundary lattices per position, and advances them through
+    d_r applied as the map the raw formulas give, one monomial to at most
+    one monomial.  Window and cap overflows are flagged per position so
     comparisons skip exactly the positions the truncation polluted.  It
     recomputes nothing whose result it has (see its docstring).
 
@@ -56,6 +57,7 @@ from .scalar2 import (
     LocalMatrix,
     ModuleStructure,
     TwoLocal,
+    kernel_basis,
     preimage_rows,
     quotient_structure,
     row_basis,
@@ -103,8 +105,7 @@ def apply_differential(series: GradedSeries, r: int,
 
     In strict mode a vn exponent that is not divisible by 2^k (for
     r = 2^(k+1) - 1) is an error; with strict=False such monomials are
-    sent to zero, which is how the oracle treats blocks the formula does
-    not reach.
+    sent to zero, as the formulas send them.
     """
     spec = series.spec
     if spec.alphabet != "hat":
@@ -152,6 +153,24 @@ def _d_key(key: tuple, r: int, n: int, P: int):
     else:
         image[k] += 1  # vh_k
     return tuple(image), -(vn >> k)
+
+
+def _apply_map(M: LocalMatrix, image: list, width: int):
+    """M's rows sent through a d_r map from `TruncatedOracle._diff_data`:
+    the part in the first `width` columns, and whether any row has an
+    entry on a key whose image lies past them."""
+    rows, overflows = [], False
+    for row, d in zip(M.rows, M.dens):
+        out = [0] * width
+        for a, entry in zip(row, image):
+            if a and entry:
+                col, coeff = entry
+                if col < width:
+                    out[col] += a * coeff
+                else:
+                    overflows = True
+        rows.append((out, d))
+    return LocalMatrix._of(rows, width), overflows
 
 
 # -- standard blocks and closed-form pages ---------------------------------
@@ -310,12 +329,13 @@ class TruncatedOracle:
     Per position (m, t) the oracle holds a cycle lattice Z and boundary
     lattice B over the monomial basis; advancing through d_r replaces Z by
     the preimage of the target's boundaries and grows the target's B by
-    the images of current cycles, all positions simultaneously.  A
+    the images of current cycles, all positions simultaneously.  d_r is
+    applied as the monomial map `_diff_data` gives, never as a matrix.  A
     position is flagged, permanently, when the truncation makes any of
     that arithmetic unknowable there.
 
     Where d_r vanishes on the whole basis and nothing overflows, every
-    cycle stays a cycle: Z is kept as is, and B @ d_r = 0 cannot escape.
+    cycle stays a cycle: Z is kept as is, and B's image is zero.
     A position whose Z and B were both kept reads its structure from the
     previous chart, computed with all its checks on the same matrices.
     """
@@ -377,30 +397,25 @@ class TruncatedOracle:
         return self.charts[2 ** self.level].get((m, t), ModuleStructure(0, ()))
 
     def _diff_data(self, cell, r):
-        """Matrix of d_r on the cell basis, split into the representable
-        part and overflow columns (image monomials the window lacks), with
-        the overflow keys in column order and the target cell."""
+        """d_r on the cell basis as the monomial map it is: per basis key,
+        (column, int coefficient) of its image, or None where d_r is zero.
+        The first `width` columns are the target cell's basis; after them
+        comes each overflow key, an image monomial the window lacks.
+        Returns the map, the width, the overflow keys and the target."""
         m, t = cell
         tgt = (m + r, t + 1)
         cols = dict(self.index.get(tgt, {}))  # then each overflow key
         width = len(cols)
         n, P = self.n, self.spec.hat_offset
-        entries = []
+        image = []
         for key in self.basis[cell]:
-            image = _d_key(key, r, n, P)
-            if image and _d_key(image[0], r, n, P):
+            entry = _d_key(key, r, n, P)
+            if entry and _d_key(entry[0], r, n, P):
                 raise MathInvariantError(
                     "d∘d is nonzero at the formula level")
-            entries.append(image and (cols.setdefault(image[0], len(cols)),
-                                      image[1]))
-        rows = [[0] * len(cols) for _ in entries]
-        for row, entry in zip(rows, entries):
-            if entry:
-                row[entry[0]] = entry[1]
-        return (LocalMatrix._of(((row[:width], 1) for row in rows), width),
-                LocalMatrix._of(((row[width:], 1) for row in rows),
-                                len(cols) - width),
-                list(cols)[width:], tgt)
+            image.append(entry and (cols.setdefault(entry[0], len(cols)),
+                                    entry[1]))
+        return image, width, list(cols)[width:], tgt
 
     def advance(self) -> int:
         """Run the next admissible differential; returns the new page index."""
@@ -408,53 +423,48 @@ class TruncatedOracle:
             raise InputError("already at the final page")
         k = self.level
         r = 2 ** (k + 1) - 1
-        cells = list(self.basis)
-        data = {cell: self._diff_data(cell, r) for cell in cells}
-
         new_flags = set(self.flags)
-        for cell in cells:
-            if cell in self.flags:
-                continue
+        new_Z = {}
+        extra: dict = {}
+        # one pass; every cell reads the previous page's Z, B and flags
+        for cell, keys in self.basis.items():
             m, t = cell
-            _, Dover, _, tgt = data[cell]
-            if Dover.ncols and any(map(any, (self.Z[cell] @ Dover).rows)):
-                new_flags.add(cell)
-                continue
+            image, width, over, tgt = self._diff_data(cell, r)
             if tgt in self.flags:
                 new_flags.add(cell)
-                continue
-            src = (m - r, t - 1)
-            if m - r >= 0:
+            elif m - r >= 0:
+                # a source out of view or polluted may hit this cell
                 if t - 1 < self.t_lo:
                     if degree_basis(self.spec, t - 1 + (m - r) * self.spec.lam,
                                     self.caps):
                         new_flags.add(cell)
-                elif src in self.flags:
+                elif (m - r, t - 1) in self.flags:
                     new_flags.add(cell)
-
-        new_Z = {}
-        extra: dict = {}
-        for cell in cells:
-            Din, Dover, _, tgt = data[cell]
-            if not Dover.ncols and not any(map(any, Din.rows)):
-                continue  # d_r = 0 here: Z stays, and B @ Din is zero
             Z = self.Z[cell]
-            images = Z @ Din
-            if tgt in self.basis:
-                Btgt = self.B[tgt]
-                X = preimage_rows(images, Btgt)
-                # the boundary lattice must consist of next-page cycles:
-                # d_r of every boundary has to be an existing boundary
-                if self.B[cell].nrows and cell not in new_flags and \
-                        not spans(Btgt, self.B[cell] @ Din):
+            if over or any(image):  # else d_r = 0 here: Z stays, B maps to 0
+                images, overflows = _apply_map(Z, image, width)
+                if overflows:
+                    new_flags.add(cell)
+                if tgt in self.basis:
+                    Btgt = self.B[tgt]
+                    X = preimage_rows(images, Btgt)
+                    # the boundary lattice must consist of next-page cycles:
+                    # d_r of every boundary has to be an existing boundary
+                    dB, _ = _apply_map(self.B[cell], image, width)
+                    if cell not in new_flags and not spans(Btgt, dB):
+                        raise MathInvariantError(
+                            f"boundary at {cell} escapes under d_{r}")
+                    for row, d in zip(images.rows, images.dens):
+                        if any(row):
+                            extra.setdefault(tgt, []).append((row, d))
+                else:
+                    X = kernel_basis(images)
+                Z = new_Z[cell] = X @ Z
+            if cell not in new_flags:
+                odd_cols = [i for i, key in enumerate(keys) if key[self.n] % 2]
+                if any(row[i] for row in Z.rows for i in odd_cols):
                     raise MathInvariantError(
-                        f"boundary at {cell} escapes under d_{r}")
-                for row, d in zip(images.rows, images.dens):
-                    if any(row):
-                        extra.setdefault(tgt, []).append((row, d))
-            else:
-                X = preimage_rows(images, LocalMatrix.zeros(0, Din.ncols))
-            new_Z[cell] = X @ Z
+                        f"odd-exponent cycle survived d_1 at {cell}")
 
         self.Z.update(new_Z)
         for cell, pairs in extra.items():
@@ -462,18 +472,6 @@ class TruncatedOracle:
             self.B[cell] = row_basis(LocalMatrix._of(
                 [*zip(B.rows, B.dens), *pairs], B.ncols))
         self.flags = new_flags
-
-        for cell in cells:
-            if cell in self.flags:
-                continue
-            odd_cols = [i for i, key in enumerate(self.basis[cell])
-                        if key[self.n] % 2]
-            for row in self.Z[cell].rows:
-                for i in odd_cols:
-                    if row[i]:
-                        raise MathInvariantError(
-                            f"odd-exponent cycle survived d_1 at {cell}")
-
         self.charts[2 ** (k + 1)] = self._chart_now(
             new_Z.keys() | extra.keys(), self.charts[2 ** k])
         self.level += 1

@@ -26,7 +26,7 @@ from erjw.errors import (
 )
 from erjw.fgl import GroupLaw
 from erjw.graded import GradedSeries, GradingSpec
-from erjw.scalar2 import ONE, ZERO, LocalMatrix, ModuleStructure, TwoLocal
+from erjw.scalar2 import ONE, LocalMatrix, ModuleStructure, TwoLocal
 
 
 def mono(spec, coeff=1, **kw):
@@ -320,44 +320,37 @@ def reference_d(terms, r, n, P):
 
 
 def reference_diff_data(oracle, cell, r):
-    """The oracle's d_r matrices built through one series per basis key."""
+    """The oracle's d_r map on a cell, built through one series per basis
+    key: (column, int coefficient) or None per key, the target basis
+    width, the overflow keys in column order, and the target cell."""
     m, t = cell
     tgt = (m + r, t + 1)
-    tindex = oracle.index.get(tgt, {})
+    cols = dict(oracle.index.get(tgt, {}))
+    width = len(cols)
     P = oracle.spec.hat_offset
-    over_cols = {}
-    rows_in, rows_over = [], []
+    image = []
     for key in oracle.basis[cell]:
         img = GradedSeries(oracle.spec,
                            reference_d({key: ONE}, r, oracle.n, P))
         if reference_d(img.terms, r, oracle.n, P):
             raise MathInvariantError("d∘d is nonzero at the formula level")
-        rin = [ZERO] * len(tindex)
-        rover = {}
+        assert len(img.terms) <= 1  # d_r of a monomial is one term or zero
+        entry = None
         for kk, cc in img.terms.items():
-            col = tindex.get(kk)
-            if col is None:
-                rover[over_cols.setdefault(kk, len(over_cols))] = cc
-            else:
-                rin[col] = cc
-        rows_in.append(rin)
-        rows_over.append(rover)
-    Din = LocalMatrix(rows_in, len(tindex))
-    Dover = LocalMatrix([[row.get(j, ZERO) for j in range(len(over_cols))]
-                         for row in rows_over], len(over_cols))
-    return Din, Dover, list(over_cols), tgt
+            assert cc.den == 1
+            entry = (cols.setdefault(kk, len(cols)), cc.num)
+        image.append(entry)
+    return image, width, list(cols)[width:], tgt
 
 
 class RecomputingOracle(TruncatedOracle):
-    """The oracle with no work skipped: series-built matrices, a zero
-    overflow column on every cell so that no cell is carried forward, and
-    every cell re-charted on every page."""
+    """The oracle with no work skipped: a series-built d_r map, a phantom
+    overflow key that no basis key hits on every cell so that no cell is
+    carried forward, and every cell re-charted on every page."""
 
     def _diff_data(self, cell, r):
-        Din, Dover, over, tgt = reference_diff_data(self, cell, r)
-        padded = LocalMatrix([row + [ZERO] for row in Dover.data],
-                             Dover.ncols + 1)
-        return Din, padded, over + [None], tgt
+        image, width, over, tgt = reference_diff_data(self, cell, r)
+        return image, width, over + [None], tgt
 
     def _chart_now(self, changed, previous):
         return super()._chart_now(self.basis, previous)
@@ -440,6 +433,39 @@ def test_oracle_pages_match_full_recompute(n, lo, hi, caps, monkeypatch):
                                     RecomputingOracle(n, lo, hi, caps))
     assert bad == []
     assert carried and oracle.flags  # neither shortcut is vacuous here
+
+
+@pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
+def test_d_key_is_injective_on_each_cell_basis(n, lo, hi, caps):
+    # the oracle flags a cycle with an entry on any key whose image leaves
+    # the window; that is a nonzero image outside it only if no two keys
+    # share an image, where entries could cancel
+    oracle = TruncatedOracle(n, lo, hi, caps)
+    P = oracle.spec.hat_offset
+    shared = 0
+    for r in admissible_differentials(n):
+        for cell, keys in oracle.basis.items():
+            images = [image for image, _ in filter(
+                None, (bss._d_key(key, r, n, P) for key in keys))]
+            assert len(set(images)) == len(images), (cell, r)
+            shared += len(images) > 1
+    assert shared or n == 1  # at n = 1 a cell holds one key
+
+
+def test_boundary_escaping_under_d_r_is_caught():
+    # plant every basis key as a boundary at an unflagged cell where d_1
+    # lands inside the window: the targets' B is still empty, so those
+    # boundaries are no next-page cycles
+    oracle = TruncatedOracle(2, -24, 24, caps=3)
+    for cell, keys in oracle.basis.items():
+        image, _, over, _ = oracle._diff_data(cell, 1)
+        if cell[1] > oracle.t_lo and not over and any(image):
+            break
+    else:
+        raise AssertionError("no cell where d_1 stays in the window")
+    oracle.B[cell] = LocalMatrix.identity(len(keys))
+    with pytest.raises(MathInvariantError, match="escapes under d_1"):
+        oracle.advance()
 
 
 def test_stale_structure_is_caught_by_recompute():
