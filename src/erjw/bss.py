@@ -22,12 +22,12 @@ The engines:
     splitting each block into its kernel and reduction parts; iterating
     from page 1 is the second, independent route.
   * TruncatedOracle forgets the closed forms entirely: it enumerates
-    monomials in a (m, t) window with capped vhat exponents, keeps honest
-    cycle and boundary lattices per position, and advances them through
-    d_r applied as the map the raw formulas give, one monomial to at most
-    one monomial.  Window and cap overflows are flagged per position so
-    comparisons skip exactly the positions the truncation polluted.  It
-    recomputes nothing whose result it has (see its docstring).
+    monomials in a (m, t) window with capped vhat exponents and advances
+    honest cycle and boundary lattices per position through d_r as the
+    map the raw formulas give, each monomial to at most one and no two to
+    one (checked), so each lattice is one 2-adic valuation per monomial.
+    Window and cap overflows are flagged per position so comparisons
+    skip exactly the positions the truncation polluted.
 
 Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
@@ -57,13 +57,12 @@ from .scalar2 import (
     LocalMatrix,
     ModuleStructure,
     TwoLocal,
-    kernel_basis,
     preimage_rows,
     quotient_structure,
     row_basis,
     snf_with_transforms,  # noqa: F401 (bench/tests traces it)
-    spans,
     stack_rows,
+    val2,
 )
 
 
@@ -153,24 +152,6 @@ def _d_key(key: tuple, r: int, n: int, P: int):
     else:
         image[k] += 1  # vh_k
     return tuple(image), -(vn >> k)
-
-
-def _apply_map(M: LocalMatrix, image: list, width: int):
-    """M's rows sent through a d_r map from `TruncatedOracle._diff_data`:
-    the part in the first `width` columns, and whether any row has an
-    entry on a key whose image lies past them."""
-    rows, overflows = [], False
-    for row, d in zip(M.rows, M.dens):
-        out = [0] * width
-        for a, entry in zip(row, image):
-            if a and entry:
-                col, coeff = entry
-                if col < width:
-                    out[col] += a * coeff
-                else:
-                    overflows = True
-        rows.append((out, d))
-    return LocalMatrix._of(rows, width), overflows
 
 
 # -- standard blocks and closed-form pages ---------------------------------
@@ -326,18 +307,26 @@ def step_engine_page(n: int, r: int, m_max: int | None = None) -> Page:
 class TruncatedOracle:
     """Honest subquotient bookkeeping on a capped monomial window.
 
-    Per position (m, t) the oracle holds a cycle lattice Z and boundary
-    lattice B over the monomial basis; advancing through d_r replaces Z by
-    the preimage of the target's boundaries and grows the target's B by
-    the images of current cycles, all positions simultaneously.  d_r is
-    applied as the monomial map `_diff_data` gives, never as a matrix.  A
-    position is flagged, permanently, when the truncation makes any of
-    that arithmetic unknowable there.
+    Per position (m, t) the oracle holds a cycle lattice Z and a boundary
+    lattice B over the monomial basis.  d_r sends each basis key to at
+    most one monomial (`_diff_data`), and two keys of one position to two
+    monomials, or MathInvariantError is raised.  So Z and B stay
+    monomial, and each is kept as a map key index -> a for the span of
+    2^a times those keys: Z starts at a = 0 on every key, B empty.  With
+    c a key's image coefficient and v the 2-adic valuation, d_r advances
+    all positions at once:
 
-    Where d_r vanishes on the whole basis and nothing overflows, every
-    cycle stays a cycle: Z is kept as is, and B's image is zero.
-    A position whose Z and B were both kept reads its structure from the
-    previous chart, computed with all its checks on the same matrices.
+      * Z becomes the preimage of the target's B: a key sent to target
+        key j keeps max(a, b_j - v(c)) if j is in B, and dies if not; a
+        key with no image, or one past the window, keeps a;
+      * the target's B grows by the images of Z: b_j = min(b_j, a + v(c));
+      * every boundary must be a next-page cycle, d_r of it an existing
+        boundary: b_j <= b + v(c) at its image.
+
+    A position reads Z/2^(b - a) per key in Z and B with b > a, and Z per
+    key in Z alone; a B key outside Z, or with b < a, raises.  It is
+    flagged, permanently, when the truncation makes any of that
+    arithmetic unknowable there.
     """
 
     def __init__(self, n: int, t_lo: int, t_hi: int, caps: int = 6,
@@ -371,24 +360,28 @@ class TruncatedOracle:
                         constant_only = False
         if content == 0 or (content <= 1 and constant_only):
             raise EmptyBasisError("window and caps leave nothing to chart")
-        self.Z = {cell: LocalMatrix.identity(len(keys))
+        self.Z = {cell: dict.fromkeys(range(len(keys)), 0)
                   for cell, keys in self.basis.items()}
-        self.B = {cell: LocalMatrix.zeros(0, len(keys))
-                  for cell, keys in self.basis.items()}
+        self.B = {cell: {} for cell in self.basis}
         self.flags: set[tuple[int, int]] = set()
         self.level = 0
-        # page 1 is Z = identity over B = 0, free on each cell's basis
-        self.charts: dict[int, dict] = {1: {
-            cell: ModuleStructure(len(keys), ())
-            for cell, keys in self.basis.items()}}
+        self.charts: dict[int, dict] = {1: self._chart()}
 
-    def _chart_now(self, changed, previous: dict) -> dict:
+    def _chart(self) -> dict:
         out = {}
-        for cell in self.basis:
-            st = quotient_structure(self.Z[cell], self.B[cell]) \
-                if cell in changed else previous.get(cell)
-            if st is not None and not st.is_zero:
-                out[cell] = st
+        for cell, Z in self.Z.items():
+            B = self.B[cell]
+            torsion = []
+            for i, b in B.items():
+                a = Z.get(i)
+                if a is None or b < a:
+                    raise MathInvariantError(
+                        f"boundary at {cell} lies outside the cycles")
+                if b > a:
+                    torsion.append(2 ** (b - a))
+            free = len(Z) - len(B)
+            if free or torsion:
+                out[cell] = ModuleStructure(free, tuple(sorted(torsion)))
         return out
 
     def structure_at(self, m: int, t: int) -> ModuleStructure:
@@ -401,20 +394,28 @@ class TruncatedOracle:
         (column, int coefficient) of its image, or None where d_r is zero.
         The first `width` columns are the target cell's basis; after them
         comes each overflow key, an image monomial the window lacks.
-        Returns the map, the width, the overflow keys and the target."""
+        Returns the map, the width, the overflow keys and the target;
+        raises where d∘d is nonzero or two keys share an image."""
         m, t = cell
         tgt = (m + r, t + 1)
         cols = dict(self.index.get(tgt, {}))  # then each overflow key
         width = len(cols)
         n, P = self.n, self.spec.hat_offset
-        image = []
+        image, hit = [], set()
         for key in self.basis[cell]:
             entry = _d_key(key, r, n, P)
-            if entry and _d_key(entry[0], r, n, P):
-                raise MathInvariantError(
-                    "d∘d is nonzero at the formula level")
-            image.append(entry and (cols.setdefault(entry[0], len(cols)),
-                                    entry[1]))
+            if entry:
+                img, coeff = entry
+                if _d_key(img, r, n, P):
+                    raise MathInvariantError(
+                        "d∘d is nonzero at the formula level")
+                col = cols.setdefault(img, len(cols))
+                if col in hit:
+                    raise MathInvariantError(
+                        f"d_{r} sends two keys at {cell} to one monomial")
+                hit.add(col)
+                entry = col, coeff
+            image.append(entry)
         return image, width, list(cols)[width:], tgt
 
     def advance(self) -> int:
@@ -425,11 +426,11 @@ class TruncatedOracle:
         r = 2 ** (k + 1) - 1
         new_flags = set(self.flags)
         new_Z = {}
-        extra: dict = {}
+        new_B = {cell: dict(B) for cell, B in self.B.items()}
         # one pass; every cell reads the previous page's Z, B and flags
         for cell, keys in self.basis.items():
             m, t = cell
-            image, width, over, tgt = self._diff_data(cell, r)
+            image, width, _, tgt = self._diff_data(cell, r)
             if tgt in self.flags:
                 new_flags.add(cell)
             elif m - r >= 0:
@@ -440,40 +441,39 @@ class TruncatedOracle:
                         new_flags.add(cell)
                 elif (m - r, t - 1) in self.flags:
                     new_flags.add(cell)
-            Z = self.Z[cell]
-            if over or any(image):  # else d_r = 0 here: Z stays, B maps to 0
-                images, overflows = _apply_map(Z, image, width)
-                if overflows:
+            # a target outside the window has width 0: every image overflows
+            Btgt = self.B.get(tgt, {})
+            grown = new_B.get(tgt, {})
+            Z = new_Z[cell] = {}
+            for i, a in self.Z[cell].items():
+                if image[i] is None:
+                    Z[i] = a
+                    continue
+                j, c = image[i]
+                if j >= width:  # the image leaves the window
                     new_flags.add(cell)
-                if tgt in self.basis:
-                    Btgt = self.B[tgt]
-                    X = preimage_rows(images, Btgt)
-                    # the boundary lattice must consist of next-page cycles:
-                    # d_r of every boundary has to be an existing boundary
-                    dB, _ = _apply_map(self.B[cell], image, width)
-                    if cell not in new_flags and not spans(Btgt, dB):
+                    Z[i] = a
+                    continue
+                v = val2(c)
+                if j in Btgt:
+                    Z[i] = max(a, Btgt[j] - v)
+                if j not in grown or a + v < grown[j]:
+                    grown[j] = a + v
+            if cell in new_flags:
+                continue
+            for i, b in self.B[cell].items():
+                if image[i] is not None and image[i][0] < width:
+                    j, c = image[i]
+                    if j not in Btgt or Btgt[j] > b + val2(c):
                         raise MathInvariantError(
                             f"boundary at {cell} escapes under d_{r}")
-                    for row, d in zip(images.rows, images.dens):
-                        if any(row):
-                            extra.setdefault(tgt, []).append((row, d))
-                else:
-                    X = kernel_basis(images)
-                Z = new_Z[cell] = X @ Z
-            if cell not in new_flags:
-                odd_cols = [i for i, key in enumerate(keys) if key[self.n] % 2]
-                if any(row[i] for row in Z.rows for i in odd_cols):
-                    raise MathInvariantError(
-                        f"odd-exponent cycle survived d_1 at {cell}")
+            if any(keys[i][self.n] % 2 for i in Z):
+                raise MathInvariantError(
+                    f"odd-exponent cycle survived d_1 at {cell}")
 
-        self.Z.update(new_Z)
-        for cell, pairs in extra.items():
-            B = self.B[cell]
-            self.B[cell] = row_basis(LocalMatrix._of(
-                [*zip(B.rows, B.dens), *pairs], B.ncols))
+        self.Z, self.B = new_Z, new_B
         self.flags = new_flags
-        self.charts[2 ** (k + 1)] = self._chart_now(
-            new_Z.keys() | extra.keys(), self.charts[2 ** k])
+        self.charts[2 ** (k + 1)] = self._chart()
         self.level += 1
         return 2 ** self.level
 
@@ -502,8 +502,6 @@ class TruncatedOracle:
                 continue
             tgt = (m + r, t + 1)
             if tgt in self.flags:
-                continue
-            if not (tgt[0] <= self.m_max and self.t_lo <= tgt[1] <= self.t_hi):
                 continue
             if chart.get(tgt):
                 pairs.append(((m, t), tgt))

@@ -269,7 +269,7 @@ def series_cost(n: int, precision: int) -> int:
     return pairs + cube
 
 
-# Largest page_cost accepted: about 2 s for all three engines at 3 to 11
+# Largest page_cost accepted: about 1 s for all three engines at 1.6 to 4.8
 # microseconds a unit (n = 1..5, a 2-vCPU Xeon).
 PAGE_COST_BOUND = 200_000
 

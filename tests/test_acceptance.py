@@ -111,7 +111,7 @@ def test_criterion_1_formal_law_axioms():
 def test_criterion_2_height_one_reproduction():
     """Oracle pages at n = 1 match the closed form in |t| <= 48, with the
     stated second page, connecting differential and limit page."""
-    with _budget(30):
+    with _budget(5):
         window = range(-48, 49)
         oracle = TruncatedOracle(1, -48, 48, caps=6)
         oracle.run()
@@ -155,7 +155,7 @@ def test_criterion_2_height_one_reproduction():
 def test_criterion_3_height_two_structure():
     """Triple engine agreement at n = 2 in |t| <= 96, named generators in
     their degree classes mod 48, and the alpha chain relation."""
-    with _budget(30):
+    with _budget(5):
         window = range(-96, 97)
         oracle = TruncatedOracle(2, -96, 96, caps=6)
         oracle.run()
@@ -197,7 +197,7 @@ def test_criterion_4_height_three_relations():
 def test_criterion_5_differential_vanishing():
     """Off the admissible page indices no differential can act anywhere
     in the window, and the square of every differential is zero."""
-    with _budget(30):
+    with _budget(5):
         for n, caps in ((1, 6), (2, 6), (3, 4)):
             oracle = TruncatedOracle(n, -48, 48, caps=caps)
             # advance() re-derives d∘d = 0 on every basis monomial, and

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from erjw import bss
 from erjw.bss import (
@@ -25,8 +26,18 @@ from erjw.errors import (
     PageShapeError,
 )
 from erjw.fgl import GroupLaw
-from erjw.graded import GradedSeries, GradingSpec
-from erjw.scalar2 import ONE, LocalMatrix, ModuleStructure, TwoLocal
+from erjw.graded import GradedSeries, GradingSpec, degree_basis
+from erjw.scalar2 import (
+    ONE,
+    LocalMatrix,
+    ModuleStructure,
+    TwoLocal,
+    kernel_basis,
+    preimage_rows,
+    quotient_structure,
+    row_basis,
+    spans,
+)
 
 
 def mono(spec, coeff=1, **kw):
@@ -215,10 +226,10 @@ def test_homology_step_shape_errors():
 # -- the oracle --------------------------------------------------------------
 
 
-def compare_with_closed_form(oracle, n, caps):
+def compare_with_page_engine(oracle, n, caps, engine=closed_form_page):
     for r in sorted(oracle.charts):
         chart = oracle.charts[r]
-        closed = closed_form_page(n, r, m_max=oracle.m_max)
+        closed = engine(n, r, m_max=oracle.m_max)
         for m in range(oracle.m_max + 1):
             for t in range(oracle.t_lo, oracle.t_hi + 1):
                 if (m, t) in oracle.flags:
@@ -232,7 +243,7 @@ def test_oracle_reproduces_ko():
     oracle = TruncatedOracle(1, -20, 20, caps=0, m_max=8)
     oracle.run()
     assert oracle.level == 2
-    compare_with_closed_form(oracle, 1, caps=0)
+    compare_with_page_engine(oracle, 1, caps=0)
     # the classical pattern on the zero row: Z at t = -8k, doubled at -8k-4
     final = oracle.chart_at(4)
     assert final[(0, -8)] == ModuleStructure(1, ())
@@ -246,7 +257,7 @@ def test_oracle_reproduces_n2_pages():
     oracle = TruncatedOracle(2, -30, 30, caps=6, m_max=12)
     oracle.run()
     assert oracle.level == 3
-    compare_with_closed_form(oracle, 2, caps=6)
+    compare_with_page_engine(oracle, 2, caps=6)
     assert any(m == 0 for m, _ in oracle.charts[8])
 
 
@@ -343,10 +354,111 @@ def reference_diff_data(oracle, cell, r):
     return image, width, list(cols)[width:], tgt
 
 
-class RecomputingOracle(TruncatedOracle):
-    """The oracle with no work skipped: a series-built d_r map, a phantom
-    overflow key that no basis key hits on every cell so that no cell is
-    carried forward, and every cell re-charted on every page."""
+def apply_map(M, image, width):
+    """M's rows sent through a d_r map from `TruncatedOracle._diff_data`:
+    the part in the first `width` columns, and whether any row has an
+    entry on a key whose image lies past them."""
+    rows, overflows = [], False
+    for row, d in zip(M.rows, M.dens):
+        out = [0] * width
+        for a, entry in zip(row, image):
+            if a and entry:
+                col, coeff = entry
+                if col < width:
+                    out[col] += a * coeff
+                else:
+                    overflows = True
+        rows.append((out, d))
+    return LocalMatrix._of(rows, width), overflows
+
+
+class MatrixOracle(TruncatedOracle):
+    """The oracle with Z and B as LocalMatrix lattices, the reference the
+    valuation bookkeeping is checked against: it moves them through d_r
+    with preimage_rows, spans and row_basis and charts them with
+    quotient_structure, never using that the lattices are monomial.
+
+    Where d_r vanishes on the whole basis and nothing overflows, Z is
+    kept as is, and a position whose Z and B were both kept reads its
+    structure from the previous chart.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.Z = {cell: LocalMatrix.identity(len(keys))
+                  for cell, keys in self.basis.items()}
+        self.B = {cell: LocalMatrix.zeros(0, len(keys))
+                  for cell, keys in self.basis.items()}
+        self.charts = {1: self._chart_now(self.basis, {})}
+
+    def _chart_now(self, changed, previous):
+        out = {}
+        for cell in self.basis:
+            st = quotient_structure(self.Z[cell], self.B[cell]) \
+                if cell in changed else previous.get(cell)
+            if st is not None and not st.is_zero:
+                out[cell] = st
+        return out
+
+    def advance(self):
+        if self.level > self.n:
+            raise InputError("already at the final page")
+        k = self.level
+        r = 2 ** (k + 1) - 1
+        new_flags = set(self.flags)
+        new_Z = {}
+        extra: dict = {}
+        for cell, keys in self.basis.items():
+            m, t = cell
+            image, width, over, tgt = self._diff_data(cell, r)
+            if tgt in self.flags:
+                new_flags.add(cell)
+            elif m - r >= 0:
+                if t - 1 < self.t_lo:
+                    if degree_basis(self.spec, t - 1 + (m - r) * self.spec.lam,
+                                    self.caps):
+                        new_flags.add(cell)
+                elif (m - r, t - 1) in self.flags:
+                    new_flags.add(cell)
+            Z = self.Z[cell]
+            if over or any(image):  # else d_r = 0 here: Z stays, B maps to 0
+                images, overflows = apply_map(Z, image, width)
+                if overflows:
+                    new_flags.add(cell)
+                if tgt in self.basis:
+                    Btgt = self.B[tgt]
+                    X = preimage_rows(images, Btgt)
+                    dB, _ = apply_map(self.B[cell], image, width)
+                    if cell not in new_flags and not spans(Btgt, dB):
+                        raise MathInvariantError(
+                            f"boundary at {cell} escapes under d_{r}")
+                    for row, d in zip(images.rows, images.dens):
+                        if any(row):
+                            extra.setdefault(tgt, []).append((row, d))
+                else:
+                    X = kernel_basis(images)
+                Z = new_Z[cell] = X @ Z
+            if cell not in new_flags:
+                odd_cols = [i for i, key in enumerate(keys) if key[self.n] % 2]
+                if any(row[i] for row in Z.rows for i in odd_cols):
+                    raise MathInvariantError(
+                        f"odd-exponent cycle survived d_1 at {cell}")
+        self.Z.update(new_Z)
+        for cell, pairs in extra.items():
+            B = self.B[cell]
+            self.B[cell] = row_basis(LocalMatrix._of(
+                [*zip(B.rows, B.dens), *pairs], B.ncols))
+        self.flags = new_flags
+        self.charts[2 ** (k + 1)] = self._chart_now(
+            new_Z.keys() | extra.keys(), self.charts[2 ** k])
+        self.level += 1
+        return 2 ** self.level
+
+
+class RecomputingOracle(MatrixOracle):
+    """The matrix reference with no work skipped: a series-built d_r map,
+    a phantom overflow key that no basis key hits on every cell so that
+    no cell is carried forward, and every cell re-charted on every page."""
 
     def _diff_data(self, cell, r):
         image, width, over, tgt = reference_diff_data(self, cell, r)
@@ -356,7 +468,7 @@ class RecomputingOracle(TruncatedOracle):
         return super()._chart_now(self.basis, previous)
 
 
-class ForgetfulOracle(TruncatedOracle):
+class ForgetfulOracle(MatrixOracle):
     """Planted fault: re-charts only the cells whose Z was replaced, so a
     cell whose boundary lattice grew keeps a stale structure."""
 
@@ -372,18 +484,20 @@ class ForgetfulOracle(TruncatedOracle):
         return super()._chart_now(changed, previous)
 
 
-def run_side_by_side(oracle, reference):
-    """Advance both oracles to the last page.  Returns the pages whose
-    chart or flags differ, and how many cells kept their Z object."""
-    bad = [] if oracle.charts[1] == reference.charts[1] else [1]
+def run_side_by_side(*oracles):
+    """Advance the oracles to the last page in step.  Returns the pages
+    whose charts or flags differ among them, and how many cells kept
+    their Z object from one page to the next."""
+    first = oracles[0]
+    bad = [] if all(o.charts[1] == first.charts[1] for o in oracles) else [1]
     carried = 0
-    while oracle.level <= oracle.n:
-        before = dict(oracle.Z)
-        page = oracle.advance()
-        reference.advance()
-        carried += sum(oracle.Z[cell] is z for cell, z in before.items())
-        if oracle.charts[page] != reference.charts[page] or \
-                oracle.flags != reference.flags:
+    while first.level <= first.n:
+        for o in oracles:
+            before = dict(o.Z)
+            page = o.advance()
+            carried += sum(o.Z[cell] is z for cell, z in before.items())
+        if any(o.charts[page] != first.charts[page] or o.flags != first.flags
+               for o in oracles):
             bad.append(page)
     return bad, carried
 
@@ -429,10 +543,12 @@ def test_oracle_pages_match_full_recompute(n, lo, hi, caps, monkeypatch):
 
     monkeypatch.setattr(bss, "apply_differential", refuse)
     oracle = TruncatedOracle(n, lo, hi, caps)
-    bad, carried = run_side_by_side(oracle,
+    bad, carried = run_side_by_side(oracle, MatrixOracle(n, lo, hi, caps),
                                     RecomputingOracle(n, lo, hi, caps))
     assert bad == []
-    assert carried and oracle.flags  # neither shortcut is vacuous here
+    # neither the flags nor the matrix reference's carry-forward is
+    # vacuous here; the valuation oracle rebuilds every Z on every page
+    assert carried and oracle.flags
 
 
 @pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
@@ -463,7 +579,7 @@ def test_boundary_escaping_under_d_r_is_caught():
             break
     else:
         raise AssertionError("no cell where d_1 stays in the window")
-    oracle.B[cell] = LocalMatrix.identity(len(keys))
+    oracle.B[cell] = dict.fromkeys(range(len(keys)), 0)
     with pytest.raises(MathInvariantError, match="escapes under d_1"):
         oracle.advance()
 
@@ -493,6 +609,65 @@ def test_wrong_vn_shift_trips_d_squared(monkeypatch, r, shift):
     with pytest.raises(MathInvariantError, match="d∘d"):
         oracle.run()
     assert oracle.level == (r + 1).bit_length() - 2
+
+
+def test_colliding_d_key_trips_injectivity(monkeypatch):
+    # d_1 sending every odd-vn key of a row to one monomial (y + 1 and
+    # nothing else; its own d_1 is zero): two such keys in one cell
+    # would leave a lattice that is no longer monomial
+    true_d = bss._d_key
+
+    def planted(key, r, n, P):
+        image = true_d(key, r, n, P)
+        if image is None or r != 1:
+            return image
+        return (key[0] + 1,) + (0,) * n, image[1]
+
+    monkeypatch.setattr(bss, "_d_key", planted)
+    oracle = TruncatedOracle(2, -24, 24, caps=3)
+    with pytest.raises(MathInvariantError, match="two keys"):
+        oracle.advance()
+
+
+def test_odd_cycle_surviving_d_1_is_caught(monkeypatch):
+    # d_1 planted as zero: every odd-vn key stays a cycle
+    true_d = bss._d_key
+    monkeypatch.setattr(bss, "_d_key", lambda key, r, n, P:
+                        None if r == 1 else true_d(key, r, n, P))
+    oracle = TruncatedOracle(2, -24, 24, caps=3)
+    with pytest.raises(MathInvariantError, match="odd-exponent cycle"):
+        oracle.advance()
+
+
+@pytest.mark.parametrize("where", ["outside", "below"])
+def test_boundary_off_the_cycles_trips_containment(where):
+    # plant a boundary on a key that d_1 sends to zero, so no escape
+    # check reads it: off Z altogether, or at a lower valuation than Z's
+    oracle = TruncatedOracle(2, -24, 24, caps=3)
+    cell, i = next((cell, i) for cell in oracle.basis
+                   for i, entry in enumerate(oracle._diff_data(cell, 1)[0])
+                   if entry is None)
+    if where == "outside":
+        del oracle.Z[cell][i]
+        oracle.B[cell][i] = 0
+    else:
+        oracle.B[cell][i] = -1
+    with pytest.raises(MathInvariantError, match="outside the cycles"):
+        oracle.advance()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), lo=st.integers(-40, 8), width=st.integers(0, 40),
+       caps=st.integers(0, 4))
+def test_oracle_matches_matrix_reference_on_drawn_windows(n, lo, width, caps):
+    try:
+        oracle = TruncatedOracle(n, lo, lo + width, caps)
+    except EmptyBasisError:
+        assume(False)
+    bad, _ = run_side_by_side(oracle, MatrixOracle(n, lo, lo + width, caps))
+    assert bad == []
+    for engine in (closed_form_page, step_engine_page):
+        compare_with_page_engine(oracle, n, caps, engine)
 
 
 # -- flat base change --------------------------------------------------------

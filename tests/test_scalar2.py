@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erjw import cli, scalar2
+from erjw import scalar2
+from erjw.bss import PresentedModule, TensoredPage, closed_form_page
 from erjw.errors import MathInvariantError, NonUnitDivisionError
-from erjw.graded import GradingSpec, parse_series
+from erjw.fgl import GroupLaw
+from erjw.graded import GradedSeries, GradingSpec, parse_series
 from erjw.scalar2 import (
     LocalMatrix,
     ModuleStructure,
@@ -808,16 +810,26 @@ def test_a_failed_certificate_leaves_no_entry(monkeypatch):
         assert memo.cache_info()[:2] == (0, 3)
 
 
-def test_page_output_is_the_same_cold_warm_and_bare(capsys, monkeypatch):
-    argv = ["page", "--n", "2", "--r", "3", "--window=-32..32", "--caps", "3",
-            "--engine", "all"]
-    outputs = []
-    for _ in range(2):  # cold, then warm
-        assert cli.main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-    assert echelon.cache_info().hits and snf.cache_info().hits
+def _line_module_chart() -> dict:
+    """The page-4 chart at n = 1 tensored with the rank-one line module
+    (relation: the doubling series of c1), from a fresh module, so its
+    own per-degree cache starts empty; structures as text."""
+    law = GroupLaw(1, precision=8)
+    spec = GradingSpec(1, q=1, alphabet="hat")
+    c1 = GradedSeries.gen(spec, "c1", trunc=6)
+    module = PresentedModule(spec, 6, (law.hat_k_series(2).evaluate_at(c1),),
+                             flat_certificate="free on the class monomials")
+    page = TensoredPage(closed_form_page(1, 4, m_max=4), module)
+    return {cell: str(s) for cell, s in page.chart(range(-10, 11)).items()}
+
+
+def test_page_output_is_the_same_cold_warm_and_bare(monkeypatch):
+    # the coefficient pages make no lattice reduction; a tensored page
+    # reduces its per-degree quotients, so the charts ride on both memos
+    cold = _line_module_chart()
+    assert echelon.cache_info().hits
+    warm = _line_module_chart()
+    assert snf.cache_info().hits
     monkeypatch.setattr(scalar2, "echelon", echelon.__wrapped__)
     monkeypatch.setattr(scalar2, "snf", snf.__wrapped__)
-    assert cli.main(argv) == 0
-    outputs.append(capsys.readouterr().out)
-    assert outputs[0] and outputs[0] == outputs[1] == outputs[2]
+    assert cold and cold == warm == _line_module_chart()
