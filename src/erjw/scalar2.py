@@ -20,11 +20,6 @@ Two certified routines answer the lattice questions:
   the invariants: `snf`, `cokernel_structure`, and the last step of
   `quotient_structure`.  Each reduction checks U @ M @ V == D in ints.
 
-`echelon` and `snf` (invariants only) each sit behind a small bounded
-memo keyed on the stored form (ncols, dens, rows).  Only a result whose
-certificate passed is stored, so each distinct input is still reduced and
-certified; a hit hands out lists of its own.  See "the memo" below.
-
 Convention used by the whole package: matrices act on ROW vectors.  Rows
 index the source basis, columns the target, so the cokernel of M is the
 column module modulo the row span, and a left kernel is a set of row
@@ -33,9 +28,7 @@ vectors.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -282,14 +275,6 @@ class LocalMatrix:
         self.rows, self.dens = rows, dens
         self.nrows, self.ncols = len(rows), ncols
 
-    def _copy(self) -> "LocalMatrix":
-        # the same matrix in lists of its own, for a caller free to edit them
-        other = object.__new__(LocalMatrix)
-        other.rows = [row[:] for row in self.rows]
-        other.dens = self.dens[:]
-        other.nrows, other.ncols = self.nrows, self.ncols
-        return other
-
     @classmethod
     def identity(cls, n: int) -> "LocalMatrix":
         return cls._of((([int(i == j) for j in range(n)], 1)
@@ -425,68 +410,6 @@ def _eliminate(rows, aux, scale, k: int, col: int, v: int) -> None:
         rows[i], aux[i], scale[i] = row, arow, s
 
 
-# -- the memo ---------------------------------------------------------------
-#
-# The page engines ask the same small lattice questions many times over, so
-# `echelon` and `snf` each keep their answers to recent small inputs, keyed
-# on the stored form (ncols, dens, rows): rows are in lowest terms, so equal
-# keys are equal matrices.  A miss runs the routine, whose certificate
-# raises before anything is stored; a hit returns the stored answer.  So
-# every distinct input is still reduced and certified, once while it is
-# held.  An input is charged the entries the memo holds for it (M's, and
-# for `echelon` also its m x m transform's, at least 1): one charged more
-# than MEMO_CAP skips the memo before its key is built, and each memo holds
-# at most MEMO_BUDGET, dropping its oldest inputs first.
-
-MEMO_CAP = 256
-MEMO_BUDGET = 4096
-
-MemoInfo = namedtuple("MemoInfo", "hits misses held budget")
-
-
-def _memo(charge, fresh):
-    """Decorate a function of one LocalMatrix with a bounded FIFO memo.
-
-    charge(M) prices an input, fresh(result) hands a stored result out (a
-    copy where the caller may edit it).  Like functools.lru_cache, the
-    wrapper has `cache_info()` (hits, misses, charge held, budget) and
-    `cache_clear()`, and `__wrapped__` is the bare routine.
-    """
-    def decorate(fn):
-        held = {}  # key -> (result, charge), oldest first
-        hits = misses = size = 0
-
-        @functools.wraps(fn)
-        def memoised(M):
-            nonlocal hits, misses, size
-            c = charge(M) or 1
-            if c > MEMO_CAP:
-                misses += 1
-                return fn(M)
-            key = (M.ncols, tuple(M.dens), tuple(map(tuple, M.rows)))
-            got = held.get(key)
-            if got is not None:
-                hits += 1
-                return fresh(got[0])
-            misses += 1
-            result = fn(M)
-            held[key] = result, c
-            size += c
-            while size > MEMO_BUDGET:
-                size -= held.pop(next(iter(held)))[1]
-            return fresh(result)
-
-        def cache_clear():
-            nonlocal hits, misses, size
-            held.clear()
-            hits = misses = size = 0
-
-        memoised.cache_info = lambda: MemoInfo(hits, misses, size, MEMO_BUDGET)
-        memoised.cache_clear = cache_clear
-        return memoised
-    return decorate
-
-
 def snf_with_transforms(M: LocalMatrix):
     """Smith form over Z_(2): returns (D, U, V) with U @ M @ V == D.
 
@@ -614,8 +537,6 @@ def _int_rows(A, dens):
                for row, d in zip(A, dens)]
 
 
-@_memo(lambda M: M.nrows * (M.nrows + M.ncols),
-       lambda result: (result[0]._copy(), result[1]._copy(), result[2]))
 def echelon(M: LocalMatrix):
     """Row echelon form over Z_(2): returns (E, U, pivots) with
     U @ M == stack_rows([E, 0]).
@@ -751,7 +672,6 @@ def row_basis(M: LocalMatrix) -> LocalMatrix:
     return echelon(M)[0]
 
 
-@_memo(lambda M: M.nrows * M.ncols, lambda invariants: invariants)
 def snf(M: LocalMatrix) -> tuple[int, ...]:
     """Nonzero Smith invariants of M, as plain ints (powers of 2)."""
     D = snf_with_transforms(M)[0]

@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from erjw import scalar2
-from erjw.bss import PresentedModule, TensoredPage, closed_form_page
 from erjw.errors import MathInvariantError, NonUnitDivisionError
-from erjw.fgl import GroupLaw
-from erjw.graded import GradedSeries, GradingSpec, parse_series
+from erjw.graded import GradingSpec, parse_series
 from erjw.scalar2 import (
     LocalMatrix,
     ModuleStructure,
@@ -615,9 +613,6 @@ def test_echelon_certificate_catches_planted_faults(monkeypatch, plant,
     E, U, pivots = echelon(M)
     assert pivots == (0, 1, 2)
     assert U @ M == stack_rows([E, LocalMatrix.zeros(1, 3)])
-    # the memo holds M's sound answer; each planted fault needs a fresh
-    # reduction to act on
-    echelon.cache_clear()
     real = scalar2._eliminate
     monkeypatch.setattr(scalar2, "_eliminate",
                         lambda *args: plant(real, *args))
@@ -660,8 +655,6 @@ def test_mutating_a_result_changes_no_later_answer():
             rows.append([5])
             dens[:] = [3] * len(dens)
         assert lists(ask()) == expected
-    # every ask of echelon(M) after the first was answered by the memo
-    assert echelon.cache_info().hits >= 5
     assert spans(M, M) and not spans(M, LocalMatrix([[0, 0, 1]]))
 
 
@@ -717,30 +710,9 @@ def test_quotient_structure_refuses_dependent_rows_against_empty_b():
             quotient_structure(K, LocalMatrix.zeros(0, 2))
 
 
-# -- the memo in front of echelon and snf ------------------------------------
-
-
-def _memo_key(M):
-    return (M.ncols, tuple(M.dens), tuple(map(tuple, M.rows)))
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(st.lists(sparse_matrices(max_dim=6, min_cols=0), min_size=1,
-                max_size=4),
-       st.lists(st.integers(0, 3), max_size=12))
-def test_memoised_answers_equal_the_bare_routines(pool, picks):
-    echelon.cache_clear()
-    snf.cache_clear()
-    asked = [pool[i % len(pool)] for i in picks] + pool
-    for M in asked:
-        assert echelon(M) == echelon.__wrapped__(M)
-        assert snf(M) == snf.__wrapped__(M)
-    repeats = len(asked) - len({_memo_key(M) for M in asked})
-    for memo in (echelon, snf):
-        assert memo.cache_info()[:2] == (repeats, len(asked) - repeats)
-
-
-def test_each_held_input_is_certified_once(monkeypatch):
+def test_every_reduction_runs_its_certificate(monkeypatch):
+    """Each ask reduces its input afresh and certifies it, also when the
+    same matrix, or an equal one built another way, was asked before."""
     counts = collections.Counter()
     for name in ("_certify_echelon", "_certify"):
         real = getattr(scalar2, name)
@@ -749,87 +721,13 @@ def test_each_held_input_is_certified_once(monkeypatch):
     mats = [LocalMatrix([[1, 2], [3, 4]]),
             LocalMatrix([[2, TwoLocal(4, 3)], [0, 6]]),
             LocalMatrix([[0, 0, 8]])]
-    # built another way, equal to mats[0]: the same stored form, one key
     mats.append(LocalMatrix([[TwoLocal(3, 3), 2], [TwoLocal(9, 3), 4]]))
+    asks = [(echelon, "_certify_echelon"), (kernel_basis, "_certify_echelon"),
+            (snf, "_certify"), (cokernel_structure, "_certify")]
     for _ in range(3):
         for M in mats:
-            echelon(M)
-            kernel_basis(M)
-            snf(M)
-            cokernel_structure(M)
-    assert counts == {"_certify_echelon": 3, "_certify": 3}
-    assert echelon.cache_info()[:2] == (21, 3)
-    assert snf.cache_info()[:2] == (21, 3)
-
-
-def test_memo_holds_at_most_its_budget_and_no_input_over_the_cap():
-    stream = [LocalMatrix([[k, 1, 0], [0, 2 * k, 1]]) for k in range(1, 600)]
-    for M in stream:
-        echelon(M)
-        snf(M)
-        for memo in (echelon, snf):
-            info = memo.cache_info()
-            assert 0 < info.held <= info.budget == scalar2.MEMO_BUDGET
-    # the oldest inputs went first
-    hits = echelon.cache_info().hits
-    echelon(stream[-1])
-    assert echelon.cache_info().hits == hits + 1
-    echelon(stream[0])
-    assert echelon.cache_info().hits == hits + 1
-    # over the cap: reduced on every ask, never stored
-    echelon.cache_clear()
-    snf.cache_clear()
-    big = LocalMatrix([[int(i == j) << (i % 3) for j in range(16)]
-                       for i in range(17)])
-    tall = LocalMatrix.zeros(17, 0)  # charged for its 17 x 17 transform
-    for M in (big, big, tall, tall):
-        echelon(M)
-    for M in (big, big):
-        snf(M)
-    assert echelon.cache_info() == (0, 4, 0, scalar2.MEMO_BUDGET)
-    assert snf.cache_info() == (0, 2, 0, scalar2.MEMO_BUDGET)
-
-
-def test_a_failed_certificate_leaves_no_entry(monkeypatch):
-    M = LocalMatrix([[2, 1, 0], [4, TwoLocal(3, 5), 1]])
-
-    def broken(*args):
-        raise MathInvariantError("planted")
-
-    monkeypatch.setattr(scalar2, "_certify_echelon", broken)
-    monkeypatch.setattr(scalar2, "_certify", broken)
-    for ask in (echelon, snf, echelon, snf):
-        with pytest.raises(MathInvariantError, match="planted"):
-            ask(M)
-    for memo in (echelon, snf):
-        assert memo.cache_info()[:3] == (0, 2, 0)
-    monkeypatch.undo()
-    echelon(M)
-    snf(M)
-    for memo in (echelon, snf):
-        assert memo.cache_info()[:2] == (0, 3)
-
-
-def _line_module_chart() -> dict:
-    """The page-4 chart at n = 1 tensored with the rank-one line module
-    (relation: the doubling series of c1), from a fresh module, so its
-    own per-degree cache starts empty; structures as text."""
-    law = GroupLaw(1, precision=8)
-    spec = GradingSpec(1, q=1, alphabet="hat")
-    c1 = GradedSeries.gen(spec, "c1", trunc=6)
-    module = PresentedModule(spec, 6, (law.hat_k_series(2).evaluate_at(c1),),
-                             flat_certificate="free on the class monomials")
-    page = TensoredPage(closed_form_page(1, 4, m_max=4), module)
-    return {cell: str(s) for cell, s in page.chart(range(-10, 11)).items()}
-
-
-def test_page_output_is_the_same_cold_warm_and_bare(monkeypatch):
-    # the coefficient pages make no lattice reduction; a tensored page
-    # reduces its per-degree quotients, so the charts ride on both memos
-    cold = _line_module_chart()
-    assert echelon.cache_info().hits
-    warm = _line_module_chart()
-    assert snf.cache_info().hits
-    monkeypatch.setattr(scalar2, "echelon", echelon.__wrapped__)
-    monkeypatch.setattr(scalar2, "snf", snf.__wrapped__)
-    assert cold and cold == warm == _line_module_chart()
+            for ask, check in asks:
+                before = counts.copy()
+                ask(M)
+                assert counts - before == {check: 1}
+    assert counts == {"_certify_echelon": 24, "_certify": 24}
