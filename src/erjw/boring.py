@@ -29,6 +29,7 @@ lattice row is silently projected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bss import DegreeColumns
 from .coeff import named_generators, total_period
@@ -133,14 +134,25 @@ def present(n: int, q: int, weight: int,
     """Generators and relations for q classes at weight bound `weight`.
 
     The k-th relation is the class minus its conjugate; pass a toy `iota`
-    to exercise consumers against a hand-built law.
+    to exercise consumers against a hand-built law.  Without one, the
+    presentation is built once per process for each (n, q, weight).
     """
     if weight < 1:
         raise InputError("weight bound must be positive")
     if q < 1:
         raise InputError("need at least one class")
     if iota is None:
-        iota = GroupLaw(n, precision=weight + 1).hat_iota()
+        return _present_law(n, q, weight)
+    return _present(n, q, weight, iota)
+
+
+@lru_cache(maxsize=32)
+def _present_law(n: int, q: int, weight: int) -> RingPresentation:
+    return _present(n, q, weight, GroupLaw.of(n, weight + 1).hat_iota())
+
+
+def _present(n: int, q: int, weight: int,
+             iota: UniSeries) -> RingPresentation:
     if iota.spec.n != n:
         raise InputError("conjugation series built at a different height")
     ctx = SymmetricContext(iota, q=q, weight=weight)
@@ -355,8 +367,6 @@ def landweber_window_check(n: int, q: int, k: int,
     # rows built from weight-truncated relations would close rewriting
     # staircases and show torsion the completed quotient does not have.
     deep = 2 * weight
-    if iota is None:
-        iota = GroupLaw(n, precision=deep + 1).hat_iota()
     pres = present(n, q, deep, iota=iota)
     spec = pres.spec
     mult = _stage_multiplier(spec, k, deep)

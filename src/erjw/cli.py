@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from importlib import metadata
 
 from .boring import present, reduce
@@ -228,8 +229,8 @@ def emit_chart(chart: dict, n: int, r: int, window: tuple[int, int],
 # -- admission ----------------------------------------------------------------
 # Every request is priced by arithmetic on its flags before it runs, and
 # refused with one line naming the flags to lower.  Out-of-range values
-# (n < 1, precision < 2, q or weight < 1, negative span or caps) pass to
-# the commands' own checks.
+# (n < 1, precision < 2, q or weight < 1, negative span, caps or terms)
+# pass to the commands' own checks.
 
 # Largest height of every subcommand: fgl --precision 4, and bo and chern
 # at weight 2, take under 0.2 s at n = 64 on a 2-vCPU Xeon; fgl --n 20000
@@ -395,7 +396,9 @@ def _series_terms(uni, cut: int) -> list[dict]:
 
 
 def _cmd_fgl(args):
-    law = GroupLaw(args.n, precision=args.precision)
+    if args.terms < 0:
+        raise InputError("terms must be non-negative")
+    law = GroupLaw.of(args.n, args.precision)
     negation = law.hat_iota()
     doubling = law.hat_k_series(2)
     result = {
@@ -413,7 +416,7 @@ def _cmd_fgl(args):
 
 
 def _cmd_chern(args):
-    iota = GroupLaw(args.n, precision=args.weight + 4).hat_iota()
+    iota = GroupLaw.of(args.n, args.weight + 4).hat_iota()
     ctx = SymmetricContext(iota, args.q, args.weight)
     classes = []
     for k in range(1, args.q + 1):
@@ -549,6 +552,7 @@ def _cmd_orient(args):
 # -- wiring -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)  # built on the first main call, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erjw",

@@ -375,6 +375,13 @@ class GroupLaw(_LawBase):
             raise InputError("precision below 2 carries no law content")
         self.spec = GradingSpec(n, alphabet="standard")
 
+    @classmethod
+    @lru_cache(maxsize=32)
+    def of(cls, n: int, precision: int | None = None) -> "GroupLaw":
+        """The process's one law at (n, precision), so its cached series
+        carry across queries; GroupLaw(...) stays the fresh route."""
+        return cls(n, precision)
+
     # -- logarithm and exponential (rational world) -----------------------
 
     @cached_property

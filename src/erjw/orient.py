@@ -103,7 +103,7 @@ class OrientationScan:
 
 
 def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:
-    iota = GroupLaw(n, precision=weight + 4).hat_iota()
+    iota = GroupLaw.of(n, weight + 4).hat_iota()
     ratio = thom_ratio(iota, 1, weight)
     pres = present(n, 2, weight, iota=iota)
     delta = _into_class_spec(ratio, pres.spec) - GradedSeries.unit(

@@ -83,6 +83,34 @@ def test_present_input_errors():
         present(2, 1, 6, iota=GroupLaw(1, precision=7).hat_iota())
 
 
+# The classring benchmark shapes.  The shared presentation (and its shared
+# law) must answer exactly what a fresh law passed as iota answers; no test
+# here assumes a cold cache or clears one.
+CLASSRING_SHAPES = [(n, q, w) for n in (1, 2, 3) for q in (1, 2)
+                    for w in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("n, q, weight", CLASSRING_SHAPES)
+def test_shared_presentation_matches_the_explicit_route(n, q, weight):
+    shared = present(n, q, weight)
+    fresh = present(n, q, weight,
+                    iota=GroupLaw(n, precision=weight + 1).hat_iota())
+    assert fresh is not shared
+    assert shared.relations == fresh.relations
+    assert shared.heads == fresh.heads
+    assert shared.generator_degrees == fresh.generator_degrees
+    assert shared == fresh
+    assert present(n, q, weight) is shared
+
+
+def test_refused_presentations_are_refused_on_every_ask():
+    for _ in range(3):
+        with pytest.raises(InputError, match="weight bound"):
+            present(2, 1, 0)
+        with pytest.raises(InputError, match="n must be at least 1"):
+            present(0, 1, 4)
+
+
 def test_relations_reduce_to_zero():
     for n, q, w in ((1, 1, 6), (2, 2, 6), (3, 1, 4)):
         p = present(n, q, w)

@@ -524,12 +524,34 @@ def test_admission_edges(admitted, refused, fragment):
 @pytest.mark.parametrize("argv, message", [
     (["fgl", "--n", "1", "--precision", "1"], "precision below 2"),
     (["fgl", "--n", "0"], "n must be at least 1"),
+    (["fgl", "--n", "2", "--terms", "-1"], "terms must be non-negative"),
 ])
 def test_fgl_bad_arguments_exit_two(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fgl", "--n", "2", "--terms", "3"],
+    ["chern", "--n", "2", "--q", "2", "--weight", "5", "--format", "json"],
+    ["bo", "--n", "1", "--q", "2", "--weight", "4", "--reduce", "-2*c1"],
+    ["bo", "--n", "2", "--weight", "4", "--format", "json"],
+])
+def test_repeated_main_prints_the_same_bytes(argv, capsys):
+    # one parser serves every main call in a process: neither a usage
+    # error nor another request in between may leave anything behind
+    first = run(argv, capsys)
+    assert first[0] == 0 and first[2] == ""
+    with pytest.raises(SystemExit):
+        cli.main([argv[0], "--n", "1", "--bogus"])
+    capsys.readouterr()
+    assert run(argv, capsys) == first
+    run(["bo", "--n", "3", "--q", "1", "--weight", "5", "--format", "json"],
+        capsys)
+    assert run(argv, capsys) == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_chern_text_lists_conjugates(capsys):

@@ -41,6 +41,29 @@ def test_group_law_rejects_bad_input():
         GroupLaw(1, precision=1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_law_matches_a_fresh_one(n):
+    # two precisions at one height: a factory keyed on n alone fails here
+    # whichever of them it happened to store first
+    for precision in (5, 7, None):
+        law = GroupLaw.of(n, precision)
+        fresh = GroupLaw(n, precision=precision)
+        assert law is not fresh and law.precision == fresh.precision
+        assert law.hat_iota() == fresh.hat_iota()
+        assert law.hat_k_series(2) == fresh.hat_k_series(2)
+        assert GroupLaw.of(n, precision) is law
+
+
+def test_shared_law_refuses_on_every_ask():
+    for _ in range(3):
+        with pytest.raises(InputError, match="n must be at least 1"):
+            GroupLaw.of(0)
+        with pytest.raises(InputError, match="n must be at least 1"):
+            GroupLaw.of(0, 8)
+        with pytest.raises(InputError, match="precision below 2"):
+            GroupLaw.of(1, 1)
+
+
 def test_uniseries_arithmetic():
     u = UniSeries.identity(SPEC1, 6)
     s = u + u * u
