@@ -76,12 +76,12 @@ def _head(spec: GradingSpec, series: GradedSeries):
 def _check_element(z: GradedSeries, p: RingPresentation) -> None:
     if z.spec != p.spec:
         raise InputError("element over a different class ring")
-    for key in z.terms:
+    for key in z.keys():
         if key[0]:
             raise InputError("element leaves the class ring")
         if p.spec.hat_residue(key[p.spec.n]):
             raise InputError("periodicity exponent off the hat lattice")
-    if any(p.spec.weight_of(k) > p.weight for k in z.terms):
+    if any(p.spec.weight_of(k) > p.weight for k in z.keys()):
         raise InputError(f"element exceeds the weight bound {p.weight}")
 
 
@@ -89,7 +89,7 @@ def _into_class_spec(series: GradedSeries, spec: GradingSpec) -> GradedSeries:
     # drop the root slots once elimination has emptied them: the class
     # ring's keys are the prefixes
     cut = spec.width
-    if any(any(key[cut:]) for key in series.terms):
+    if any(any(key[cut:]) for key in series.keys()):
         raise MathInvariantError("root content in a class polynomial")
     return GradedSeries(spec, {key[:cut]: coeff
                                for key, coeff in series.terms.items()},
@@ -114,7 +114,7 @@ class RingPresentation:
 
 
 def _class_key(spec: GradingSpec, k: int):
-    return next(iter(GradedSeries.gen(spec, f"c{k}").terms))
+    return next(iter(GradedSeries.gen(spec, f"c{k}").keys()))
 
 
 def _assert_head_shape(spec: GradingSpec, rel: GradedSeries, k: int) -> None:
@@ -124,7 +124,7 @@ def _assert_head_shape(spec: GradingSpec, rel: GradedSeries, k: int) -> None:
                 head[1] != TwoLocal(2):
             raise MathInvariantError(
                 f"odd relation {k} does not lead with twice the class")
-    elif any(spec.weight_of(key) == k for key in rel.terms):
+    elif any(spec.weight_of(key) == k for key in rel.keys()):
         raise MathInvariantError(
             f"even relation {k} keeps weight-{k} content")
 
@@ -209,9 +209,8 @@ def reduce(z: GradedSeries, p: RingPresentation) -> GradedSeries:
         if last is not None and ok <= last:
             raise ReductionError("rewriting order failed to increase")
         last = ok
-        ratio = coeff / hc
-        quot = GradedSeries(p.spec, {quot_key: ONE}, p.weight)
-        work = work - (quot * rel).map_coefficients(lambda v: v * ratio)
+        quot = GradedSeries(p.spec, {quot_key: coeff / hc}, p.weight)
+        work = work - quot * rel
         if work.coefficient(key):
             raise ReductionError("head elimination left the term behind")
         steps += 1

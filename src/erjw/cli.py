@@ -237,8 +237,8 @@ def emit_chart(chart: dict, n: int, r: int, window: tuple[int, int],
 # --precision 4 takes 5 s.  No model below is priced at a larger n.
 HEIGHT_BOUND = 64
 
-# Largest series_cost accepted: 80 to 150 microseconds a unit (n = 1..4,
-# N = 12..96), about 4 s, on one core of a 2-vCPU Xeon.  Precision 32 at
+# Largest series_cost accepted: 10 to 26 microseconds a unit (n = 1..4,
+# N = 12..96), 0.4 to 1 s, on one core of a 2-vCPU Xeon.  Precision 32 at
 # n = 3 costs 17,716 units; precision 48 at n = 3 and the default 64 at
 # n = 4 cost 3 and 22 times the bound.
 SERIES_COST_BOUND = 40_000

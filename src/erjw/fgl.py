@@ -39,15 +39,15 @@ from .graded import GradedSeries, GradingSpec
 from .scalar2 import TwoLocal
 
 
-def _to_two_local(series: GradedSeries) -> GradedSeries:
-    def conv(c):
-        if isinstance(c, TwoLocal):
-            return c
-        try:
-            return TwoLocal(c)
-        except NonUnitDivisionError as e:
-            raise IntegralityError(f"coefficient {c} is not 2-locally integral") from e
-    return series.map_coefficients(conv)
+def _to_two_local(series):
+    """The series, a GradedSeries or a UniSeries, over Z_(2)."""
+    if isinstance(series, UniSeries):
+        return series._with(_to_two_local(series.series))
+    try:
+        return series.as_two_local()
+    except NonUnitDivisionError as e:
+        c = next(c for c in series.terms.values() if c.denominator % 2 == 0)
+        raise IntegralityError(f"coefficient {c} is not 2-locally integral") from e
 
 
 def _check_k_series(series: UniSeries, k: int) -> UniSeries:
@@ -92,10 +92,9 @@ class UniSeries:
         if not all(isinstance(c, GradedSeries) and c.spec == spec
                    for c in coeffs):
             raise ValueError("coefficients must be series over the law's spec")
-        terms = {k + (m,): v
-                 for m, c in enumerate(coeffs) for k, v in c.terms.items()}
         self.spec = spec
-        self.series = GradedSeries._raw(root_spec, terms, len(coeffs) - 1)
+        self.series = GradedSeries._stack_last(root_spec, coeffs,
+                                               len(coeffs) - 1)
         self._coeffs = coeffs
 
     # -- constructors ---------------------------------------------------
@@ -134,18 +133,14 @@ class UniSeries:
     def coeffs(self) -> tuple:
         """The coefficient of each power of u, split off on first use."""
         if self._coeffs is None:
-            parts = [{} for _ in range(len(self))]
-            for k, v in self.series.terms.items():
-                parts[k[-1]][k[:-1]] = v
-            self._coeffs = tuple(GradedSeries._raw(self.spec, t, None)
-                                 for t in parts)
+            self._coeffs = self.series._split_last(self.spec, len(self))
         return self._coeffs
 
     def __getitem__(self, m: int) -> GradedSeries:
         return self.coeffs[m]
 
     def order(self):
-        return min((key[-1] for key in self.series.terms), default=None)
+        return min((key[-1] for key in self.series.keys()), default=None)
 
     def is_zero(self) -> bool:
         return self.series.is_zero
@@ -211,9 +206,6 @@ class UniSeries:
 
     # -- bridges to the graded world --------------------------------------
 
-    def map_coefficients(self, f) -> "UniSeries":
-        return self._with(self.series.map_coefficients(f))
-
     def regrade_to_hat(self) -> "UniSeries":
         return self._with(self.series.regrade_to_hat(),
                           GradingSpec(self.spec.n, alphabet="hat"))
@@ -229,7 +221,7 @@ class UniSeries:
         if at.trunc is None:
             raise PrecisionError("substitution target carries no truncation bound")
         wof = at.spec.weight_of
-        if any(wof(k) < 1 for k in at.terms):
+        if any(wof(k) < 1 for k in at.keys()):
             raise ConstantTermError("substitution target has weight-0 content")
         acc = GradedSeries.zero(at.spec, at.trunc)
         p = GradedSeries.unit(at.spec, 1, at.trunc)

@@ -26,9 +26,19 @@ Weight counts only classes and roots: weight(c_k) = k, weight(x_i) = 1.
 A series may carry a truncation bound; terms above it are dropped on
 construction and during arithmetic, and products combine bounds by min.
 
-Coefficients are whatever rational-like objects the caller supplies
-(TwoLocal in the 2-local world, Fraction inside logarithm computations).
-Mixing the two in one expression raises TypeError, on purpose.
+A series stores its coefficients as one int numerator per key over one
+shared positive denominator, in lowest terms: the gcd of the denominator
+and every numerator is 1, so the denominator is the lcm of the
+coefficients' own and equal series store equal ints.  Beside them it
+keeps the coefficient kind: int, TwoLocal (the 2-local world; the
+denominator is odd) or Fraction (inside logarithm computations).
+Products, sums and the key maps (truncation, conjugation, division by a
+monomial, widening, regrading) work on those ints.  Coefficient objects
+are built only where they are read: `terms`, a read-only view built on
+first read, `coefficient` and `str`.  An int coefficient widens to either
+field, so a sum of int and TwoLocal series has TwoLocal coefficients, and
+a series with no terms has kind int.  Mixing TwoLocal and Fraction
+raises TypeError, on purpose.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
+from math import gcd, lcm
+from types import MappingProxyType
 from typing import Callable
 
 from .errors import InputError, MathInvariantError, NonUnitDivisionError
@@ -195,44 +207,98 @@ def _min_trunc(a, b):
 _SCALARS = (int, TwoLocal, Fraction)
 
 
-class GradedSeries:
-    """Finitely supported series over a GradingSpec, optionally truncated."""
+def _split(c) -> tuple:
+    """(numerator, denominator, kind) of one coefficient, reduced."""
+    t = type(c)
+    if t is TwoLocal:
+        return c.num, c.den, TwoLocal
+    if t is int:
+        return c, 1, int
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator, Fraction
+    if isinstance(c, int):
+        return int(c), 1, int
+    raise TypeError(f"unsupported coefficient {c!r}")
 
-    __slots__ = ("spec", "terms", "trunc")
+
+def _join(a: type, b: type) -> type:
+    """The kind of a result built from kinds a and b: int widens to either
+    field, and TwoLocal and Fraction do not mix."""
+    if a is b or b is int:
+        return a
+    if a is int:
+        return b
+    raise TypeError(f"cannot mix {a.__name__} and {b.__name__} coefficients")
+
+
+class GradedSeries:
+    """Finitely supported series over a GradingSpec, optionally truncated.
+
+    Stored as `_nums` {key: int numerator} over one positive `_den`, with
+    gcd(_den, every numerator) == 1, and the coefficient `_kind`; no
+    numerator is zero, and the zero series has kind int and den 1.
+    """
+
+    __slots__ = ("spec", "trunc", "_nums", "_den", "_kind", "_terms")
 
     def __init__(self, spec: GradingSpec, terms=None, trunc: int | None = None):
-        self.spec = spec
-        self.trunc = trunc
-        out = {}
+        # den is the lcm of the coefficients' own, so the form is reduced
+        nums, den, kind = {}, 1, int
         if terms:
             for key, coeff in terms.items():
-                if not coeff:
+                num, d, k = _split(coeff)
+                if not num:
                     continue
                 spec.validate_key(key)
                 if trunc is not None and spec.weight_of(key) > trunc:
                     continue
-                out[key] = coeff
-        self.terms = out
+                if k is not kind:
+                    kind = _join(kind, k)
+                if den % d:
+                    m = lcm(den, d) // den
+                    nums = {t: v * m for t, v in nums.items()}
+                    den *= m
+                nums[key] = num if d == den else num * (den // d)
+        self.spec = spec
+        self.trunc = trunc
+        self._nums, self._den, self._kind = nums, den, kind
+        self._terms = None
 
     @classmethod
-    def _raw(cls, spec, terms, trunc):
+    def _raw(cls, spec, nums, den, kind, trunc):
+        # caller guarantees: no zero numerator, den > 0, gcd(den, nums) == 1
         self = object.__new__(cls)
         self.spec = spec
-        self.terms = terms
         self.trunc = trunc
+        if nums:
+            self._nums, self._den, self._kind = nums, den, kind
+        else:
+            self._nums, self._den, self._kind = nums, 1, int
+        self._terms = None
         return self
+
+    @classmethod
+    def _reduced(cls, spec, nums, den, kind, trunc):
+        """_raw after dividing den and the numerators by their gcd."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+        return cls._raw(spec, nums, den, kind, trunc)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, spec, trunc=None):
-        return cls._raw(spec, {}, trunc)
+        return cls._raw(spec, {}, 1, int, trunc)
 
     @classmethod
     def unit(cls, spec, coeff=1, trunc=None):
-        if not coeff:
+        num, den, kind = _split(coeff)
+        if not num:
             return cls.zero(spec, trunc)
-        return cls._raw(spec, {spec.unit_key(): coeff}, trunc)
+        return cls._raw(spec, {spec.unit_key(): num}, den, kind, trunc)
 
     @classmethod
     def monomial(cls, spec, coeff=1, y=0, vh=None, vn=0, c=None, x=None, trunc=None):
@@ -258,17 +324,54 @@ class GradedSeries:
     # -- basic protocol -------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._nums)
 
     @property
     def is_zero(self):
-        return not self.terms
+        return not self._nums
+
+    def keys(self):
+        """The monomials with a nonzero coefficient, in term order."""
+        return self._nums.keys()
+
+    @property
+    def terms(self):
+        """A read-only {key: coefficient} view, built on first read."""
+        view = self._terms
+        if view is None:
+            nums, den, kind = self._nums, self._den, self._kind
+            if kind is int:
+                view = nums
+            elif den == 1 and kind is TwoLocal:
+                raw = TwoLocal._raw
+                view = {k: raw(v, 1) for k, v in nums.items()}
+            else:
+                value = self._value
+                view = {k: value(v) for k, v in nums.items()}
+            view = self._terms = MappingProxyType(view)
+        return view
+
+    def _value(self, num: int):
+        """The coefficient whose numerator over self._den is num."""
+        kind, den = self._kind, self._den
+        if kind is int:
+            return num
+        if kind is Fraction:
+            return Fraction(num, den)
+        if den == 1:
+            return TwoLocal._raw(num, 1)
+        g = gcd(num, den)
+        return TwoLocal._raw(num // g, den // g)
 
     def __eq__(self, other):
-        # truncation bounds are bookkeeping, not content
+        # truncation bounds are bookkeeping, not content; the reduced
+        # form is canonical, and TwoLocal never equals a Fraction
         if not isinstance(other, GradedSeries):
             return NotImplemented
-        return self.spec == other.spec and self.terms == other.terms
+        return (self.spec == other.spec and self._den == other._den
+                and self._nums == other._nums
+                and (self._kind is other._kind
+                     or int in (self._kind, other._kind)))
 
     def __repr__(self):
         return f"GradedSeries({self})"
@@ -278,7 +381,17 @@ class GradedSeries:
 
     def coefficient(self, key):
         self.spec.validate_key(key)
-        return self.terms.get(key, 0)
+        num = self._nums.get(key)
+        return 0 if num is None else self._value(num)
+
+    def as_two_local(self) -> "GradedSeries":
+        """The same values as TwoLocal coefficients; NonUnitDivisionError
+        if one has an even denominator."""
+        if self._den & 1 == 0:
+            raise NonUnitDivisionError(
+                f"a denominator of {self} is not 2-locally integral")
+        return GradedSeries._raw(self.spec, self._nums, self._den, TwoLocal,
+                                 self.trunc)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -292,24 +405,33 @@ class GradedSeries:
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._check_spec(other)
+        kind = _join(self._kind, other._kind)
         tr = _min_trunc(self.trunc, other.trunc)
-        out = dict(self.terms)
-        wof = self.spec.weight_of
-        for key, coeff in other.terms.items():
-            s = out.get(key, 0) + coeff
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, out, right = d1, dict(self._nums), other._nums.items()
+        else:
+            den = lcm(d1, d2)
+            s1, s2 = den // d1, den // d2
+            out = {k: v * s1 for k, v in self._nums.items()} if s1 != 1 \
+                else dict(self._nums)
+            right = [(k, v * s2) for k, v in other._nums.items()]
+        for key, num in right:
+            s = out.get(key, 0) + num
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
         if tr is not None and (self.trunc != tr or other.trunc != tr):
+            wof = self.spec.weight_of
             out = {k: v for k, v in out.items() if wof(k) <= tr}
-        return GradedSeries._raw(self.spec, out, tr)
+        return GradedSeries._reduced(self.spec, out, den, kind, tr)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedSeries._raw(self.spec, {k: -v for k, v in self.terms.items()},
-                                 self.trunc)
+        return GradedSeries._raw(self.spec, {k: -v for k, v in self._nums.items()},
+                                 self._den, self._kind, self.trunc)
 
     def __sub__(self, other):
         if isinstance(other, _SCALARS):
@@ -323,24 +445,23 @@ class GradedSeries:
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
-            if not other:
+            num, den, kind = _split(other)
+            if not num:
                 return GradedSeries.zero(self.spec, self.trunc)
-            out = {}
-            for k, v in self.terms.items():
-                p = v * other
-                if p:
-                    out[k] = p
-            return GradedSeries._raw(self.spec, out, self.trunc)
+            return GradedSeries._reduced(
+                self.spec, {k: v * num for k, v in self._nums.items()},
+                self._den * den, _join(self._kind, kind), self.trunc)
         if not isinstance(other, GradedSeries):
             return NotImplemented
         self._check_spec(other)
+        kind = _join(self._kind, other._kind)
         tr = _min_trunc(self.trunc, other.trunc)
         out = {}
-        wof = self.spec.weight_of
         add = operator.add
+        right = other._nums
         if tr is None:
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
+            for k1, c1 in self._nums.items():
+                for k2, c2 in right.items():
                     key = tuple(map(add, k1, k2))
                     s = out.get(key, 0) + c1 * c2
                     if s:
@@ -349,19 +470,22 @@ class GradedSeries:
                         out.pop(key, None)
         else:
             # sort one factor by weight so each inner loop can stop early
-            right = sorted(((wof(k), k) for k in other.terms), key=lambda t: t[0])
-            for k1, c1 in self.terms.items():
+            wof = self.spec.weight_of
+            ranked = sorted(((wof(k), k, c) for k, c in right.items()),
+                            key=lambda t: t[0])
+            for k1, c1 in self._nums.items():
                 w1 = wof(k1)
-                for w2, k2 in right:
+                for w2, k2, c2 in ranked:
                     if w1 + w2 > tr:
                         break
                     key = tuple(map(add, k1, k2))
-                    s = out.get(key, 0) + c1 * other.terms[k2]
+                    s = out.get(key, 0) + c1 * c2
                     if s:
                         out[key] = s
                     else:
                         out.pop(key, None)
-        return GradedSeries._raw(self.spec, out, tr)
+        return GradedSeries._reduced(self.spec, out, self._den * other._den,
+                                     kind, tr)
 
     __rmul__ = __mul__
 
@@ -382,7 +506,7 @@ class GradedSeries:
 
     def monomial_inverse(self):
         """Inverse of a single-term series; only the vn slot may be nonzero."""
-        if len(self.terms) != 1:
+        if len(self._nums) != 1:
             raise MathInvariantError("inverse of a non-monomial series")
         (key, coeff), = self.terms.items()
         n = self.spec.n
@@ -394,14 +518,21 @@ class GradedSeries:
             inv = TwoLocal(1) / coeff  # raises if not a unit
         else:
             inv = TwoLocal(1) / TwoLocal(coeff)
+        num, den, kind = _split(inv)
         ikey = tuple(map(operator.neg, key))
-        return GradedSeries._raw(self.spec, {ikey: inv}, self.trunc)
+        return GradedSeries._raw(self.spec, {ikey: num}, den, kind, self.trunc)
 
     # -- structure ------------------------------------------------------
 
+    def _kept(self, keep: Callable, trunc) -> "GradedSeries":
+        """The terms whose key passes keep, in lowest terms again."""
+        return GradedSeries._reduced(
+            self.spec, {k: v for k, v in self._nums.items() if keep(k)},
+            self._den, self._kind, trunc)
+
     def degrees(self) -> set[int]:
         dof = self.spec.degree_of
-        return {dof(k) for k in self.terms}
+        return {dof(k) for k in self._nums}
 
     def is_homogeneous(self) -> bool:
         return len(self.degrees()) <= 1
@@ -414,38 +545,27 @@ class GradedSeries:
 
     def homogeneous_part(self, d: int) -> "GradedSeries":
         dof = self.spec.degree_of
-        return GradedSeries._raw(self.spec,
-                                 {k: v for k, v in self.terms.items() if dof(k) == d},
-                                 self.trunc)
+        return self._kept(lambda k: dof(k) == d, self.trunc)
 
     def weight_parts(self) -> dict[int, "GradedSeries"]:
         wof = self.spec.weight_of
         buckets: dict[int, dict] = {}
-        for k, v in self.terms.items():
+        for k, v in self._nums.items():
             buckets.setdefault(wof(k), {})[k] = v
-        return {w: GradedSeries._raw(self.spec, t, self.trunc)
+        return {w: GradedSeries._reduced(self.spec, t, self._den, self._kind,
+                                         self.trunc)
                 for w, t in sorted(buckets.items())}
 
     def max_weight(self) -> int:
         wof = self.spec.weight_of
-        return max((wof(k) for k in self.terms), default=0)
+        return max((wof(k) for k in self._nums), default=0)
 
     def truncated(self, trunc: int | None) -> "GradedSeries":
         tr = _min_trunc(self.trunc, trunc)
         if tr == self.trunc:
             return self
         wof = self.spec.weight_of
-        return GradedSeries._raw(self.spec,
-                                 {k: v for k, v in self.terms.items() if wof(k) <= tr},
-                                 tr)
-
-    def map_coefficients(self, f: Callable) -> "GradedSeries":
-        out = {}
-        for k, v in self.terms.items():
-            w = f(v)
-            if w:
-                out[k] = w
-        return GradedSeries._raw(self.spec, out, self.trunc)
+        return self._kept(lambda k: wof(k) <= tr, tr)
 
     def extended_to(self, spec: GradingSpec) -> "GradedSeries":
         """Reinterpret in a wider spec (more classes or roots, same core)."""
@@ -457,15 +577,15 @@ class GradedSeries:
         xpad = (0,) * (spec.roots - self.spec.roots)
         cut = self.spec.classes.stop
         return GradedSeries._raw(spec, {k[:cut] + cpad + k[cut:] + xpad: v
-                                        for k, v in self.terms.items()},
-                                 self.trunc)
+                                        for k, v in self._nums.items()},
+                                 self._den, self._kind, self.trunc)
 
     def divide_by_key(self, key) -> "GradedSeries":
         """Exact division by a monomial; any residue is an error."""
         self.spec.validate_key(key)
         quotient = self.spec.quotient
         out = {}
-        for k, v in self.terms.items():
+        for k, v in self._nums.items():
             quot = quotient(k, key)
             if quot is None:
                 raise MathInvariantError(f"monomial {key} does not divide a term")
@@ -473,7 +593,7 @@ class GradedSeries:
         tr = self.trunc
         if tr is not None:
             tr -= self.spec.weight_of(key)
-        return GradedSeries._raw(self.spec, out, tr)
+        return GradedSeries._raw(self.spec, out, self._den, self._kind, tr)
 
     def conjugate(self) -> "GradedSeries":
         """Coefficient involution: negate the top generator.
@@ -486,9 +606,10 @@ class GradedSeries:
         # the sign is the parity of vn, or of every v generator
         lo = n if self.spec.alphabet == "hat" else 1
         out = {}
-        for key, v in self.terms.items():
+        for key, v in self._nums.items():
             out[key] = -v if sum(key[lo:n + 1]) & 1 else v
-        return GradedSeries._raw(self.spec, out, self.trunc)
+        return GradedSeries._raw(self.spec, out, self._den, self._kind,
+                                 self.trunc)
 
     def regrade_to_hat(self) -> "GradedSeries":
         """Rename a standard-alphabet series into the hat alphabet.
@@ -502,19 +623,43 @@ class GradedSeries:
         spec = GradingSpec(self.spec.n, self.spec.q, self.spec.roots, "hat")
         n, P = spec.n, spec.hat_offset
         out = {}
-        for k, v in self.terms.items():
+        for k, v in self._nums.items():
             key = k[:n] + (-k[n] * P,) + k[n + 1:]
             s = out.get(key, 0) + v
             if s:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return GradedSeries._raw(spec, out, self.trunc)
+        return GradedSeries._reduced(spec, out, self._den, self._kind,
+                                     self.trunc)
+
+    # -- one-variable bookkeeping (erjw.fgl.UniSeries) --------------------
+
+    def _split_last(self, spec: GradingSpec, count: int) -> tuple:
+        """Part m holds the terms whose last exponent is m, over spec,
+        which lacks that last slot."""
+        parts = [{} for _ in range(count)]
+        for k, v in self._nums.items():
+            parts[k[-1]][k[:-1]] = v
+        den, kind = self._den, self._kind
+        return tuple(GradedSeries._reduced(spec, t, den, kind, None)
+                     for t in parts)
+
+    @classmethod
+    def _stack_last(cls, spec: GradingSpec, parts, trunc) -> "GradedSeries":
+        """The inverse of _split_last: part m gains a last exponent m."""
+        den, kind, nums = lcm(*(p._den for p in parts)), int, {}
+        for m, part in enumerate(parts):
+            kind = _join(kind, part._kind)
+            s = den // part._den
+            for k, v in part._nums.items():
+                nums[k + (m,)] = v * s
+        return cls._raw(spec, nums, den, kind, trunc)
 
     # -- printing / parsing ----------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self._nums:
             return "0"
         spec = self.spec
         # printed factor order: vh, vn, y, c, x
@@ -566,10 +711,12 @@ def parse_series(text: str, spec: GradingSpec, coeff_type=TwoLocal,
     ring, raise InputError.
     """
     def bounded(series: GradedSeries) -> GradedSeries:
-        for c in series.terms.values():
-            num, den = (c.num, c.den) if isinstance(c, TwoLocal) \
-                else (c.numerator, c.denominator)
-            if max(abs(num), den).bit_length() > EXPONENT_BOUND:
+        # each coefficient's own numerator and denominator are the stored
+        # ones divided by their gcd
+        den = series._den
+        for num in series._nums.values():
+            if (max(abs(num), den) // gcd(num, den)).bit_length() \
+                    > EXPONENT_BOUND:
                 raise InputError(
                     f"a coefficient is past {EXPONENT_BOUND} bits")
         return series

@@ -97,7 +97,7 @@ class SymmetricContext:
         if series.spec != self.spec:
             raise InputError("series from a different context")
         cut = self.spec.classes.stop  # the roots follow the classes
-        if any(any(key[self.spec.classes]) for key in series.terms):
+        if any(any(key[self.spec.classes]) for key in series.keys()):
             raise InputError("input already contains classes")
         if series.max_weight() > self.weight:
             raise InputError("input exceeds the context weight bound")
@@ -107,7 +107,7 @@ class SymmetricContext:
         out = GradedSeries.zero(self.spec, series.trunc)
         prev = None
         while residual:
-            alpha = max(key[cut:] for key in residual.terms)
+            alpha = max(key[cut:] for key in residual.keys())
             if any(alpha[i] < alpha[i + 1] for i in range(self.q - 1)):
                 raise SymmetryError(f"leading exponent {alpha} not dominant")
             if prev is not None and not alpha < prev:
@@ -193,7 +193,9 @@ class SymmetricContext:
 
         profile = {}
         for w, part in defect.weight_parts().items():
-            reduced = part.map_coefficients(mod2)
+            reduced = GradedSeries(self.spec, {k: mod2(c) for k, c
+                                               in part.terms.items()},
+                                   part.trunc)
             if reduced:
                 profile[w] = reduced
         return profile
@@ -212,7 +214,7 @@ def thom_ratio(iota: UniSeries, k: int, weight: int) -> GradedSeries:
     big = SymmetricContext(iota, q, weight + q + 1)
     ratio = GradedSeries.unit(big.spec, 1, big.weight - 1)
     for i in range(1, q + 1):
-        xi_key = next(iter(big.root(i).terms))
+        xi_key = next(iter(big.root(i).keys()))
         u = big.conjugate_root(i).divide_by_key(xi_key)
         ratio = ratio * u
     if ratio.coefficient(big.spec.unit_key()) != 1:

@@ -1,9 +1,11 @@
+import operator
 import re
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from erjw.errors import InputError, MathInvariantError, NonUnitDivisionError
 from erjw.graded import GradedSeries, GradingSpec, degree_basis, parse_series
@@ -388,6 +390,154 @@ def test_mixing_coefficient_fields_raises():
         _ = a + b
     with pytest.raises(TypeError):
         _ = a * b
+    with pytest.raises(TypeError):
+        _ = a - b
+    with pytest.raises(TypeError):
+        _ = b - a
+    with pytest.raises(TypeError):
+        _ = a * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        _ = Fraction(1, 2) * a
+    with pytest.raises(TypeError):
+        _ = b * TwoLocal(3)
+    with pytest.raises(TypeError):
+        _ = TwoLocal(3) * b
+
+
+# -- the int-numerator kernel against a dict-of-coefficients reference -------
+#
+# _ref_mul and _ref_add are the product and sum GradedSeries ran on
+# {key: coefficient} dicts before it kept int numerators over one
+# denominator; the kernel must give the same values, types and key order.
+
+
+def _ref_mul(spec, a, b, tr):
+    out = {}
+    wof = spec.weight_of
+    # the truncated product walks b by weight, stopping early
+    right = list(b) if tr is None else sorted(b, key=wof)
+    for k1, c1 in a.items():
+        for k2 in right:
+            if tr is not None and wof(k1) + wof(k2) > tr:
+                break
+            key = tuple(map(operator.add, k1, k2))
+            s = out.get(key, 0) + c1 * b[k2]
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _ref_add(spec, a, ta, b, tb):
+    tr = _ref_min_trunc(ta, tb)
+    out = dict(a)
+    for key, coeff in b.items():
+        s = out.get(key, 0) + coeff
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    if tr is not None and (ta != tr or tb != tr):
+        out = {k: v for k, v in out.items() if spec.weight_of(k) <= tr}
+    return out
+
+
+def _ref_scale(a, c):
+    return {k: v * c for k, v in a.items() if v * c}
+
+
+def _ref_min_trunc(ta, tb):
+    return min((t for t in (ta, tb) if t is not None), default=None)
+
+
+def _assert_matches(got, want, kind):
+    """Same items in the same order; an int where the reference holds an
+    int is widened to the series' kind; the stored form is reduced."""
+    assert list(got.terms.items()) == list(want.items())
+    assert [type(v) for v in got.terms.values()] == [
+        kind if type(v) is int else type(v) for v in want.values()]
+    nums, den = got._nums, got._den
+    assert den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+    assert got._kind is (kind if nums else int)
+    assert (den == 1) if got._kind is int else \
+        (den & 1 or got._kind is Fraction)
+    for key, v in got.terms.items():
+        value = Fraction(v.num, v.den) if isinstance(v, TwoLocal) else Fraction(v)
+        assert Fraction(nums[key], den) == value
+        assert got.coefficient(key) == v and type(got.coefficient(key)) is type(v)
+
+
+_KIND_COEFFS = {
+    int: st.integers(-4, 4),
+    TwoLocal: st.builds(TwoLocal, st.integers(-6, 6),
+                        st.sampled_from([1, -1, 3, -3, 5, 9, 15])),
+    Fraction: st.builds(Fraction, st.integers(-6, 6),
+                        st.sampled_from([1, -2, 2, 3, 4, 6, 8])),
+}
+
+
+@st.composite
+def _kernel_cases(draw):
+    spec = GradingSpec(draw(st.integers(1, 3)), draw(st.integers(0, 2)),
+                       draw(st.integers(0, 1)))
+    # same-kind pairs, and int beside either field, both ways round
+    ka, kb = draw(st.sampled_from([(int, int), (TwoLocal, TwoLocal),
+                                   (Fraction, Fraction), (int, TwoLocal),
+                                   (TwoLocal, int), (int, Fraction),
+                                   (Fraction, int)]))
+    e = st.integers(0, 1)
+    key = st.builds(lambda y, vh, vn, c, x: (y, *vh, vn, *c, *x), e,
+                    st.tuples(*[e] * (spec.n - 1)), st.integers(-3, 3),
+                    st.tuples(*[st.integers(0, 2)] * spec.q),
+                    st.tuples(*[e] * spec.roots))
+    ta = draw(st.dictionaries(key, _KIND_COEFFS[ka], max_size=5))
+    tb = draw(st.dictionaries(key, _KIND_COEFFS[kb], max_size=5))
+    if ka is kb and draw(st.booleans()):
+        # b cancels some or all of a, in a sum and in products' collisions
+        tb.update({k: -v for k, v in ta.items() if draw(st.booleans())})
+    tra, trb = (draw(st.none() | st.integers(0, 4)) for _ in "ab")
+    scalar = draw(_KIND_COEFFS[draw(st.sampled_from([int, ka]))])
+    return spec, (ta, tra, ka), (tb, trb, kb), scalar
+
+
+# vn^2 is reached three times in a*b: by 1, then -1, which cancels it, and
+# then 5, which puts it back at the end of the product's key order
+_N1 = GradingSpec(1)
+_CANCEL_AND_RETURN = ({(0, 0): 1, (0, 1): 1, (0, 2): 1},
+                      {(0, 2): 1, (0, 1): -1, (0, 0): 5})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_kernel_cases())
+@example((_N1, (_CANCEL_AND_RETURN[0], None, int),
+          (_CANCEL_AND_RETURN[1], None, int), 3))
+@example((_N1, ({k: TwoLocal(v, 3) for k, v in _CANCEL_AND_RETURN[0].items()},
+                4, TwoLocal),
+          ({k: TwoLocal(v) for k, v in _CANCEL_AND_RETURN[1].items()},
+           2, TwoLocal), TwoLocal(-5, 9)))
+def test_kernel_matches_the_coefficient_dict_reference(case):
+    spec, (ta, tra, ka), (tb, trb, kb), scalar = case
+    a, b = GradedSeries(spec, ta, tra), GradedSeries(spec, tb, trb)
+    A, B = dict(a.terms), dict(b.terms)
+    # a series with no terms has kind int, which widens to any other
+    ka, kb = (ka if a else int), (kb if b else int)
+    kind = kb if ka is int else ka
+    _assert_matches(a, A, ka)
+    _assert_matches(b, B, kb)
+    tr = _ref_min_trunc(tra, trb)
+    _assert_matches(a * b, _ref_mul(spec, A, B, tr), kind)
+    _assert_matches(b * a, _ref_mul(spec, B, A, tr), kind)
+    _assert_matches(a + b, _ref_add(spec, A, tra, B, trb), kind)
+    _assert_matches(a - b, _ref_add(spec, A, tra, _ref_scale(B, -1), trb),
+                    kind)
+    _assert_matches(-a, _ref_scale(A, -1), ka)
+    _assert_matches(a - a, {}, ka)
+    skind = ka if type(scalar) is int else type(scalar)
+    _assert_matches(a * scalar, _ref_scale(A, scalar), skind)
+    _assert_matches(scalar * a, _ref_scale(A, scalar), skind)
+    assert (a * b).trunc == tr and (a + b).trunc == tr
+    assert (a * scalar).trunc == tra
 
 
 def _boxed_basis(spec, D, caps, weight, hat_lattice):
