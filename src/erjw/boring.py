@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bss import DegreeColumns
-from .coeff import named_generators, total_period
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
@@ -110,7 +109,6 @@ class RingPresentation:
     generator_degrees: tuple[int, ...]
     relations: tuple[GradedSeries, ...]
     heads: tuple
-    coefficients: str
 
 
 def _class_key(spec: GradingSpec, k: int):
@@ -165,11 +163,8 @@ def _present(n: int, q: int, weight: int,
         _assert_head_shape(spec, rel, k)
         relations.append(rel)
         heads.append(_head(spec, rel))
-    named = named_generators(n)
-    coeffs = (f"coefficient chart with {len(named)} named classes, "
-              f"total period {total_period(n)}")
     return RingPresentation(n, q, weight, spec, spec.degrees[spec.classes],
-                            tuple(relations), tuple(heads), coeffs)
+                            tuple(relations), tuple(heads))
 
 
 # -- reduction to normal form ----------------------------------------------

@@ -167,7 +167,6 @@ class StandardSummand:
     s: int
     c: int
     shift: int = 0
-    tag: str = ""
 
     def __post_init__(self):
         if not 0 <= self.i <= self.n + 1 or not 0 <= self.j <= self.n + 1:
@@ -282,12 +281,12 @@ def homology_step(page: Page, r: int) -> Page:
         if hit and j != k:
             raise PageShapeError(f"hit row {m} carries j={j}, expected {k}")
         one_part = StandardSummand(page.n, 0, j + 1 if hit else j, k + 1, 0,
-                                   s0.shift, s0.tag)
+                                   s0.shift)
         out = [one_part]
         out += [s for s in blocks if s.i > 0]
         if j != k:
             out.append(StandardSummand(page.n, k, j, k + 1, 2 ** k,
-                                       s0.shift, s0.tag))
+                                       s0.shift))
         new_rows[m] = tuple(out)
     return Page(page.n, 2 ** (k + 1), new_rows, page.m_max)
 
@@ -517,7 +516,6 @@ class FreeModule:
 
     shifts: tuple[int, ...]
     flat_certificate: str
-    description: str = ""
 
 
 class DegreeColumns:
@@ -604,7 +602,6 @@ class PresentedModule:
     weight: int
     relations: tuple[GradedSeries, ...]
     flat_certificate: str
-    description: str = ""
     caps: int = 6
 
     def __post_init__(self):
@@ -726,8 +723,7 @@ def flat_base_change(page: Page, module):
             out = []
             for d in module.shifts:
                 for s in blocks:
-                    out.append(replace(s, shift=s.shift + d,
-                                       tag=module.description or s.tag))
+                    out.append(replace(s, shift=s.shift + d))
             rows[m] = tuple(out)
         return Page(page.n, page.r, rows, page.m_max)
     if isinstance(module, PresentedModule):

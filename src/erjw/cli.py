@@ -75,21 +75,22 @@ def _window(text: str) -> tuple[int, int]:
 
 
 def _closed_chart(n, r, window, caps):
-    page = closed_form_page(n, r)
+    page = closed_form_page(n, r, m_max=_band(n))
     return page.chart(range(window[0], window[1] + 1), caps)
 
 
 def _step_chart(n, r, window, caps):
-    page = step_engine_page(n, r)
+    page = step_engine_page(n, r, m_max=_band(n))
     return page.chart(range(window[0], window[1] + 1), caps)
 
 
 def _oracle_chart(n, r, window, caps):
+    # the rows past the band are run, and flag truncation, but not shown
     oracle = TruncatedOracle(n, window[0], window[1], caps)
     oracle.run()
-    chart = oracle.chart_at(r)
-    return ({cell: st for cell, st in chart.items()
-             if cell not in oracle.flags}, oracle.flags)
+    band = _band(n)
+    return ({cell: st for cell, st in oracle.chart_at(r).items()
+             if cell[0] <= band and cell not in oracle.flags}, oracle.flags)
 
 
 ENGINES = {
@@ -100,12 +101,8 @@ ENGINES = {
 
 
 def _band(n: int) -> int:
-    # rows the limit chart can inhabit; everything above is bookkeeping
+    # rows the limit chart can inhabit; block pages are built through them
     return 2 ** (n + 1) - 1
-
-
-def _visible(chart: dict, band: int) -> dict:
-    return {cell: st for cell, st in chart.items() if cell[0] <= band}
 
 
 def _chart_for(args) -> tuple[dict, dict]:
@@ -113,28 +110,26 @@ def _chart_for(args) -> tuple[dict, dict]:
     if r < 1:
         raise InputError("page index must be at least 1")
     band = _band(n)
-    guard = _visible(ENGINES["closed"](n, r, window, caps), band)
+    guard = ENGINES["closed"](n, r, window, caps)
     if not guard or set(guard) == {(0, 0)} and guard[0, 0].torsion == ():
         raise EmptyBasisError("window and caps leave nothing to chart")
     meta: dict = {"rows_shown": band}
     if args.engine == "closed":
         return guard, meta
     if args.engine == "step":
-        return _visible(ENGINES["step"](n, r, window, caps), band), meta
-    oracle_chart, flags = ENGINES["oracle"](n, r, window, caps)
-    oracle_vis = _visible(oracle_chart, band)
+        return ENGINES["step"](n, r, window, caps), meta
+    oracle_vis, flags = ENGINES["oracle"](n, r, window, caps)
     meta["flagged_cells"] = len(flags)
     if args.engine == "oracle":
         return oracle_vis, meta
-    step_vis = _visible(ENGINES["step"](n, r, window, caps), band)
+    step_vis = ENGINES["step"](n, r, window, caps)
     mismatches = []
     for cell in sorted(set(guard) | set(step_vis)):
         a = guard.get(cell, _ZERO_STRUCT)
         b = step_vis.get(cell, _ZERO_STRUCT)
         if a != b:
             mismatches.append((cell, str(a), str(b), "-"))
-    visible_flags = {cell for cell in flags if cell[0] <= band}
-    for cell in sorted((set(guard) | set(oracle_vis)) - visible_flags):
+    for cell in sorted((set(guard) | set(oracle_vis)) - flags):
         a = guard.get(cell, _ZERO_STRUCT)
         c = oracle_vis.get(cell, _ZERO_STRUCT)
         if a != c:
@@ -270,8 +265,8 @@ def series_cost(n: int, precision: int) -> int:
     return pairs + cube
 
 
-# Largest page_cost accepted: about 1 s for all three engines at 1.6 to 4.8
-# microseconds a unit (n = 1..5, a 2-vCPU Xeon).
+# Largest page_cost accepted: at most about 0.6 s for all three engines, at
+# 0.2 to 3.0 microseconds a unit (n = 1..5, caps 0..40, a 2-vCPU Xeon).
 PAGE_COST_BOUND = 200_000
 
 

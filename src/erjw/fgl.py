@@ -459,13 +459,9 @@ class GroupLaw(_LawBase):
                 _to_two_local(self.exp_series().compose(inner)), k)
         return cache[k]
 
-    @cached_property
-    def _iota(self) -> UniSeries:
-        return self.k_series(-1)
-
-    # the same as _LawBase.iota; bench/tracer.py times it on GroupLaw itself
+    # [-1](u) from the logarithm; _LawBase.iota is the inversion route
     def iota(self) -> UniSeries:
-        return self._iota
+        return self.k_series(-1)
 
     # -- the law itself ----------------------------------------------------
 
@@ -494,12 +490,8 @@ class GroupLaw(_LawBase):
 
     # -- hat-alphabet views -------------------------------------------------
 
-    @cached_property
-    def _hat_iota(self) -> UniSeries:
-        return self.iota().regrade_to_hat()
-
     def hat_iota(self) -> UniSeries:
-        return self._hat_iota
+        return self.hat_k_series(-1)
 
     @cached_property
     def _hat_k(self) -> dict:

@@ -228,9 +228,6 @@ class ModuleStructure:
         parts.extend(f"Z/{t}" for t in self.torsion)
         return " + ".join(parts) if parts else "0"
 
-    def as_dict(self) -> dict:
-        return {"free_rank": self.free_rank, "torsion": list(self.torsion)}
-
 
 class LocalMatrix:
     """Matrix over Z_(2), row-major: entry (i, j) is rows[i][j] / dens[i].
@@ -274,15 +271,6 @@ class LocalMatrix:
             dens.append(d)
         self.rows, self.dens = rows, dens
         self.nrows, self.ncols = len(rows), ncols
-
-    @classmethod
-    def identity(cls, n: int) -> "LocalMatrix":
-        return cls._of((([int(i == j) for j in range(n)], 1)
-                        for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "LocalMatrix":
-        return cls._of((([0] * ncols, 1) for _ in range(nrows)), ncols)
 
     def transpose(self) -> "LocalMatrix":
         return LocalMatrix._of((_over([row[j] for row in self.rows], self.dens)

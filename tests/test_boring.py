@@ -215,7 +215,7 @@ def test_reduce_guard_stops_runaway_rule(pres21_small):
     away = GradedSeries.monomial(spec, -2, vn=8, c=(1,), trunc=6)
     rel = GradedSeries.monomial(spec, 2, c=(1,), trunc=6) + away
     bad = RingPresentation(2, 1, 6, spec, (-16,), (rel,),
-                           ((c1_key, TwoLocal(2)),), "")
+                           ((c1_key, TwoLocal(2)),))
     with pytest.raises(ReductionError):
         reduce(GradedSeries.monomial(spec, 2, c=(1,), trunc=6), bad)
 

@@ -385,9 +385,10 @@ class MatrixOracle(TruncatedOracle):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.Z = {cell: LocalMatrix.identity(len(keys))
+        self.Z = {cell: LocalMatrix([[int(i == j) for j in range(len(keys))]
+                                     for i in range(len(keys))], len(keys))
                   for cell, keys in self.basis.items()}
-        self.B = {cell: LocalMatrix.zeros(0, len(keys))
+        self.B = {cell: LocalMatrix([], len(keys))
                   for cell, keys in self.basis.items()}
         self.charts = {1: self._chart_now(self.basis, {})}
 
@@ -706,8 +707,7 @@ def _line_module(weight, relation_of):
     c1 = GradedSeries.gen(spec, "c1", trunc=weight)
     return PresentedModule(
         spec, weight, (relation_of(law, c1),),
-        flat_certificate="free over the coefficients on the class monomials",
-        description="rank-one classifying space")
+        flat_certificate="free over the coefficients on the class monomials")
 
 
 def test_presented_module_classic_quotient():

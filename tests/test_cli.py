@@ -174,6 +174,31 @@ def test_page_engine_disagreement(capsys, monkeypatch):
     assert code == 0 and "all engines agree on the window" in out
 
 
+def test_page_engines_build_only_the_shown_band(capsys, monkeypatch):
+    # block pages are built through row 2^(n+1) - 1 and no further; the
+    # oracle runs past it, to flag truncation, but returns band cells only
+    built = []
+
+    def recording(build):
+        def engine(n, r, m_max=None):
+            built.append((build.__name__, n, m_max))
+            return build(n, r, m_max)
+        return engine
+
+    for name in ("closed_form_page", "step_engine_page"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    for n in (1, 2):
+        code, _, _ = run(["page", "--n", str(n), "--r", "4",
+                          "--window=-16..16", "--caps", "3"], capsys)
+        assert code == 0
+        assert {(b, m) for b, k, m in built if k == n} == {
+            ("closed_form_page", 2 ** (n + 1) - 1),
+            ("step_engine_page", 2 ** (n + 1) - 1)}
+        chart, flags = cli.ENGINES["oracle"](n, 4, (-16, 16), 3)
+        assert chart and max(m for m, _ in chart) <= 2 ** (n + 1) - 1
+        assert any(m > 2 ** (n + 1) - 1 for m, _ in flags)
+
+
 def test_bo_reduce_normal_form(capsys):
     code, out, _ = run(["bo", "--n", "1", "--q", "2", "--weight", "4",
                         "--reduce", "2*c1 + c1^2"], capsys)
@@ -299,6 +324,17 @@ CLI_GOLDEN = {
      "--format", "json"): "8bda92d987e31c5c",
     ("page", "--n", "3", "--r", "16", "--window=-48..48", "--caps", "4",
      "--format", "svg"): "5fba06a4ae0143a4",
+    # an early page, each engine on its own; text digests name the engine
+    ("page", "--n", "2", "--r", "3", "--window=-48..48", "--caps", "4",
+     "--engine", "closed", "--format", "text"): "f686b1149d2dc92d",
+    ("page", "--n", "2", "--r", "3", "--window=-48..48", "--caps", "4",
+     "--engine", "step", "--format", "text"): "581e5486a8e3f47b",
+    ("page", "--n", "2", "--r", "3", "--window=-48..48", "--caps", "4",
+     "--engine", "oracle", "--format", "text"): "345e74fb70e83e4d",
+    ("page", "--n", "2", "--r", "3", "--window=-48..48", "--caps", "4",
+     "--engine", "all", "--format", "text"): "1eb1280f6d68abce",
+    ("page", "--n", "3", "--r", "2", "--window=-24..24", "--caps", "3",
+     "--format", "json"): "441a2236738bfbb9",
     ("orient", "--n", "2", "--format", "text"): "3a71de2b7548c8d8",
     ("orient", "--n", "2", "--format", "json"): "326ae169b0b0df4f",
     ("bo", "--n", "2", "--q", "2", "--weight", "4", "--reduce=2*c1",

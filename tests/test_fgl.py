@@ -414,6 +414,12 @@ def test_k_series_one_variable_route_skips_the_table():
     assert law.hat_iota() is law.hat_iota()
 
 
+def test_negation_is_the_cached_k_series():
+    law = GroupLaw(2, precision=8)
+    assert law.iota() is law.k_series(-1)
+    assert law.hat_iota() is law.hat_k_series(-1)
+
+
 def test_corrupted_k_series_trips_the_check():
     law = GroupLaw(2, precision=8)
     good = law.k_series(3)
