@@ -59,7 +59,6 @@ from .graded import GradedSeries, GradingSpec
 from .orient import (
     OrientationScan,
     OrientationStep,
-    lambda_of,
     obstruction_residue,
     orientability_scan,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "hat_decompose",
     "homology_step",
     "in_ideal",
-    "lambda_of",
     "landweber_window_check",
     "named_generators",
     "obstruction_residue",

@@ -383,11 +383,6 @@ class TruncatedOracle:
                 out[cell] = ModuleStructure(free, tuple(sorted(torsion)))
         return out
 
-    def structure_at(self, m: int, t: int) -> ModuleStructure:
-        if not (0 <= m <= self.m_max and self.t_lo <= t <= self.t_hi):
-            raise InputError(f"position {(m, t)} outside the window")
-        return self.charts[2 ** self.level].get((m, t), ModuleStructure(0, ()))
-
     def _diff_data(self, cell, r):
         """d_r on the cell basis as the monomial map it is: per basis key,
         (column, int coefficient) of its image, or None where d_r is zero.
@@ -615,9 +610,6 @@ class PresentedModule:
                 raise InputError("relations must be homogeneous")
         self.incomplete_degrees: set[int] = set()
         self._cache: dict = {}
-
-    def structure_at(self, D: int) -> ModuleStructure:
-        return self.twisted_structure_at(D, 0, 0)
 
     def twisted_structure_at(self, D: int, i: int, j: int) -> ModuleStructure:
         """Structure of I_i (M / I_j M) in internal degree D.

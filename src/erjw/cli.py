@@ -21,8 +21,8 @@ import math
 import os
 import sys
 from functools import lru_cache
-from importlib import metadata
 
+from . import __version__
 from .boring import present, reduce
 from .bss import (
     TruncatedOracle,
@@ -46,13 +46,6 @@ from .symchern import SymmetricContext
 __all__ = ["main"]
 
 _ZERO_STRUCT = ModuleStructure(0, ())
-
-
-def _version() -> str:
-    try:
-        return metadata.version("erjw")
-    except metadata.PackageNotFoundError:
-        return "0.0.0"
 
 
 def _window(text: str) -> tuple[int, int]:
@@ -650,7 +643,7 @@ def main(argv=None) -> int:
         return 1
     if args.format == "json":
         envelope = {
-            "version": _version(),
+            "version": __version__,
             "command": args.command,
             "config": _config_echo(args),
             "result": result,

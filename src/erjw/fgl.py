@@ -502,13 +502,6 @@ class GroupLaw(_LawBase):
             self._hat_k[k] = self.k_series(k).regrade_to_hat()
         return self._hat_k[k]
 
-    @cached_property
-    def _hat_table(self) -> dict:
-        return {ij: c.regrade_to_hat() for ij, c in self.law_table().items()}
-
-    def hat_law_table(self) -> dict:
-        return self._hat_table
-
     # -- the defining identity, checked through an independent route --------
 
     def two_series_via_formal_sum(self) -> UniSeries:

@@ -41,17 +41,9 @@ from .symchern import thom_ratio
 __all__ = [
     "OrientationStep",
     "OrientationScan",
-    "lambda_of",
     "obstruction_residue",
     "orientability_scan",
 ]
-
-
-def lambda_of(n: int) -> int:
-    """Degree unit of the fixed-point tower: 2^{2n+1} - 2^{n+2} + 1."""
-    if n < 1:
-        raise InputError("height must be at least one")
-    return GradingSpec(n).lam
 
 
 def obstruction_residue(n: int, k: int, r: int) -> int:
@@ -69,7 +61,7 @@ def obstruction_residue(n: int, k: int, r: int) -> int:
     if not 0 <= r < 2 ** k - 1:
         raise InputError("page offset outside the induction range")
     modulus = 2 ** (k + 1)
-    target = (2 ** k + r) * lambda_of(n) + 1
+    target = (2 ** k + r) * GradingSpec(n).lam + 1
     residue = target % modulus
     if residue != (2 ** k + r + 1) % modulus:
         raise MathInvariantError("obstruction residue identity failed")
@@ -105,7 +97,7 @@ class OrientationScan:
 def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:
     iota = GroupLaw.of(n, weight + 4).hat_iota()
     ratio = thom_ratio(iota, 1, weight)
-    pres = present(n, 2, weight, iota=iota)
+    pres = present(n, 2, weight)
     delta = _into_class_spec(ratio, pres.spec) - GradedSeries.unit(
         pres.spec, 1, weight)
     # the ratio is not 1 in the class ring: its defect from 1 is a
@@ -131,7 +123,7 @@ def _swap_doubling_step(n: int, k: int) -> OrientationStep:
 
 def _degree_gap_step(n: int, k: int, r: int, span: int,
                      caps: int) -> OrientationStep:
-    lam = lambda_of(n)
+    lam = GradingSpec(n).lam
     modulus = 2 ** (k + 1)
     target = (2 ** k + r) * lam + 1
     residue = obstruction_residue(n, k, r)
@@ -163,7 +155,7 @@ def orientability_scan(n: int, weight: int = 4, span: int = 8,
     re-read from the chart; emptiness in the window corroborates the
     divisibility proof rather than replacing it.
     """
-    lam = lambda_of(n)
+    lam = GradingSpec(n).lam
     if lam % 2 == 0:
         raise MathInvariantError("degree unit must be odd")
     if span < 0 or caps < 0:

@@ -287,11 +287,13 @@ def test_oracle_trivial_window():
         TruncatedOracle(1, 0, 0, caps=0, m_max=0)
 
 
-def test_oracle_structure_at_bounds():
+def test_oracle_chart_before_advance():
     oracle = TruncatedOracle(1, -6, 6, caps=0, m_max=4)
-    assert oracle.structure_at(0, 1).is_zero  # odd parity, empty basis
-    with pytest.raises(InputError):
-        oracle.structure_at(0, 40)
+    assert (0, 1) not in oracle.chart_at(1)  # odd parity, empty basis
+    with pytest.raises(InputError, match="not advanced to page 2"):
+        oracle.chart_at(2)
+    oracle.advance()
+    assert oracle.chart_at(3) is oracle.chart_at(2)
 
 
 # -- the oracle against a reference that skips no work ------------------------
@@ -713,7 +715,7 @@ def _line_module(weight, relation_of):
 def test_presented_module_classic_quotient():
     mod = _line_module(
         6, lambda law, c1: law.hat_k_series(2).evaluate_at(c1))
-    assert mod.structure_at(0) == ModuleStructure(1, (64,))
+    assert mod.twisted_structure_at(0, 0, 0) == ModuleStructure(1, (64,))
     assert not mod.incomplete_degrees
 
 
@@ -751,7 +753,7 @@ def test_presented_module_flags_cap_overflow():
         GradedSeries.monomial(spec, vh=(1,), c=(2,), trunc=4)
     mod = PresentedModule(spec, 4, (rel,),
                           flat_certificate="window probe", caps=1)
-    mod.structure_at(-16)
+    mod.twisted_structure_at(-16, 0, 0)
     assert -16 in mod.incomplete_degrees
     # the tensored chart reports the cells whose answer read that degree
     tens = TensoredPage(closed_form_page(2, 1, m_max=2), mod)
@@ -769,7 +771,7 @@ def test_presented_module_keeps_overflow_columns():
     two = GradedSeries.unit(spec, TwoLocal(2), trunc=2)
     mod = PresentedModule(spec, 2, (two - vc, vc),
                           flat_certificate="overflow probe", caps=0)
-    assert mod.structure_at(0) == ModuleStructure(0, (2,))
+    assert mod.twisted_structure_at(0, 0, 0) == ModuleStructure(0, (2,))
     assert mod.incomplete_degrees == {0}
 
 

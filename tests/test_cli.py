@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import erjw
 from erjw import cli
 from erjw.cli import (PAGE_COST_BOUND, SERIES_COST_BOUND, page_cost,
                       series_cost)
@@ -81,8 +82,19 @@ def test_json_envelope_shape(capsys):
     assert envelope["config"]["n"] == 1
     assert envelope["config"]["relation"] is None
     assert envelope["config"]["format"] == "json"
-    assert envelope["version"]
+    assert envelope["version"] == erjw.__version__
     assert envelope["result"]["period"] == 8
+
+
+def test_cli_import_leaves_package_metadata_unloaded():
+    # the envelope's version is erjw.__version__; nothing on the import
+    # path reads installed-package metadata (email, zipfile, csv)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import erjw.cli; "
+            "sys.exit('importlib.metadata' in sys.modules)" % src)
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_json_config_echoes_window_as_list(capsys):
@@ -297,7 +309,7 @@ FGL_GOLDEN = {
 def test_fgl_golden_output(n, fmt, capsys):
     code, out, err = run(["fgl", "--n", str(n), "--format", fmt], capsys)
     assert code == 0 and err == ""
-    out = out.replace(f'"version": {json.dumps(cli._version())}',
+    out = out.replace(f'"version": {json.dumps(cli.__version__)}',
                       '"version": "*"')
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == FGL_GOLDEN[n, fmt]
 
@@ -348,7 +360,7 @@ CLI_GOLDEN = {
 def test_cli_golden_output(argv, capsys):
     code, out, err = run(list(argv), capsys)
     assert code == 0 and err == ""
-    out = out.replace(f'"version": {json.dumps(cli._version())}',
+    out = out.replace(f'"version": {json.dumps(cli.__version__)}',
                       '"version": "*"')
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == CLI_GOLDEN[argv]
 
@@ -567,6 +579,20 @@ def test_fgl_bad_arguments_exit_two(argv, message, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fgl"],
+    ["chern", "--q", "2"],
+    ["page", "--r", "1", "--window", "0..4"],
+    ["coeff"],
+    ["bo", "--weight", "4"],
+    ["orient"],
+])
+def test_height_zero_is_refused_alike(argv, capsys):
+    code, out, err = run(argv + ["--n", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "n must be at least 1" in err
 
 
 @pytest.mark.parametrize("argv", [

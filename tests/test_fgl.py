@@ -227,16 +227,6 @@ def test_law_table_frozen():
         assert c.internal_degree() == 2 - 2 * (i + j)
 
 
-def test_hat_law_degrees():
-    # with roots in degree 1-lam the whole law sits in degree 1-lam, so the
-    # bare coefficient of x^i y^j must make up the difference
-    lam = GradingSpec(2).lam
-    for (i, j), c in LAW2.hat_law_table().items():
-        assert c.internal_degree() == (1 - lam) * (1 - (i + j))
-    table1 = LAW1.hat_law_table()
-    assert table1[(1, 1)] == GradedSeries.unit(GradingSpec(1), 1)
-
-
 def test_iota_frozen_and_dual_route():
     iota = LAW2.iota()
     assert iota[1] == GradedSeries.unit(SPEC2, -1)

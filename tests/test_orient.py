@@ -2,28 +2,26 @@
 
 import pytest
 
+import erjw.orient
 from erjw.boring import _into_class_spec as _strip_roots
 from erjw.boring import in_ideal, present, reduce
 from erjw.bss import closed_form_page
 from erjw.errors import InputError
 from erjw.fgl import GroupLaw
 from erjw.graded import GradedSeries, GradingSpec
-from erjw.orient import (
-    lambda_of,
-    obstruction_residue,
-    orientability_scan,
-)
+from erjw.orient import obstruction_residue, orientability_scan
 from erjw.symchern import thom_ratio
 
 
 def test_lambda_values():
-    assert lambda_of(1) == 1
-    assert lambda_of(2) == 17
-    assert lambda_of(3) == 97
+    assert GradingSpec(1).lam == 1
+    assert GradingSpec(2).lam == 17
+    assert GradingSpec(3).lam == 97
     for n in range(1, 6):
-        assert lambda_of(n) % 2 == 1
-    with pytest.raises(InputError):
-        lambda_of(0)
+        assert GradingSpec(n).lam % 2 == 1
+    for refused in (lambda: GradingSpec(0).lam, lambda: orientability_scan(0)):
+        with pytest.raises(InputError, match="n must be at least 1"):
+            refused()
 
 
 def test_obstruction_residue_examples():
@@ -33,7 +31,7 @@ def test_obstruction_residue_examples():
 
 def test_obstruction_residue_matches_direct_arithmetic():
     for n in (1, 2, 3):
-        lam = lambda_of(n)
+        lam = GradingSpec(n).lam
         for k in range(1, n + 2):
             for r in range(2 ** k - 1):
                 direct = ((2 ** k + r) * lam + 1) % 2 ** (k + 1)
@@ -93,7 +91,7 @@ def test_degree_gap_step_details():
 
 def test_rechecked_degrees_are_empty_on_the_chart():
     scan = orientability_scan(2, span=4)
-    lam = lambda_of(2)
+    lam = GradingSpec(2).lam
     for step in scan.steps:
         if step.method != "degree-gap":
             continue
@@ -138,7 +136,7 @@ def test_parity_split_of_degrees():
     # obstruction degrees are odd at even offsets, while class degrees
     # and coefficient degrees all stay even
     for n in (1, 2, 3):
-        lam = lambda_of(n)
+        lam = GradingSpec(n).lam
         spec = GradingSpec(n, q=2, alphabet="hat")
         assert all(spec.degree_of(GradedSeries.gen(spec, f"c{k}")
                                   .items_sorted()[0][0]) % 2 == 0
@@ -164,3 +162,24 @@ def test_top_class_carries_the_fixedness_identity(n):
     # the ratio alone is a different unit: its defect survives the ideal
     assert not delta.is_zero
     assert not in_ideal(delta, pres)
+
+
+def test_scan_reads_the_cached_presentation(monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((args, kwargs))
+        return present(*args, **kwargs)
+
+    monkeypatch.setattr(erjw.orient, "present", spy)
+    assert orientability_scan(1, weight=4).certified
+    assert seen == [((1, 2, 4), {})]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_presentation_matches_the_scan_law(n):
+    # the scan's conjugation ratio reads a deeper law (precision w + 4)
+    # than the cached presentation (w + 1); both give one presentation
+    for w in range(2, 7):
+        iota = GroupLaw.of(n, w + 4).hat_iota()
+        assert present(n, 2, w, iota=iota) == present(n, 2, w)
