@@ -63,18 +63,8 @@ def _window(text: str) -> tuple[int, int]:
 
 
 # -- engines ------------------------------------------------------------------
-# Kept in a table so a test can swap one out and watch the disagreement
-# trip.  Each returns {(m, t): ModuleStructure} with zero cells absent.
-
-
-def _closed_chart(n, r, window, caps):
-    page = closed_form_page(n, r, m_max=_band(n))
-    return page.chart(range(window[0], window[1] + 1), caps)
-
-
-def _step_chart(n, r, window, caps):
-    page = step_engine_page(n, r, m_max=_band(n))
-    return page.chart(range(window[0], window[1] + 1), caps)
+# Called through this module's globals so a test can swap one out and
+# watch the disagreement trip.
 
 
 def _oracle_chart(n, r, window, caps):
@@ -86,54 +76,56 @@ def _oracle_chart(n, r, window, caps):
              if cell[0] <= band and cell not in oracle.flags}, oracle.flags)
 
 
-ENGINES = {
-    "closed": _closed_chart,
-    "step": _step_chart,
-    "oracle": _oracle_chart,
-}
-
-
 def _band(n: int) -> int:
     # rows the limit chart can inhabit; block pages are built through them
     return 2 ** (n + 1) - 1
 
 
+def _blocks(page, m: int) -> str:
+    return " + ".join(s.notation() for s in page.rows.get(m, ())) or "0"
+
+
 def _chart_for(args) -> tuple[dict, dict]:
+    """The chart of the requested engine.  Under `all` the stepped page
+    must equal the closed-form one, which makes their charts equal, and
+    the oracle must match the closed-form chart outside its flags."""
     n, r, window, caps = args.n, args.r, args.window, args.caps
     if r < 1:
         raise InputError("page index must be at least 1")
+    if caps < 0:
+        raise InputError("caps must be non-negative")
     band = _band(n)
-    guard = ENGINES["closed"](n, r, window, caps)
-    if not guard or set(guard) == {(0, 0)} and guard[0, 0].torsion == ():
+    build = step_engine_page if args.engine == "step" else closed_form_page
+    page = build(n, r, m_max=band)
+    chart = page.chart(range(window[0], window[1] + 1), caps)
+    if not chart or set(chart) == {(0, 0)} and chart[0, 0].torsion == ():
         raise EmptyBasisError("window and caps leave nothing to chart")
     meta: dict = {"rows_shown": band}
-    if args.engine == "closed":
-        return guard, meta
-    if args.engine == "step":
-        return ENGINES["step"](n, r, window, caps), meta
-    oracle_vis, flags = ENGINES["oracle"](n, r, window, caps)
+    if args.engine in ("closed", "step"):
+        return chart, meta
+    if args.engine == "all":
+        step = step_engine_page(n, r, m_max=band)
+        if step != page:
+            rows = sorted(m for m in set(page.rows) | set(step.rows)
+                          if page.rows.get(m) != step.rows.get(m))
+            raise MathInvariantError("engines disagree: " + "; ".join(
+                f"row {m} closed={_blocks(page, m)} step={_blocks(step, m)}"
+                for m in rows[:12]))
+    oracle_vis, flags = _oracle_chart(n, r, window, caps)
     meta["flagged_cells"] = len(flags)
     if args.engine == "oracle":
         return oracle_vis, meta
-    step_vis = ENGINES["step"](n, r, window, caps)
     mismatches = []
-    for cell in sorted(set(guard) | set(step_vis)):
-        a = guard.get(cell, _ZERO_STRUCT)
-        b = step_vis.get(cell, _ZERO_STRUCT)
-        if a != b:
-            mismatches.append((cell, str(a), str(b), "-"))
-    for cell in sorted((set(guard) | set(oracle_vis)) - flags):
-        a = guard.get(cell, _ZERO_STRUCT)
-        c = oracle_vis.get(cell, _ZERO_STRUCT)
+    for m, t in sorted((set(chart) | set(oracle_vis)) - flags):
+        a = chart.get((m, t), _ZERO_STRUCT)
+        c = oracle_vis.get((m, t), _ZERO_STRUCT)
         if a != c:
-            mismatches.append((cell, str(a), "-", str(c)))
+            mismatches.append(f"(m={m},t={t}) closed={a} oracle={c}")
     if mismatches:
-        rows = "; ".join(
-            f"(m={m},t={t}) closed={a} step={b} oracle={c}"
-            for (m, t), a, b, c in mismatches[:12])
-        raise MathInvariantError(f"engines disagree: {rows}")
+        raise MathInvariantError(
+            f"engines disagree: {'; '.join(mismatches[:12])}")
     meta["engines_agree"] = ["closed", "step", "oracle"]
-    return guard, meta
+    return chart, meta
 
 
 # -- SVG chart ----------------------------------------------------------------

@@ -202,10 +202,15 @@ def test_einf_filtration_profile_n2():
 
 
 def test_step_engine_matches_closed_forms():
-    for n in (1, 2, 3):
-        for r in (1, 2, 3, 4, 6, 7, 8, 12, 16, 31, 32, 64):
-            assert step_engine_page(n, r, m_max=2 ** (n + 2)).rows == \
-                closed_form_page(n, r, m_max=2 ** (n + 2)).rows
+    # whole pages, rows in order, at the first and last index of every
+    # page level and one level past the last; through the band `erjw page`
+    # builds and through the oracle's rows
+    for n in range(1, 7):
+        for m_max in (2 ** (n + 1) - 1, 2 ** (n + 2)):
+            for k in range(n + 3):
+                for r in {2 ** k, 2 ** (k + 1) - 1}:
+                    assert step_engine_page(n, r, m_max) == \
+                        closed_form_page(n, r, m_max), (n, m_max, r)
 
 
 def test_homology_step_shape_errors():

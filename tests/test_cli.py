@@ -11,6 +11,7 @@ import pytest
 
 import erjw
 from erjw import cli
+from erjw.bss import Page, StandardSummand, closed_form_page
 from erjw.cli import (PAGE_COST_BOUND, SERIES_COST_BOUND, page_cost,
                       series_cost)
 from erjw.errors import InputError
@@ -51,6 +52,14 @@ def test_page_rejects_nonpositive_page_index(capsys):
                         "--window", "-8..8"], capsys)
     assert code == 2
     assert "page index" in err
+
+
+@pytest.mark.parametrize("engine", ["all", "closed", "step", "oracle"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_page_refuses_negative_caps_for_every_engine(n, engine, capsys):
+    code, out, err = run(["page", "--n", str(n), "--r", "2", "--window",
+                          "-8..8", "--caps", "-1", "--engine", engine], capsys)
+    assert (code, out, err) == (2, "", "error: caps must be non-negative\n")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -108,16 +117,57 @@ def test_json_config_echoes_window_as_list(capsys):
     assert all(cell["m"] <= 3 for cell in envelope["result"]["cells"])
 
 
-def test_engine_disagreement_trips_invariant_exit(monkeypatch, capsys):
-    def skewed(n, r, window, caps):
-        return {(0, 0): ModuleStructure(5, ())}
+def _skewed_step(row):
+    """A step engine whose page has `row` in place of the closed form's
+    row 1."""
+    def engine(n, r, m_max=None):
+        page = closed_form_page(n, r, m_max)
+        return Page(n, r, {**page.rows, 1: row}, page.m_max)
+    return engine
 
-    monkeypatch.setitem(cli.ENGINES, "step", skewed)
+
+def test_engine_disagreement_trips_invariant_exit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "step_engine_page",
+                        _skewed_step((StandardSummand(1, 0, 0, 2, 0),)))
     code, out, err = run(["page", "--n", "1", "--r", "8",
                           "--window", "-8..8"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("invariant failure: engines disagree")
     assert "closed=" in err and "step=" in err
+
+
+def test_block_engines_are_compared_page_to_page(monkeypatch, capsys):
+    # R/I_1[v^±4] written as its two v^±8 halves: the chart is the same
+    # on every degree, the page is not, and the page is what is compared
+    halves = (StandardSummand(1, 0, 1, 3, 0), StandardSummand(1, 0, 1, 3, 4))
+    closed = closed_form_page(1, 8, m_max=3)
+    assert closed.rows[1] == (StandardSummand(1, 0, 1, 2, 0),)
+    engine = _skewed_step(halves)
+    skewed, window = engine(1, 8, 3), range(-8, 9)
+    assert skewed != closed and skewed.chart(window) == closed.chart(window)
+    monkeypatch.setattr(cli, "step_engine_page", engine)
+    code, out, err = run(["page", "--n", "1", "--r", "8",
+                          "--window", "-8..8"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("invariant failure: engines disagree: row 1"
+                   " closed=R/I_1[v^±4] step=R/I_1[v^±8] + R/I_1[v^±8]v^4\n")
+
+
+@pytest.mark.parametrize("engine", ["all", "closed", "step", "oracle"])
+def test_page_charts_one_page_per_request(engine, monkeypatch, capsys):
+    # the stepped page is compared with the closed form as a page, so no
+    # engine draws a second block chart
+    charts = []
+    chart = Page.chart
+
+    def counting(page, t_values, caps=6):
+        charts.append(page.r)
+        return chart(page, t_values, caps)
+
+    monkeypatch.setattr(Page, "chart", counting)
+    code, _, _ = run(["page", "--n", "2", "--r", "3", "--window=-16..16",
+                      "--engine", engine], capsys)
+    assert code == 0 and charts == [3]
 
 
 def test_svg_bytes_are_stable(capsys):
@@ -167,21 +217,22 @@ def test_page_oracle_reports_flags(capsys):
 
 def test_page_engine_disagreement(capsys, monkeypatch):
     # a skewed oracle cell fails the three-engine check unless flagged
-    closed, cell = cli.ENGINES["closed"], (0, 0)
+    cell = (0, 0)
 
     def skewed_oracle(flags):
         def engine(n, r, window, caps):
-            chart = dict(closed(n, r, window, caps))
+            page = closed_form_page(n, r, m_max=2 ** (n + 1) - 1)
+            chart = page.chart(range(window[0], window[1] + 1), caps)
             chart[cell] = ModuleStructure(7, ())
             return chart, flags
         return engine
 
     argv = ["page", "--n", "1", "--r", "4", "--window", "-8..8"]
-    monkeypatch.setitem(cli.ENGINES, "oracle", skewed_oracle(set()))
+    monkeypatch.setattr(cli, "_oracle_chart", skewed_oracle(set()))
     code, out, err = run(argv, capsys)
     assert code == 1 and out == ""
     assert "engines disagree" in err and "oracle=Z^7" in err
-    monkeypatch.setitem(cli.ENGINES, "oracle", skewed_oracle({cell}))
+    monkeypatch.setattr(cli, "_oracle_chart", skewed_oracle({cell}))
     code, out, _ = run(argv, capsys)
     assert code == 0 and "all engines agree on the window" in out
 
@@ -206,7 +257,7 @@ def test_page_engines_build_only_the_shown_band(capsys, monkeypatch):
         assert {(b, m) for b, k, m in built if k == n} == {
             ("closed_form_page", 2 ** (n + 1) - 1),
             ("step_engine_page", 2 ** (n + 1) - 1)}
-        chart, flags = cli.ENGINES["oracle"](n, 4, (-16, 16), 3)
+        chart, flags = cli._oracle_chart(n, 4, (-16, 16), 3)
         assert chart and max(m for m, _ in chart) <= 2 ** (n + 1) - 1
         assert any(m > 2 ** (n + 1) - 1 for m, _ in flags)
 

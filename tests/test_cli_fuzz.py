@@ -83,6 +83,8 @@ argvs = st.one_of(
 @example(["orient", "--n", "1", "--span", "24688"])
 @example(["orient", "--n", "2", "--span", "-1"])
 @example(["orient", "--n", "2", "--caps", "-1", "--format", "json"])
+@example(["page", "--n", "1", "--r", "2", "--window", "0..4", "--caps", "-1",
+          "--engine", "closed"])
 def test_every_run_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from erjw.coeff import (NamedClass, filtration_profile, named_generators,
-                        relation_check, total_period)
+from erjw.coeff import (filtration_profile, named_generators, relation_check,
+                        total_period)
 from erjw.errors import InputError
 from erjw.graded import GradedSeries, GradingSpec
 from erjw.scalar2 import TwoLocal
