@@ -308,12 +308,14 @@ class TruncatedOracle:
 
     Per position (m, t) the oracle holds a cycle lattice Z and a boundary
     lattice B over the monomial basis.  d_r sends each basis key to at
-    most one monomial (`_diff_data`), and two keys of one position to two
+    most one monomial (`_images`), and two keys of one position to two
     monomials, or MathInvariantError is raised.  So Z and B stay
-    monomial, and each is kept as a map key index -> a for the span of
-    2^a times those keys: Z starts at a = 0 on every key, B empty.  With
-    c a key's image coefficient and v the 2-adic valuation, d_r advances
-    all positions at once:
+    monomial, and each is kept as a map monomial -> a for the span of
+    2^a times those monomials: Z starts at a = 0 on every key, B empty.
+    A key names its own position (key[0] is m, spec.total_of(key) is t),
+    so an image lies in the window exactly when it is one of `keys`.
+    With c a key's image coefficient and v the 2-adic valuation, d_r
+    advances all positions at once:
 
       * Z becomes the preimage of the target's B: a key sent to target
         key j keeps max(a, b_j - v(c)) if j is in B, and dies if not; a
@@ -342,24 +344,17 @@ class TruncatedOracle:
         self.m_max = m_max if m_max is not None else 2 ** (n + 2)
         self.spec = GradingSpec(n, alphabet="hat")
         self.basis: dict[tuple[int, int], list] = {}
-        self.index: dict[tuple[int, int], dict] = {}
-        content = 0
-        constant_only = True
         for m in range(self.m_max + 1):
             for t in range(t_lo, t_hi + 1):
                 # the y = 0 basis of internal degree t + m * lambda, at row m
                 keys = [(m,) + key[1:] for key in degree_basis(
                     self.spec, t + m * self.spec.lam, caps)]
                 if keys:
-                    cell = (m, t)
-                    self.basis[cell] = keys
-                    self.index[cell] = {key: i for i, key in enumerate(keys)}
-                    content += len(keys)
-                    if any(map(any, keys)):
-                        constant_only = False
-        if content == 0 or (content <= 1 and constant_only):
+                    self.basis[(m, t)] = keys
+        self.keys = {key for keys in self.basis.values() for key in keys}
+        if self.keys <= {(0,) * (n + 1)}:  # nothing, or the lone unit
             raise EmptyBasisError("window and caps leave nothing to chart")
-        self.Z = {cell: dict.fromkeys(range(len(keys)), 0)
+        self.Z = {cell: dict.fromkeys(keys, 0)
                   for cell, keys in self.basis.items()}
         self.B = {cell: {} for cell in self.basis}
         self.flags: set[tuple[int, int]] = set()
@@ -371,8 +366,8 @@ class TruncatedOracle:
         for cell, Z in self.Z.items():
             B = self.B[cell]
             torsion = []
-            for i, b in B.items():
-                a = Z.get(i)
+            for key, b in B.items():
+                a = Z.get(key)
                 if a is None or b < a:
                     raise MathInvariantError(
                         f"boundary at {cell} lies outside the cycles")
@@ -383,34 +378,23 @@ class TruncatedOracle:
                 out[cell] = ModuleStructure(free, tuple(sorted(torsion)))
         return out
 
-    def _diff_data(self, cell, r):
-        """d_r on the cell basis as the monomial map it is: per basis key,
-        (column, int coefficient) of its image, or None where d_r is zero.
-        The first `width` columns are the target cell's basis; after them
-        comes each overflow key, an image monomial the window lacks.
-        Returns the map, the width, the overflow keys and the target;
-        raises where d∘d is nonzero or two keys share an image."""
-        m, t = cell
-        tgt = (m + r, t + 1)
-        cols = dict(self.index.get(tgt, {}))  # then each overflow key
-        width = len(cols)
+    def _images(self, cell, r) -> dict:
+        """d_r on the cell basis as the monomial map it is: {key: (image
+        key, int coefficient)} for each basis key d_r does not kill.
+        Raises where d∘d is nonzero or two keys share an image."""
         n, P = self.n, self.spec.hat_offset
-        image, hit = [], set()
+        out = {}
         for key in self.basis[cell]:
             entry = _d_key(key, r, n, P)
             if entry:
-                img, coeff = entry
-                if _d_key(img, r, n, P):
+                if _d_key(entry[0], r, n, P):
                     raise MathInvariantError(
                         "d∘d is nonzero at the formula level")
-                col = cols.setdefault(img, len(cols))
-                if col in hit:
-                    raise MathInvariantError(
-                        f"d_{r} sends two keys at {cell} to one monomial")
-                hit.add(col)
-                entry = col, coeff
-            image.append(entry)
-        return image, width, list(cols)[width:], tgt
+                out[key] = entry
+        if len({img for img, _ in out.values()}) < len(out):
+            raise MathInvariantError(
+                f"d_{r} sends two keys at {cell} to one monomial")
+        return out
 
     def advance(self) -> int:
         """Run the next admissible differential; returns the new page index."""
@@ -422,9 +406,10 @@ class TruncatedOracle:
         new_Z = {}
         new_B = {cell: dict(B) for cell, B in self.B.items()}
         # one pass; every cell reads the previous page's Z, B and flags
-        for cell, keys in self.basis.items():
+        for cell in self.basis:
             m, t = cell
-            image, width, _, tgt = self._diff_data(cell, r)
+            tgt = (m + r, t + 1)
+            images = self._images(cell, r)
             if tgt in self.flags:
                 new_flags.add(cell)
             elif m - r >= 0:
@@ -435,33 +420,32 @@ class TruncatedOracle:
                         new_flags.add(cell)
                 elif (m - r, t - 1) in self.flags:
                     new_flags.add(cell)
-            # a target outside the window has width 0: every image overflows
             Btgt = self.B.get(tgt, {})
             grown = new_B.get(tgt, {})
             Z = new_Z[cell] = {}
-            for i, a in self.Z[cell].items():
-                if image[i] is None:
-                    Z[i] = a
+            for key, a in self.Z[cell].items():
+                if key not in images:
+                    Z[key] = a
                     continue
-                j, c = image[i]
-                if j >= width:  # the image leaves the window
+                j, c = images[key]
+                if j not in self.keys:  # the image leaves the window
                     new_flags.add(cell)
-                    Z[i] = a
+                    Z[key] = a
                     continue
                 v = val2(c)
                 if j in Btgt:
-                    Z[i] = max(a, Btgt[j] - v)
+                    Z[key] = max(a, Btgt[j] - v)
                 if j not in grown or a + v < grown[j]:
                     grown[j] = a + v
             if cell in new_flags:
                 continue
-            for i, b in self.B[cell].items():
-                if image[i] is not None and image[i][0] < width:
-                    j, c = image[i]
+            for key, b in self.B[cell].items():
+                if key in images and images[key][0] in self.keys:
+                    j, c = images[key]
                     if j not in Btgt or Btgt[j] > b + val2(c):
                         raise MathInvariantError(
                             f"boundary at {cell} escapes under d_{r}")
-            if any(keys[i][self.n] % 2 for i in Z):
+            if any(key[self.n] % 2 for key in Z):
                 raise MathInvariantError(
                     f"odd-exponent cycle survived d_1 at {cell}")
 

@@ -98,7 +98,7 @@ def _chart_for(args) -> tuple[dict, dict]:
     build = step_engine_page if args.engine == "step" else closed_form_page
     page = build(n, r, m_max=band)
     chart = page.chart(range(window[0], window[1] + 1), caps)
-    if not chart or set(chart) == {(0, 0)} and chart[0, 0].torsion == ():
+    if not chart or chart == {(0, 0): ModuleStructure(1)}:  # the lone unit
         raise EmptyBasisError("window and caps leave nothing to chart")
     meta: dict = {"rows_shown": band}
     if args.engine in ("closed", "step"):

@@ -338,12 +338,14 @@ def reference_d(terms, r, n, P):
 
 
 def reference_diff_data(oracle, cell, r):
-    """The oracle's d_r map on a cell, built through one series per basis
-    key: (column, int coefficient) or None per key, the target basis
-    width, the overflow keys in column order, and the target cell."""
+    """The oracle's d_r map on a cell as a matrix reference lays it out,
+    built through one series per basis key: (column, int coefficient) or
+    None per key, the target basis width, the overflow keys in column
+    order, and the target cell.  The first columns number the target
+    cell's basis, the rest each image key it lacks."""
     m, t = cell
     tgt = (m + r, t + 1)
-    cols = dict(oracle.index.get(tgt, {}))
+    cols = {key: i for i, key in enumerate(oracle.basis.get(tgt, ()))}
     width = len(cols)
     P = oracle.spec.hat_offset
     image = []
@@ -362,7 +364,7 @@ def reference_diff_data(oracle, cell, r):
 
 
 def apply_map(M, image, width):
-    """M's rows sent through a d_r map from `TruncatedOracle._diff_data`:
+    """M's rows sent through a d_r map from `reference_diff_data`:
     the part in the first `width` columns, and whether any row has an
     entry on a key whose image lies past them."""
     rows, overflows = [], False
@@ -398,6 +400,9 @@ class MatrixOracle(TruncatedOracle):
         self.B = {cell: LocalMatrix([], len(keys))
                   for cell, keys in self.basis.items()}
         self.charts = {1: self._chart_now(self.basis, {})}
+
+    def _diff_data(self, cell, r):
+        return reference_diff_data(self, cell, r)
 
     def _chart_now(self, changed, previous):
         out = {}
@@ -469,7 +474,7 @@ class RecomputingOracle(MatrixOracle):
     no cell is carried forward, and every cell re-charted on every page."""
 
     def _diff_data(self, cell, r):
-        image, width, over, tgt = reference_diff_data(self, cell, r)
+        image, width, over, tgt = super()._diff_data(cell, r)
         return image, width, over + [None], tgt
 
     def _chart_now(self, changed, previous):
@@ -533,15 +538,35 @@ def test_apply_differential_matches_reference_formula():
 
 
 @pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
+def test_oracle_key_names_its_own_cell(n, lo, hi, caps):
+    # what lets advance test an image against one key set: a key fixes
+    # its row and column, so no key lies in two cells
+    oracle = TruncatedOracle(n, lo, hi, caps)
+    for (m, t), keys in oracle.basis.items():
+        assert all(key[0] == m and oracle.spec.total_of(key) == t
+                   for key in keys), (m, t)
+    assert len(oracle.keys) == sum(map(len, oracle.basis.values()))
+    assert oracle.keys == set().union(*oracle.basis.values())
+
+
+@pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
 def test_oracle_matrices_match_series_reference(n, lo, hi, caps):
     oracle = TruncatedOracle(n, lo, hi, caps)
-    overflowing = 0
+    P = oracle.spec.hat_offset
+    leaving = 0
     for r in admissible_differentials(n):
-        for cell in oracle.basis:
-            got = oracle._diff_data(cell, r)
-            assert got == reference_diff_data(oracle, cell, r), (cell, r)
-            overflowing += bool(got[2])
-    assert overflowing
+        for (m, t), keys in oracle.basis.items():
+            images = oracle._images((m, t), r)
+            for key in keys:
+                want = reference_d({key: 1}, r, n, P)
+                assert images.get(key) == next(iter(want.items()), None), \
+                    ((m, t), r, key)
+            # in the key set exactly when in the target cell's basis
+            target = oracle.basis.get((m + r, t + 1), ())
+            for image, _ in images.values():
+                assert (image in oracle.keys) == (image in target)
+                leaving += image not in target
+    assert leaving
 
 
 @pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
@@ -582,12 +607,13 @@ def test_boundary_escaping_under_d_r_is_caught():
     # boundaries are no next-page cycles
     oracle = TruncatedOracle(2, -24, 24, caps=3)
     for cell, keys in oracle.basis.items():
-        image, _, over, _ = oracle._diff_data(cell, 1)
-        if cell[1] > oracle.t_lo and not over and any(image):
+        images = oracle._images(cell, 1)
+        if cell[1] > oracle.t_lo and images and all(
+                image in oracle.keys for image, _ in images.values()):
             break
     else:
         raise AssertionError("no cell where d_1 stays in the window")
-    oracle.B[cell] = dict.fromkeys(range(len(keys)), 0)
+    oracle.B[cell] = dict.fromkeys(keys, 0)
     with pytest.raises(MathInvariantError, match="escapes under d_1"):
         oracle.advance()
 
@@ -652,14 +678,13 @@ def test_boundary_off_the_cycles_trips_containment(where):
     # plant a boundary on a key that d_1 sends to zero, so no escape
     # check reads it: off Z altogether, or at a lower valuation than Z's
     oracle = TruncatedOracle(2, -24, 24, caps=3)
-    cell, i = next((cell, i) for cell in oracle.basis
-                   for i, entry in enumerate(oracle._diff_data(cell, 1)[0])
-                   if entry is None)
+    cell, key = next((cell, key) for cell, keys in oracle.basis.items()
+                     for key in keys if key not in oracle._images(cell, 1))
     if where == "outside":
-        del oracle.Z[cell][i]
-        oracle.B[cell][i] = 0
+        del oracle.Z[cell][key]
+        oracle.B[cell][key] = 0
     else:
-        oracle.B[cell][i] = -1
+        oracle.B[cell][key] = -1
     with pytest.raises(MathInvariantError, match="outside the cycles"):
         oracle.advance()
 

@@ -47,6 +47,20 @@ def test_page_empty_window_is_an_input_error(capsys):
     assert "nothing to chart" in err
 
 
+@pytest.mark.parametrize("engine", ["all", "closed", "step", "oracle"])
+@pytest.mark.parametrize("n, r, caps, want", [(2, 4, 6, "Z^3"),
+                                              (3, 8, 4, "Z^4")])
+def test_page_charts_free_rank_above_one_at_the_origin(n, r, caps, want,
+                                                       engine, capsys):
+    # (0, 0) alone is "nothing to chart" only when it holds the lone unit;
+    # here more degree-0 monomials survive (vh1^3 vn^8, vh1^6 vn^16 at n=2)
+    code, out, err = run(["page", "--n", str(n), "--r", str(r), "--window",
+                          "0..0", "--caps", str(caps), "--engine", engine],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert f"m=  0 t=    0: {want}\n" in out
+
+
 def test_page_rejects_nonpositive_page_index(capsys):
     code, _, err = run(["page", "--n", "1", "--r", "0",
                         "--window", "-8..8"], capsys)

@@ -85,6 +85,8 @@ argvs = st.one_of(
 @example(["orient", "--n", "2", "--caps", "-1", "--format", "json"])
 @example(["page", "--n", "1", "--r", "2", "--window", "0..4", "--caps", "-1",
           "--engine", "closed"])
+# free rank above one at (0, 0) alone is something to chart
+@example(["page", "--n", "2", "--r", "4", "--window", "0..0", "--caps", "6"])
 def test_every_run_exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
