@@ -35,7 +35,7 @@ from .bss import DegreeColumns
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import ONE, LocalMatrix, TwoLocal, preimage_rows, spans, val2
+from .scalar2 import TwoLocal, preimage_rows, spans, val2
 from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
@@ -375,16 +375,14 @@ def landweber_window_check(n: int, q: int, k: int,
         tgt = D + wk
         src_cols = DegreeColumns(spec, D, caps, weight)
         tgt_cols = DegreeColumns(spec, tgt, caps, weight)
-        img = [tgt_cols.row(GradedSeries(spec, {mono: ONE}, deep) * mult)
+        img = [tgt_cols.row(GradedSeries(spec, {mono: 1}, deep) * mult)
                for mono in src_cols.basis]
         den = tgt_cols.matrix(tgt_cols.lattice_rows(pres.relations, k, deep))
         A = tgt_cols.matrix(img)
         num = src_cols.matrix(src_cols.lattice_rows(pres.relations, k, deep))
         pre = preimage_rows(A, den)
-        pad = [0] * (src_cols.width - pre.ncols)
-        if spans(num, LocalMatrix._of(((row + pad, d) for row, d
-                                       in zip(pre.rows, pre.dens)),
-                                      src_cols.width)):
+        if spans(num, src_cols.matrix((dict(enumerate(row)), d)
+                                      for row, d in zip(pre.rows, pre.dens))):
             checked.append((D, tgt))
         else:
             failures.append(D)

@@ -33,9 +33,10 @@ Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
 (class generators and homogeneous relations); the latter yields chart
 structures through per-degree lattice quotients.  Their rows come from
-DegreeColumns, the one lattice-row builder: a relation or ideal multiple
-that leaves the capped basis keeps its outside monomials as overflow
-columns, never dropped, and the degrees where that happens are reported.
+DegreeColumns, the one lattice-row builder, as the series' own int
+numerators over their odd denominator: a relation or ideal multiple that
+leaves the capped basis keeps its outside monomials as overflow columns,
+never dropped, and the degrees where that happens are reported.
 Every capped basis here and in the oracle is graded.degree_basis.
 """
 
@@ -52,11 +53,8 @@ from .errors import (
 )
 from .graded import GradedSeries, GradingSpec, degree_basis
 from .scalar2 import (
-    ONE,
-    ZERO,
     LocalMatrix,
     ModuleStructure,
-    TwoLocal,
     preimage_rows,
     quotient_structure,
     row_basis,
@@ -512,24 +510,21 @@ class DegreeColumns:
         self.index = {key: i for i, key in enumerate(self.basis)}
         self.mixed = False
 
-    @property
-    def width(self) -> int:
-        return len(self.index)
-
-    def row(self, series: GradedSeries) -> dict:
+    def row(self, series: GradedSeries) -> tuple[dict, int]:
+        nums, den = series.as_two_local().numerators
         # distinct keys with nonzero coefficients, to distinct columns
-        row = {self.index.setdefault(key, len(self.index)): coeff
-               for key, coeff in series.terms.items()}
+        row = {self.index.setdefault(key, len(self.index)): x
+               for key, x in nums.items()}
         nb = len(self.basis)
         self.mixed |= min(row, default=nb) < nb <= max(row, default=0)
-        return row
+        return row, den
 
-    def matrix(self, rows: list[dict]) -> LocalMatrix:
-        width = self.width
-        return LocalMatrix([[row.get(c, ZERO) for c in range(width)]
-                            for row in rows], width)
+    def matrix(self, rows) -> LocalMatrix:
+        width = len(self.index)
+        return LocalMatrix._of((([row.get(c, 0) for c in range(width)], d)
+                                for row, d in rows), width)
 
-    def lattice_rows(self, relations, k: int, deep: int) -> list[dict]:
+    def lattice_rows(self, relations, k: int, deep: int) -> list[tuple]:
         """Relation multiples plus the stage-k ideal I_k at this degree.
 
         Rows live in the extended coordinates: tails past the vhat cap or
@@ -550,11 +545,11 @@ class DegreeColumns:
         for factor in factors:
             for mono in degree_basis(spec, self.D - factor.internal_degree(),
                                      self.caps, self.weight, hat_lattice=True):
-                row = self.row(GradedSeries(spec, {mono: ONE}, deep) * factor)
-                if row:
+                row = self.row(GradedSeries(spec, {mono: 1}, deep) * factor)
+                if row[0]:
                     rows.append(row)
         if k >= 1:
-            rows += [{col: TwoLocal(2)} for col in range(self.width)]
+            rows += [({col: 2}, 1) for col in range(len(self.index))]
         return rows
 
 
@@ -615,7 +610,7 @@ class PresentedModule:
         if nb == 0:
             self._cache[key] = ModuleStructure(0, ())
             return self._cache[key]
-        capped = [{c: ONE} for c in range(nb)]
+        capped = [({c: 1}, 1) for c in range(nb)]
         den_rows = cols.lattice_rows(self.relations, j, self.weight)
         num_rows = cols.lattice_rows((), i, self.weight) if i else capped
         if cols.mixed:

@@ -68,12 +68,11 @@ def _window(text: str) -> tuple[int, int]:
 
 
 def _oracle_chart(n, r, window, caps):
-    # the rows past the band are run, and flag truncation, but not shown
+    # band cells and all flags; rows past the band run only to flag
     oracle = TruncatedOracle(n, window[0], window[1], caps)
     oracle.run()
-    band = _band(n)
     return ({cell: st for cell, st in oracle.chart_at(r).items()
-             if cell[0] <= band and cell not in oracle.flags}, oracle.flags)
+             if cell[0] <= _band(n)}, oracle.flags)
 
 
 def _band(n: int) -> int:
@@ -86,39 +85,42 @@ def _blocks(page, m: int) -> str:
 
 
 def _chart_for(args) -> tuple[dict, dict]:
-    """The chart of the requested engine.  Under `all` the stepped page
-    must equal the closed-form one, which makes their charts equal, and
-    the oracle must match the closed-form chart outside its flags."""
+    """The requested engine's chart, refused when empty before flags are
+    dropped.  Under `all` the stepped page must equal the closed-form one,
+    and the oracle must match the closed-form chart outside its flags."""
     n, r, window, caps = args.n, args.r, args.window, args.caps
     if r < 1:
         raise InputError("page index must be at least 1")
     if caps < 0:
         raise InputError("caps must be non-negative")
     band = _band(n)
-    build = step_engine_page if args.engine == "step" else closed_form_page
-    page = build(n, r, m_max=band)
-    chart = page.chart(range(window[0], window[1] + 1), caps)
+    meta: dict = {"rows_shown": band}
+    if args.engine == "oracle":
+        chart, flags = _oracle_chart(n, r, window, caps)
+    else:
+        build = step_engine_page if args.engine == "step" else closed_form_page
+        page = build(n, r, m_max=band)
+        chart = page.chart(range(window[0], window[1] + 1), caps)
     if not chart or chart == {(0, 0): ModuleStructure(1)}:  # the lone unit
         raise EmptyBasisError("window and caps leave nothing to chart")
-    meta: dict = {"rows_shown": band}
-    if args.engine in ("closed", "step"):
-        return chart, meta
-    if args.engine == "all":
-        step = step_engine_page(n, r, m_max=band)
-        if step != page:
-            rows = sorted(m for m in set(page.rows) | set(step.rows)
-                          if page.rows.get(m) != step.rows.get(m))
-            raise MathInvariantError("engines disagree: " + "; ".join(
-                f"row {m} closed={_blocks(page, m)} step={_blocks(step, m)}"
-                for m in rows[:12]))
-    oracle_vis, flags = _oracle_chart(n, r, window, caps)
-    meta["flagged_cells"] = len(flags)
     if args.engine == "oracle":
-        return oracle_vis, meta
+        meta["flagged_cells"] = len(flags)
+        return {c: st for c, st in chart.items() if c not in flags}, meta
+    if args.engine != "all":
+        return chart, meta
+    step = step_engine_page(n, r, m_max=band)
+    if step != page:
+        rows = sorted(m for m in set(page.rows) | set(step.rows)
+                      if page.rows.get(m) != step.rows.get(m))
+        raise MathInvariantError("engines disagree: " + "; ".join(
+            f"row {m} closed={_blocks(page, m)} step={_blocks(step, m)}"
+            for m in rows[:12]))
+    oracle_chart, flags = _oracle_chart(n, r, window, caps)
+    meta["flagged_cells"] = len(flags)
     mismatches = []
-    for m, t in sorted((set(chart) | set(oracle_vis)) - flags):
+    for m, t in sorted((set(chart) | set(oracle_chart)) - flags):
         a = chart.get((m, t), _ZERO_STRUCT)
-        c = oracle_vis.get((m, t), _ZERO_STRUCT)
+        c = oracle_chart.get((m, t), _ZERO_STRUCT)
         if a != c:
             mismatches.append(f"(m={m},t={t}) closed={a} oracle={c}")
     if mismatches:

@@ -335,6 +335,11 @@ class GradedSeries:
         return self._nums.keys()
 
     @property
+    def numerators(self) -> tuple:
+        """(a read-only {key: int numerator} view, the shared denominator)"""
+        return MappingProxyType(self._nums), self._den
+
+    @property
     def terms(self):
         """A read-only {key: coefficient} view, built on first read."""
         view = self._terms

@@ -170,7 +170,7 @@ def test_block_engines_are_compared_page_to_page(monkeypatch, capsys):
 @pytest.mark.parametrize("engine", ["all", "closed", "step", "oracle"])
 def test_page_charts_one_page_per_request(engine, monkeypatch, capsys):
     # the stepped page is compared with the closed form as a page, so no
-    # engine draws a second block chart
+    # engine draws a second block chart; the oracle alone draws none
     charts = []
     chart = Page.chart
 
@@ -181,7 +181,7 @@ def test_page_charts_one_page_per_request(engine, monkeypatch, capsys):
     monkeypatch.setattr(Page, "chart", counting)
     code, _, _ = run(["page", "--n", "2", "--r", "3", "--window=-16..16",
                       "--engine", engine], capsys)
-    assert code == 0 and charts == [3]
+    assert code == 0 and charts == ([] if engine == "oracle" else [3])
 
 
 def test_svg_bytes_are_stable(capsys):
@@ -227,6 +227,24 @@ def test_page_oracle_reports_flags(capsys):
                         "--engine", "oracle"], capsys)
     assert code == 0
     assert "oracle flagged cells:" in out
+
+
+def test_page_oracle_decides_emptiness_from_its_own_chart(capsys):
+    # the block charts of this window are empty, while the oracle's band
+    # chart holds cells that its flags then drop: "nothing to chart" is
+    # read from the requested engine's chart before flags are dropped
+    argv = ["page", "--n", "2", "--r", "4", "--window=98..99", "--caps", "0",
+            "--engine"]
+    for engine in ("all", "closed", "step"):
+        code, out, err = run(argv + [engine], capsys)
+        assert (code, out) == (2, "") and "nothing to chart" in err
+    code, out, err = run(argv + ["oracle"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["  oracle flagged cells: 6"]
+    # as the oracle already charted a window whose cells are all flagged
+    code, out, _ = run(["page", "--n", "1", "--r", "1", "--window=5..5",
+                        "--caps", "0", "--engine", "oracle"], capsys)
+    assert code == 0 and out.splitlines()[1:] == ["  oracle flagged cells: 4"]
 
 
 def test_page_engine_disagreement(capsys, monkeypatch):
