@@ -35,7 +35,7 @@ from .bss import DegreeColumns
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import TwoLocal, preimage_rows, spans, val2
+from .scalar2 import LocalMatrix, TwoLocal, preimage_rows, spans, val2
 from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
@@ -340,6 +340,11 @@ def _stage_multiplier(spec: GradingSpec, k: int, weight: int) -> GradedSeries:
     return GradedSeries.monomial(spec, vn=-spec.hat_offset, trunc=weight)
 
 
+def _stored(M: LocalMatrix) -> tuple:
+    """A matrix's stored form, hashable: equal matrices store equal rows."""
+    return M.ncols, tuple(M.dens), tuple(map(tuple, M.rows))
+
+
 def landweber_window_check(n: int, q: int, k: int,
                            window: tuple[int, int], weight: int = 8,
                            caps: int = 6,
@@ -351,6 +356,8 @@ def landweber_window_check(n: int, q: int, k: int,
     the window, multiplication by the stage-k generator on the presented
     quotient modulo the stage-k ideal must have zero kernel: the preimage
     of the target denominator lattice may not exceed the source one.
+    Every pair is built and listed, but a pair whose three matrices equal
+    an earlier pair's, as they do one vn-period on, takes that verdict.
     """
     if not 0 <= k <= n:
         raise InputError("stage index out of range")
@@ -371,6 +378,8 @@ def landweber_window_check(n: int, q: int, k: int,
 
     checked = []
     failures = []
+    # one reduction per distinct (A, den, num), kept for this call only
+    verdicts: dict[tuple, bool] = {}
     for D in degrees:
         tgt = D + wk
         src_cols = DegreeColumns(spec, D, caps, weight)
@@ -380,9 +389,13 @@ def landweber_window_check(n: int, q: int, k: int,
         den = tgt_cols.matrix(tgt_cols.lattice_rows(pres.relations, k, deep))
         A = tgt_cols.matrix(img)
         num = src_cols.matrix(src_cols.lattice_rows(pres.relations, k, deep))
-        pre = preimage_rows(A, den)
-        if spans(num, src_cols.matrix((dict(enumerate(row)), d)
-                                      for row, d in zip(pre.rows, pre.dens))):
+        question = (_stored(A), _stored(den), _stored(num))
+        if question not in verdicts:
+            pre = preimage_rows(A, den)
+            verdicts[question] = spans(num, src_cols.matrix(
+                (dict(enumerate(row)), d)
+                for row, d in zip(pre.rows, pre.dens)))
+        if verdicts[question]:
             checked.append((D, tgt))
         else:
             failures.append(D)

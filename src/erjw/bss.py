@@ -37,12 +37,14 @@ DegreeColumns, the one lattice-row builder, as the series' own int
 numerators over their odd denominator: a relation or ideal multiple that
 leaves the capped basis keeps its outside monomials as overflow columns,
 never dropped, and the degrees where that happens are reported.
-Every capped basis here and in the oracle is graded.degree_basis.
+Every capped basis here and in the oracle is graded.degree_basis, read
+from one residue table per (spec, caps, weight).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import (
     EmptyBasisError,
@@ -184,18 +186,18 @@ class StandardSummand:
         sh = f"<{self.shift}>" if self.shift else ""
         return f"{num}{den}[v^±{2 ** self.s}]{off}{sh}"
 
-    def structure_at(self, D: int, caps: int) -> ModuleStructure:
+    def structure_at(self, D: int, caps: int,
+                     spec: GradingSpec) -> ModuleStructure:
         """Z_(2)-module structure in internal degree D, vhat exponents
-        capped at `caps`.  The ideal index i is invisible when j = 0 (the
-        block is a full-rank sublattice of a free module); for j >= 1 each
-        monomial is one Z/2."""
+        capped at `caps`; `spec` is the hat spec of n.  The ideal index i
+        is invisible when j = 0 (the block is a full-rank sublattice of a
+        free module); for j >= 1 each monomial is one Z/2."""
         if self.is_zero:
             return ModuleStructure(0, ())
         i, j = self.i, self.j
         count = 0
         # a key is y, then vh_l at index l, then vn at index n
-        for key in degree_basis(GradingSpec(self.n, alphabet="hat"),
-                                D - self.shift, caps):
+        for key in degree_basis(spec, D - self.shift, caps):
             if j >= 1 and any(key[1:j]):
                 continue
             if i > j >= 1 and not any(key[j:i]):
@@ -215,10 +217,14 @@ class Page:
     rows: dict[int, tuple[StandardSummand, ...]]
     m_max: int
 
+    @cached_property
+    def spec(self) -> GradingSpec:
+        return GradingSpec(self.n, alphabet="hat")
+
     def chart_structure(self, m: int, t: int, caps: int = 6) -> ModuleStructure:
-        spec = GradingSpec(self.n, alphabet="hat")
+        spec = self.spec
         D = t + m * spec.lam
-        return _merge(s.structure_at(D, caps)
+        return _merge(s.structure_at(D, caps, spec)
                       for s in self.rows.get(m, ()) if not s.is_zero)
 
     def chart(self, t_values, caps: int = 6) -> dict:

@@ -72,12 +72,12 @@ class GradingSpec:
         if self.alphabet not in ("hat", "standard"):
             raise InputError(f"unknown alphabet {self.alphabet!r}")
 
-    @property
+    @cached_property
     def lam(self) -> int:
         """Period constant: 2^(2n+1) - 2^(n+2) + 1."""
         return 2 ** (2 * self.n + 1) - 2 ** (self.n + 2) + 1
 
-    @property
+    @cached_property
     def hat_offset(self) -> int:
         """P = 2^(n+1) * (2^(n-1) - 1); the top hat generator is vn^-P."""
         return 2 ** (self.n + 1) * (2 ** (self.n - 1) - 1)
@@ -166,6 +166,33 @@ class GradingSpec:
         return self.degree_of(key) - key[0] * self.lam
 
 
+# bounded: one table per (spec, caps, weight); a page chart reads one, a
+# class-ring workload about fifteen
+@lru_cache(maxsize=64)
+def _residue_table(spec: GradingSpec, caps: int, weight: int) -> dict:
+    """The capped vhat/class box, walked once: {d mod |vn|: entries}.
+
+    Each entry (d, head, tail) is one point y^0 vhat^a c^e of the box,
+    with head = (0, *a), tail = e and d its degree, the part of a degree
+    that vn does not supply.  Entries are in (a, d, e) order, which is
+    key order for any one D: b = (D - d) / deg(vn) grows with d, since
+    deg(vn) < 0.
+    """
+    wn = spec.degrees[spec.n]
+    heads = [(0, *a) for a in iter_product(range(caps + 1),
+                                            repeat=spec.n - 1)]
+    points = []
+    for e in iter_product(*(range(weight // k + 1)
+                            for k in range(1, spec.q + 1))):
+        if sum(k * ek for k, ek in enumerate(e, start=1)) > weight:
+            continue
+        points += [(head, spec.degree_of((*head, 0, *e)), e) for head in heads]
+    table: dict[int, list] = {}
+    for head, d, e in sorted(points):
+        table.setdefault(d % wn, []).append((d, head, e))
+    return {res: tuple(entries) for res, entries in table.items()}
+
+
 # bounded: one three-engine page chart asks for a few thousand degrees
 @lru_cache(maxsize=1 << 13)
 def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
@@ -176,24 +203,22 @@ def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
     `weight`; the vn exponent b is whatever the degree forces.  With
     `hat_lattice` only vn powers of the top hat generator count: b must
     be a multiple of P, which at n = 1 (P = 0) means b = 0.
+
+    The box of vhat and class exponents is walked once per (spec, caps,
+    weight) into a residue table (`_residue_table`); a degree reads only
+    the points whose degree d agrees with D modulo |vn|, each with
+    b = (D - d) / deg(vn).
     """
     if spec.alphabet != "hat" or spec.roots:
         raise InputError("degree bases live over the hat class ring")
     wn = spec.degrees[spec.n]
     out = []
-    for e in iter_product(*(range(weight // k + 1)
-                            for k in range(1, spec.q + 1))):
-        if sum(k * ek for k, ek in enumerate(e, start=1)) > weight:
+    for d, head, tail in _residue_table(spec, caps, weight).get(D % wn, ()):
+        b = (D - d) // wn
+        if hat_lattice and spec.hat_residue(b):
             continue
-        for a in iter_product(range(caps + 1), repeat=spec.n - 1):
-            rem = D - spec.degree_of((0, *a, 0, *e))
-            if rem % wn:
-                continue
-            b = rem // wn
-            if hat_lattice and spec.hat_residue(b):
-                continue
-            out.append((0, *a, b, *e))
-    return tuple(sorted(out))
+        out.append((*head, b, *tail))
+    return tuple(out)
 
 
 def _min_trunc(a, b):

@@ -111,7 +111,7 @@ def test_criterion_1_formal_law_axioms():
 def test_criterion_2_height_one_reproduction():
     """Oracle pages at n = 1 match the closed form in |t| <= 48, with the
     stated second page, connecting differential and limit page."""
-    with _budget(5):
+    with _budget(2):
         window = range(-48, 49)
         oracle = TruncatedOracle(1, -48, 48, caps=6)
         oracle.run()
@@ -155,7 +155,7 @@ def test_criterion_2_height_one_reproduction():
 def test_criterion_3_height_two_structure():
     """Triple engine agreement at n = 2 in |t| <= 96, named generators in
     their degree classes mod 48, and the alpha chain relation."""
-    with _budget(5):
+    with _budget(2):
         window = range(-96, 97)
         oracle = TruncatedOracle(2, -96, 96, caps=6)
         oracle.run()
@@ -185,7 +185,7 @@ def test_criterion_3_height_two_structure():
 def test_criterion_4_height_three_relations():
     """The four multiplicative relations among the height-three
     generators hold at the module level."""
-    with _budget(60):
+    with _budget(10):
         for text in ("vh1*A = 2*B",
                      "vh2*A = 2*C",
                      "vh2*B = vh1*C",
@@ -197,7 +197,7 @@ def test_criterion_4_height_three_relations():
 def test_criterion_5_differential_vanishing():
     """Off the admissible page indices no differential can act anywhere
     in the window, and the square of every differential is zero."""
-    with _budget(5):
+    with _budget(2):
         for n, caps in ((1, 6), (2, 6), (3, 4)):
             oracle = TruncatedOracle(n, -48, 48, caps=caps)
             # advance() re-derives d∘d = 0 on every basis monomial, and
@@ -229,7 +229,7 @@ def test_criterion_5_differential_vanishing():
 def test_criterion_6_rank_one_class_ring():
     """The doubling series of the first class reduces to zero in the
     rank-one presentation, and reduction is idempotent."""
-    with _budget(60):
+    with _budget(10):
         for n in (1, 2, 3):
             law = GroupLaw(n, precision=9)
             pres = present(n, 1, 8)
@@ -256,7 +256,7 @@ def test_criterion_7_conjugate_class_properties():
     """Additive specialization signs, conjugation as an involution, and
     the ratio of conjugate to plain top class acting as the identity
     once the conjugation relations are imposed."""
-    with _budget(120):
+    with _budget(10):
         for n in (1, 2):
             std = GradingSpec(n, alphabet="standard")
             add = additive_law(std, 8)
@@ -298,7 +298,7 @@ def test_criterion_8_orientation_certificates():
     """Scans certify the doubled tower at n = 1, 2, 3; the obstruction
     degree arithmetic holds; arithmetically-empty degree classes are
     re-read as empty from the computed pages."""
-    with _budget(60):
+    with _budget(10):
         for n in (1, 2, 3):
             scan = orientability_scan(n)
             assert scan.bundle == f"MO[{2 ** (n + 1)}]"

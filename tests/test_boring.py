@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erjw import boring
 from erjw.boring import (
     RingPresentation,
     _order_key,
@@ -18,7 +19,7 @@ from erjw.bss import PresentedModule, closed_form_page, flat_base_change
 from erjw.errors import InputError, ReductionError
 from erjw.fgl import GroupLaw, UniSeries
 from erjw.graded import GradedSeries, GradingSpec, degree_basis
-from erjw.scalar2 import TwoLocal
+from erjw.scalar2 import TwoLocal, preimage_rows
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +307,32 @@ def test_landweber_reports_failures():
                                   iota=iota)
     assert not cert.ok and not cert.checked
     assert cert.failures == (-32, -16, 0)
+
+
+def test_window_check_reuses_only_a_whole_lattice_question(monkeypatch):
+    # under the additive law at weight 1 and caps 0 the verdicts mix, and
+    # the degree classes 16 and 32 mod 48 share their source lattice (at
+    # k = 0 also the target one) but not the multiplication matrix: a
+    # verdict reused on the source lattice alone is wrong
+    bare = GradingSpec(2, alphabet="hat")
+    iota = UniSeries.from_terms(bare, {1: GradedSeries.unit(bare, -1)},
+                                precision=9)
+    reductions = []
+
+    def counted(A, den):
+        reductions.append(A)
+        return preimage_rows(A, den)
+
+    monkeypatch.setattr(boring, "preimage_rows", counted)
+    cert = landweber_window_check(2, 1, 0, (-48, 48), weight=1, caps=0,
+                                  iota=iota)
+    assert cert.failures == (-16, 32)
+    # seven degree pairs, three vn-period classes, three reductions
+    assert len(cert.checked) == 5 and len(reductions) == 3
+    alone = [landweber_window_check(2, 1, 0, (D, D), weight=1, caps=0,
+                                    iota=iota) for D in range(-48, 49, 16)]
+    assert cert.checked == tuple(p for c in alone for p in c.checked)
+    assert cert.failures == tuple(D for c in alone for D in c.failures)
 
 
 def test_presentation_matches_tensored_chart():

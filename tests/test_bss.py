@@ -144,26 +144,28 @@ def test_summand_offset_normalization():
 def test_summand_counting_n2():
     # full ring with period 8: at degree 0 the capped monomials are
     # vhat_1^0, vhat_1^3 v^8, vhat_1^6 v^16
+    hat = GradingSpec(2, alphabet="hat")
     full = StandardSummand(2, 0, 0, 3, 0)
-    assert full.structure_at(0, caps=6) == ModuleStructure(3, ())
-    assert full.structure_at(0, caps=2) == ModuleStructure(1, ())
+    assert full.structure_at(0, caps=6, spec=hat) == ModuleStructure(3, ())
+    assert full.structure_at(0, caps=2, spec=hat) == ModuleStructure(1, ())
     # mod-2 rows count one Z/2 per monomial
     row1 = StandardSummand(2, 0, 1, 3, 0)
-    assert row1.structure_at(16, caps=6) == ModuleStructure(0, (2, 2))
+    assert row1.structure_at(16, caps=6, spec=hat) == ModuleStructure(0, (2, 2))
     # i > j >= 1 requires a positive vhat exponent in the window [j, i):
     # at degree 40 that leaves vhat_1 v^-4 and vhat_1^4 v^4
     tw = StandardSummand(2, 2, 1, 3, 4)
-    assert tw.structure_at(40, caps=6).torsion == (2, 2)
-    assert tw.structure_at(40, caps=3).torsion == (2,)
-    assert tw.structure_at(16, caps=6).is_zero
+    assert tw.structure_at(40, caps=6, spec=hat).torsion == (2, 2)
+    assert tw.structure_at(40, caps=3, spec=hat).torsion == (2,)
+    assert tw.structure_at(16, caps=6, spec=hat).is_zero
 
 
 def test_summand_counting_n1():
+    hat = GradingSpec(1, alphabet="hat")
     half = StandardSummand(1, 1, 0, 2, 2)
-    assert half.structure_at(-4, caps=0) == ModuleStructure(1, ())
-    assert half.structure_at(-8, caps=0).is_zero
+    assert half.structure_at(-4, caps=0, spec=hat) == ModuleStructure(1, ())
+    assert half.structure_at(-8, caps=0, spec=hat).is_zero
     shifted = StandardSummand(1, 1, 0, 2, 2, shift=-4)
-    assert shifted.structure_at(-8, caps=0) == ModuleStructure(1, ())
+    assert shifted.structure_at(-8, caps=0, spec=hat) == ModuleStructure(1, ())
 
 
 # -- closed forms and the step engine ---------------------------------------

@@ -1,5 +1,6 @@
 import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -558,16 +559,52 @@ def _boxed_basis(spec, D, caps, weight, hat_lattice):
     return tuple(sorted(keys))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 2), st.integers(0, 4),
-       st.integers(0, 3), st.integers(-6, 6), st.booleans(), st.booleans())
-def test_degree_basis_matches_a_filtered_box(n, q, caps, weight, j,
-                                             on_hat_lattice, hat_lattice):
+       st.integers(0, 3), st.integers(-6, 6), st.integers(-1, 1),
+       st.integers(0, 27), st.booleans())
+@example(1, 1, 2, 3, 0, 0, 0, True)    # n = 1 on the hat lattice: b = 0
+@example(1, 2, 0, 3, 0, 1, 6, True)    # ... so a nonzero D has no key
+@example(2, 1, 3, 2, 1, 0, 5, False)   # an odd degree has no key
+@example(3, 1, 4, 2, -2, -1, 12, True)
+def test_degree_basis_matches_a_filtered_box(n, q, caps, weight, j, far,
+                                             r, hat_lattice):
     spec = GradingSpec(n, q=q, alphabet="hat")
-    # D on the even degree lattice, or on the coarser hat-lattice one
-    D = j * (spec.lam - 1 if on_hat_lattice else 2)
+    # D on the hat lattice (j), moved far past the capped box (far) and
+    # onto every residue modulo |vn| <= 14, odd ones included (r)
+    D = (j + 40 * far) * (spec.lam - 1) + r
     got = degree_basis(spec, D, caps, weight, hat_lattice)
     assert got == _boxed_basis(spec, D, caps, weight, hat_lattice)
+    if D % 2 or (n == 1 and hat_lattice and D):
+        assert got == ()
+
+
+@pytest.mark.parametrize("hat_lattice", [False, True])
+@pytest.mark.parametrize("n, q, caps, weight",
+                         [(1, 2, 3, 3), (2, 1, 4, 3), (2, 2, 2, 4),
+                          (3, 1, 3, 2)])
+def test_degree_basis_partitions_the_capped_box(n, q, caps, weight,
+                                                hat_lattice):
+    # every key of the capped box, over a few vn periods, lies in the basis
+    # of its own degree and of no other, exactly once
+    spec = GradingSpec(n, q=q, alphabet="hat")
+    P = spec.hat_offset
+    vn_range = range(-2 * P - 3, 2 * P + 4)
+    box = Counter(
+        (0, *a, b, *e)
+        for a in product(range(caps + 1), repeat=n - 1)
+        for e in product(range(weight + 1), repeat=q)
+        if sum(k * ek for k, ek in enumerate(e, start=1)) <= weight
+        for b in vn_range
+        if not (hat_lattice and (b % P if P else b)))
+    degrees = [spec.degree_of(key) for key in box]
+    seen = Counter()
+    for D in range(min(degrees), max(degrees) + 1):
+        for key in degree_basis(spec, D, caps, weight, hat_lattice):
+            assert spec.degree_of(key) == D
+            if key[n] in vn_range:
+                seen[key] += 1
+    assert seen == box
 
 
 def test_degree_basis_rejects_other_alphabets():
