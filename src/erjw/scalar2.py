@@ -5,20 +5,21 @@ denominator.  It is a discrete valuation ring, which keeps elimination
 simple: with a minimum-valuation pivot every quotient is exact and one
 clearing pass per pivot suffices.
 
-Two certified routines answer the lattice questions:
+One elimination kernel, `echelon` (E = U @ M, row operations only, and
+the only caller of `_eliminate`), answers the lattice questions:
 
-- `echelon` (E = U @ M, row operations only) answers the row-span
-  questions.  One reduction along E, `_reduce`, gives a row's
-  coordinates along E or finds it outside the span: it answers `spans`,
-  `solve_left` and the coordinates in `quotient_structure`.
+- the row-span questions.  One reduction along E, `_reduce`, gives a
+  row's coordinates along E or finds it outside the span: it answers
+  `spans`, `solve_left` and the coordinates in `quotient_structure`.
   `kernel_basis` is U's rows past the rank, `row_basis` is E, and
   `preimage_rows` rides on both.  Each reduction checks U @ M == E in
   ints, that U is unimodular (full GF(2) rank of its parity rows) and
   that E is in echelon shape.
-- `snf_with_transforms` (D = U @ M @ V, a global minimum-valuation pivot,
-  so the diagonal is a divisibility chain of powers of 2) answers only
-  the invariants: `snf`, `cokernel_structure`, and the last step of
-  `quotient_structure`.  Each reduction checks U @ M @ V == D in ints.
+- the invariants.  `snf_with_transforms` (D = U @ M @ V, the diagonal a
+  divisibility chain of powers of 2) alternates echelon forms of M and
+  of their transposes until one entry is left in each row, and checks
+  U @ M @ V == D on the composed transforms.  It answers `snf`,
+  `cokernel_structure`, and the last step of `quotient_structure`.
 
 Convention used by the whole package: matrices act on ROW vectors.  Rows
 index the source basis, columns the target, so the cokernel of M is the
@@ -327,8 +328,7 @@ def row_times_matrix(v: Sequence, M: LocalMatrix) -> list:
 # each row update u*row_i - (a_i >> v)*row_k multiplies the scale by the odd
 # u.  The row's odd content is divided out against its scale after every
 # update, so the ints stay as small as the true entries allow.  Scales may
-# be negative until the row is stored.  V is held by columns, each with one
-# odd denominator.
+# be negative until the row is stored.
 
 
 def _canon(row: list, d: int) -> tuple[list, int]:
@@ -398,133 +398,6 @@ def _eliminate(rows, aux, scale, k: int, col: int, v: int) -> None:
         rows[i], aux[i], scale[i] = row, arow, s
 
 
-def snf_with_transforms(M: LocalMatrix):
-    """Smith form over Z_(2): returns (D, U, V) with U @ M @ V == D.
-
-    U and V are invertible over Z_(2) (unit determinant) and the nonzero
-    diagonal of D consists of powers of 2 in nondecreasing valuation.
-
-    Each step takes as pivot the first entry, in row-major order over the
-    remaining block, of minimum valuation v; scales its row by a unit so
-    the pivot is exactly 2^v; clears the rows below with row operations
-    (also applied to U); then clears the pivot row with column operations
-    (applied to V).  The certificate U @ M @ V == D is checked on the
-    integer matrices before they are stored.
-    """
-    m, n = M.nrows, M.ncols
-    A, dens = M.rows, M.dens
-    D = [row[:] for row in A]
-    scale = dens[:]
-    U = [[0] * m for _ in range(m)]
-    for i, d in enumerate(dens):
-        U[i][i] = d
-    V = [[0] * n for _ in range(n)]  # V[j] is vden[j] times column j
-    for j in range(n):
-        V[j][j] = 1
-    vden = [1] * n
-    pivots = []
-    for k in range(min(m, n)):
-        bi = bj = -1
-        bv = math.inf
-        for i in range(k, m):
-            row = D[i]
-            for j in range(k, n):
-                x = row[j]
-                if x:
-                    v = (x & -x).bit_length() - 1
-                    if v < bv:
-                        bv, bi, bj = v, i, j
-                        if not v:
-                            break
-            if not bv:
-                break
-        if bi < 0:
-            break  # remaining block is zero
-        if bi != k:
-            D[k], D[bi] = D[bi], D[k]
-            U[k], U[bi] = U[bi], U[k]
-            scale[k], scale[bi] = scale[bi], scale[k]
-        if bj != k:
-            for i in range(k, m):
-                row = D[i]
-                row[k], row[bj] = row[bj], row[k]
-            V[k], V[bj] = V[bj], V[k]
-            vden[k], vden[bj] = vden[bj], vden[k]
-        prow = D[k]
-        # absorbing the unit part u of the pivot leaves row k == D[k] / u
-        u = prow[k] >> bv
-        scale[k] = u
-        _eliminate(D, U, scale, k, k, bv)
-        # the pivot column is zero below row k, so only V and row k change
-        pcol, pden = V[k], vden[k]
-        for j in range(k + 1, n):
-            a = prow[j]
-            if not a:
-                continue
-            # column j <- column j - (a >> bv) / u * column k
-            x_mul, y_mul = u * pden, (a >> bv) * vden[j]
-            col = [x_mul * x - y_mul * y for x, y in zip(V[j], pcol)]
-            d = vden[j] * x_mul
-            if d != 1 and d != -1:
-                g = math.gcd(d, *col)
-                if g != 1:
-                    col = [x // g for x in col]
-                    d //= g
-            V[j], vden[j] = col, d
-        pivots.append(bv)
-    _certify(A, dens, U, scale, V, vden, pivots)
-    Dout = [[0] * n for _ in range(m)]
-    for i, v in enumerate(pivots):
-        Dout[i][i] = 1 << v
-    return (LocalMatrix._of(((row, 1) for row in Dout), n),
-            LocalMatrix._of(zip(U, scale), m),
-            LocalMatrix._of((_over([col[l] for col in V], vden)
-                             for l in range(n)), n))
-
-
-def _certify(A, dens, U, scale, V, vden, pivots) -> None:
-    """Raise MathInvariantError unless U @ M @ V == D.
-
-    With A[k] == dens[k] * M[k], U[i] == scale[i] * (row i of U) and
-    V[j] == vden[j] * (column j of V), and P the lcm of dens, entry (i, j)
-    of U @ (P * M) @ V computed in ints must be scale[i] * P * vden[j]
-    times D[i][j], which is 2^pivots[i] on the diagonal and 0 elsewhere.
-    """
-    n = len(V)
-    if not U or not n:
-        return  # an empty product has nothing to check
-    P, Arows = _int_rows(A, dens)
-    Vrows = [[(j, col[l]) for j, col in enumerate(V) if col[l]] for l in range(n)]
-    r = len(pivots)
-    for i, urow in enumerate(U):
-        w = [0] * n
-        for k, x in enumerate(urow):
-            if x:
-                for j, y in Arows[k]:
-                    w[j] += x * y
-        z = [0] * n
-        for l, x in enumerate(w):
-            if x:
-                for j, y in Vrows[l]:
-                    z[j] += x * y
-        if i < r:
-            if z[i] != (scale[i] * P * vden[i]) << pivots[i]:
-                raise MathInvariantError("Smith reduction lost U*M*V == D")
-            z[i] = 0
-        if any(z):
-            raise MathInvariantError("Smith reduction lost U*M*V == D")
-
-
-def _int_rows(A, dens):
-    """(P, rows of P * M), for A[k] == dens[k] * M[k] and P the lcm of
-    dens; each row is a list of its nonzero (column, int) entries."""
-    P = 1
-    for d in dens:
-        P = P * d // math.gcd(P, d)
-    return P, [[(j, x * (P // d)) for j, x in enumerate(row) if x]
-               for row, d in zip(A, dens)]
-
-
 def echelon(M: LocalMatrix):
     """Row echelon form over Z_(2): returns (E, U, pivots) with
     U @ M == stack_rows([E, 0]).
@@ -584,7 +457,10 @@ def _certify_echelon(M: LocalMatrix, W, U, scale, pivots) -> None:
     m, r = M.nrows, len(pivots)
     if not len(W) == len(U) == len(scale) == m:
         raise MathInvariantError("echelon lost a row")
-    P, Arows = _int_rows(M.rows, M.dens)
+    P = math.lcm(*M.dens)
+    # the rows of P * M, as lists of their nonzero (column, int) entries
+    Arows = [[(j, x * (P // d)) for j, x in enumerate(row) if x]
+             for row, d in zip(M.rows, M.dens)]
     lead = {}  # the GF(2) rows so far, by bit length
     for urow, wrow, s in zip(U, W, scale):
         z = [0] * M.ncols
@@ -658,6 +534,65 @@ def _reduce(w: list, d: int, E: LocalMatrix, pivots) -> tuple[list, int] | None:
 def row_basis(M: LocalMatrix) -> LocalMatrix:
     """Lattice basis of the row span: the nonzero rows of M's echelon form."""
     return echelon(M)[0]
+
+
+def snf_with_transforms(M: LocalMatrix):
+    """Smith form over Z_(2): returns (D, U, V) with U @ M @ V == D.
+
+    U and V are invertible over Z_(2) (unit determinant) and the nonzero
+    diagonal of D consists of powers of 2 in nondecreasing valuation.
+
+    Certified echelon forms alternate with transposes (Kannan and Bachem,
+    1979) until every nonzero row of E holds one entry.  A round on rows
+    joins its transform T to U as T @ U, and a round on the transpose
+    joins it to V as V @ T.transpose(), kept here as T @ V.transpose().
+    The entries then move to the diagonal by valuation, their unit parts
+    divided out of U's rows, and U @ M @ V == D is checked on the
+    composed matrices.
+
+    The loop ends.  A round's first pivot is least in its column, which
+    is zero below it.  So the next round, whose first column is that
+    pivot's row, either takes a pivot of smaller valuation from the row or
+    clears the row and leaves the pivot alone in its row and column, where
+    no later round touches it.  The same holds for the rows and columns
+    left, and valuations are at least 0.
+    """
+    m, n = M.nrows, M.ncols
+    X, side = M, 0
+    sides = [LocalMatrix._of((([int(i == j) for j in range(k)], 1)
+                              for i in range(k)), k)
+             for k in (m, n)]  # U and V.transpose()
+    while True:
+        E, T, pivots = echelon(X)
+        sides[side] = T @ sides[side]
+        if all(sum(map(bool, row)) == 1 for row in E.rows):
+            break
+        zero = ([0] * X.ncols, 1)
+        rows = [*zip(E.rows, E.dens), *[zero] * (X.nrows - E.nrows)]
+        X = LocalMatrix._of(rows, X.ncols).transpose()
+        side ^= 1
+    # entry (i, pivots[i]) of E sits in row i of sides[side] and in row
+    # pivots[i] of the other side; those rows lead, by valuation
+    order = sorted(range(len(pivots)),
+                   key=lambda i: val2(E.rows[i][pivots[i]]))
+    lead = [order, [pivots[i] for i in order]]
+    if side:
+        lead.reverse()
+    U, Vt = ([(S.rows[k], S.dens[k]) for k in
+              [*ks, *sorted(set(range(S.nrows)).difference(ks))]]
+             for S, ks in zip(sides, lead))
+    D = [[0] * n for _ in range(m)]
+    for k, i in enumerate(order):
+        x = E.rows[i][pivots[i]]
+        v = val2(x)
+        D[k][k] = 1 << v
+        row, d = U[k]
+        U[k] = [y * E.dens[i] for y in row], d * (x >> v)
+    D, U = LocalMatrix._of(((row, 1) for row in D), n), LocalMatrix._of(U, m)
+    V = LocalMatrix._of(Vt, n).transpose()
+    if U @ M @ V != D:
+        raise MathInvariantError("Smith reduction lost U*M*V == D")
+    return D, U, V
 
 
 def snf(M: LocalMatrix) -> tuple[int, ...]:

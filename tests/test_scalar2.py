@@ -61,6 +61,93 @@ def _cleared_ints(M):
     return rows
 
 
+def reference_smith(M):
+    """Smith form (D, U, V) with U @ M @ V == D by the route that src used
+    before its Smith form was composed from echelon forms: a loop of its
+    own, with row and column operations, checked by one assertion.
+
+    Each step takes as pivot the first entry, in row-major order over the
+    remaining block, of minimum valuation v; scales its row by a unit so
+    the pivot is exactly 2^v; clears the rows below with row operations
+    (also applied to U); then clears the pivot row with column operations
+    (applied to V).  Rows carry one odd scale each, as in the kernel, and
+    V is held by columns, each with one odd denominator.
+    """
+    m, n = M.nrows, M.ncols
+    D = [row[:] for row in M.rows]
+    scale = M.dens[:]
+    U = [[d if i == j else 0 for j in range(m)] for i, d in enumerate(scale)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    vden = [1] * n
+    pivots = []
+    for k in range(min(m, n)):
+        bi = bj = -1
+        bv = math.inf
+        for i in range(k, m):
+            for j in range(k, n):
+                if D[i][j] and val2(D[i][j]) < bv:
+                    bv, bi, bj = val2(D[i][j]), i, j
+        if bi < 0:
+            break  # remaining block is zero
+        D[k], D[bi] = D[bi], D[k]
+        U[k], U[bi] = U[bi], U[k]
+        scale[k], scale[bi] = scale[bi], scale[k]
+        for row in D[k:]:
+            row[k], row[bj] = row[bj], row[k]
+        V[k], V[bj] = V[bj], V[k]
+        vden[k], vden[bj] = vden[bj], vden[k]
+        prow, paux = D[k], U[k]
+        # absorbing the unit part u of the pivot leaves row k == D[k] / u
+        u = prow[k] >> bv
+        scale[k] = u
+        for i in range(k + 1, m):
+            q = D[i][k] >> bv
+            if q:
+                row = [u * x - q * y for x, y in zip(D[i], prow)]
+                arow = [u * x - q * y for x, y in zip(U[i], paux)]
+                s = scale[i] * u
+                g = math.gcd(s, *row, *arow)
+                D[i], U[i] = [x // g for x in row], [x // g for x in arow]
+                scale[i] = s // g
+        # the pivot column is zero below row k, so only V and row k change
+        pcol, pden = V[k], vden[k]
+        for j in range(k + 1, n):
+            if prow[j]:
+                # column j <- column j - (a >> bv) / u * column k
+                x_mul, y_mul = u * pden, (prow[j] >> bv) * vden[j]
+                V[j] = [x_mul * x - y_mul * y for x, y in zip(V[j], pcol)]
+                vden[j] *= x_mul
+        pivots.append(bv)
+    Dout = [[0] * n for _ in range(m)]
+    for i, v in enumerate(pivots):
+        Dout[i][i] = 1 << v
+    Dout = LocalMatrix(Dout, n)
+    Uout = LocalMatrix._of(zip(U, scale), m)
+    Vout = LocalMatrix([[TwoLocal(col[l], d) for col, d in zip(V, vden)]
+                        for l in range(n)], n)
+    assert Uout @ M @ Vout == Dout
+    return Dout, Uout, Vout
+
+
+def _invariants(D):
+    """The nonzero diagonal of a Smith form D, as ints."""
+    return [D[i, i].num for i in range(min(D.nrows, D.ncols)) if D[i, i]]
+
+
+def _odd_det(T):
+    """Whether the square T has odd determinant, that is, is invertible
+    over Z_(2): its entries' numerators have full GF(2) rank."""
+    lead = {}  # the GF(2) rows so far, by bit length
+    for row in T.rows:
+        bits = sum((x & 1) << j for j, x in enumerate(row))
+        while bits and bits.bit_length() in lead:
+            bits ^= lead[bits.bit_length()]
+        if not bits:
+            return False
+        lead[bits.bit_length()] = bits
+    return True
+
+
 def test_val2_spot_values():
     assert val2(0) == math.inf
     assert val2(1) == 0
@@ -171,23 +258,33 @@ def test_snf_frozen_examples():
     assert snf(LocalMatrix([[0] * 3] * 2)) == ()
 
 
+# odd denominators, non-unit pivot parts and a kernel row
+FROZEN = LocalMatrix([[6, TwoLocal(3, 5), 10], [12, 6, TwoLocal(14, 3)],
+                      [9, 0, 2], [3, TwoLocal(6, 7), -4]])
+
+
+def _text(X):
+    return [[str(x) for x in row] for row in X.data]
+
+
 def test_snf_transforms_frozen():
-    # odd denominators, non-unit pivot parts and a kernel row: the exact
-    # transforms, not only their validity, are part of the output contract
-    M = LocalMatrix([[6, TwoLocal(3, 5), 10], [12, 6, TwoLocal(14, 3)],
-                     [9, 0, 2], [3, TwoLocal(6, 7), -4]])
-    D, U, V = snf_with_transforms(M)
-
-    def text(X):
-        return [[str(x) for x in row] for row in X.data]
-
-    assert text(D) == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"],
+    # the reference route's exact transforms, not only their validity
+    D, U, V = reference_smith(FROZEN)
+    assert _text(D) == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"],
                        ["0", "0", "0"]]
-    assert text(U) == [["5/3", "0", "0", "0"], ["0", "0", "1/9", "0"],
+    assert _text(U) == [["5/3", "0", "0", "0"], ["0", "0", "1/9", "0"],
                        ["30/127", "-3/127", "-16/127", "0"],
                        ["520/889", "-179/889", "-1213/2667", "1"]]
-    assert text(V) == [["0", "1", "-2/9"], ["1", "-10", "-130/9"],
+    assert _text(V) == [["0", "1", "-2/9"], ["1", "-10", "-130/9"],
                        ["0", "0", "1"]]
+
+
+def test_snf_from_echelons_frozen():
+    D, U, V = snf_with_transforms(FROZEN)
+    assert _text(D) == _text(reference_smith(FROZEN)[0]) == [
+        ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "2"], ["0", "0", "0"]]
+    assert U @ FROZEN @ V == D
+    assert _odd_det(U) and _odd_det(V)
 
 
 def test_cokernel_structure():
@@ -284,6 +381,52 @@ def test_solve_left_randomized_round_trip():
 
 
 # -- cross-checks of the Smith kernel on larger sparse matrices --------------
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(sparse_matrices(min_cols=0))
+def test_snf_from_echelons_against_reference(m):
+    D, U, V = snf_with_transforms(m)
+    assert D == reference_smith(m)[0]
+    assert (U.nrows, U.ncols, V.nrows, V.ncols) == (m.nrows,) * 2 + (m.ncols,) * 2
+    assert _odd_det(U) and _odd_det(V)
+    assert U @ m @ V == D
+
+
+def _stopped_early(k, last, X, result):
+    # the round before the last reports one entry per row: its pivots
+    E, T, pivots = result
+    if k == last - 1:
+        E = LocalMatrix._of(
+            [([x if j == p else 0 for j, x in enumerate(row)], d)
+             for row, d, p in zip(E.rows, E.dens, pivots)], E.ncols)
+    return E, T, pivots
+
+
+def _dropped_v_update(k, last, X, result):
+    # the first round on a transpose, whose transform joins V, reports none
+    E, T, pivots = result
+    if k == 2:
+        n = X.nrows
+        T = LocalMatrix([[int(i == j) for j in range(n)] for i in range(n)], n)
+    return E, T, pivots
+
+
+@pytest.mark.parametrize("plant", [_stopped_early, _dropped_v_update])
+def test_smith_certificate_catches_planted_alternation_faults(monkeypatch,
+                                                              plant):
+    M = LocalMatrix([[4, 2, 1], [0, 4, 2], [2, 0, 4]])  # three rounds
+    rounds, real = [], scalar2.echelon
+    monkeypatch.setattr(scalar2, "echelon",
+                        lambda X: rounds.append(X) or real(X))
+    snf_with_transforms(M)
+    last = len(rounds)
+    assert last == 3
+    rounds.clear()
+    monkeypatch.setattr(scalar2, "echelon", lambda X: rounds.append(X) or
+                        plant(len(rounds), last, X, real(X)))
+    with pytest.raises(MathInvariantError, match=r"U\*M\*V == D"):
+        snf_with_transforms(M)
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,7 +615,7 @@ def test_certificate_catches_a_planted_elimination_fault(monkeypatch):
                 row[k] += 2
 
     monkeypatch.setattr(scalar2, "_eliminate", faulty)
-    with pytest.raises(MathInvariantError, match=r"U\*M\*V == D"):
+    with pytest.raises(MathInvariantError, match=r"echelon lost U\*M == E"):
         snf_with_transforms(M)
 
 
@@ -524,11 +667,13 @@ def _smith_solve(decomp, v):
 
 
 def _smith_quotient(K, B):
-    """span(K) / span(B) from coordinates found by the Smith route."""
-    decomp = snf_with_transforms(K)
+    """span(K) / span(B) from coordinates and invariants both found by the
+    reference Smith route."""
+    decomp = reference_smith(K)
     coords = [_smith_solve(decomp, row) for row in B.data]
     assert None not in coords
-    return cokernel_structure(LocalMatrix(coords, K.nrows))
+    invs = _invariants(reference_smith(LocalMatrix(coords, K.nrows))[0])
+    return ModuleStructure(K.nrows - len(invs), tuple(d for d in invs if d > 1))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -536,7 +681,8 @@ def _smith_quotient(K, B):
 def test_echelon_against_smith(m, rnd):
     """The echelon route and the Smith route answer the same row-span
     questions; Smith's answers are read through its own decomposition."""
-    r = len(snf(m))
+    decomp = reference_smith(m)
+    r = len(_invariants(decomp[0]))
     E, U, pivots = echelon(m)
     assert len(pivots) == E.nrows == r
     zero = LocalMatrix([[0] * m.ncols] * (m.nrows - r), m.ncols)
@@ -544,13 +690,12 @@ def test_echelon_against_smith(m, rnd):
     K = kernel_basis(m)
     assert (K.nrows, K.ncols) == (m.nrows - r, m.nrows)
     assert K @ m == LocalMatrix([[0] * m.ncols] * K.nrows, m.ncols)
-    decomp = snf_with_transforms(m)
     smith_kernel = decomp[1].data[r:]
     # the two kernel bases span each other, decided by Smith's solver
     for row in smith_kernel:
-        assert _smith_solve(snf_with_transforms(K), row) is not None
+        assert _smith_solve(reference_smith(K), row) is not None
     if smith_kernel:
-        S = snf_with_transforms(LocalMatrix(smith_kernel, m.nrows))
+        S = reference_smith(LocalMatrix(smith_kernel, m.nrows))
         for row in K.data:
             assert _smith_solve(S, row) is not None
     # membership: spans (reduction along E) against Smith's solver
@@ -688,7 +833,7 @@ def test_one_solver_against_smith_route(m, rnd):
     if m.ncols:
         v[rnd.randrange(m.ncols)] += TwoLocal(rnd.choice([1, 3]), 7)
         x = solve_left(A, v)
-        assert (x is None) == (_smith_solve(snf_with_transforms(A), v) is None)
+        assert (x is None) == (_smith_solve(reference_smith(A), v) is None)
         assert x is None or row_times_matrix(x, A) == v
 
 
@@ -715,21 +860,27 @@ def test_quotient_structure_refuses_dependent_rows_against_empty_b():
 def test_every_reduction_runs_its_certificate(monkeypatch):
     """Each ask reduces its input afresh and certifies it, also when the
     same matrix, or an equal one built another way, was asked before."""
-    counts = collections.Counter()
-    for name in ("_certify_echelon", "_certify"):
-        real = getattr(scalar2, name)
-        monkeypatch.setattr(scalar2, name, lambda *args, real=real, name=name:
-                            counts.update([name]) or real(*args))
+    counts = []
+    real = scalar2._certify_echelon
+    monkeypatch.setattr(scalar2, "_certify_echelon",
+                        lambda *args: counts.append(1) or real(*args))
     mats = [LocalMatrix([[1, 2], [3, 4]]),
             LocalMatrix([[2, TwoLocal(4, 3)], [0, 6]]),
             LocalMatrix([[0, 0, 8]])]
     mats.append(LocalMatrix([[TwoLocal(3, 3), 2], [TwoLocal(9, 3), 4]]))
-    asks = [(echelon, "_certify_echelon"), (kernel_basis, "_certify_echelon"),
-            (snf, "_certify"), (cokernel_structure, "_certify")]
+    asks = (echelon, kernel_basis, snf, cokernel_structure)
+    runs = collections.defaultdict(list)
     for _ in range(3):
-        for M in mats:
-            for ask, check in asks:
-                before = counts.copy()
+        for k, M in enumerate(mats):
+            for ask in asks:
+                before = len(counts)
                 ask(M)
-                assert counts - before == {check: 1}
-    assert counts == {"_certify_echelon": 24, "_certify": 24}
+                runs[ask, k].append(len(counts) - before)
+    for ask in asks:
+        got = [runs[ask, k] for k in range(len(mats))]
+        # at least one certificate per ask, as many on every repeat, and
+        # as many for the equal matrix built another way
+        assert all(g[0] >= 1 and g == g[:1] * 3 for g in got)
+        assert got[3] == got[0]
+        if ask in (echelon, kernel_basis):
+            assert got == [[1] * 3] * len(mats)
