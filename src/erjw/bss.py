@@ -23,11 +23,12 @@ The engines:
     from page 1 is the second, independent route.
   * TruncatedOracle forgets the closed forms entirely: it enumerates
     monomials in a (m, t) window with capped vhat exponents and advances
-    honest cycle and boundary lattices per position through d_r as the
-    map the raw formulas give, each monomial to at most one and no two to
-    one (checked), so each lattice is one 2-adic valuation per monomial.
-    Window and cap overflows are flagged per position so comparisons
-    skip exactly the positions the truncation polluted.
+    one honest cycle and one boundary lattice over the whole window
+    through d_r, built once per page as the monomial map the raw formulas
+    give, each monomial to at most one and no two to one (checked), so
+    each lattice is one 2-adic valuation per monomial.  Window and cap
+    overflows are flagged per position so comparisons skip exactly the
+    positions the truncation polluted.
 
 Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
@@ -310,21 +311,23 @@ def step_engine_page(n: int, r: int, m_max: int | None = None) -> Page:
 class TruncatedOracle:
     """Honest subquotient bookkeeping on a capped monomial window.
 
-    Per position (m, t) the oracle holds a cycle lattice Z and a boundary
-    lattice B over the monomial basis.  d_r sends each basis key to at
-    most one monomial (`_images`), and two keys of one position to two
-    monomials, or MathInvariantError is raised.  So Z and B stay
-    monomial, and each is kept as a map monomial -> a for the span of
-    2^a times those monomials: Z starts at a = 0 on every key, B empty.
-    A key names its own position (key[0] is m, spec.total_of(key) is t),
-    so an image lies in the window exactly when it is one of `keys`.
-    With c a key's image coefficient and v the 2-adic valuation, d_r
-    advances all positions at once:
+    `basis` lists the monomial keys of each position (m, t).  A key names
+    its own position (key[0] is m, spec.total_of(key) is t), so `keys`,
+    the set of them all, is the window, and an image lies in the window
+    exactly when it is one of `keys`.  d_r sends each key to at most one
+    monomial and no two keys to one (checked), so the cycle lattice Z and
+    the boundary lattice B stay monomial.  Each is one window-wide map
+    monomial -> a for the span of 2^a times those monomials: Z starts at
+    a = 0 on every key, B empty.  `advance` builds d_r once per page as
+    the map `d`, {key: (image key, int coefficient)} for each key d_r does
+    not kill; d∘d = 0 is read off `d` for images in the window and
+    computed only for images past it.  With c a key's coefficient and v
+    the 2-adic valuation, d_r advances all positions at once:
 
-      * Z becomes the preimage of the target's B: a key sent to target
-        key j keeps max(a, b_j - v(c)) if j is in B, and dies if not; a
-        key with no image, or one past the window, keeps a;
-      * the target's B grows by the images of Z: b_j = min(b_j, a + v(c));
+      * Z becomes the preimage of B: a key sent to key j keeps
+        max(a, b_j - v(c)) if j is in B, and dies if not; a key with no
+        image, or one past the window, keeps a;
+      * B grows by the images of Z: b_j = min(b_j, a + v(c));
       * every boundary must be a next-page cycle, d_r of it an existing
         boundary: b_j <= b + v(c) at its image.
 
@@ -358,46 +361,28 @@ class TruncatedOracle:
         self.keys = {key for keys in self.basis.values() for key in keys}
         if self.keys <= {(0,) * (n + 1)}:  # nothing, or the lone unit
             raise EmptyBasisError("window and caps leave nothing to chart")
-        self.Z = {cell: dict.fromkeys(keys, 0)
-                  for cell, keys in self.basis.items()}
-        self.B = {cell: {} for cell in self.basis}
+        self.Z = dict.fromkeys(self.keys, 0)
+        self.B: dict[tuple, int] = {}
+        self.d: dict[tuple, tuple] = {}
         self.flags: set[tuple[int, int]] = set()
         self.level = 0
         self.charts: dict[int, dict] = {1: self._chart()}
 
     def _chart(self) -> dict:
         out = {}
-        for cell, Z in self.Z.items():
-            B = self.B[cell]
-            torsion = []
-            for key, b in B.items():
-                a = Z.get(key)
-                if a is None or b < a:
+        for cell, keys in self.basis.items():
+            free, torsion = 0, []
+            for key in keys:
+                a, b = self.Z.get(key), self.B.get(key)
+                if b is None:
+                    free += a is not None
+                elif a is None or b < a:
                     raise MathInvariantError(
                         f"boundary at {cell} lies outside the cycles")
-                if b > a:
+                elif b > a:
                     torsion.append(2 ** (b - a))
-            free = len(Z) - len(B)
             if free or torsion:
                 out[cell] = ModuleStructure(free, tuple(sorted(torsion)))
-        return out
-
-    def _images(self, cell, r) -> dict:
-        """d_r on the cell basis as the monomial map it is: {key: (image
-        key, int coefficient)} for each basis key d_r does not kill.
-        Raises where d∘d is nonzero or two keys share an image."""
-        n, P = self.n, self.spec.hat_offset
-        out = {}
-        for key in self.basis[cell]:
-            entry = _d_key(key, r, n, P)
-            if entry:
-                if _d_key(entry[0], r, n, P):
-                    raise MathInvariantError(
-                        "d∘d is nonzero at the formula level")
-                out[key] = entry
-        if len({img for img, _ in out.values()}) < len(out):
-            raise MathInvariantError(
-                f"d_{r} sends two keys at {cell} to one monomial")
         return out
 
     def advance(self) -> int:
@@ -406,15 +391,21 @@ class TruncatedOracle:
             raise InputError("already at the final page")
         k = self.level
         r = 2 ** (k + 1) - 1
+        n, P, keys = self.n, self.spec.hat_offset, self.keys
+        Z, B = self.Z, self.B
+        d = {key: e for key in keys if (e := _d_key(key, r, n, P))}
+        images = {j for j, _ in d.values()}
+        if any(j in d if j in keys else _d_key(j, r, n, P) for j in images):
+            raise MathInvariantError("d∘d is nonzero at the formula level")
+        # a position maps into one position, so this is the per-cell test
+        if len(images) < len(d):
+            raise MathInvariantError(f"d_{r} sends two keys to one monomial")
         new_flags = set(self.flags)
-        new_Z = {}
-        new_B = {cell: dict(B) for cell, B in self.B.items()}
+        new_Z, new_B = {}, dict(B)
         # one pass; every cell reads the previous page's Z, B and flags
-        for cell in self.basis:
+        for cell, cell_keys in self.basis.items():
             m, t = cell
-            tgt = (m + r, t + 1)
-            images = self._images(cell, r)
-            if tgt in self.flags:
+            if (m + r, t + 1) in self.flags:
                 new_flags.add(cell)
             elif m - r >= 0:
                 # a source out of view or polluted may hit this cell
@@ -424,36 +415,34 @@ class TruncatedOracle:
                         new_flags.add(cell)
                 elif (m - r, t - 1) in self.flags:
                     new_flags.add(cell)
-            Btgt = self.B.get(tgt, {})
-            grown = new_B.get(tgt, {})
-            Z = new_Z[cell] = {}
-            for key, a in self.Z[cell].items():
-                if key not in images:
-                    Z[key] = a
+            for key in cell_keys:
+                a = Z.get(key)
+                if a is None:
                     continue
-                j, c = images[key]
-                if j not in self.keys:  # the image leaves the window
-                    new_flags.add(cell)
-                    Z[key] = a
+                j, c = d.get(key, (None, 0))
+                if j not in keys:
+                    if j is not None:  # the image leaves the window
+                        new_flags.add(cell)
+                    new_Z[key] = a
                     continue
                 v = val2(c)
-                if j in Btgt:
-                    Z[key] = max(a, Btgt[j] - v)
-                if j not in grown or a + v < grown[j]:
-                    grown[j] = a + v
+                if j in B:
+                    new_Z[key] = max(a, B[j] - v)
+                if j not in new_B or a + v < new_B[j]:
+                    new_B[j] = a + v
             if cell in new_flags:
                 continue
-            for key, b in self.B[cell].items():
-                if key in images and images[key][0] in self.keys:
-                    j, c = images[key]
-                    if j not in Btgt or Btgt[j] > b + val2(c):
+            for key in cell_keys:
+                j, c = d.get(key, (None, 0))
+                if key in B and j in keys:
+                    if j not in B or B[j] > B[key] + val2(c):
                         raise MathInvariantError(
                             f"boundary at {cell} escapes under d_{r}")
-            if any(key[self.n] % 2 for key in Z):
+            if any(key[n] % 2 for key in cell_keys if key in new_Z):
                 raise MathInvariantError(
                     f"odd-exponent cycle survived d_1 at {cell}")
 
-        self.Z, self.B = new_Z, new_B
+        self.Z, self.B, self.d = new_Z, new_B, d
         self.flags = new_flags
         self.charts[2 ** (k + 1)] = self._chart()
         self.level += 1

@@ -398,6 +398,8 @@ def _cmd_fgl(args):
 
 
 def _cmd_chern(args):
+    if args.weight < 0:  # before a law at precision weight + 4 is asked for
+        raise InputError("negative weight bound")
     iota = GroupLaw.of(args.n, args.weight + 4).hat_iota()
     ctx = SymmetricContext(iota, args.q, args.weight)
     classes = []

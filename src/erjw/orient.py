@@ -95,9 +95,9 @@ class OrientationScan:
 
 
 def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:
+    pres = present(n, 2, weight)  # refuses the weight before any law
     iota = GroupLaw.of(n, weight + 4).hat_iota()
     ratio = thom_ratio(iota, 1, weight)
-    pres = present(n, 2, weight)
     delta = _into_class_spec(ratio, pres.spec) - GradedSeries.unit(
         pres.spec, 1, weight)
     # the ratio is not 1 in the class ring: its defect from 1 is a

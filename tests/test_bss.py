@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -501,8 +502,8 @@ class ForgetfulOracle(MatrixOracle):
 
 def run_side_by_side(*oracles):
     """Advance the oracles to the last page in step.  Returns the pages
-    whose charts or flags differ among them, and how many cells kept
-    their Z object from one page to the next."""
+    whose charts or flags differ among them, and how many cells of the
+    matrix references kept their Z object from one page to the next."""
     first = oracles[0]
     bad = [] if all(o.charts[1] == first.charts[1] for o in oracles) else [1]
     carried = 0
@@ -510,7 +511,8 @@ def run_side_by_side(*oracles):
         for o in oracles:
             before = dict(o.Z)
             page = o.advance()
-            carried += sum(o.Z[cell] is z for cell, z in before.items())
+            if isinstance(o, MatrixOracle):  # the others key Z by monomial
+                carried += sum(o.Z[cell] is z for cell, z in before.items())
         if any(o.charts[page] != first.charts[page] or o.flags != first.flags
                for o in oracles):
             bad.append(page)
@@ -553,22 +555,51 @@ def test_oracle_key_names_its_own_cell(n, lo, hi, caps):
 
 @pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
 def test_oracle_matrices_match_series_reference(n, lo, hi, caps):
+    # each page's d_r map, read after the advance that built it
     oracle = TruncatedOracle(n, lo, hi, caps)
     P = oracle.spec.hat_offset
     leaving = 0
     for r in admissible_differentials(n):
+        oracle.advance()
+        assert oracle.d.keys() <= oracle.keys
         for (m, t), keys in oracle.basis.items():
-            images = oracle._images((m, t), r)
+            target = oracle.basis.get((m + r, t + 1), ())
             for key in keys:
                 want = reference_d({key: 1}, r, n, P)
-                assert images.get(key) == next(iter(want.items()), None), \
+                assert oracle.d.get(key) == next(iter(want.items()), None), \
                     ((m, t), r, key)
-            # in the key set exactly when in the target cell's basis
-            target = oracle.basis.get((m + r, t + 1), ())
-            for image, _ in images.values():
-                assert (image in oracle.keys) == (image in target)
-                leaving += image not in target
+                if key in oracle.d:
+                    # in the key set exactly when in the target cell's basis
+                    image = oracle.d[key][0]
+                    assert (image in oracle.keys) == (image in target)
+                    leaving += image not in target
     assert leaving
+
+
+@pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
+def test_advance_computes_each_image_once(n, lo, hi, caps, monkeypatch):
+    # one advance calls _d_key once on every window key, for the map, and
+    # once on every image past the window, for d∘d; an image inside the
+    # window is a key, and its d_r is read off the map
+    oracle = TruncatedOracle(n, lo, hi, caps)
+    P = oracle.spec.hat_offset
+    true_d = bss._d_key
+    calls = Counter()
+
+    def counting(key, r, n, P):
+        calls[key] += 1
+        return true_d(key, r, n, P)
+
+    monkeypatch.setattr(bss, "_d_key", counting)
+    seen_leaving = 0
+    for r in admissible_differentials(n):
+        calls.clear()
+        oracle.advance()
+        leaving = {image for image, _ in filter(None, (
+            true_d(key, r, n, P) for key in oracle.keys))} - oracle.keys
+        assert calls == Counter([*oracle.keys, *leaving]), r
+        seen_leaving += len(leaving)
+    assert seen_leaving
 
 
 @pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
@@ -608,14 +639,15 @@ def test_boundary_escaping_under_d_r_is_caught():
     # lands inside the window: the targets' B is still empty, so those
     # boundaries are no next-page cycles
     oracle = TruncatedOracle(2, -24, 24, caps=3)
+    P = oracle.spec.hat_offset
     for cell, keys in oracle.basis.items():
-        images = oracle._images(cell, 1)
+        images = [e for e in (bss._d_key(key, 1, 2, P) for key in keys) if e]
         if cell[1] > oracle.t_lo and images and all(
-                image in oracle.keys for image, _ in images.values()):
+                image in oracle.keys for image, _ in images):
             break
     else:
         raise AssertionError("no cell where d_1 stays in the window")
-    oracle.B[cell] = dict.fromkeys(keys, 0)
+    oracle.B.update(dict.fromkeys(keys, 0))
     with pytest.raises(MathInvariantError, match="escapes under d_1"):
         oracle.advance()
 
@@ -645,6 +677,28 @@ def test_wrong_vn_shift_trips_d_squared(monkeypatch, r, shift):
     with pytest.raises(MathInvariantError, match="d∘d"):
         oracle.run()
     assert oracle.level == (r + 1).bit_length() - 2
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_d_squared_is_checked_inside_and_past_the_window(monkeypatch, inside):
+    # d_1 planted as its vn shift on every monomial, odd or even, but only
+    # on the window's keys (and zero past them), or only past the window
+    # (and true on it): so d∘d fails only where the oracle reads it off
+    # its map, or only where it calls _d_key on an image
+    oracle = TruncatedOracle(2, -24, 24, caps=3)
+    true_d = bss._d_key
+
+    def planted(key, r, n, P):
+        if r != 1:
+            return true_d(key, r, n, P)
+        if (key in oracle.keys) == inside:
+            y, *vh, vn = key
+            return (y + 1, *vh, vn - (2 ** n - 1)), 2
+        return None if inside else true_d(key, r, n, P)
+
+    monkeypatch.setattr(bss, "_d_key", planted)
+    with pytest.raises(MathInvariantError, match="d∘d"):
+        oracle.advance()
 
 
 def test_colliding_d_key_trips_injectivity(monkeypatch):
@@ -680,13 +734,14 @@ def test_boundary_off_the_cycles_trips_containment(where):
     # plant a boundary on a key that d_1 sends to zero, so no escape
     # check reads it: off Z altogether, or at a lower valuation than Z's
     oracle = TruncatedOracle(2, -24, 24, caps=3)
-    cell, key = next((cell, key) for cell, keys in oracle.basis.items()
-                     for key in keys if key not in oracle._images(cell, 1))
+    P = oracle.spec.hat_offset
+    key = next(key for keys in oracle.basis.values() for key in keys
+               if bss._d_key(key, 1, 2, P) is None)
     if where == "outside":
-        del oracle.Z[cell][key]
-        oracle.B[cell][key] = 0
+        del oracle.Z[key]
+        oracle.B[key] = 0
     else:
-        oracle.B[cell][key] = -1
+        oracle.B[key] = -1
     with pytest.raises(MathInvariantError, match="outside the cycles"):
         oracle.advance()
 

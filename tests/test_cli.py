@@ -664,6 +664,19 @@ def test_fgl_bad_arguments_exit_two(argv, message, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("weight", range(-1, -6, -1))
+@pytest.mark.parametrize("argv, message", [
+    (["chern", "--n", "1", "--q", "1"], "negative weight bound"),
+    (["orient", "--n", "1"], "weight bound must be positive"),
+])
+def test_negative_weight_is_refused_by_name(argv, message, weight, capsys):
+    # the weight is refused before a law at precision weight + 4 is built,
+    # whose own refusal would name a --precision flag never passed
+    code, out, err = run(argv + ["--weight", str(weight)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["fgl"],
     ["chern", "--q", "2"],
