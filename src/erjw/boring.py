@@ -90,9 +90,7 @@ def _into_class_spec(series: GradedSeries, spec: GradingSpec) -> GradedSeries:
     cut = spec.width
     if any(any(key[cut:]) for key in series.keys()):
         raise MathInvariantError("root content in a class polynomial")
-    return GradedSeries(spec, {key[:cut]: coeff
-                               for key, coeff in series.terms.items()},
-                        series.trunc)
+    return series._mapped(lambda key: (key[:cut], 1), spec)
 
 
 # -- presentation ----------------------------------------------------------
@@ -176,10 +174,13 @@ def reduce(z: GradedSeries, p: RingPresentation) -> GradedSeries:
     Eliminates whole terms only: a term falls to a relation when the head
     monomial divides it componentwise (the periodicity exponent is free,
     both being on the hat lattice) and the head coefficient's 2-adic
-    valuation does not exceed the term's.
+    valuation does not exceed the term's.  The rewriting is certified on
+    return: nf plus the multiples quot * rel it took off must be z,
+    weight-truncated, or MathInvariantError is raised.
     """
     _check_element(z, p)
-    work = z.truncated(p.weight)
+    work = start = z.truncated(p.weight)
+    moved = GradedSeries.zero(p.spec)  # the sum of the multiples taken off
     rules = []
     for h, rel in zip(p.heads, p.relations):
         if h is not None:
@@ -199,13 +200,16 @@ def reduce(z: GradedSeries, p: RingPresentation) -> GradedSeries:
                         target = (ok, key, coeff, quot_key, hc, rel)
                     break
         if target is None:
+            if work + moved != start:
+                raise MathInvariantError(
+                    "normal form plus the eliminated multiples is not z")
             return work
         ok, key, coeff, quot_key, hc, rel = target
         if last is not None and ok <= last:
             raise ReductionError("rewriting order failed to increase")
         last = ok
-        quot = GradedSeries(p.spec, {quot_key: coeff / hc}, p.weight)
-        work = work - quot * rel
+        multiple = GradedSeries(p.spec, {quot_key: coeff / hc}, p.weight) * rel
+        work, moved = work - multiple, moved + multiple
         if work.coefficient(key):
             raise ReductionError("head elimination left the term behind")
         steps += 1
@@ -249,12 +253,12 @@ class HatDecomposition:
     bounded: bool
 
     def recombine(self) -> GradedSeries:
-        n = self.n
-        out = {}
+        n, spec = self.n, self.source_spec
+        out = GradedSeries.zero(spec)
         for j, comp in self.components.items():
-            for k, coeff in comp.terms.items():
-                out[k[:n] + (k[n] + j,) + k[n + 1:]] = coeff
-        return GradedSeries(self.source_spec, out)
+            out = out + comp._mapped(
+                lambda k: (k[:n] + (k[n] + j,) + k[n + 1:], 1), spec, None)
+        return out
 
 
 def hat_decompose(element: GradedSeries,

@@ -45,7 +45,7 @@ from one residue table per (spec, caps, weight).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import (
     EmptyBasisError,
@@ -114,22 +114,12 @@ def apply_differential(series: GradedSeries, r: int,
     if r < 1 or (r + 1) & r or r > 2 ** (n + 1) - 1:
         raise InputError(f"d_{r} is not admissible for n={n}")
     k = (r + 1).bit_length() - 2
-    P = spec.hat_offset
-    out: dict = {}
-    for key, A in series.terms.items():
-        if strict and key[n] % (2 ** k):
-            raise InputError(
-                f"vn exponent {key[n]} is not a multiple of 2^{k}")
-        image = _d_key(key, r, n, P)
-        if image is None:
-            continue
-        key, coeff = image
-        tot = out.get(key, 0) + A * coeff
-        if tot:
-            out[key] = tot
-        else:
-            out.pop(key, None)
-    return GradedSeries(spec, out, series.trunc)
+    if strict:
+        for key in series.keys():
+            if key[n] % (2 ** k):
+                raise InputError(
+                    f"vn exponent {key[n]} is not a multiple of 2^{k}")
+    return series._mapped(partial(_d_key, r=r, n=n, P=spec.hat_offset))
 
 
 def _d_key(key: tuple, r: int, n: int, P: int):

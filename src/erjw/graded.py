@@ -32,10 +32,14 @@ and every numerator is 1, so the denominator is the lcm of the
 coefficients' own and equal series store equal ints.  Beside them it
 keeps the coefficient kind: int, TwoLocal (the 2-local world; the
 denominator is odd) or Fraction (inside logarithm computations).
-Products, sums and the key maps (truncation, conjugation, division by a
-monomial, widening, regrading) work on those ints.  Coefficient objects
-are built only where they are read: `terms`, a read-only view built on
-first read, `coefficient` and `str`.  An int coefficient widens to either
+Products and sums work on those ints, and so does every key map, through
+the one primitive `GradedSeries._mapped`: here truncation, homogeneous
+parts, conjugation, division by a monomial, widening and regrading;
+outside, bss.apply_differential, boring._into_class_spec,
+HatDecomposition.recombine, SymmetricContext._swap_roots and
+SymmetricContext.elementary_reduce.  Coefficient objects are built only
+where they are read: `terms`, a read-only view built on first read,
+`coefficient` and `str`.  An int coefficient widens to either
 field, so a sum of int and TwoLocal series has TwoLocal coefficients, and
 a series with no terms has kind int.  Mixing TwoLocal and Fraction
 raises TypeError, on purpose.
@@ -230,6 +234,7 @@ def _min_trunc(a, b):
 
 
 _SCALARS = (int, TwoLocal, Fraction)
+_OWN = object()  # GradedSeries._mapped: keep the series' own trunc
 
 
 def _split(c) -> tuple:
@@ -554,11 +559,25 @@ class GradedSeries:
 
     # -- structure ------------------------------------------------------
 
-    def _kept(self, keep: Callable, trunc) -> "GradedSeries":
-        """The terms whose key passes keep, in lowest terms again."""
-        return GradedSeries._reduced(
-            self.spec, {k: v for k, v in self._nums.items() if keep(k)},
-            self._den, self._kind, trunc)
+    def _mapped(self, image: Callable, spec=None, trunc=_OWN) -> "GradedSeries":
+        """The one key map: image(key) is (new key, int factor), or None to
+        drop the term.  Terms landing on one key are summed and a zero sum
+        is dropped; the result keeps the kind, over spec and trunc (by
+        default this series' own), in lowest terms again."""
+        out = {}
+        for key, num in self._nums.items():
+            hit = image(key)
+            if hit is None:
+                continue
+            key, factor = hit
+            s = out.get(key, 0) + num * factor
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        return GradedSeries._reduced(spec or self.spec, out, self._den,
+                                     self._kind,
+                                     self.trunc if trunc is _OWN else trunc)
 
     def degrees(self) -> set[int]:
         dof = self.spec.degree_of
@@ -575,7 +594,7 @@ class GradedSeries:
 
     def homogeneous_part(self, d: int) -> "GradedSeries":
         dof = self.spec.degree_of
-        return self._kept(lambda k: dof(k) == d, self.trunc)
+        return self._mapped(lambda k: (k, 1) if dof(k) == d else None)
 
     def weight_parts(self) -> dict[int, "GradedSeries"]:
         wof = self.spec.weight_of
@@ -595,7 +614,8 @@ class GradedSeries:
         if tr == self.trunc:
             return self
         wof = self.spec.weight_of
-        return self._kept(lambda k: wof(k) <= tr, tr)
+        return self._mapped(lambda k: (k, 1) if wof(k) <= tr else None,
+                            trunc=tr)
 
     def extended_to(self, spec: GradingSpec) -> "GradedSeries":
         """Reinterpret in a wider spec (more classes or roots, same core)."""
@@ -606,24 +626,22 @@ class GradedSeries:
         cpad = (0,) * (spec.q - self.spec.q)
         xpad = (0,) * (spec.roots - self.spec.roots)
         cut = self.spec.classes.stop
-        return GradedSeries._raw(spec, {k[:cut] + cpad + k[cut:] + xpad: v
-                                        for k, v in self._nums.items()},
-                                 self._den, self._kind, self.trunc)
+        return self._mapped(lambda k: (k[:cut] + cpad + k[cut:] + xpad, 1),
+                            spec)
 
     def divide_by_key(self, key) -> "GradedSeries":
         """Exact division by a monomial; any residue is an error."""
         self.spec.validate_key(key)
         quotient = self.spec.quotient
-        out = {}
-        for k, v in self._nums.items():
-            quot = quotient(k, key)
-            if quot is None:
-                raise MathInvariantError(f"monomial {key} does not divide a term")
-            out[quot] = v
         tr = self.trunc
         if tr is not None:
             tr -= self.spec.weight_of(key)
-        return GradedSeries._raw(self.spec, out, self._den, self._kind, tr)
+        # division is injective, so a term is lost only where key fails
+        out = self._mapped(lambda k: None if (q := quotient(k, key)) is None
+                           else (q, 1), trunc=tr)
+        if len(out._nums) < len(self._nums):
+            raise MathInvariantError(f"monomial {key} does not divide a term")
+        return out
 
     def conjugate(self) -> "GradedSeries":
         """Coefficient involution: negate the top generator.
@@ -635,11 +653,7 @@ class GradedSeries:
         n = self.spec.n
         # the sign is the parity of vn, or of every v generator
         lo = n if self.spec.alphabet == "hat" else 1
-        out = {}
-        for key, v in self._nums.items():
-            out[key] = -v if sum(key[lo:n + 1]) & 1 else v
-        return GradedSeries._raw(self.spec, out, self._den, self._kind,
-                                 self.trunc)
+        return self._mapped(lambda k: (k, -1 if sum(k[lo:n + 1]) & 1 else 1))
 
     def regrade_to_hat(self) -> "GradedSeries":
         """Rename a standard-alphabet series into the hat alphabet.
@@ -652,16 +666,8 @@ class GradedSeries:
             raise ValueError("regrade_to_hat starts from the standard alphabet")
         spec = GradingSpec(self.spec.n, self.spec.q, self.spec.roots, "hat")
         n, P = spec.n, spec.hat_offset
-        out = {}
-        for k, v in self._nums.items():
-            key = k[:n] + (-k[n] * P,) + k[n + 1:]
-            s = out.get(key, 0) + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return GradedSeries._reduced(spec, out, self._den, self._kind,
-                                     self.trunc)
+        return self._mapped(lambda k: (k[:n] + (-k[n] * P,) + k[n + 1:], 1),
+                            spec)
 
     # -- one-variable bookkeeping (erjw.fgl.UniSeries) --------------------
 

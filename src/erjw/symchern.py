@@ -78,9 +78,8 @@ class SymmetricContext:
 
     def _swap_roots(self, series: GradedSeries, j: int) -> GradedSeries:
         i = self.spec.width - self.q + j  # the slot of root j
-        out = {k[:i] + (k[i + 1], k[i]) + k[i + 2:]: coeff
-               for k, coeff in series.terms.items()}
-        return GradedSeries(self.spec, out, series.trunc)
+        return series._mapped(
+            lambda k: (k[:i] + (k[i + 1], k[i]) + k[i + 2:], 1))
 
     def is_symmetric(self, series: GradedSeries) -> bool:
         return all(self._swap_roots(series, j) == series
@@ -113,12 +112,9 @@ class SymmetricContext:
             if prev is not None and not alpha < prev:
                 raise ReductionError("descent stalled")
             prev = alpha
-            coeff_terms = {}
             zero_x = (0,) * self.q
-            for key, coeff in residual.terms.items():
-                if key[cut:] == alpha:
-                    coeff_terms[key[:cut] + zero_x] = coeff
-            C = GradedSeries(self.spec, coeff_terms, residual.trunc)
+            C = residual._mapped(lambda key: (key[:cut] + zero_x, 1)
+                                 if key[cut:] == alpha else None)
             cexp = [alpha[i] - (alpha[i + 1] if i + 1 < self.q else 0)
                     for i in range(self.q)]
             P = GradedSeries.unit(self.spec, 1, residual.trunc)

@@ -76,7 +76,7 @@ def _substitute(law, a, b):
 def test_criterion_1_formal_law_axioms():
     """Unit, commutativity, associativity, inverses, doubling identity
     and 2-local integrality at precision 16 for n = 1, 2, 3."""
-    with _budget(10):
+    with _budget(6):
         for n in (1, 2, 3):
             law = GroupLaw(n, precision=16)
             table = law.law_table()
@@ -185,7 +185,7 @@ def test_criterion_3_height_two_structure():
 def test_criterion_4_height_three_relations():
     """The four multiplicative relations among the height-three
     generators hold at the module level."""
-    with _budget(10):
+    with _budget(2):
         for text in ("vh1*A = 2*B",
                      "vh2*A = 2*C",
                      "vh2*B = vh1*C",
@@ -229,7 +229,7 @@ def test_criterion_5_differential_vanishing():
 def test_criterion_6_rank_one_class_ring():
     """The doubling series of the first class reduces to zero in the
     rank-one presentation, and reduction is idempotent."""
-    with _budget(10):
+    with _budget(2):
         for n in (1, 2, 3):
             law = GroupLaw(n, precision=9)
             pres = present(n, 1, 8)
@@ -256,7 +256,7 @@ def test_criterion_7_conjugate_class_properties():
     """Additive specialization signs, conjugation as an involution, and
     the ratio of conjugate to plain top class acting as the identity
     once the conjugation relations are imposed."""
-    with _budget(10):
+    with _budget(2):
         for n in (1, 2):
             std = GradingSpec(n, alphabet="standard")
             add = additive_law(std, 8)
@@ -298,7 +298,7 @@ def test_criterion_8_orientation_certificates():
     """Scans certify the doubled tower at n = 1, 2, 3; the obstruction
     degree arithmetic holds; arithmetically-empty degree classes are
     re-read as empty from the computed pages."""
-    with _budget(10):
+    with _budget(2):
         for n in (1, 2, 3):
             scan = orientability_scan(n)
             assert scan.bundle == f"MO[{2 ** (n + 1)}]"
@@ -327,7 +327,7 @@ def test_criterion_8_orientation_certificates():
 def test_criterion_9_decomposition_and_flatness():
     """Periodicity residue bases with pairwise distinct degree classes at
     n = 2, 3, and window-scale flatness at n = 2 through stage two."""
-    with _budget(10):
+    with _budget(6):
         for n in (2, 3):
             basis_size = 2 ** (n + 1) * (2 ** (n - 1) - 1)
             cert = residue_certificate(n)

@@ -16,7 +16,7 @@ from erjw.boring import (
     residue_certificate,
 )
 from erjw.bss import PresentedModule, closed_form_page, flat_base_change
-from erjw.errors import InputError, ReductionError
+from erjw.errors import InputError, MathInvariantError, ReductionError
 from erjw.fgl import GroupLaw, UniSeries
 from erjw.graded import GradedSeries, GradingSpec, degree_basis
 from erjw.scalar2 import TwoLocal, preimage_rows
@@ -219,6 +219,28 @@ def test_reduce_guard_stops_runaway_rule(pres21_small):
                            ((c1_key, TwoLocal(2)),))
     with pytest.raises(ReductionError):
         reduce(GradedSeries.monomial(spec, 2, c=(1,), trunc=6), bad)
+
+
+def test_reduce_certifies_its_rewriting(pres21_small, monkeypatch):
+    # a subtraction that loses a term breaks nf + sum(quot * rel) == z
+    p = pres21_small
+    doubled = _class_gen(p.spec, 1, trunc=6) * 2
+    honest, dropped = GradedSeries.__sub__, []
+
+    def lossy(self, other):
+        out = honest(self, other)
+        if out:
+            dropped.append(max(out.keys()))
+            return out._mapped(lambda k: None if k == dropped[-1] else (k, 1))
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GradedSeries, "__sub__", lossy)
+        with pytest.raises(MathInvariantError, match="eliminated multiples"):
+            reduce(doubled, p)
+    assert dropped
+    nf = reduce(doubled, p)
+    assert nf and not nf.coefficient(next(iter(doubled.keys())))
 
 
 def test_hat_decompose_single_power():

@@ -8,9 +8,13 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from erjw.boring import HatDecomposition, _into_class_spec
+from erjw.bss import apply_differential
 from erjw.errors import InputError, MathInvariantError, NonUnitDivisionError
+from erjw.fgl import UniSeries
 from erjw.graded import GradedSeries, GradingSpec, degree_basis, parse_series
 from erjw.scalar2 import TwoLocal
+from erjw.symchern import SymmetricContext
 
 HAT2 = GradingSpec(n=2, q=2, roots=2, alphabet="hat")
 STD2 = GradingSpec(n=2, q=2, roots=2, alphabet="standard")
@@ -502,6 +506,115 @@ def _kernel_cases(draw):
     return spec, (ta, tra, ka), (tb, trb, kb), scalar
 
 
+def _ref_map(terms, image):
+    """Each term moved to image(key) = (key, factor) or dropped (None),
+    summed on the coefficients in place; a zero sum leaves its key."""
+    out = {}
+    for key, v in terms.items():
+        if (hit := image(key)) is not None:
+            out[hit[0]] = out.get(hit[0], 0) + v * hit[1]
+            if not out[hit[0]]:
+                del out[hit[0]]
+    return out
+
+
+def _ref_d(key, r, n, P):
+    """d_r of one hat key by the formulas of erjw.bss, written out anew."""
+    k, vn = (r + 1).bit_length() - 2, key[n]
+    if k == 0:
+        if vn % 2 == 0:
+            return None
+        return (key[0] + 1, *key[1:n], vn - (2 ** n - 1), *key[n + 1:]), 2
+    if vn % (2 ** (k + 1)) != 2 ** k:
+        return None
+    vh = list(key[1:n])
+    if k < n:
+        vh[k - 1] += 1
+    top = vn + 2 ** k - 2 ** (n + k) - (P if k == n else 0)
+    return (key[0] + r, *vh, top, *key[n + 1:]), -(vn // 2 ** k)
+
+
+def _assert_key_maps(a, A, ka):
+    """Every key map of the series kernel against _ref_map on A = a.terms:
+    values, kinds, key order, the reduced stored form and trunc."""
+    spec, tra, n = a.spec, a.trunc, a.spec.n
+    wof, dof = spec.weight_of, spec.degree_of
+    # one weight below the top: drops the top terms, or all of weight 0
+    cut = a.max_weight() - 1
+    tr = _ref_min_trunc(tra, cut)
+    got = a.truncated(cut)
+    _assert_matches(got, _ref_map(A, lambda k: (k, 1) if wof(k) <= tr
+                                  else None), ka)
+    assert got.trunc == tr
+    d = dof(list(A)[-1]) if A else 0
+    got = a.homogeneous_part(d)
+    _assert_matches(got, _ref_map(A, lambda k: (k, 1) if dof(k) == d
+                                  else None), ka)
+    assert got.trunc == tra
+    got = a.conjugate()
+    _assert_matches(got, _ref_map(A, lambda k: (k, -1 if k[n] % 2 else 1)), ka)
+    assert got.trunc == tra
+    # the largest monomial dividing every key; one more y divides no key
+    # of least y
+    g = tuple(map(min, zip(*A))) if A else spec.unit_key()
+    got = a.divide_by_key(g)
+    _assert_matches(got, _ref_map(A, lambda k: (tuple(map(operator.sub, k, g)),
+                                                 1)), ka)
+    assert got.trunc == (None if tra is None else tra - wof(g))
+    if A:
+        with pytest.raises(MathInvariantError, match="does not divide"):
+            a.divide_by_key((g[0] + 1, *g[1:]))
+    P = spec.hat_offset
+    std = GradedSeries(GradingSpec(n, spec.q, spec.roots, "standard"),
+                       dict(A), tra)
+    got = std.regrade_to_hat()
+    _assert_matches(got, _ref_map(A, lambda k: ((*k[:n], -k[n] * P,
+                                                 *k[n + 1:]), 1)), ka)
+    assert got.spec == spec and got.trunc == tra
+    for k in range(n + 1):
+        r = 2 ** (k + 1) - 1
+        got = apply_differential(a, r, strict=False)
+        _assert_matches(got, _ref_map(A, lambda key: _ref_d(key, r, n, P)), ka)
+        assert got.trunc == tra
+        odd = [key[n] for key in A if key[n] % 2 ** k]
+        if odd:
+            # strict mode names the first offending vn exponent in term order
+            message = f"vn exponent {odd[0]} is not a multiple of 2^{k}"
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                apply_differential(a, r)
+    classes = GradingSpec(n, spec.q, 0)
+    if any(any(k[classes.width:]) for k in A):
+        with pytest.raises(MathInvariantError, match="root content"):
+            _into_class_spec(a, classes)
+    else:
+        got = _into_class_spec(a, classes)
+        _assert_matches(got, _ref_map(A, lambda k: (k[:classes.width], 1)), ka)
+        assert got.spec == classes and got.trunc == tra
+    # components of distinct weight stay apart after the vn shift by it
+    dec = HatDecomposition(n, std.spec, a.weight_parts(), (), True)
+    want = {}
+    for w in sorted({wof(k) for k in A}):
+        want |= _ref_map(A, lambda k: ((*k[:n], k[n] + w, *k[n + 1:]), 1)
+                         if wof(k) == w else None)
+    got = dec.recombine()
+    _assert_matches(got, want, ka)
+    assert got.spec == std.spec and got.trunc is None
+    # two roots: the series' own root (if any) then a padded one
+    ctx = SymmetricContext(UniSeries.identity(GradingSpec(n), 1), 2, 4)
+    wide = ctx.spec
+    pad = (0,) * (2 - spec.q)
+    widened = _ref_map(A, lambda k: ((*k[:n + 1 + spec.q], *pad,
+                                      *k[n + 1 + spec.q:],
+                                      *(0,) * (2 - spec.roots)), 1))
+    got = a.extended_to(wide)
+    _assert_matches(got, widened, ka)
+    assert got.trunc == tra
+    got = ctx._swap_roots(got, 0)
+    _assert_matches(got, _ref_map(widened, lambda k: ((*k[:-2], k[-1], k[-2]),
+                                                      1)), ka)
+    assert got.spec == wide and got.trunc == tra
+
+
 # vn^2 is reached three times in a*b: by 1, then -1, which cancels it, and
 # then 5, which puts it back at the end of the product's key order
 _N1 = GradingSpec(1)
@@ -517,6 +630,15 @@ _CANCEL_AND_RETURN = ({(0, 0): 1, (0, 1): 1, (0, 2): 1},
                 4, TwoLocal),
           ({k: TwoLocal(v) for k, v in _CANCEL_AND_RETURN[1].items()},
            2, TwoLocal), TwoLocal(-5, 9)))
+# at n = 1 regrading lands vn and vn^2 on one key, where they cancel
+@example((_N1, ({(0, 1): 3, (0, 2): -3}, None, int), ({}, None, int), 1))
+# even vn powers of weight 0: d_1 and truncation below 0 drop every term
+@example((_N1, ({(0, 2): TwoLocal(1, 3), (0, -2): TwoLocal(5, 3)}, 2,
+                TwoLocal), ({}, None, TwoLocal), TwoLocal(1, 3)))
+# stored as 1 and 2 over 4: truncation keeps 2/4, which must become 1/2
+@example((GradingSpec(1, 1), ({(0, 0, 1): Fraction(1, 4),
+                               (0, 0, 0): Fraction(1, 2)}, None, Fraction),
+          ({}, None, Fraction), 1))
 def test_kernel_matches_the_coefficient_dict_reference(case):
     spec, (ta, tra, ka), (tb, trb, kb), scalar = case
     a, b = GradedSeries(spec, ta, tra), GradedSeries(spec, tb, trb)
@@ -539,6 +661,8 @@ def test_kernel_matches_the_coefficient_dict_reference(case):
     _assert_matches(scalar * a, _ref_scale(A, scalar), skind)
     assert (a * b).trunc == tr and (a + b).trunc == tr
     assert (a * scalar).trunc == tra
+    _assert_key_maps(a, A, ka)
+    _assert_key_maps(b, B, kb)
 
 
 def _boxed_basis(spec, D, caps, weight, hat_lattice):
