@@ -208,7 +208,7 @@ def reduce(z: GradedSeries, p: RingPresentation) -> GradedSeries:
         if last is not None and ok <= last:
             raise ReductionError("rewriting order failed to increase")
         last = ok
-        multiple = GradedSeries(p.spec, {quot_key: coeff / hc}, p.weight) * rel
+        multiple = rel.times_key(quot_key, p.weight) * (coeff / hc)
         work, moved = work - multiple, moved + multiple
         if work.coefficient(key):
             raise ReductionError("head elimination left the term behind")
@@ -388,7 +388,8 @@ def landweber_window_check(n: int, q: int, k: int,
         tgt = D + wk
         src_cols = DegreeColumns(spec, D, caps, weight)
         tgt_cols = DegreeColumns(spec, tgt, caps, weight)
-        img = [tgt_cols.row(GradedSeries(spec, {mono: 1}, deep) * mult)
+        # one image row per source basis monomial, in basis order
+        img = [tgt_cols.row(mult.times_key(mono, deep))
                for mono in src_cols.basis]
         den = tgt_cols.matrix(tgt_cols.lattice_rows(pres.relations, k, deep))
         A = tgt_cols.matrix(img)

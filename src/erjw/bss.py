@@ -35,9 +35,11 @@ free module (degree-shifted copies of each block) or a presented one
 (class generators and homogeneous relations); the latter yields chart
 structures through per-degree lattice quotients.  Their rows come from
 DegreeColumns, the one lattice-row builder, as the series' own int
-numerators over their odd denominator: a relation or ideal multiple that
-leaves the capped basis keeps its outside monomials as overflow columns,
-never dropped, and the degrees where that happens are reported.
+numerators over their odd denominator, each multiple a key shift
+(GradedSeries.times_key): a relation or ideal multiple that leaves the
+capped basis keeps its outside monomials as overflow columns, never
+dropped, and the degrees where that happens are reported.  Columns are
+in key order, the basis and then each row's new keys, never term order.
 Every capped basis here and in the oracle is graded.degree_basis, read
 from one residue table per (spec, caps, weight).
 """
@@ -485,7 +487,9 @@ class DegreeColumns:
 
     The first columns are the capped degree basis (hat-lattice monomials
     with vhat exponents at most `caps` and class weight at most
-    `weight`); after them comes every overflow key a row registers.
+    `weight`); after them comes every overflow key a row registers.  A
+    row registers its new keys in key order, so the columns depend on
+    which rows came in which order, never on a series' term order.
     `mixed` records whether a row met both kinds of column.
     """
 
@@ -497,9 +501,10 @@ class DegreeColumns:
 
     def row(self, series: GradedSeries) -> tuple[dict, int]:
         nums, den = series.as_two_local().numerators
-        # distinct keys with nonzero coefficients, to distinct columns
-        row = {self.index.setdefault(key, len(self.index)): x
-               for key, x in nums.items()}
+        index = self.index
+        for key in sorted(nums.keys() - index.keys()):
+            index[key] = len(index)
+        row = {index[key]: x for key, x in nums.items()}
         nb = len(self.basis)
         self.mixed |= min(row, default=nb) < nb <= max(row, default=0)
         return row, den
@@ -516,11 +521,12 @@ class DegreeColumns:
         past the basis weight bound stay visible as overflow instead of
         vanishing.  Silent truncation here would close rewriting
         staircases and fabricate torsion the completed ring does not
-        have, so relations may come in expanded to `deep` and products
-        are clipped at `deep` only.  After everything degree-D is
-        enumerated, I_k gets a doubling row for every registered column,
-        overflow included: twice any ambient monomial lies in the ideal
-        regardless of whether the monomial fits the reporting basis.
+        have, so relations may come in expanded to `deep` and each
+        multiple (a key shift, `times_key`) is cut at `deep` only.  After
+        everything degree-D is enumerated, I_k gets a doubling row for
+        every registered column, overflow included: twice any ambient
+        monomial lies in the ideal regardless of whether the monomial
+        fits the reporting basis.
         """
         spec = self.spec
         factors = [rel for rel in relations if rel]
@@ -530,7 +536,7 @@ class DegreeColumns:
         for factor in factors:
             for mono in degree_basis(spec, self.D - factor.internal_degree(),
                                      self.caps, self.weight, hat_lattice=True):
-                row = self.row(GradedSeries(spec, {mono: 1}, deep) * factor)
+                row = self.row(factor.times_key(mono, deep))
                 if row[0]:
                     rows.append(row)
         if k >= 1:

@@ -473,11 +473,12 @@ class GroupLaw(_LawBase):
         log = self.log_series()
         S = _to_two_local(self.exp_series().evaluate_at(
             log.evaluate_at(x1) + log.evaluate_at(x2)))
-        table: dict[tuple[int, int], GradedSeries] = {}
-        for key, coeff in S.terms.items():
-            ij = key[-2:]  # the exponents of x1 and x2
-            entry = table.setdefault(ij, GradedSeries.zero(self.spec))
-            table[ij] = entry + GradedSeries(self.spec, {key[:-2]: coeff})
+        # split off the exponent j of x2, then the exponent i of x1
+        table = {(i, j): entry
+                 for j, part in enumerate(S._split_last(_root_spec(self.spec),
+                                                        N + 1))
+                 for i, entry in enumerate(part._split_last(self.spec, N + 1))
+                 if entry}
         self._check_table(table)
         lam_like = 2  # standard grading: the law is homogeneous in degree 2
         for (i, j), entry in table.items():

@@ -34,15 +34,18 @@ keeps the coefficient kind: int, TwoLocal (the 2-local world; the
 denominator is odd) or Fraction (inside logarithm computations).
 Products and sums work on those ints, and so does every key map, through
 the one primitive `GradedSeries._mapped`: here truncation, homogeneous
-parts, conjugation, division by a monomial, widening and regrading;
-outside, bss.apply_differential, boring._into_class_spec,
-HatDecomposition.recombine, SymmetricContext._swap_roots and
-SymmetricContext.elementary_reduce.  Coefficient objects are built only
-where they are read: `terms`, a read-only view built on first read,
-`coefficient` and `str`.  An int coefficient widens to either
-field, so a sum of int and TwoLocal series has TwoLocal coefficients, and
-a series with no terms has kind int.  Mixing TwoLocal and Fraction
-raises TypeError, on purpose.
+parts, conjugation, widening, regrading and the monomial shifts
+`times_key` and `divide_by_key`; outside, bss.apply_differential,
+boring._into_class_spec, HatDecomposition.recombine,
+SymmetricContext._swap_roots and SymmetricContext.elementary_reduce.  A
+monomial multiple is always times_key, which cuts at the weight bound
+where the one-term product would; the general product is the only
+product of two series.  Coefficient
+objects are built only where they are read: `terms`, a read-only view
+built on first read, `coefficient` and `str`.  An int coefficient widens
+to either field, so a sum of int and TwoLocal series has TwoLocal
+coefficients, and a series with no terms has kind int.  Mixing TwoLocal
+and Fraction raises TypeError, on purpose.
 """
 
 from __future__ import annotations
@@ -203,10 +206,11 @@ def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
                  hat_lattice: bool = False) -> tuple:
     """Sorted keys y^0 vhat^a vn^b c^e of internal degree D.
 
-    Every vhat exponent is at most `caps` and the class weight at most
-    `weight`; the vn exponent b is whatever the degree forces.  With
-    `hat_lattice` only vn powers of the top hat generator count: b must
-    be a multiple of P, which at n = 1 (P = 0) means b = 0.
+    Every vhat exponent is at most `caps`, which may not be negative, and
+    the class weight at most `weight`; the vn exponent b is whatever the
+    degree forces.  With `hat_lattice` only vn powers of the top hat
+    generator count: b must be a multiple of P, which at n = 1 (P = 0)
+    means b = 0.
 
     The box of vhat and class exponents is walked once per (spec, caps,
     weight) into a residue table (`_residue_table`); a degree reads only
@@ -215,6 +219,8 @@ def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
     """
     if spec.alphabet != "hat" or spec.roots:
         raise InputError("degree bases live over the hat class ring")
+    if caps < 0:
+        raise InputError("negative caps")
     wn = spec.degrees[spec.n]
     out = []
     for d, head, tail in _residue_table(spec, caps, weight).get(D % wn, ()):
@@ -628,6 +634,19 @@ class GradedSeries:
         cut = self.spec.classes.stop
         return self._mapped(lambda k: (k[:cut] + cpad + k[cut:] + xpad, 1),
                             spec)
+
+    def times_key(self, key, trunc=None) -> "GradedSeries":
+        """The product with the monomial `key`, as a key shift: terms past
+        min(trunc, own bound) are cut exactly where the one-term product
+        would cut them."""
+        spec = self.spec
+        spec.validate_key(key)
+        tr = _min_trunc(self.trunc, trunc)
+        add, wof = operator.add, spec.weight_of
+        room = None if tr is None else tr - wof(key)
+        return self._mapped(
+            lambda k: None if room is not None and wof(k) > room
+            else (tuple(map(add, k, key)), 1), trunc=tr)
 
     def divide_by_key(self, key) -> "GradedSeries":
         """Exact division by a monomial; any residue is an error."""

@@ -118,12 +118,11 @@ class SymmetricContext:
             cexp = [alpha[i] - (alpha[i + 1] if i + 1 < self.q else 0)
                     for i in range(self.q)]
             P = GradedSeries.unit(self.spec, 1, residual.trunc)
-            emit_c = tuple(cexp)
             for i, e in enumerate(cexp, start=1):
                 if e:
                     P = P * self.elementary(i) ** e
-            out = out + C * GradedSeries.monomial(
-                self.spec, c=emit_c, trunc=series.trunc)
+            emit = (0,) * self.spec.classes.start + tuple(cexp) + zero_x
+            out = out + C.times_key(emit, series.trunc)
             residual = residual - C * P
         return out
 

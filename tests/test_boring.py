@@ -210,6 +210,25 @@ def test_ideal_membership_contract_errors(pres21_small):
         in_ideal(GradedSeries.monomial(p.spec, y=1, c=(1,), trunc=6), p)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_negative_caps_are_refused(n):
+    # an empty capped basis would read a member as outside the ideal and
+    # certify a window check over nothing
+    p = present(n, 1, 6)
+    r1 = p.relations[0]
+    member = (_class_gen(p.spec, 1, trunc=6) * r1 - r1).truncated(6)
+    assert in_ideal(member, p, caps=0) and in_ideal(member, p, caps=6)
+    module = PresentedModule(p.spec, 4, present(n, 1, 4).relations,
+                             flat_certificate="conjugation quotient", caps=-1)
+    asks = [lambda: in_ideal(member, p, caps=-1),
+            lambda: landweber_window_check(n, 1, 0, (-32, 32), weight=4,
+                                           caps=-1),
+            lambda: module.twisted_structure_at(0, 0, 0)]
+    for ask in asks:
+        with pytest.raises(InputError, match="^negative caps$"):
+            ask()
+
+
 def test_reduce_guard_stops_runaway_rule(pres21_small):
     spec = pres21_small.spec
     c1_key = next(iter(_class_gen(spec, 1).terms))

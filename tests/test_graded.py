@@ -200,6 +200,16 @@ def test_divide_by_key():
         (x2 + x1).divide_by_key(key)
 
 
+def test_times_key_validates_its_key():
+    s = GradedSeries.gen(GradingSpec(2, 1), "c1", trunc=3)
+    with pytest.raises(ValueError, match="negative exponent"):
+        s.times_key((0, -1, 0, 0))
+    with pytest.raises(ValueError, match="does not fit"):
+        s.times_key((0, 0, 0))
+    assert s.times_key((0, 0, -2, 1)) == \
+        GradedSeries.monomial(s.spec, vn=-2, c=(2,))
+
+
 def test_extended_to():
     small = GradingSpec(2, q=1)
     big = GradingSpec(2, q=2, roots=1)
@@ -534,11 +544,22 @@ def _ref_d(key, r, n, P):
     return (key[0] + r, *vh, top, *key[n + 1:]), -(vn // 2 ** k)
 
 
-def _assert_key_maps(a, A, ka):
+def _assert_key_maps(a, A, ka, shifts):
     """Every key map of the series kernel against _ref_map on A = a.terms:
-    values, kinds, key order, the reduced stored form and trunc."""
+    values, kinds, key order, the reduced stored form and trunc.  Each
+    (key, trunc) of `shifts` is a monomial multiple, checked also against
+    the one-term product it replaces."""
     spec, tra, n = a.spec, a.trunc, a.spec.n
     wof, dof = spec.weight_of, spec.degree_of
+    for key, t in shifts:
+        got, prod = a.times_key(key, t), GradedSeries(spec, {key: 1}, t) * a
+        tr = _ref_min_trunc(tra, t)
+        _assert_matches(got, _ref_map(A, lambda k: (
+            tuple(map(operator.add, k, key)), 1)
+            if tr is None or wof(k) + wof(key) <= tr else None), ka)
+        assert got == prod and got._kind is prod._kind
+        assert got.trunc == prod.trunc == tr
+        assert (got._nums, got._den) == (prod._nums, prod._den)
     # one weight below the top: drops the top terms, or all of weight 0
     cut = a.max_weight() - 1
     tr = _ref_min_trunc(tra, cut)
@@ -639,6 +660,17 @@ _CANCEL_AND_RETURN = ({(0, 0): 1, (0, 1): 1, (0, 2): 1},
 @example((GradingSpec(1, 1), ({(0, 0, 1): Fraction(1, 4),
                                (0, 0, 0): Fraction(1, 2)}, None, Fraction),
           ({}, None, Fraction), 1))
+# times_key at the exact weight bound: c1 * c1 reaches 2 = trunc and stays,
+# c1 * c1^2 is cut, in each kind, once with a negative vn key
+@example((GradingSpec(1, 1), ({(0, 0, 0): 1, (0, 0, 1): 2, (0, 1, 2): 3},
+                              None, int), ({(0, 0, 1): 1}, 2, int), 1))
+@example((GradingSpec(1, 1), ({(0, 1, 0): TwoLocal(1, 3),
+                               (0, -2, 1): TwoLocal(2, 5)}, 3, TwoLocal),
+          ({(0, -3, 1): TwoLocal(1)}, 1, TwoLocal), TwoLocal(1)))
+@example((GradingSpec(1, 1), ({(0, 0, 0): Fraction(1, 2),
+                               (0, 1, 1): Fraction(3, 4),
+                               (0, 2, 2): Fraction(1, 6)}, None, Fraction),
+          ({(0, -1, 2): Fraction(1, 3)}, 3, Fraction), Fraction(1, 2)))
 def test_kernel_matches_the_coefficient_dict_reference(case):
     spec, (ta, tra, ka), (tb, trb, kb), scalar = case
     a, b = GradedSeries(spec, ta, tra), GradedSeries(spec, tb, trb)
@@ -661,8 +693,10 @@ def test_kernel_matches_the_coefficient_dict_reference(case):
     _assert_matches(scalar * a, _ref_scale(A, scalar), skind)
     assert (a * b).trunc == tr and (a + b).trunc == tr
     assert (a * scalar).trunc == tra
-    _assert_key_maps(a, A, ka)
-    _assert_key_maps(b, B, kb)
+    # a times each key of b at b's bound, and the other way round
+    unit = (spec.unit_key(), None)
+    _assert_key_maps(a, A, ka, [unit, *((k, trb) for k in B)])
+    _assert_key_maps(b, B, kb, [unit, *((k, tra) for k in A)])
 
 
 def _boxed_basis(spec, D, caps, weight, hat_lattice):
@@ -736,6 +770,16 @@ def test_degree_basis_rejects_other_alphabets():
         degree_basis(GradingSpec(2, alphabet="standard"), 0, 2)
     with pytest.raises(InputError):
         degree_basis(GradingSpec(2, roots=1), 0, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_degree_basis_refuses_negative_caps(n):
+    # at n = 1 the box has no vhat slot, so caps -1 would let (0, 0) in
+    spec = GradingSpec(n, q=1)
+    for weight, hat in ((0, False), (4, True)):
+        with pytest.raises(InputError, match="^negative caps$"):
+            degree_basis(spec, 0, -1, weight, hat)
+    assert degree_basis(spec, 0, 0) == (spec.unit_key(),)
 
 
 # -- the flat key layout against a reference over named slot groups ---------

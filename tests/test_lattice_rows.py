@@ -6,17 +6,21 @@ TwoLocal between.  The reference here rebuilds every lattice matrix of
 `in_ideal`, of one window check per stage and of `twisted_structure_at`
 the TwoLocal way: each row read from a series through its `terms`, every
 other row as its values, all through the public `LocalMatrix` constructor.
+Every monomial multiple is a key shift, `GradedSeries.times_key`; with
+the one-term product in its place every matrix must come out the same,
+columns included, since `DegreeColumns.row` registers keys in key order.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from erjw import boring
 from erjw.boring import in_ideal, landweber_window_check, present
 from erjw.bss import DegreeColumns, PresentedModule
 from erjw.errors import NonUnitDivisionError
-from erjw.graded import GradedSeries, GradingSpec
-from erjw.scalar2 import LocalMatrix, TwoLocal
+from erjw.graded import GradedSeries, GradingSpec, degree_basis
+from erjw.scalar2 import LocalMatrix, TwoLocal, preimage_rows
 
 
 def _lattice_work():
@@ -81,6 +85,62 @@ def test_lattice_rows_skip_the_public_constructor(monkeypatch):
 
     monkeypatch.setattr(LocalMatrix, "__init__", refused)
     _lattice_work()
+
+
+def test_key_shifts_build_the_one_term_product_matrices(monkeypatch):
+    _lattice_work()  # the presentations are built and cached first
+    matrix, routes = DegreeColumns.matrix, []
+    for patch in (False, True):
+        built = []
+
+        def recorded(cols, rows):
+            built.append(matrix(cols, rows))
+            return built[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(DegreeColumns, "matrix", recorded)
+            if patch:
+                m.setattr(GradedSeries, "times_key", lambda s, key, trunc=None:
+                          GradedSeries(s.spec, {key: 1}, trunc) * s)
+            _lattice_work()
+        routes.append(built)
+    shifted, product = routes
+    assert len(shifted) == len(product) > 50
+    assert all(a == b for a, b in zip(shifted, product))
+
+
+def test_columns_do_not_follow_a_series_term_order():
+    spec = GradingSpec(2, q=1)
+    # vh1 past caps 0: every key but the unit is an overflow column
+    terms = {(0, 3, 0, 0): 1, (0, 0, 0, 0): 2, (0, 1, -8, 1): 3,
+             (0, 2, 0, 0): 4}
+    got = []
+    for order in (list(terms), list(terms)[::-1]):
+        series = GradedSeries(spec, {k: terms[k] for k in order})
+        assert list(series.keys()) == order
+        cols = DegreeColumns(spec, 0, 0, 1)
+        got.append((cols.row(series), cols.index))
+    assert got[0] == got[1]
+    assert list(got[0][1]) == sorted(terms)  # the unit is the one basis key
+
+
+def test_window_check_has_one_image_row_per_source_monomial(monkeypatch):
+    spec = GradingSpec(2, q=1)
+    rows = []
+
+    def counted(A, den):
+        rows.append(A.nrows)
+        return preimage_rows(A, den)
+
+    monkeypatch.setattr(boring, "preimage_rows", counted)
+    # one pair per window, so one reduction per call
+    for k, wk in ((0, 0), (1, 16), (2, 48)):
+        for D in (-32, -16, 0, 16):
+            cert = landweber_window_check(2, 1, k, (D, D + wk), weight=4,
+                                          caps=2)
+            assert cert.ok and cert.checked == ((D, D + wk),)
+            assert rows.pop() == len(degree_basis(spec, D, 2, 4, True)) > 0
+    assert not rows
 
 
 def test_even_denominator_row_is_refused():
