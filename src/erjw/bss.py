@@ -26,9 +26,11 @@ The engines:
     one honest cycle and one boundary lattice over the whole window
     through d_r, built once per page as the monomial map the raw formulas
     give, each monomial to at most one and no two to one (checked), so
-    each lattice is one 2-adic valuation per monomial.  Window and cap
-    overflows are flagged per position so comparisons skip exactly the
-    positions the truncation polluted.
+    each lattice is one 2-adic valuation per monomial.  A page's work is
+    per key, over the keys d_r moves; its checks, containment included,
+    run on every page, and a page is charted only when it is read.
+    Window and cap overflows are flagged per position so comparisons skip
+    exactly the positions the truncation polluted.
 
 Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
@@ -221,8 +223,28 @@ class Page:
                       for s in self.rows.get(m, ()) if not s.is_zero)
 
     def chart(self, t_values, caps: int = 6) -> dict:
-        return _nonzero_cells(lambda m, t: self.chart_structure(m, t, caps),
-                              self.m_max, t_values)
+        """chart_structure on every nonzero cell, each summand asked once
+        per degree class: degree_basis leaves the vn exponent free, so a
+        summand's structure_at(D) has period |deg vn| * 2^s in D - shift."""
+        spec = self.spec
+        wn = -spec.degrees[self.n]
+        known: dict = {}  # summand -> {(D - shift) mod its period: structure}
+        out = {}
+        for m in range(self.m_max + 1):
+            row = [(s, known.setdefault(s, {}), wn << s.s)
+                   for s in self.rows.get(m, ()) if not s.is_zero]
+            for t in t_values:
+                D = t + m * spec.lam
+                parts = []
+                for s, seen, period in row:
+                    c = (D - s.shift) % period
+                    if c not in seen:
+                        seen[c] = s.structure_at(D, caps, spec)
+                    parts.append(seen[c])
+                st = _merge(parts)
+                if not st.is_zero:
+                    out[(m, t)] = st
+        return out
 
 
 def closed_form_page(n: int, r: int, m_max: int | None = None) -> Page:
@@ -314,19 +336,24 @@ class TruncatedOracle:
     the map `d`, {key: (image key, int coefficient)} for each key d_r does
     not kill; d∘d = 0 is read off `d` for images in the window and
     computed only for images past it.  With c a key's coefficient and v
-    the 2-adic valuation, d_r advances all positions at once:
+    the 2-adic valuation, d_r advances all positions at once, working
+    only on the keys of `d`:
 
       * Z becomes the preimage of B: a key sent to key j keeps
-        max(a, b_j - v(c)) if j is in B, and dies if not; a key with no
-        image, or one past the window, keeps a;
+        max(a, b_j - v(c)) if j is in B, and dies if not; a key sent
+        past the window keeps a and flags its position, and a key with
+        no image keeps a with no work at all;
       * B grows by the images of Z: b_j = min(b_j, a + v(c));
-      * every boundary must be a next-page cycle, d_r of it an existing
-        boundary: b_j <= b + v(c) at its image.
+      * every boundary d_r moves must be a next-page cycle, d_r of it an
+        existing boundary: b_j <= b + v(c) at its image.
 
-    A position reads Z/2^(b - a) per key in Z and B with b > a, and Z per
-    key in Z alone; a B key outside Z, or with b < a, raises.  It is
-    flagged, permanently, when the truncation makes any of that
-    arithmetic unknowable there.
+    Then, over the new page, no key of Z has an odd vn exponent, and
+    every key of B lies in Z with b >= a (containment).  A position
+    reads Z/2^(b - a) per key in Z and B with b > a, and Z per key in Z
+    alone.  It is flagged, permanently, when the truncation makes any of
+    that arithmetic unknowable there; the escape and odd-exponent checks
+    skip flagged positions, containment none.  Each page's (Z, B) is
+    kept in `pages`, and `chart_at` charts a page when it is first read.
     """
 
     def __init__(self, n: int, t_lo: int, t_hi: int, caps: int = 6,
@@ -358,21 +385,23 @@ class TruncatedOracle:
         self.d: dict[tuple, tuple] = {}
         self.flags: set[tuple[int, int]] = set()
         self.level = 0
-        self.charts: dict[int, dict] = {1: self._chart()}
+        # page index -> (Z, B) as that page left them, and the charts read
+        self.pages: dict[int, tuple[dict, dict]] = {1: (self.Z, self.B)}
+        self.charts: dict[int, dict] = {}
 
-    def _chart(self) -> dict:
+    def _cell(self, key: tuple) -> tuple[int, int]:
+        return key[0], self.spec.total_of(key)
+
+    def _chart(self, Z: dict, B: dict) -> dict:
         out = {}
         for cell, keys in self.basis.items():
             free, torsion = 0, []
             for key in keys:
-                a, b = self.Z.get(key), self.B.get(key)
+                b = B.get(key)
                 if b is None:
-                    free += a is not None
-                elif a is None or b < a:
-                    raise MathInvariantError(
-                        f"boundary at {cell} lies outside the cycles")
-                elif b > a:
-                    torsion.append(2 ** (b - a))
+                    free += key in Z
+                elif b > Z[key]:
+                    torsion.append(2 ** (b - Z[key]))
             if free or torsion:
                 out[cell] = ModuleStructure(free, tuple(sorted(torsion)))
         return out
@@ -384,7 +413,7 @@ class TruncatedOracle:
         k = self.level
         r = 2 ** (k + 1) - 1
         n, P, keys = self.n, self.spec.hat_offset, self.keys
-        Z, B = self.Z, self.B
+        Z, B, flags = self.Z, self.B, self.flags
         d = {key: e for key in keys if (e := _d_key(key, r, n, P))}
         images = {j for j, _ in d.values()}
         if any(j in d if j in keys else _d_key(j, r, n, P) for j in images):
@@ -392,52 +421,60 @@ class TruncatedOracle:
         # a position maps into one position, so this is the per-cell test
         if len(images) < len(d):
             raise MathInvariantError(f"d_{r} sends two keys to one monomial")
-        new_flags = set(self.flags)
-        new_Z, new_B = {}, dict(B)
-        # one pass; every cell reads the previous page's Z, B and flags
-        for cell, cell_keys in self.basis.items():
+        # flags spread from the previous page's: a polluted target, or a
+        # source out of view or polluted
+        new_flags = set(flags)
+        for cell in self.basis:
             m, t = cell
-            if (m + r, t + 1) in self.flags:
+            if cell in flags:
+                continue
+            if (m + r, t + 1) in flags:
                 new_flags.add(cell)
             elif m - r >= 0:
-                # a source out of view or polluted may hit this cell
                 if t - 1 < self.t_lo:
                     if degree_basis(self.spec, t - 1 + (m - r) * self.spec.lam,
                                     self.caps):
                         new_flags.add(cell)
-                elif (m - r, t - 1) in self.flags:
+                elif (m - r, t - 1) in flags:
                     new_flags.add(cell)
-            for key in cell_keys:
-                a = Z.get(key)
-                if a is None:
-                    continue
-                j, c = d.get(key, (None, 0))
-                if j not in keys:
-                    if j is not None:  # the image leaves the window
-                        new_flags.add(cell)
-                    new_Z[key] = a
-                    continue
-                v = val2(c)
-                if j in B:
-                    new_Z[key] = max(a, B[j] - v)
-                if j not in new_B or a + v < new_B[j]:
-                    new_B[j] = a + v
-            if cell in new_flags:
+        # Z and B change only at the keys d_r moves and at their images
+        new_Z, new_B = dict(Z), dict(B)
+        for key, (j, c) in d.items():
+            a = Z.get(key)
+            if a is None:
                 continue
-            for key in cell_keys:
-                j, c = d.get(key, (None, 0))
-                if key in B and j in keys:
-                    if j not in B or B[j] > B[key] + val2(c):
-                        raise MathInvariantError(
-                            f"boundary at {cell} escapes under d_{r}")
-            if any(key[n] % 2 for key in cell_keys if key in new_Z):
+            if j not in keys:  # the image leaves the window; Z keeps a
+                new_flags.add(self._cell(key))
+                continue
+            v = val2(c)
+            b = B.get(j)
+            if b is None:
+                del new_Z[key]
+            elif b - v > a:
+                new_Z[key] = b - v
+            if j not in new_B or a + v < new_B[j]:
+                new_B[j] = a + v
+        for key in B.keys() & d.keys():
+            j, c = d[key]
+            if j in keys and (j not in B or B[j] > B[key] + val2(c)):
+                cell = self._cell(key)
+                if cell not in new_flags:
+                    raise MathInvariantError(
+                        f"boundary at {cell} escapes under d_{r}")
+        for key in new_Z:
+            if key[n] % 2 and (cell := self._cell(key)) not in new_flags:
                 raise MathInvariantError(
                     f"odd-exponent cycle survived d_1 at {cell}")
+        for key, b in new_B.items():
+            a = new_Z.get(key)
+            if a is None or b < a:
+                raise MathInvariantError(
+                    f"boundary at {self._cell(key)} lies outside the cycles")
 
         self.Z, self.B, self.d = new_Z, new_B, d
         self.flags = new_flags
-        self.charts[2 ** (k + 1)] = self._chart()
         self.level += 1
+        self.pages[2 ** self.level] = new_Z, new_B
         return 2 ** self.level
 
     def run(self) -> None:
@@ -445,11 +482,13 @@ class TruncatedOracle:
             self.advance()
 
     def chart_at(self, r: int) -> dict:
-        """Chart at page r; pages between differentials repeat."""
-        lvl = min(_page_level(r), self.n + 1)
-        idx = 2 ** lvl
+        """Chart at page r, built on its first read; pages between
+        differentials repeat."""
+        idx = 2 ** min(_page_level(r), self.n + 1)
         if idx not in self.charts:
-            raise InputError(f"oracle has not advanced to page {idx} yet")
+            if idx not in self.pages:
+                raise InputError(f"oracle has not advanced to page {idx} yet")
+            self.charts[idx] = self._chart(*self.pages[idx])
         return self.charts[idx]
 
     def inadmissible_pairs(self, r: int) -> list:

@@ -252,8 +252,9 @@ def series_cost(n: int, precision: int) -> int:
     return pairs + cube
 
 
-# Largest page_cost accepted: at most about 0.6 s for all three engines, at
-# 0.2 to 3.0 microseconds a unit (n = 1..5, caps 0..40, a 2-vCPU Xeon).
+# Largest page_cost accepted: at most about 0.3 s for all three engines, at
+# 0.15 to 1.3 microseconds a unit for the widest window admitted at each
+# n = 1..5 and caps 0..40 (two runs on one core of a 2-vCPU Xeon).
 PAGE_COST_BOUND = 200_000
 
 
@@ -276,11 +277,18 @@ COEFF_ROW_BOUND = 2 ** 17 + 1
 # `erjw bo` and `erjw chern` expand the conjugate classes in q formal roots
 # through class weight w, C(w + q, q) root monomials at up to w weights
 # each, priced at C(w + q, q) * w units.  On one core of a 2-vCPU Xeon,
-# n = 1..3, q = 3..7, w = 7..20, a unit took 80 to 240 microseconds:
+# n = 1..3, q = 3..7, w = 7..20, a bo unit took 80 to 240 microseconds:
 # bo --n 1 --q 3 --weight 14 (9,520 units) 0.65 s, bo --n 3 --q 4 --weight
-# 10 (10,010 units) 1.9 s, bo --n 3 --q 3 --weight 16 (15,504 units) 3.7 s,
-# chern --n 1 --q 2 --weight 50 (66,300 units) 2.9 s.
+# 10 (10,010 units) 1.9 s, bo --n 3 --q 3 --weight 16 (15,504 units) 3.7 s.
 BO_COST_BOUND = 12_000
+
+# chern builds the same classes with no presentation behind them.  Law
+# included, at the largest admitted weight for q = 1..6 and n = 1..4 and 6,
+# a unit took 12 to 140 microseconds on one core of a 2-vCPU Xeon, at most
+# about 2.5 s: chern --n 1 --q 2 --weight 33 (19,635 units) 0.38 s, --n 3
+# --q 2 --weight 33 2.5 s, --n 3 --q 3 --weight 17 (19,380) 2.2 s.  Past
+# it, --n 3 --q 2 --weight 36 (25,308) took 3.3 s and --weight 50 18 s.
+CHERN_COST_BOUND = 20_000
 
 # `erjw orient` decides one ideal membership at weight w (its
 # conjugation-fixed step), priced at w^8 * 2^s(n) units with s(n) = 0, 6,
@@ -313,10 +321,10 @@ def _law(n: int, precision: int, flags: str):
                flags)
 
 
-def _classes(q: int, weight: int):
+def _classes(q: int, weight: int, bound: int):
     if q >= 1 and weight >= 1:
         yield (f"q={q} at weight {weight}", math.comb(weight + q, q) * weight,
-               "work units", BO_COST_BOUND, "--q or --weight")
+               "work units", bound, "--q or --weight")
 
 
 def _models(a):
@@ -329,7 +337,7 @@ def _models(a):
                         "--n (or pass a smaller --precision)")
     elif a.command == "chern":
         yield from _law(a.n, a.weight + 4, "--weight")
-        yield from _classes(a.q, a.weight)
+        yield from _classes(a.q, a.weight, CHERN_COST_BOUND)
     elif a.command == "page":
         yield ("the chart", page_cost(a.n, a.window, a.caps), "work units",
                PAGE_COST_BOUND, "--caps or --n, or narrow --window")
@@ -338,7 +346,8 @@ def _models(a):
                COEFF_ROW_BOUND, "--n")
     elif a.command == "bo":
         yield from _law(a.n, a.weight + 1, "--weight")  # present's law
-        yield from _classes(a.weight if a.q is None else a.q, a.weight)
+        yield from _classes(a.weight if a.q is None else a.q, a.weight,
+                            BO_COST_BOUND)
     elif a.command == "orient":
         yield from _law(a.n, a.weight + 4, "--weight")
         if a.weight >= 1:

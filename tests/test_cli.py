@@ -11,7 +11,7 @@ import pytest
 
 import erjw
 from erjw import cli
-from erjw.bss import Page, StandardSummand, closed_form_page
+from erjw.bss import Page, StandardSummand, TruncatedOracle, closed_form_page
 from erjw.cli import (PAGE_COST_BOUND, SERIES_COST_BOUND, page_cost,
                       series_cost)
 from erjw.errors import InputError
@@ -170,18 +170,26 @@ def test_block_engines_are_compared_page_to_page(monkeypatch, capsys):
 @pytest.mark.parametrize("engine", ["all", "closed", "step", "oracle"])
 def test_page_charts_one_page_per_request(engine, monkeypatch, capsys):
     # the stepped page is compared with the closed form as a page, so no
-    # engine draws a second block chart; the oracle alone draws none
-    charts = []
-    chart = Page.chart
+    # engine draws a second block chart; the oracle alone draws none.  The
+    # oracle runs every page, for its checks and flags, and charts only
+    # the page the request reads, after the last page ran
+    charts, oracle_charts = [], []
+    chart, oracle_chart = Page.chart, TruncatedOracle._chart
 
     def counting(page, t_values, caps=6):
         charts.append(page.r)
         return chart(page, t_values, caps)
 
+    def counting_oracle(oracle, Z, B):
+        oracle_charts.append(oracle.level)
+        return oracle_chart(oracle, Z, B)
+
     monkeypatch.setattr(Page, "chart", counting)
+    monkeypatch.setattr(TruncatedOracle, "_chart", counting_oracle)
     code, _, _ = run(["page", "--n", "2", "--r", "3", "--window=-16..16",
                       "--engine", engine], capsys)
     assert code == 0 and charts == ([] if engine == "oracle" else [3])
+    assert oracle_charts == ([3] if engine in ("all", "oracle") else [])
 
 
 def test_svg_bytes_are_stable(capsys):
@@ -512,9 +520,9 @@ def test_weight_bound_admits_documented_inputs():
      f"past the bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
     (["bo", "--n", "2", "--q", "6", "--weight", "12"],
      "lower --q or --weight"),
-    # chern expands the same classes as bo
+    # chern expands the same classes as bo, under a bound of its own
     (["chern", "--n", "1", "--q", "8", "--weight", "8"],
-     f"past the bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
+     f"past the bound of {cli.CHERN_COST_BOUND}; lower --q or --weight"),
     (["chern", "--n", "1", "--q", "2", "--weight", "100"],
      "lower --q or --weight"),
     (["chern", "--n", "1", "--q", "200", "--weight", "2"],
@@ -616,9 +624,9 @@ def test_page_cost_bound_admits_documented_inputs():
     (["bo", "--n", 2, "--q", 1, "--weight", 48],
      ["bo", "--n", 2, "--q", 1, "--weight", 50],
      f"bound of {SERIES_COST_BOUND}; lower --weight"),
-    (["chern", "--n", 1, "--q", 2, "--weight", 27],
-     ["chern", "--n", 1, "--q", 2, "--weight", 28],
-     f"bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
+    (["chern", "--n", 1, "--q", 2, "--weight", 33],
+     ["chern", "--n", 1, "--q", 2, "--weight", 34],
+     f"bound of {cli.CHERN_COST_BOUND}; lower --q or --weight"),
     (["bo", "--n", 1, "--q", 3, "--weight", 14],
      ["bo", "--n", 1, "--q", 3, "--weight", 15],
      f"bound of {cli.BO_COST_BOUND}; lower --q or --weight"),
