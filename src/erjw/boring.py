@@ -225,9 +225,11 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
     but not necessary.  This solves instead: each homogeneous part of z
     must be an integral combination of relation multiples inside the
     weight-W quotient, where the weight truncation is exact.  Monomials
-    pushed past the vhat caps still get honest overflow columns; a False
-    can therefore only mean the capped multiple lattice misses z, never
-    that a cap silently projected a row.
+    pushed past the vhat caps still get honest overflow columns, so a
+    True is certain: z is a combination of relation multiples.  A False
+    is not a proof of non-membership.  It means only that the lattice of
+    multiples of capped basis monomials misses z; larger caps can find a
+    member that smaller caps miss.
     """
     _check_element(z, p)
     for D in z.degrees():

@@ -36,26 +36,33 @@ Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
 (class generators and homogeneous relations); the latter yields chart
 structures through per-degree lattice quotients.  Their rows come from
-DegreeColumns, the one lattice-row builder, as the series' own int
-numerators over their odd denominator, each multiple a key shift
-(GradedSeries.times_key): a relation or ideal multiple that leaves the
-capped basis keeps its outside monomials as overflow columns, never
-dropped, and the degrees where that happens are reported.  Columns are
-in key order, the basis and then each row's new keys, never term order.
-Every capped basis here and in the oracle is graded.degree_basis, read
-from one residue table per (spec, caps, weight).
+DegreeColumns, the one lattice-row builder, as int numerators over an
+odd denominator: each relation or ideal generator is compiled once per
+lattice into a stencil of (weight, key, numerator) terms, and each of
+its multiples is a shift of that stencil, cut at the weight bound where
+GradedSeries.times_key would cut, with no series built.  A multiple
+that leaves the capped basis keeps its outside monomials as overflow
+columns, never dropped, and the degrees where that happens are
+reported.  Columns are in key order, the basis and then each row's new
+keys, never term order.  Every capped basis here and in the oracle is
+graded.degree_basis, read from one residue table per (spec, caps,
+weight).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from math import gcd
+from operator import add, itemgetter
 
 from .errors import (
     EmptyBasisError,
     FlatnessCertificateError,
     InputError,
     MathInvariantError,
+    NonUnitDivisionError,
     PageShapeError,
 )
 from .graded import GradedSeries, GradingSpec, degree_basis
@@ -521,6 +528,18 @@ class FreeModule:
     flat_certificate: str
 
 
+def _stencil(factor: GradedSeries, deep: int) -> tuple:
+    """A lattice-row factor compiled once for DegreeColumns.lattice_rows:
+    (the weight its multiples are cut at, its (weight, key, int numerator)
+    terms by ascending weight, its denominator)."""
+    nums, den = factor.numerators
+    wof = factor.spec.weight_of
+    terms = sorted(((wof(key), key, x) for key, x in nums.items()),
+                   key=itemgetter(0))
+    bound = deep if factor.trunc is None else min(deep, factor.trunc)
+    return bound, terms, den
+
+
 class DegreeColumns:
     """Lattice coordinates at one internal degree of the capped class ring.
 
@@ -539,7 +558,10 @@ class DegreeColumns:
         self.mixed = False
 
     def row(self, series: GradedSeries) -> tuple[dict, int]:
-        nums, den = series.as_two_local().numerators
+        return self._placed(*series.as_two_local().numerators)
+
+    def _placed(self, nums, den: int) -> tuple[dict, int]:
+        """The row of {key: int numerator} over den, new keys registered."""
         index = self.index
         for key in sorted(nums.keys() - index.keys()):
             index[key] = len(index)
@@ -561,23 +583,40 @@ class DegreeColumns:
         vanishing.  Silent truncation here would close rewriting
         staircases and fabricate torsion the completed ring does not
         have, so relations may come in expanded to `deep` and each
-        multiple (a key shift, `times_key`) is cut at `deep` only.  After
-        everything degree-D is enumerated, I_k gets a doubling row for
-        every registered column, overflow included: twice any ambient
-        monomial lies in the ideal regardless of whether the monomial
-        fits the reporting basis.
+        multiple is cut at `deep` (or the factor's own bound) only.  Each
+        factor, a relation or a vh_l of I_k, is compiled once into a
+        stencil (`_stencil`), and a basis monomial's row is a shift of
+        it: the terms within the weight room the monomial leaves, keys
+        moved by the monomial, in lowest terms over an odd denominator
+        (NonUnitDivisionError otherwise); empty rows are skipped.  That is
+        the row `self.row(factor.times_key(mono, deep))` gives, with no
+        series built.  After everything degree-D is enumerated, I_k gets
+        a doubling row for every registered column, overflow included:
+        twice any ambient monomial lies in the ideal regardless of
+        whether the monomial fits the reporting basis.
         """
         spec = self.spec
+        wof = spec.weight_of
         factors = [rel for rel in relations if rel]
         factors += [GradedSeries.gen(spec, f"vh{l}", trunc=deep)
                     for l in range(1, k)]
         rows = []
         for factor in factors:
+            bound, terms, den = _stencil(factor, deep)
             for mono in degree_basis(spec, self.D - factor.internal_degree(),
                                      self.caps, self.weight, hat_lattice=True):
-                row = self.row(factor.times_key(mono, deep))
-                if row[0]:
-                    rows.append(row)
+                kept = terms[:bisect_right(terms, bound - wof(mono),
+                                           key=itemgetter(0))]
+                if not kept:
+                    continue
+                g = gcd(den, *(x for _, _, x in kept)) if den != 1 else 1
+                if (den // g) % 2 == 0:
+                    raise NonUnitDivisionError(
+                        f"a denominator of {factor} times {mono} is not "
+                        "2-locally integral")
+                rows.append(self._placed(
+                    {tuple(map(add, key, mono)): x // g for _, key, x in kept},
+                    den // g))
         if k >= 1:
             rows += [({col: 2}, 1) for col in range(len(self.index))]
         return rows

@@ -199,6 +199,16 @@ def test_ideal_membership_certificates(pres21_small):
     assert not in_ideal(GradedSeries.unit(p.spec, trunc=p.weight), p)
 
 
+def test_in_ideal_needs_the_caps_that_reach_a_member(pres21_small):
+    # z - reduce(z) is a member by construction, which the capped lattice
+    # sees at caps 8; a False at smaller caps is no proof of
+    # non-membership, so only the True is pinned
+    p = pres21_small
+    z = GradedSeries(p.spec, {(0, 2, -8, 2): 1, (0, 2, 8, 1): 2},
+                     trunc=p.weight)  # vh1^2*vn^-8*c1^2 + 2*vh1^2*vn^8*c1
+    assert in_ideal((z - reduce(z, p)).truncated(p.weight), p, caps=8)
+
+
 def test_ideal_membership_contract_errors(pres21_small):
     p = pres21_small
     other = present(2, 2, 6)

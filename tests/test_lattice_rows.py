@@ -1,16 +1,21 @@
 """Class-ring lattice rows go from a series' ints straight to the kernel.
 
-`DegreeColumns.row` reads a series' int numerators over its odd
-denominator, and `DegreeColumns.matrix` hands those to the kernel with no
-TwoLocal between.  The reference here rebuilds every lattice matrix of
-`in_ideal`, of one window check per stage and of `twisted_structure_at`
-the TwoLocal way: each row read from a series through its `terms`, every
-other row as its values, all through the public `LocalMatrix` constructor.
-Every monomial multiple is a key shift, `GradedSeries.times_key`; with
-the one-term product in its place every matrix must come out the same,
-columns included, since `DegreeColumns.row` registers keys in key order.
+`DegreeColumns.lattice_rows` builds each relation or ideal multiple as a
+shift of a stencil compiled once from the factor's int numerators over
+its denominator, and `DegreeColumns.row` reads any other series the same
+way; `DegreeColumns.matrix` hands the rows to the kernel with no TwoLocal
+between.  The stencil route is checked against a reference kept here,
+`_reference_lattice_rows`, which builds every row as
+`cols.row(factor.times_key(mono, deep))`: rows, denominators, column
+order and `mixed` must all come out equal.  Two more tests check what
+else reaches the kernel: the TwoLocal reference rebuilds every lattice
+matrix from its rows' values through the public `LocalMatrix`
+constructor, and the one-term product in place of `times_key` must give
+the same matrices.  Neither sees how a lattice row is built, since
+`lattice_rows` calls neither `row` nor `times_key`.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -150,3 +155,76 @@ def test_even_denominator_row_is_refused():
         cols.row(GradedSeries.unit(spec, Fraction(1, 2)))
     unit = cols.index[spec.unit_key()]
     assert cols.row(GradedSeries.unit(spec, Fraction(3, 5))) == ({unit: 3}, 5)
+
+
+def _reference_lattice_rows(cols, relations, k, deep):
+    """`DegreeColumns.lattice_rows` with every multiple a times_key series
+    read through `DegreeColumns.row`, empty rows skipped."""
+    spec = cols.spec
+    factors = [rel for rel in relations if rel]
+    factors += [GradedSeries.gen(spec, f"vh{l}", trunc=deep)
+                for l in range(1, k)]
+    rows = []
+    for factor in factors:
+        for mono in degree_basis(spec, cols.D - factor.internal_degree(),
+                                 cols.caps, cols.weight, hat_lattice=True):
+            row = cols.row(factor.times_key(mono, deep))
+            if row[0]:
+                rows.append(row)
+    if k >= 1:
+        rows += [({col: 2}, 1) for col in range(len(cols.index))]
+    return rows
+
+
+def _twin(cols):
+    """A copy of cols whose column registrations are its own."""
+    twin = copy.copy(cols)
+    twin.index = dict(cols.index)
+    return twin
+
+
+def test_lattice_rows_match_the_times_key_reference(monkeypatch):
+    compared = []
+    lattice_rows = DegreeColumns.lattice_rows
+
+    def checked(cols, relations, k, deep):
+        twin = _twin(cols)  # the same column state before either route
+        got = lattice_rows(cols, relations, k, deep)
+        assert got == _reference_lattice_rows(twin, relations, k, deep)
+        assert list(cols.index.items()) == list(twin.index.items())
+        assert cols.mixed == twin.mixed
+        compared.append(got)
+        return got
+
+    monkeypatch.setattr(DegreeColumns, "lattice_rows", checked)
+    _lattice_work()
+    for n, q, k, window in ((1, 2, 1, (0, 0)), (3, 1, 2, (0, 288))):
+        p = present(n, q, 4)
+        c1 = GradedSeries.gen(p.spec, "c1", trunc=4)
+        r1 = p.relations[0]
+        assert in_ideal((c1 * r1 - r1).truncated(4), p)
+        assert not in_ideal(c1, p)
+        assert landweber_window_check(n, 1, k, window, weight=4, caps=2).ok
+    rows = [row for got in compared for row in got]
+    assert len(compared) > 40 and len(rows) > 500
+    assert any(d > 1 for _, d in rows)
+
+
+def test_stencil_denominator_edges():
+    spec = GradingSpec(2, q=1)  # keys (y, vh1, vn, c1)
+    # vh1*c1^2 / 2 (weight 2) + c1 (weight 1): one degree, denominator 2
+    factor = GradedSeries(spec, {(0, 1, 0, 2): Fraction(1, 2),
+                                 (0, 0, 0, 1): 1})
+    D = factor.internal_degree()
+    # at deep 2 the unit multiple keeps the weight-2 term over 2
+    for build in (DegreeColumns.lattice_rows, _reference_lattice_rows):
+        with pytest.raises(NonUnitDivisionError):
+            build(DegreeColumns(spec, D, 2, 2), [factor], 0, 2)
+    # at deep 1 every kept numerator is even, and the rows are integral
+    cols = DegreeColumns(spec, D, 2, 2)
+    twin = _twin(cols)
+    got = cols.lattice_rows([factor], 0, 1)
+    assert got == _reference_lattice_rows(twin, [factor], 0, 1)
+    assert list(cols.index.items()) == list(twin.index.items())
+    assert ({cols.index[(0, 0, 0, 1)]: 1}, 1) in got
+    assert all(d == 1 for _, d in got)
