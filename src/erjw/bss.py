@@ -27,24 +27,20 @@ The engines:
     through d_r, built once per page as the monomial map the raw formulas
     give, each monomial to at most one and no two to one (checked), so
     each lattice is one 2-adic valuation per monomial.  A page's work is
-    per key, over the keys d_r moves; its checks, containment included,
-    run on every page, and a page is charted only when it is read.
-    Window and cap overflows are flagged per position so comparisons skip
-    exactly the positions the truncation polluted.
+    per key, over the keys d_r moves, and per flag; its two checks run on
+    every page, and a page is charted only when it is read.  Window and
+    cap overflows are flagged per position so comparisons skip exactly
+    the positions the truncation polluted.
 
 Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
 (class generators and homogeneous relations); the latter yields chart
 structures through per-degree lattice quotients.  Their rows come from
-DegreeColumns, the one lattice-row builder, as int numerators over an
-odd denominator: each relation or ideal generator is compiled once per
-lattice into a stencil of (weight, key, numerator) terms, and each of
-its multiples is a shift of that stencil, cut at the weight bound where
-GradedSeries.times_key would cut, with no series built.  A multiple
-that leaves the capped basis keeps its outside monomials as overflow
-columns, never dropped, and the degrees where that happens are
-reported.  Columns are in key order, the basis and then each row's new
-keys, never term order.  Every capped basis here and in the oracle is
+DegreeColumns, the one lattice-row builder: each relation multiple is a
+shift of a stencil compiled once per lattice (see lattice_rows).  A
+multiple that leaves the capped basis keeps its outside monomials as
+overflow columns, never dropped, and the degrees where that happens are
+reported.  Every capped basis here and in the oracle is
 graded.degree_basis, read from one residue table per (spec, caps,
 weight).
 """
@@ -86,16 +82,6 @@ def _page_level(r: int) -> int:
     if r < 1:
         raise InputError(f"page index {r} out of range")
     return r.bit_length() - 1
-
-
-def _nonzero_cells(structure_at, m_max: int, t_values) -> dict:
-    out = {}
-    for m in range(m_max + 1):
-        for t in t_values:
-            st = structure_at(m, t)
-            if not st.is_zero:
-                out[(m, t)] = st
-    return out
 
 
 def _merge(parts) -> ModuleStructure:
@@ -308,8 +294,7 @@ def homology_step(page: Page, r: int) -> Page:
             raise PageShapeError(f"hit row {m} carries j={j}, expected {k}")
         one_part = StandardSummand(page.n, 0, j + 1 if hit else j, k + 1, 0,
                                    s0.shift)
-        out = [one_part]
-        out += [s for s in blocks if s.i > 0]
+        out = [one_part, *(s for s in blocks if s.i > 0)]
         if j != k:
             out.append(StandardSummand(page.n, k, j, k + 1, 2 ** k,
                                        s0.shift))
@@ -350,17 +335,20 @@ class TruncatedOracle:
         max(a, b_j - v(c)) if j is in B, and dies if not; a key sent
         past the window keeps a and flags its position, and a key with
         no image keeps a with no work at all;
-      * B grows by the images of Z: b_j = min(b_j, a + v(c));
-      * every boundary d_r moves must be a next-page cycle, d_r of it an
-        existing boundary: b_j <= b + v(c) at its image.
+      * B grows by the images of Z: b_j = min(b_j, a + v(c)).
 
     Then, over the new page, no key of Z has an odd vn exponent, and
-    every key of B lies in Z with b >= a (containment).  A position
-    reads Z/2^(b - a) per key in Z and B with b > a, and Z per key in Z
-    alone.  It is flagged, permanently, when the truncation makes any of
-    that arithmetic unknowable there; the escape and odd-exponent checks
-    skip flagged positions, containment none.  Each page's (Z, B) is
-    kept in `pages`, and `chart_at` charts a page when it is first read.
+    every key of B lies in Z with b >= a (containment).  A boundary that
+    d_r moves into the window and that is no next-page cycle (d_r of it
+    no existing boundary) fails containment at its own key, named as
+    escaping under d_r.  A position reads Z/2^(b - a) per key in Z and B
+    with b > a, and Z per key in Z alone.  It is flagged, permanently,
+    when the truncation makes any of that arithmetic unknowable there: a
+    flag spreads one d_r step a page, to the source and the target of a
+    flagged position, and comes in at (m, t_lo) when the source left of
+    the window holds a monomial.  The odd-exponent check skips flagged
+    positions, containment none.  Each page's (Z, B) is kept in `pages`,
+    and `chart_at` charts a page when it is first read.
     """
 
     def __init__(self, n: int, t_lo: int, t_hi: int, caps: int = 6,
@@ -428,22 +416,15 @@ class TruncatedOracle:
         # a position maps into one position, so this is the per-cell test
         if len(images) < len(d):
             raise MathInvariantError(f"d_{r} sends two keys to one monomial")
-        # flags spread from the previous page's: a polluted target, or a
-        # source out of view or polluted
-        new_flags = set(flags)
-        for cell in self.basis:
-            m, t = cell
-            if cell in flags:
-                continue
-            if (m + r, t + 1) in flags:
-                new_flags.add(cell)
-            elif m - r >= 0:
-                if t - 1 < self.t_lo:
-                    if degree_basis(self.spec, t - 1 + (m - r) * self.spec.lam,
-                                    self.caps):
-                        new_flags.add(cell)
-                elif (m - r, t - 1) in flags:
-                    new_flags.add(cell)
+        # flags spread one d_r step from the previous page's, to a source
+        # or a target cell, and come in at the left edge from a source
+        # out of view that holds a monomial
+        basis, t_lo, lam = self.basis, self.t_lo, self.spec.lam
+        new_flags = flags | {cell for m, t in flags for cell in (
+            (m - r, t - 1), (m + r, t + 1)) if cell in basis}
+        new_flags.update((m, t_lo) for m in range(r, self.m_max + 1)
+                         if (m, t_lo) in basis and degree_basis(
+                             self.spec, t_lo - 1 + (m - r) * lam, self.caps))
         # Z and B change only at the keys d_r moves and at their images
         new_Z, new_B = dict(Z), dict(B)
         for key, (j, c) in d.items():
@@ -461,13 +442,6 @@ class TruncatedOracle:
                 new_Z[key] = b - v
             if j not in new_B or a + v < new_B[j]:
                 new_B[j] = a + v
-        for key in B.keys() & d.keys():
-            j, c = d[key]
-            if j in keys and (j not in B or B[j] > B[key] + val2(c)):
-                cell = self._cell(key)
-                if cell not in new_flags:
-                    raise MathInvariantError(
-                        f"boundary at {cell} escapes under d_{r}")
         for key in new_Z:
             if key[n] % 2 and (cell := self._cell(key)) not in new_flags:
                 raise MathInvariantError(
@@ -475,11 +449,11 @@ class TruncatedOracle:
         for key, b in new_B.items():
             a = new_Z.get(key)
             if a is None or b < a:
-                raise MathInvariantError(
-                    f"boundary at {self._cell(key)} lies outside the cycles")
+                moved = f" escapes under d_{r}: it" if key in d else ""
+                raise MathInvariantError(f"boundary at {self._cell(key)}"
+                                         f"{moved} lies outside the cycles")
 
-        self.Z, self.B, self.d = new_Z, new_B, d
-        self.flags = new_flags
+        self.Z, self.B, self.d, self.flags = new_Z, new_B, d, new_flags
         self.level += 1
         self.pages[2 ** self.level] = new_Z, new_B
         return 2 ** self.level
@@ -504,17 +478,10 @@ class TruncatedOracle:
         For inadmissible r this list must come back empty; every source
         and target is only counted when inside the window and unflagged.
         """
-        chart = self.chart_at(r)
-        pairs = []
-        for (m, t) in chart:
-            if (m, t) in self.flags:
-                continue
-            tgt = (m + r, t + 1)
-            if tgt in self.flags:
-                continue
-            if chart.get(tgt):
-                pairs.append(((m, t), tgt))
-        return pairs
+        chart, flags = self.chart_at(r), self.flags
+        return [(cell, tgt) for cell in chart
+                if (tgt := (cell[0] + r, cell[1] + 1)) not in flags
+                and cell not in flags and chart.get(tgt)]
 
 
 # -- flat base change --------------------------------------------------------
@@ -743,7 +710,9 @@ class TensoredPage:
                       for d, s in reads)
 
     def chart(self, t_values) -> dict:
-        return _nonzero_cells(self.chart_structure, self.page.m_max, t_values)
+        cells = ((m, t) for m in range(self.page.m_max + 1) for t in t_values)
+        return {cell: st for cell in cells
+                if not (st := self.chart_structure(*cell)).is_zero}
 
 
 def flat_base_change(page: Page, module):
@@ -758,13 +727,9 @@ def flat_base_change(page: Page, module):
         raise FlatnessCertificateError(
             "flat base change without a flatness certificate")
     if isinstance(module, FreeModule):
-        rows = {}
-        for m, blocks in page.rows.items():
-            out = []
-            for d in module.shifts:
-                for s in blocks:
-                    out.append(replace(s, shift=s.shift + d))
-            rows[m] = tuple(out)
+        rows = {m: tuple(replace(s, shift=s.shift + d)
+                         for d in module.shifts for s in blocks)
+                for m, blocks in page.rows.items()}
         return Page(page.n, page.r, rows, page.m_max)
     if isinstance(module, PresentedModule):
         return TensoredPage(page, module)

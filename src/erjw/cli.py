@@ -378,12 +378,8 @@ def _admit(args) -> None:
 
 
 def _series_terms(uni, cut: int) -> list[dict]:
-    out = []
-    for exp in range(min(len(uni), cut + 1)):
-        coeff = uni[exp]
-        if not coeff.is_zero:
-            out.append({"exponent": exp, "coefficient": str(coeff)})
-    return out
+    return [{"exponent": exp, "coefficient": str(uni[exp])}
+            for exp in range(min(len(uni), cut + 1)) if not uni[exp].is_zero]
 
 
 def _cmd_fgl(args):
@@ -610,14 +606,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args) -> dict:
-    skip = {"func", "format"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
+    out = {key: list(value) if isinstance(value, tuple) else value
+           for key, value in sorted(vars(args).items())
+           if key not in ("func", "format")}
     out["format"] = args.format
     return out
 

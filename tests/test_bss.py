@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from erjw import bss
 from erjw.bss import (
@@ -777,6 +777,30 @@ def test_oracle_matches_matrix_reference_on_drawn_windows(n, lo, width, caps):
     assert bad == []
     for engine in (closed_form_page, step_engine_page):
         compare_with_page_engine(oracle, n, caps, engine)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), lo=st.integers(-40, 8), width=st.integers(0, 32),
+       caps=st.integers(0, 5), left=st.integers(0, 24),
+       right=st.integers(0, 24))
+@example(n=2, lo=0, width=0, caps=2, left=0, right=1)
+def test_oracle_agrees_with_a_wider_window(n, lo, width, caps, left, right):
+    # a flag marks every cell the truncation could pollute, so widening
+    # the window changes no cell the narrow run leaves unflagged, on any
+    # page; flags are the final page's.  The wide run may flag such a
+    # cell all the same: in the example, (0, 0) at page 8, since d_7's
+    # target (7, 1) is flagged there though d_7 kills (0, 0)'s one key
+    try:
+        narrow = TruncatedOracle(n, lo, lo + width, caps)
+    except EmptyBasisError:
+        assume(False)
+    wide = TruncatedOracle(n, lo - left, lo + width + right, caps)
+    narrow.run()
+    wide.run()
+    kept = narrow.basis.keys() - narrow.flags
+    for r in (2 ** level for level in range(n + 2)):
+        got, want = narrow.chart_at(r), wide.chart_at(r)
+        assert all(got.get(cell) == want.get(cell) for cell in kept), r
 
 
 # -- flat base change --------------------------------------------------------
