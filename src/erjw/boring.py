@@ -84,15 +84,6 @@ def _check_element(z: GradedSeries, p: RingPresentation) -> None:
         raise InputError(f"element exceeds the weight bound {p.weight}")
 
 
-def _into_class_spec(series: GradedSeries, spec: GradingSpec) -> GradedSeries:
-    # drop the root slots once elimination has emptied them: the class
-    # ring's keys are the prefixes
-    cut = spec.width
-    if any(any(key[cut:]) for key in series.keys()):
-        raise MathInvariantError("root content in a class polynomial")
-    return series._mapped(lambda key: (key[:cut], 1), spec)
-
-
 # -- presentation ----------------------------------------------------------
 
 
@@ -152,12 +143,11 @@ def _present(n: int, q: int, weight: int,
     if iota.spec.n != n:
         raise InputError("conjugation series built at a different height")
     ctx = SymmetricContext(iota, q=q, weight=weight)
-    spec = GradingSpec(n, q=q, alphabet=iota.spec.alphabet)
+    spec = ctx.spec
     relations = []
     heads = []
     for k in range(1, q + 1):
-        rel = _into_class_spec(ctx.chern_class(k) - ctx.conjugate_chern(k),
-                               spec)
+        rel = ctx.chern_class(k) - ctx.conjugate_chern(k)
         _assert_head_shape(spec, rel, k)
         relations.append(rel)
         heads.append(_head(spec, rel))

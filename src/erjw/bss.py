@@ -250,6 +250,8 @@ def closed_form_page(n: int, r: int, m_max: int | None = None) -> Page:
         raise InputError("n must be at least 1")
     if m_max is None:
         m_max = 2 ** (n + 2)
+    elif m_max < 0:
+        raise InputError("negative m_max")
     k = min(_page_level(r), n + 1)
     rows: dict[int, tuple[StandardSummand, ...]] = {}
     for m in range(m_max + 1):
@@ -359,6 +361,8 @@ class TruncatedOracle:
             raise InputError("empty window")
         if caps < 0:
             raise InputError("negative caps")
+        if m_max is not None and m_max < 0:
+            raise InputError("negative m_max")
         self.n = n
         self.caps = caps
         self.t_lo, self.t_hi = t_lo, t_hi

@@ -36,13 +36,14 @@ Products and sums work on those ints, and so does every key map, through
 the one primitive `GradedSeries._mapped`: here truncation, homogeneous
 parts, conjugation, widening, regrading and the monomial shifts
 `times_key` and `divide_by_key`; outside, bss.apply_differential,
-boring._into_class_spec, HatDecomposition.recombine,
-SymmetricContext._swap_roots and SymmetricContext.elementary_reduce.
-Class-ring lattice rows are stencil shifts (bss.DegreeColumns.lattice_rows
-compiles each relation once from `numerators` and shifts its keys), and
-every other monomial multiple is times_key, which cuts at the weight
-bound where the one-term product would; the general product is the only
-product of two series.  Coefficient objects are built only where they
+HatDecomposition.recombine, SymmetricContext._swap_roots and
+SymmetricContext.elementary_reduce, whose class terms are a key map from
+the root spec into the class spec.  Class-ring lattice rows are stencil
+shifts (bss.DegreeColumns.lattice_rows compiles each relation once from
+`numerators` and shifts its keys), and every other monomial multiple
+(relation multiples in boring.reduce, the window check's image rows) is
+times_key, which cuts at the weight bound where the one-term product
+would; the general product is the only product of two series.  Coefficient objects are built only where they
 are read: `terms`, a read-only view built on first read, `coefficient`
 and `str`.  An int coefficient widens to either field, so a sum of int
 and TwoLocal series has TwoLocal coefficients, and a series with no

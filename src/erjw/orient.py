@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boring import _into_class_spec, in_ideal, present, reduce
+from .boring import in_ideal, present, reduce
 from .bss import closed_form_page
 from .errors import InputError, MathInvariantError
 from .fgl import GroupLaw
@@ -98,8 +98,7 @@ def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:
     pres = present(n, 2, weight)  # refuses the weight before any law
     iota = GroupLaw.of(n, weight + 4).hat_iota()
     ratio = thom_ratio(iota, 1, weight)
-    delta = _into_class_spec(ratio, pres.spec) - GradedSeries.unit(
-        pres.spec, 1, weight)
+    delta = ratio - GradedSeries.unit(pres.spec, 1, weight)
     # the ratio is not 1 in the class ring: its defect from 1 is a
     # nonzero top-class annihilator.  The Thom class meets the ratio
     # only against the top class (squaring multiplies by it), so the

@@ -192,7 +192,6 @@ def _coerce(x):
     return None
 
 
-ZERO = TwoLocal._raw(0, 1)
 ONE = TwoLocal._raw(1, 1)
 
 

@@ -8,6 +8,11 @@ classes.  The reduction is the classical Gauss descent on the
 lexicographically largest root exponent, which terminates because each
 step strictly lowers it.
 
+Each class polynomial lives over `spec`, the coefficients and the q
+classes; the roots, their elementary polynomials and their conjugates
+live over `root_spec`, the coefficients and the q roots, and
+`elementary_reduce` carries a symmetric root polynomial into `spec`.
+
 The context works with a literal root count equal to the bundle rank.
 Naturality ties ranks together: killing the top class of a rank-(q+1)
 answer gives the rank-q answer, and a test holds that line.
@@ -35,7 +40,8 @@ from .scalar2 import TwoLocal, val2
 
 
 class SymmetricContext:
-    """Root calculus for one bundle rank at one weight bound."""
+    """Root calculus for one bundle rank at one weight bound: `spec`
+    holds the classes, `root_spec` the roots, and no series has both."""
 
     def __init__(self, iota: UniSeries, q: int, weight: int):
         if q < 1:
@@ -48,7 +54,8 @@ class SymmetricContext:
         self.iota = iota
         self.q = q
         self.weight = weight
-        self.spec = GradingSpec(base.n, q=q, roots=q, alphabet=base.alphabet)
+        self.spec = GradingSpec(base.n, q=q, alphabet=base.alphabet)
+        self.root_spec = GradingSpec(base.n, roots=q, alphabet=base.alphabet)
         self._conj_chern: dict[int, GradedSeries] = {}
 
     # -- basic series -----------------------------------------------------
@@ -56,28 +63,28 @@ class SymmetricContext:
     def root(self, i: int) -> GradedSeries:
         if not 1 <= i <= self.q:
             raise InputError(f"root index {i} out of range")
-        return GradedSeries.gen(self.spec, f"x{i}", trunc=self.weight)
+        return GradedSeries.gen(self.root_spec, f"x{i}", trunc=self.weight)
 
-    def chern_class(self, k: int, exp: int = 1) -> GradedSeries:
+    def chern_class(self, k: int) -> GradedSeries:
         if not 1 <= k <= self.q:
             raise InputError(f"class index {k} out of range")
-        return GradedSeries.gen(self.spec, f"c{k}", exp=exp, trunc=self.weight)
+        return GradedSeries.gen(self.spec, f"c{k}", trunc=self.weight)
 
     def elementary(self, k: int) -> GradedSeries:
         """k-th elementary symmetric polynomial of the roots."""
         if k == 0:
-            return GradedSeries.unit(self.spec, 1, self.weight)
+            return GradedSeries.unit(self.root_spec, 1, self.weight)
         if not 0 <= k <= self.q:
             raise InputError(f"elementary index {k} out of range")
-        w = self.spec.width  # the roots are the last q slots
+        w = self.root_spec.width  # the roots are the last q slots
         terms = {tuple(int(i in picks) for i in range(w)): 1
                  for picks in combinations(range(w - self.q, w), k)}
-        return GradedSeries(self.spec, terms, self.weight)
+        return GradedSeries(self.root_spec, terms, self.weight)
 
     # -- symmetry ----------------------------------------------------------
 
     def _swap_roots(self, series: GradedSeries, j: int) -> GradedSeries:
-        i = self.spec.width - self.q + j  # the slot of root j
+        i = self.root_spec.width - self.q + j  # the slot of root j
         return series._mapped(
             lambda k: (k[:i] + (k[i + 1], k[i]) + k[i + 2:], 1))
 
@@ -90,18 +97,17 @@ class SymmetricContext:
     def elementary_reduce(self, series: GradedSeries) -> GradedSeries:
         """Rewrite a symmetric root polynomial in the classes.
 
-        Input must be free of classes; output is free of roots.  Internal
+        Input lives over `root_spec`, output over `spec`.  Internal
         degree is preserved because |c_k| matches |e_k|.
         """
-        if series.spec != self.spec:
+        if series.spec != self.root_spec:
             raise InputError("series from a different context")
-        cut = self.spec.classes.stop  # the roots follow the classes
-        if any(any(key[self.spec.classes]) for key in series.keys()):
-            raise InputError("input already contains classes")
         if series.max_weight() > self.weight:
             raise InputError("input exceeds the context weight bound")
         if not self.is_symmetric(series):
             raise SymmetryError("input is not symmetric in the roots")
+        cut = self.root_spec.n + 1  # the roots follow the coefficients
+        zero_x = (0,) * self.q
         residual = series
         out = GradedSeries.zero(self.spec, series.trunc)
         prev = None
@@ -112,17 +118,16 @@ class SymmetricContext:
             if prev is not None and not alpha < prev:
                 raise ReductionError("descent stalled")
             prev = alpha
-            zero_x = (0,) * self.q
             C = residual._mapped(lambda key: (key[:cut] + zero_x, 1)
                                  if key[cut:] == alpha else None)
-            cexp = [alpha[i] - (alpha[i + 1] if i + 1 < self.q else 0)
-                    for i in range(self.q)]
-            P = GradedSeries.unit(self.spec, 1, residual.trunc)
+            cexp = tuple(alpha[i] - (alpha[i + 1] if i + 1 < self.q else 0)
+                         for i in range(self.q))
+            P = GradedSeries.unit(self.root_spec, 1, residual.trunc)
             for i, e in enumerate(cexp, start=1):
                 if e:
                     P = P * self.elementary(i) ** e
-            emit = (0,) * self.spec.classes.start + tuple(cexp) + zero_x
-            out = out + C.times_key(emit, series.trunc)
+            out = out + C._mapped(lambda key: (key[:cut] + cexp, 1),
+                                  self.spec)
             residual = residual - C * P
         return out
 
@@ -135,8 +140,8 @@ class SymmetricContext:
         """e_k of the conjugated roots, built by the standard DP."""
         if not 0 <= k <= self.q:
             raise InputError(f"elementary index {k} out of range")
-        P = [GradedSeries.unit(self.spec, 1, self.weight)]
-        P += [GradedSeries.zero(self.spec, self.weight) for _ in range(k)]
+        P = [GradedSeries.unit(self.root_spec, 1, self.weight)]
+        P += [GradedSeries.zero(self.root_spec, self.weight)] * k
         for i in range(1, self.q + 1):
             xb = self.conjugate_root(i)
             for j in range(min(i, k), 0, -1):
@@ -165,10 +170,8 @@ class SymmetricContext:
             raise InputError("series from a different context")
         out = GradedSeries.zero(self.spec, self.weight)
         classes = self.spec.classes
-        zero = (0,) * (2 * self.q)  # the classes and the roots
+        zero = (0,) * self.q
         for key, coeff in series.terms.items():
-            if any(key[classes.stop:]):
-                raise InputError("roots present; conjugate them directly")
             term = GradedSeries(self.spec, {key[:classes.start] + zero: coeff},
                                 self.weight).conjugate()
             for j, e in enumerate(key[classes], start=1):
@@ -205,14 +208,16 @@ def thom_ratio(iota: UniSeries, k: int, weight: int) -> GradedSeries:
     """
     if k < 1:
         raise InputError("k must be positive")
+    if weight < 0:
+        raise InputError("negative weight bound")
     q = 2 * k
     big = SymmetricContext(iota, q, weight + q + 1)
-    ratio = GradedSeries.unit(big.spec, 1, big.weight - 1)
+    ratio = GradedSeries.unit(big.root_spec, 1, big.weight - 1)
     for i in range(1, q + 1):
         xi_key = next(iter(big.root(i).keys()))
         u = big.conjugate_root(i).divide_by_key(xi_key)
         ratio = ratio * u
-    if ratio.coefficient(big.spec.unit_key()) != 1:
+    if ratio.coefficient(big.root_spec.unit_key()) != 1:
         raise MathInvariantError("thom ratio constant term is not 1")
     if not big.is_symmetric(ratio):
         raise SymmetryError("thom ratio is not symmetric")

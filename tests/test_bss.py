@@ -295,6 +295,19 @@ def test_oracle_trivial_window():
         TruncatedOracle(1, 0, 0, caps=0, m_max=0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda m_max: closed_form_page(1, 1, m_max=m_max),
+    lambda m_max: step_engine_page(1, 3, m_max=m_max),
+    lambda m_max: TruncatedOracle(1, 0, 4, 2, m_max=m_max),
+], ids=["closed", "step", "oracle"])
+def test_negative_m_max_is_refused(build):
+    # -1 once gave an empty page, and the oracle blamed its window
+    for m_max in (-1, -4):
+        with pytest.raises(InputError, match="^negative m_max$"):
+            build(m_max)
+    assert build(0).m_max == 0
+
+
 def test_oracle_chart_before_advance():
     oracle = TruncatedOracle(1, -6, 6, caps=0, m_max=4)
     assert (0, 1) not in oracle.chart_at(1)  # odd parity, empty basis

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from erjw.boring import HatDecomposition, _into_class_spec
+from erjw.boring import HatDecomposition
 from erjw.bss import apply_differential
 from erjw.errors import InputError, MathInvariantError, NonUnitDivisionError
 from erjw.fgl import UniSeries
@@ -603,14 +603,6 @@ def _assert_key_maps(a, A, ka, shifts):
             message = f"vn exponent {odd[0]} is not a multiple of 2^{k}"
             with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
                 apply_differential(a, r)
-    classes = GradingSpec(n, spec.q, 0)
-    if any(any(k[classes.width:]) for k in A):
-        with pytest.raises(MathInvariantError, match="root content"):
-            _into_class_spec(a, classes)
-    else:
-        got = _into_class_spec(a, classes)
-        _assert_matches(got, _ref_map(A, lambda k: (k[:classes.width], 1)), ka)
-        assert got.spec == classes and got.trunc == tra
     # components of distinct weight stay apart after the vn shift by it
     dec = HatDecomposition(n, std.spec, a.weight_parts(), (), True)
     want = {}
@@ -621,19 +613,22 @@ def _assert_key_maps(a, A, ka, shifts):
     _assert_matches(got, want, ka)
     assert got.spec == std.spec and got.trunc is None
     # two roots: the series' own root (if any) then a padded one
-    ctx = SymmetricContext(UniSeries.identity(GradingSpec(n), 1), 2, 4)
-    wide = ctx.spec
+    wide = GradingSpec(n, 2, 2)
     pad = (0,) * (2 - spec.q)
+    roots_pad = (0,) * (2 - spec.roots)
     widened = _ref_map(A, lambda k: ((*k[:n + 1 + spec.q], *pad,
-                                      *k[n + 1 + spec.q:],
-                                      *(0,) * (2 - spec.roots)), 1))
+                                      *k[n + 1 + spec.q:], *roots_pad), 1))
     got = a.extended_to(wide)
     _assert_matches(got, widened, ka)
-    assert got.trunc == tra
-    got = ctx._swap_roots(got, 0)
-    _assert_matches(got, _ref_map(widened, lambda k: ((*k[:-2], k[-1], k[-2]),
-                                                      1)), ka)
     assert got.spec == wide and got.trunc == tra
+    # the root swap acts on the root side alone: A's classes dropped
+    ctx = SymmetricContext(UniSeries.identity(GradingSpec(n), 1), 2, 4)
+    rooted = _ref_map(A, lambda k: ((*k[:n + 1], *k[n + 1 + spec.q:],
+                                     *roots_pad), 1))
+    got = ctx._swap_roots(GradedSeries(ctx.root_spec, rooted, tra), 0)
+    _assert_matches(got, _ref_map(rooted, lambda k: ((*k[:-2], k[-1], k[-2]),
+                                                     1)), ka)
+    assert got.spec == ctx.root_spec and got.trunc == tra
 
 
 # vn^2 is reached three times in a*b: by 1, then -1, which cancels it, and

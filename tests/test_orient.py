@@ -3,7 +3,6 @@
 import pytest
 
 import erjw.orient
-from erjw.boring import _into_class_spec as _strip_roots
 from erjw.boring import in_ideal, present, reduce
 from erjw.bss import closed_form_page
 from erjw.errors import InputError
@@ -151,8 +150,7 @@ def test_top_class_carries_the_fixedness_identity(n):
     iota = GroupLaw(n, precision=weight + 4).hat_iota()
     ratio = thom_ratio(iota, 1, weight)
     pres = present(n, 2, weight)
-    delta = _strip_roots(ratio, pres.spec) - GradedSeries.unit(
-        pres.spec, trunc=weight)
+    delta = ratio - GradedSeries.unit(pres.spec, trunc=weight)
     top = GradedSeries.gen(pres.spec, "c2", trunc=weight)
     defect = (delta * top).truncated(weight)
     # the product with the top class is exactly the even relation

@@ -1,5 +1,7 @@
 import pytest
 
+from erjw import symchern
+from erjw.boring import present
 from erjw.errors import InputError, PrecisionError, SymmetryError
 from erjw.fgl import GroupLaw, ToyLaw, additive_law
 from erjw.graded import GradedSeries, GradingSpec
@@ -20,7 +22,7 @@ def test_elementary_polynomials():
     e1, e2, e3 = ctx.elementary(1), ctx.elementary(2), ctx.elementary(3)
     assert len(e1.terms) == 3 and len(e2.terms) == 3 and len(e3.terms) == 1
     assert ctx.is_symmetric(e2)
-    assert ctx.elementary(0) == GradedSeries.unit(ctx.spec, 1)
+    assert ctx.elementary(0) == GradedSeries.unit(ctx.root_spec, 1)
     with pytest.raises(InputError):
         ctx.elementary(4)
 
@@ -35,7 +37,7 @@ def test_newton_reductions():
 
     ctx3 = _ctx(3, 4)
     p3 = sum((ctx3.root(i) ** 3 for i in (1, 2, 3)),
-             GradedSeries.zero(ctx3.spec, 4))
+             GradedSeries.zero(ctx3.root_spec, 4))
     d1, d2, d3 = (ctx3.chern_class(k) for k in (1, 2, 3))
     assert ctx3.elementary_reduce(p3) == d1 ** 3 - 3 * d1 * d2 + 3 * d3
 
@@ -53,23 +55,23 @@ def test_reduce_round_trips_on_random_symmetric_inputs():
     rng = random.Random(99)
     ctx = _ctx(3, 5)
     for _ in range(10):
-        s = GradedSeries.zero(ctx.spec, 5)
+        s = GradedSeries.zero(ctx.root_spec, 5)
         for _ in range(rng.randrange(1, 4)):
             coeff = rng.randrange(-3, 4)
             exps = [rng.randrange(0, 3) for _ in range(3)]
-            prod = GradedSeries.unit(ctx.spec, coeff, 5)
+            prod = GradedSeries.unit(ctx.root_spec, coeff, 5)
             for k, e in enumerate(exps, start=1):
                 if e:
                     prod = prod * ctx.elementary(k) ** e
             s = s + prod
         reduced = ctx.elementary_reduce(s)
         # substituting the elementary polynomials back recovers the input
-        back = GradedSeries.zero(ctx.spec, 5)
+        assert reduced.spec == ctx.spec
+        back = GradedSeries.zero(ctx.root_spec, 5)
         for key, coeff in reduced.terms.items():
-            # y, vh and vn, then three classes and three roots
-            head, c, x = key[:-6], key[-6:-3], key[-3:]
-            assert not any(x)
-            term = GradedSeries(ctx.spec, {head + (0,) * 6: coeff}, 5)
+            # y, vh and vn, then three classes
+            head, c = key[:-3], key[-3:]
+            term = GradedSeries(ctx.root_spec, {head + (0,) * 3: coeff}, 5)
             for k, e in enumerate(c, start=1):
                 if e:
                     term = term * ctx.elementary(k) ** e
@@ -115,11 +117,10 @@ def test_conjugate_chern_rank_stability():
     got3 = large.conjugate_chern(1)
     specialized = {}
     for key, coeff in got3.terms.items():
-        head, c, x = key[:3], key[3:6], key[6:]  # (y, vh1, vn), classes, roots
-        assert not any(x)
+        head, c = key[:3], key[3:]  # (y, vh1, vn), then the classes
         if c[2]:
             continue  # top class of the larger rank killed
-        specialized[head + c[:2] + (0, 0)] = coeff
+        specialized[head + c[:2]] = coeff
     assert specialized == got2.terms
 
 
@@ -142,7 +143,7 @@ def test_conjugation_defect_mod2():
 def test_thom_ratio_weight_one():
     got = thom_ratio(LAW2.hat_iota(), 1, 1)
     spec = got.spec
-    assert spec.q == 2 and spec.roots == 2
+    assert spec.q == 2 and spec.roots == 0
     expect = (GradedSeries.unit(spec, 1)
               - GradedSeries.monomial(spec, vh=(1,), c=(1, 0)))
     assert got == expect
@@ -162,3 +163,35 @@ def test_thom_ratio_multiplicative_toy():
 def test_thom_ratio_respects_precision():
     with pytest.raises(PrecisionError):
         thom_ratio(GroupLaw(2, precision=4).hat_iota(), 1, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_class_polynomials_live_in_the_class_ring(n):
+    w = 4
+    ratio = thom_ratio(GroupLaw.of(n, w + 4).hat_iota(), 1, w)
+    assert ratio.spec == present(n, 2, w).spec
+    for q in (1, 2, 3):
+        ctx = SymmetricContext(GroupLaw.of(n, w + 1).hat_iota(), q, w)
+        pres = present(n, q, w)
+        for k in range(1, q + 1):
+            assert pres.relations[k - 1] == \
+                ctx.chern_class(k) - ctx.conjugate_chern(k)
+        # a class polynomial is no root polynomial, and the other way round
+        with pytest.raises(InputError, match="different context"):
+            ctx.elementary_reduce(ctx.chern_class(1))
+        with pytest.raises(InputError, match="different context"):
+            ctx.conjugation_on_classes(ctx.elementary(1))
+
+
+def test_thom_ratio_refuses_a_negative_weight(monkeypatch):
+    iota = GroupLaw(2, 10).hat_iota()
+    one = thom_ratio(iota, 1, 0)
+    assert one == GradedSeries.unit(one.spec, 1)
+
+    def no_context(*args):
+        raise AssertionError("a context was built for a negative weight")
+
+    monkeypatch.setattr(symchern, "SymmetricContext", no_context)
+    for weight in range(-1, -6, -1):
+        with pytest.raises(InputError, match="^negative weight bound$"):
+            thom_ratio(iota, 1, weight)
