@@ -209,32 +209,43 @@ class Page:
     def spec(self) -> GradingSpec:
         return GradingSpec(self.n, alphabet="hat")
 
-    def chart_structure(self, m: int, t: int, caps: int = 6) -> ModuleStructure:
+    @cached_property
+    def _known(self) -> dict:
+        """(summand, caps) -> {(D - shift) mod its period: structure}, for
+        every read of this page: degree_basis leaves the vn exponent free,
+        so a summand's structure_at(D) has period |deg vn| * 2^s in
+        D - shift."""
+        return {}
+
+    def _row(self, m: int, caps: int) -> list:
+        """(summand, its structure memo, its period) per nonzero block."""
+        wn = -self.spec.degrees[self.n]
+        known = self._known
+        return [(s, known.setdefault((s, caps), {}), wn << s.s)
+                for s in self.rows.get(m, ()) if not s.is_zero]
+
+    def _cell(self, row: list, D: int, caps: int) -> ModuleStructure:
         spec = self.spec
-        D = t + m * spec.lam
-        return _merge(s.structure_at(D, caps, spec)
-                      for s in self.rows.get(m, ()) if not s.is_zero)
+        parts = []
+        for s, seen, period in row:
+            c = (D - s.shift) % period
+            if c not in seen:
+                seen[c] = s.structure_at(D, caps, spec)
+            parts.append(seen[c])
+        return _merge(parts)
+
+    def chart_structure(self, m: int, t: int, caps: int = 6) -> ModuleStructure:
+        return self._cell(self._row(m, caps), t + m * self.spec.lam, caps)
 
     def chart(self, t_values, caps: int = 6) -> dict:
         """chart_structure on every nonzero cell, each summand asked once
-        per degree class: degree_basis leaves the vn exponent free, so a
-        summand's structure_at(D) has period |deg vn| * 2^s in D - shift."""
-        spec = self.spec
-        wn = -spec.degrees[self.n]
-        known: dict = {}  # summand -> {(D - shift) mod its period: structure}
+        per degree class (see `_known`)."""
+        lam = self.spec.lam
         out = {}
         for m in range(self.m_max + 1):
-            row = [(s, known.setdefault(s, {}), wn << s.s)
-                   for s in self.rows.get(m, ()) if not s.is_zero]
+            row = self._row(m, caps)
             for t in t_values:
-                D = t + m * spec.lam
-                parts = []
-                for s, seen, period in row:
-                    c = (D - s.shift) % period
-                    if c not in seen:
-                        seen[c] = s.structure_at(D, caps, spec)
-                    parts.append(seen[c])
-                st = _merge(parts)
+                st = self._cell(row, t + m * lam, caps)
                 if not st.is_zero:
                     out[(m, t)] = st
         return out

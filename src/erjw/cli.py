@@ -32,6 +32,7 @@ from .bss import (
 )
 from .coeff import (
     filtration_profile,
+    limit_page,
     named_generators,
     relation_check,
     total_period,
@@ -336,7 +337,7 @@ def _models(a):
         yield from _law(a.n, 2 ** (a.n + 2),
                         "--n (or pass a smaller --precision)")
     elif a.command == "chern":
-        yield from _law(a.n, a.weight + 4, "--weight")
+        yield from _law(a.n, a.weight + 1, "--weight")  # present's law
         yield from _classes(a.q, a.weight, CHERN_COST_BOUND)
     elif a.command == "page":
         yield ("the chart", page_cost(a.n, a.window, a.caps), "work units",
@@ -349,7 +350,7 @@ def _models(a):
         yield from _classes(a.weight if a.q is None else a.q, a.weight,
                             BO_COST_BOUND)
     elif a.command == "orient":
-        yield from _law(a.n, a.weight + 4, "--weight")
+        yield from _law(a.n, a.weight + 3, "--weight")  # thom_ratio's
         if a.weight >= 1:
             shift = (0, 6, 8, 11, 17)[a.n - 1] if a.n <= 5 else 7 * a.n - 18
             yield (f"n={a.n} at weight {a.weight}", a.weight ** 8 << shift,
@@ -403,9 +404,11 @@ def _cmd_fgl(args):
 
 
 def _cmd_chern(args):
-    if args.weight < 0:  # before a law at precision weight + 4 is asked for
+    if args.weight < 0:  # before a law at precision weight + 1 is asked for
         raise InputError("negative weight bound")
-    iota = GroupLaw.of(args.n, args.weight + 4).hat_iota()
+    # the context reads iota through u^weight, as present's law does; at
+    # weight 0 the smallest law, so the context refuses the weight
+    iota = GroupLaw.of(args.n, max(args.weight + 1, 2)).hat_iota()
     ctx = SymmetricContext(iota, args.q, args.weight)
     classes = []
     for k in range(1, args.q + 1):
@@ -447,6 +450,7 @@ def _cmd_page(args):
 
 def _cmd_coeff(args):
     gens = named_generators(args.n)
+    page = limit_page(args.n)  # one build for the profile and the relation
     result = {
         "period": total_period(args.n),
         "generators": [
@@ -456,7 +460,7 @@ def _cmd_coeff(args):
         ],
         "filtration": [
             {"row": row, "blocks": list(blocks)}
-            for row, blocks in filtration_profile(args.n)
+            for row, blocks in filtration_profile(args.n, page)
         ],
     }
     lines = [f"coefficients, n={args.n}, period {result['period']}"]
@@ -464,7 +468,7 @@ def _cmd_coeff(args):
         lines.append(f"  {g['name']}: degree {g['total_degree']},"
                      f" row {g['row']}, {g['series']}")
     if args.relation:
-        report = relation_check(args.n, args.relation)
+        report = relation_check(args.n, args.relation, page)
         result["relation"] = {
             "text": args.relation, "holds": report.holds,
             "witness": report.witness, "summand": report.summand,

@@ -23,6 +23,7 @@ __all__ = [
     "total_period",
     "relation_check",
     "filtration_profile",
+    "limit_page",
 ]
 
 
@@ -151,13 +152,20 @@ def _render(spec: GradingSpec, nf) -> str:
     return str(GradedSeries(spec, {key: coeff}))
 
 
-def relation_check(n: int, text: str) -> RelationReport:
+def limit_page(n: int) -> Page:
+    """The limit page of the chart, past every differential."""
+    return closed_form_page(n, 2 ** (n + 1))
+
+
+def relation_check(n: int, text: str,
+                   page: Page | None = None) -> RelationReport:
     """Check a chain of equalities between monomial expressions.
 
     Each side is read by graded.parse_series over the chart variables and
     named classes, must be a single monomial, and is located and reduced
     to normal form in its chart block.  Equalities across different rows
-    or blocks never hold unless both sides vanish.
+    or blocks never hold unless both sides vanish.  `page`, if given, is
+    limit_page(n), built once by a caller that reads it again.
     """
     spec = GradingSpec(n, alphabet="hat")
     names = {name: cls.series for name, cls in named_generators(n).items()}
@@ -169,7 +177,8 @@ def relation_check(n: int, text: str) -> RelationReport:
     terms = [_single_term(parse_series(side, spec, names=names))
              for side in sides]
 
-    page = closed_form_page(n, 2 ** (n + 1))
+    if page is None:
+        page = limit_page(n)
     located = []
     for term in terms:
         if term is None:
@@ -208,12 +217,15 @@ def relation_check(n: int, text: str) -> RelationReport:
         block0.notation())
 
 
-def filtration_profile(n: int) -> list[tuple[int, tuple[str, ...]]]:
+def filtration_profile(n: int, page: Page | None = None
+                       ) -> list[tuple[int, tuple[str, ...]]]:
     """Nonzero rows of the limit chart, as (row, block notations).
 
     There are 2^(n+1) - 1 of them; every row from there on must vanish.
+    `page`, if given, is limit_page(n), as in relation_check.
     """
-    page = closed_form_page(n, 2 ** (n + 1))
+    if page is None:
+        page = limit_page(n)
     top = 2 ** (n + 1) - 1
     for m in range(top, page.m_max + 1):
         if any(not s.is_zero for s in page.rows[m]):

@@ -20,6 +20,9 @@ A series in one formal variable u is one GradedSeries over the bare spec
 plus a root x1 = u, truncated at its precision: exact through that power
 of u and unknown beyond it.  Its arithmetic is GradedSeries arithmetic, and
 UniSeries.evaluate_at is the one substitution routine (compose uses it).
+Inside it, a monomial substitution (one term with an int coefficient, such
+as a root or a class) is one key map, GradedSeries._last_at_term; any other
+target is summed over its powers.
 """
 
 from __future__ import annotations
@@ -216,13 +219,25 @@ class UniSeries:
         Every term of `at` must have weight >= 1 and `at` must carry a
         truncation bound, so powers die out; if they survive past this
         series' precision the answer would be wrong and PrecisionError
-        is raised instead.
+        is raised instead.  A one-term target with an int coefficient (a
+        root, a class) is one key map: u^e goes to the e-th power of the
+        term, cut at the bound.  Any other target is summed over its
+        powers.
         """
         if at.trunc is None:
             raise PrecisionError("substitution target carries no truncation bound")
         wof = at.spec.weight_of
         if any(wof(k) < 1 for k in at.keys()):
             raise ConstantTermError("substitution target has weight-0 content")
+        if len(at.keys()) == 1:
+            (key, coeff), = at.terms.items()
+            if type(coeff) is int:
+                if (self.precision + 1) * wof(key) <= at.trunc:
+                    raise PrecisionError(
+                        f"need powers beyond u^{self.precision} to honor"
+                        f" trunc={at.trunc}")
+                return self.series._last_at_term(at.spec, key, coeff,
+                                                 at.trunc)
         acc = GradedSeries.zero(at.spec, at.trunc)
         p = GradedSeries.unit(at.spec, 1, at.trunc)
         for k, c in enumerate(self.coeffs):

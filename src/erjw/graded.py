@@ -34,8 +34,9 @@ keeps the coefficient kind: int, TwoLocal (the 2-local world; the
 denominator is odd) or Fraction (inside logarithm computations).
 Products and sums work on those ints, and so does every key map, through
 the one primitive `GradedSeries._mapped`: here truncation, homogeneous
-parts, conjugation, widening, regrading and the monomial shifts
-`times_key` and `divide_by_key`; outside, bss.apply_differential,
+parts, conjugation, widening, regrading, the monomial shifts
+`times_key` and `divide_by_key`, and `_last_at_term`, the monomial
+substitution of fgl.UniSeries.evaluate_at; outside, bss.apply_differential,
 HatDecomposition.recombine, SymmetricContext._swap_roots and
 SymmetricContext.elementary_reduce, whose class terms are a key map from
 the root spec into the class spec.  Class-ring lattice rows are stencil
@@ -568,13 +569,18 @@ class GradedSeries:
 
     # -- structure ------------------------------------------------------
 
-    def _mapped(self, image: Callable, spec=None, trunc=_OWN) -> "GradedSeries":
+    def _mapped(self, image: Callable, spec=None, trunc=_OWN,
+                order: Callable | None = None) -> "GradedSeries":
         """The one key map: image(key) is (new key, int factor), or None to
         drop the term.  Terms landing on one key are summed and a zero sum
         is dropped; the result keeps the kind, over spec and trunc (by
-        default this series' own), in lowest terms again."""
+        default this series' own), in lowest terms again.  Terms are
+        visited in term order, or stably sorted by order(key)."""
+        items = self._nums.items()
+        if order is not None:
+            items = sorted(items, key=lambda kv: order(kv[0]))
         out = {}
-        for key, num in self._nums.items():
+        for key, num in items:
             hit = image(key)
             if hit is None:
                 continue
@@ -702,6 +708,29 @@ class GradedSeries:
         den, kind = self._den, self._kind
         return tuple(GradedSeries._reduced(spec, t, den, kind, None)
                      for t in parts)
+
+    def _last_at_term(self, spec: GradingSpec, key, coeff: int,
+                      trunc: int) -> "GradedSeries":
+        """The series with its last slot u replaced by the one term
+        coeff * key of spec, a widening of the spec without that slot, as
+        one key map: u^e goes to e * key, scaled by coeff^e, and survives
+        iff e * weight(key) <= trunc.  Terms are visited by ascending e,
+        stably: the order in which the sum of (part e) * (coeff * key)^e
+        over e = 0, 1, ... meets them."""
+        if (spec.n, spec.alphabet) != (self.spec.n, self.spec.alphabet):
+            raise ValueError("incompatible core")
+        top = trunc // spec.weight_of(key)
+        pad = (0,) * (spec.width - self.spec.width + 1)
+        shifts = [(tuple(e * s for s in key), coeff ** e)
+                  for e in range(top + 1)]
+        add = operator.add
+
+        def image(k):
+            if k[-1] > top:
+                return None
+            shift, factor = shifts[k[-1]]
+            return tuple(map(add, k[:-1] + pad, shift)), factor
+        return self._mapped(image, spec, trunc, order=lambda k: k[-1])
 
     @classmethod
     def _stack_last(cls, spec: GradingSpec, parts, trunc) -> "GradedSeries":

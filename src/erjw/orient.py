@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .boring import in_ideal, present, reduce
-from .bss import closed_form_page
+from .bss import Page, closed_form_page
 from .errors import InputError, MathInvariantError
 from .fgl import GroupLaw
 from .graded import GradedSeries, GradingSpec
@@ -96,7 +96,8 @@ class OrientationScan:
 
 def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:
     pres = present(n, 2, weight)  # refuses the weight before any law
-    iota = GroupLaw.of(n, weight + 4).hat_iota()
+    # thom_ratio(iota, 1, weight) reads iota through u^(weight + 3)
+    iota = GroupLaw.of(n, weight + 3).hat_iota()
     ratio = thom_ratio(iota, 1, weight)
     delta = ratio - GradedSeries.unit(pres.spec, 1, weight)
     # the ratio is not 1 in the class ring: its defect from 1 is a
@@ -110,8 +111,7 @@ def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:
     return OrientationStep(1, 1, "conjugation-fixed", verdict)
 
 
-def _swap_doubling_step(n: int, k: int) -> OrientationStep:
-    page = closed_form_page(n, 2 ** k - 1)
+def _swap_doubling_step(k: int, page: Page) -> OrientationStep:
     verdict = all(
         block.j >= 1
         for m in range(1, page.m_max + 1)
@@ -120,8 +120,8 @@ def _swap_doubling_step(n: int, k: int) -> OrientationStep:
     return OrientationStep(k, 2 ** k - 1, "swap-doubling", verdict)
 
 
-def _degree_gap_step(n: int, k: int, r: int, span: int,
-                     caps: int) -> OrientationStep:
+def _degree_gap_step(n: int, k: int, r: int, span: int, caps: int,
+                     page: Page) -> OrientationStep:
     lam = GradingSpec(n).lam
     modulus = 2 ** (k + 1)
     target = (2 ** k + r) * lam + 1
@@ -135,7 +135,6 @@ def _degree_gap_step(n: int, k: int, r: int, span: int,
     # the differential lands in row m = page: total degree 1, internal
     # degree target; the arithmetic claim is about that row's blocks
     m = 2 ** k + r
-    page = closed_form_page(n, m)
     rechecked = tuple(target + j * modulus for j in range(-span, span + 1))
     verdict = all(page.chart_structure(m, D - m * lam, caps).is_zero
                   for D in rechecked)
@@ -161,11 +160,14 @@ def orientability_scan(n: int, weight: int = 4, span: int = 8,
         # span -1 would re-read no degree and still certify
         raise InputError("span and caps must be non-negative")
     steps = [_conjugation_fixed_step(n, weight)]
+    # pages are constant on a level: pages 2^k .. 2^(k+1) - 1 are the
+    # level-k page, built once and read by every step on it
+    pages = {k: closed_form_page(n, 2 ** k) for k in range(1, n + 2)}
     for k in range(2, n + 2):
-        steps.append(_swap_doubling_step(n, k))
+        steps.append(_swap_doubling_step(k, pages[k - 1]))  # page 2^k - 1
     for k in range(1, n + 2):
         for r in range(2 ** k - 1):
-            steps.append(_degree_gap_step(n, k, r, span, caps))
+            steps.append(_degree_gap_step(n, k, r, span, caps, pages[k]))
     certified = all(s.verdict for s in steps)
     displayed = 2 ** (2 * n + 2) - 2 ** (n + 2) + 5
     notes = (

@@ -6,7 +6,12 @@ replaces each root x by the formal inverse iota(x), and expressing the
 result in elementary symmetric polynomials again yields the conjugate
 classes.  The reduction is the classical Gauss descent on the
 lexicographically largest root exponent, which terminates because each
-step strictly lowers it.
+step strictly lowers it.  It runs on dominant exponents (non-increasing
+ones) only: a symmetric polynomial is fixed by its dominant terms, and
+the dominant part of each product of elementary polynomials is built once
+per context by the Pieri rule from a smaller one.  The q conjugate roots
+are substituted once per context, and all conjugate elementary
+polynomials come from one run of the standard DP.
 
 Each class polynomial lives over `spec`, the coefficients and the q
 classes; the roots, their elementary polynomials and their conjugates
@@ -25,7 +30,10 @@ at a padded weight every time so the returned truncation is fully pinned.
 
 from __future__ import annotations
 
-from itertools import combinations
+import operator
+from functools import cached_property
+from itertools import combinations, groupby
+from math import comb
 
 from .errors import (
     InputError,
@@ -57,6 +65,8 @@ class SymmetricContext:
         self.spec = GradingSpec(base.n, q=q, alphabet=base.alphabet)
         self.root_spec = GradingSpec(base.n, roots=q, alphabet=base.alphabet)
         self._conj_chern: dict[int, GradedSeries] = {}
+        self._dominant_products = {(0,) * q: GradedSeries.unit(
+            self.root_spec, 1)}
 
     # -- basic series -----------------------------------------------------
 
@@ -94,11 +104,60 @@ class SymmetricContext:
 
     # -- elementary reduction ----------------------------------------------
 
+    def _dominant(self, series: GradedSeries) -> GradedSeries:
+        """The terms whose root exponents are dominant (non-increasing)."""
+        cut = self.root_spec.n + 1  # the roots follow the coefficients
+        return series._mapped(lambda key: (key, 1) if all(
+            map(operator.ge, key[cut:], key[cut + 1:])) else None)
+
+    def _dominant_product(self, cexp: tuple) -> GradedSeries:
+        """The dominant part of e_1^a1 ... e_q^aq, for cexp = (a1..aq).
+
+        Built from the cached part with one factor e_i fewer, by the Pieri
+        rule for monomial symmetric functions.  For b dominant, m_b * e_i
+        sums m_g over the ways to raise i entries of b by one: k_v of the
+        entries equal to v, for each value v, with g the sorted result.
+        The coefficient of m_g is the product over v of C(c, k_v), c the
+        count of entries v + 1 in g.
+        """
+        cache = self._dominant_products
+        if cexp in cache:
+            return cache[cexp]
+        i = max(j for j, a in enumerate(cexp, start=1) if a)
+        smaller = self._dominant_product(
+            cexp[:i - 1] + (cexp[i - 1] - 1,) + cexp[i:])
+        cut = self.root_spec.n + 1
+        head = (0,) * cut
+        out: dict[tuple, int] = {}
+        for key, c in smaller.numerators[0].items():
+            groups = [(v, len(tuple(g))) for v, g in groupby(key[cut:])]
+            for ks in _raise_counts([m for _, m in groups], i):
+                exps = []
+                for (v, m), k in zip(groups, ks):
+                    exps += [v + 1] * k + [v] * (m - k)
+                coeff = c
+                for (v, _), k in zip(groups, ks):
+                    if k:
+                        coeff *= comb(exps.count(v + 1), k)
+                key2 = head + tuple(exps)
+                out[key2] = out.get(key2, 0) + coeff
+        cache[cexp] = GradedSeries(self.root_spec, out)
+        return cache[cexp]
+
     def elementary_reduce(self, series: GradedSeries) -> GradedSeries:
         """Rewrite a symmetric root polynomial in the classes.
 
         Input lives over `root_spec`, output over `spec`.  Internal
         degree is preserved because |c_k| matches |e_k|.
+
+        The Gauss descent runs on the dominant part of the residual only.
+        A symmetric polynomial is zero iff its dominant part is, since
+        every orbit of exponents holds a dominant one, and its largest
+        exponent is dominant.  The step subtracts C * P, C the coefficient
+        of the largest exponent and P a product of elementary polynomials;
+        C has no root exponents, so the dominant projection commutes with
+        C * P, and the dominant part of the new residual is the old one
+        less C times the dominant part of P.
         """
         if series.spec != self.root_spec:
             raise InputError("series from a different context")
@@ -108,13 +167,11 @@ class SymmetricContext:
             raise SymmetryError("input is not symmetric in the roots")
         cut = self.root_spec.n + 1  # the roots follow the coefficients
         zero_x = (0,) * self.q
-        residual = series
+        residual = self._dominant(series)
         out = GradedSeries.zero(self.spec, series.trunc)
         prev = None
         while residual:
             alpha = max(key[cut:] for key in residual.keys())
-            if any(alpha[i] < alpha[i + 1] for i in range(self.q - 1)):
-                raise SymmetryError(f"leading exponent {alpha} not dominant")
             if prev is not None and not alpha < prev:
                 raise ReductionError("descent stalled")
             prev = alpha
@@ -122,31 +179,37 @@ class SymmetricContext:
                                  if key[cut:] == alpha else None)
             cexp = tuple(alpha[i] - (alpha[i + 1] if i + 1 < self.q else 0)
                          for i in range(self.q))
-            P = GradedSeries.unit(self.root_spec, 1, residual.trunc)
-            for i, e in enumerate(cexp, start=1):
-                if e:
-                    P = P * self.elementary(i) ** e
             out = out + C._mapped(lambda key: (key[:cut] + cexp, 1),
                                   self.spec)
-            residual = residual - C * P
+            residual = residual - C * self._dominant_product(cexp)
         return out
 
     # -- conjugation ---------------------------------------------------------
 
+    @cached_property
+    def _conjugate_roots(self) -> tuple:
+        return tuple(self.iota.evaluate_at(self.root(i))
+                     for i in range(1, self.q + 1))
+
     def conjugate_root(self, i: int) -> GradedSeries:
-        return self.iota.evaluate_at(self.root(i))
+        self.root(i)  # refuses an index out of range
+        return self._conjugate_roots[i - 1]
+
+    @cached_property
+    def _conjugate_elementaries(self) -> list:
+        """e_0..e_q of the conjugated roots, by one run of the standard DP."""
+        P = [GradedSeries.unit(self.root_spec, 1, self.weight)]
+        P += [GradedSeries.zero(self.root_spec, self.weight)] * self.q
+        for i, xb in enumerate(self._conjugate_roots, start=1):
+            for j in range(i, 0, -1):
+                P[j] = P[j] + xb * P[j - 1]
+        return P
 
     def conjugate_elementary(self, k: int) -> GradedSeries:
-        """e_k of the conjugated roots, built by the standard DP."""
+        """e_k of the conjugated roots."""
         if not 0 <= k <= self.q:
             raise InputError(f"elementary index {k} out of range")
-        P = [GradedSeries.unit(self.root_spec, 1, self.weight)]
-        P += [GradedSeries.zero(self.root_spec, self.weight)] * k
-        for i in range(1, self.q + 1):
-            xb = self.conjugate_root(i)
-            for j in range(min(i, k), 0, -1):
-                P[j] = P[j] + xb * P[j - 1]
-        return P[k]
+        return self._conjugate_elementaries[k]
 
     def conjugate_chern(self, k: int) -> GradedSeries:
         """The conjugate k-th class, as a polynomial in the classes."""
@@ -226,3 +289,15 @@ def thom_ratio(iota: UniSeries, k: int, weight: int) -> GradedSeries:
     if lhs != rhs:
         raise MathInvariantError("thom ratio identity failed")
     return big.elementary_reduce(ratio).truncated(weight)
+
+
+def _raise_counts(sizes: list, i: int):
+    """Every tuple k with 0 <= k[j] <= sizes[j] and sum i: how many
+    entries of each group of equal entries to raise."""
+    if not sizes:
+        if i == 0:
+            yield ()
+        return
+    for k in range(min(i, sizes[0]) + 1):
+        for rest in _raise_counts(sizes[1:], i - k):
+            yield (k, *rest)

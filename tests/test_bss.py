@@ -931,3 +931,28 @@ def test_trivial_module_matches_blocks_past_the_cap(n, caps, r):
             assert tens.chart_structure(m, t) == \
                 page.chart_structure(m, t, caps), (m, t)
     assert not tens.flags
+
+
+def test_page_reads_share_one_structure_memo(monkeypatch):
+    # chart_structure and chart read one memo per page: a summand's
+    # structure is computed once per degree class, whoever asks first
+    calls = []
+    structure_at = StandardSummand.structure_at
+
+    def count(self, D, caps, spec):
+        calls.append((self, D, caps))
+        return structure_at(self, D, caps, spec)
+
+    monkeypatch.setattr(StandardSummand, "structure_at", count)
+    page = closed_form_page(2, 3, m_max=7)
+    fresh = closed_form_page(2, 3, m_max=7)
+    window = range(-40, 41)
+    cells = {(m, t): page.chart_structure(m, t, 4)
+             for m in range(8) for t in window}
+    asked = len(calls)
+    assert asked < len(cells)
+    chart = page.chart(window, 4)
+    assert len(calls) == asked  # all served from the memo
+    assert chart == {c: st for c, st in cells.items() if not st.is_zero}
+    assert chart == fresh.chart(window, 4)
+    assert page == fresh  # the memo is no part of the page's value

@@ -489,12 +489,14 @@ def test_weight_bound_refuses_costly_laws_up_front(argv, capsys):
 
 
 def test_weight_bound_admits_documented_inputs():
-    # chern and orient build the law at precision weight + 4: the README
-    # (chern --n 2 --weight 6, orient at the default weight 4), the tests
-    # and the benchmark's classring jobs (n = 1..3, weight 4..6)
+    # chern builds the law at precision weight + 1 and orient at weight
+    # + 3: the README (chern --n 2 --weight 6, orient at the default weight
+    # 4), the tests and the benchmark's classring jobs (n = 1..3, weight
+    # 4..6)
     for n in (1, 2, 3):
         for weight in (4, 5, 6):
-            assert series_cost(n, weight + 4) <= SERIES_COST_BOUND
+            for precision in (weight + 1, weight + 3):
+                assert series_cost(n, precision) <= SERIES_COST_BOUND
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -605,7 +607,8 @@ def test_page_cost_bound_admits_documented_inputs():
 
 # For every cost model, the last request it admits and the first it
 # refuses: a bound or a unit moved either way flips one of the pair.
-# orient's law model is chern's; its membership model refuses first.
+# orient's law model (precision weight + 3) is priced like chern's (weight
+# + 1); its membership model refuses first.
 @pytest.mark.parametrize("admitted, refused, fragment", [
     (["fgl", "--n", 64, "--precision", 4],
      ["fgl", "--n", 65, "--precision", 4],
@@ -618,8 +621,8 @@ def test_page_cost_bound_admits_documented_inputs():
      f"bound of {SERIES_COST_BOUND}; lower --precision"),
     (["fgl", "--n", 3], ["fgl", "--n", 4],
      f"bound of {SERIES_COST_BOUND}; lower --n (or pass"),
-    (["chern", "--n", 3, "--q", 1, "--weight", 34],
-     ["chern", "--n", 3, "--q", 1, "--weight", 35],
+    (["chern", "--n", 3, "--q", 1, "--weight", 37],
+     ["chern", "--n", 3, "--q", 1, "--weight", 38],
      f"bound of {SERIES_COST_BOUND}; lower --weight"),
     (["bo", "--n", 2, "--q", 1, "--weight", 48],
      ["bo", "--n", 2, "--q", 1, "--weight", 50],
@@ -660,6 +663,32 @@ def test_admission_edges(admitted, refused, fragment):
         _admit(refused)
 
 
+@pytest.mark.parametrize("argv", [
+    ["chern", "--n", 2, "--q", 2, "--weight", 5],
+    ["chern", "--n", 3, "--q", 1, "--weight", 1],
+    ["orient", "--n", 1, "--weight", 4],
+    ["orient", "--n", 2, "--weight", 6, "--span", 1],
+])
+def test_law_models_price_the_laws_that_are_built(argv, monkeypatch, capsys):
+    # chern builds present's law (weight + 1), orient the law its
+    # conjugation ratio reads (weight + 3, deeper than its presentation's);
+    # the admission model prices the deepest law built
+    args = cli._build_parser().parse_args([str(a) for a in argv])
+    priced = [what for what, *_ in cli._models(args) if "precision" in what]
+    asked = []
+    of = erjw.fgl.GroupLaw.of
+
+    def spy(n, precision=None):
+        asked.append((precision, n))
+        return of(n, precision)
+
+    monkeypatch.setattr(erjw.fgl.GroupLaw, "of", spy)
+    code, _, _ = run([str(a) for a in argv], capsys)
+    assert code == 0
+    precision, n = max(asked)
+    assert priced == [f"n={n} at precision {precision}"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fgl", "--n", "1", "--precision", "1"], "precision below 2"),
     (["fgl", "--n", "0"], "n must be at least 1"),
@@ -678,7 +707,7 @@ def test_fgl_bad_arguments_exit_two(argv, message, capsys):
     (["orient", "--n", "1"], "weight bound must be positive"),
 ])
 def test_negative_weight_is_refused_by_name(argv, message, weight, capsys):
-    # the weight is refused before a law at precision weight + 4 is built,
+    # the weight is refused before a law at precision weight + 1 is built,
     # whose own refusal would name a --precision flag never passed
     code, out, err = run(argv + ["--weight", str(weight)], capsys)
     assert code == 2 and out == ""

@@ -2,8 +2,10 @@ import time
 
 import pytest
 
-from erjw.coeff import (filtration_profile, named_generators, relation_check,
-                        total_period)
+from erjw import cli, coeff
+from erjw.bss import closed_form_page
+from erjw.coeff import (filtration_profile, limit_page, named_generators,
+                        relation_check, total_period)
 from erjw.errors import InputError
 from erjw.graded import GradedSeries, GradingSpec
 from erjw.scalar2 import TwoLocal
@@ -168,3 +170,28 @@ def test_filtration_profile_n3():
     for m in range(7, 15):
         assert prof[m][1] == ("R/I_3[v^±16]",)
 
+
+
+def test_coeff_command_builds_the_limit_page_once(monkeypatch, capsys):
+    argv = ["coeff", "--n", "2", "--relation", "alpha*alpha_2 = 2*w"]
+    assert cli.main(argv) == 0
+    want = capsys.readouterr()
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return closed_form_page(*args, **kwargs)
+
+    monkeypatch.setattr(coeff, "closed_form_page", spy)
+    monkeypatch.setattr(cli, "closed_form_page", spy)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == want
+    assert built == [(2, 8)]
+
+
+def test_a_passed_limit_page_gives_the_same_answers():
+    for n in (1, 2, 3):
+        page = limit_page(n)
+        assert filtration_profile(n, page) == filtration_profile(n)
+        for text in ("2*x = 0", "x^3 = 0", "x = x^2"):
+            assert relation_check(n, text, page) == relation_check(n, text)

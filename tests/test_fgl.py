@@ -443,3 +443,102 @@ def test_series_cost_grows_and_stays_cheap():
     # huge requests are priced without building anything of their size
     assert series_cost(40, 2 ** 42) > SERIES_COST_BOUND
     assert series_cost(10 ** 9, 4) < SERIES_COST_BOUND
+
+
+# -- one-term substitution against the power-sum route ------------------------
+
+
+def _power_sum_evaluate_at(uni, at):
+    """evaluate_at as it runs for every target: the sum over m of
+    coefficient m times at^m.  The reference for the one-term key map."""
+    if at.trunc is None:
+        raise PrecisionError("no truncation bound")
+    wof = at.spec.weight_of
+    if any(wof(k) < 1 for k in at.keys()):
+        raise ConstantTermError("weight-0 content")
+    acc = GradedSeries.zero(at.spec, at.trunc)
+    p = GradedSeries.unit(at.spec, 1, at.trunc)
+    for c in uni.coeffs:
+        if c:
+            acc = acc + c.extended_to(at.spec) * p
+        p = p * at
+        if p.is_zero:
+            return acc
+    raise PrecisionError("powers survive the precision")
+
+
+def _assert_same_series(got, want):
+    # value, bound, kind, denominator and term order
+    assert got == want
+    assert got.trunc == want.trunc
+    assert got._kind is want._kind
+    assert got.numerators[1] == want.numerators[1]
+    assert list(got.keys()) == list(want.keys())
+
+
+def _one_term_targets(n, trunc):
+    """Roots, a root times coefficient generators, classes including the
+    weight-2 c2, and int multiples, each truncated at trunc."""
+    roots = GradingSpec(n, roots=3, alphabet="hat")
+    classes = GradingSpec(n, q=2, alphabet="hat")
+    out = [GradedSeries.gen(roots, f"x{i}", trunc=trunc) for i in (1, 2, 3)]
+    out.append(GradedSeries.monomial(roots, vn=-1, x=(0, 1, 0), trunc=trunc))
+    out += [GradedSeries.gen(classes, c, trunc=trunc) for c in ("c1", "c2")]
+    out.append(GradedSeries.gen(classes, "c2", coeff=-3, trunc=trunc))
+    if n > 1:
+        out.append(GradedSeries.monomial(roots, coeff=2, vh=(1,) + (0,) * (n - 2),
+                                         x=(1, 0, 0), trunc=trunc))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_term_substitution_matches_the_power_sum(n, monkeypatch):
+    law = GroupLaw.of(n, 9)
+    calls = []
+    key_map = GradedSeries._last_at_term
+
+    def spy(self, *args):
+        calls.append(args)
+        return key_map(self, *args)
+
+    monkeypatch.setattr(GradedSeries, "_last_at_term", spy)
+    for uni in (law.hat_iota(), law.hat_k_series(2)):
+        for trunc in range(0, 10):
+            for at in _one_term_targets(n, trunc):
+                if at.is_zero:
+                    continue
+                _assert_same_series(uni.evaluate_at(at),
+                                    _power_sum_evaluate_at(uni, at))
+    assert calls  # the key map, not the power sum, answered
+
+
+def test_one_term_substitution_of_a_fraction_series():
+    for n in (1, 2, 3):
+        log = GroupLaw.of(n, 9).log_series()  # Fraction coefficients
+        spec = GradingSpec(n, roots=2, alphabet="standard")
+        for trunc in (1, 4, 9):
+            for at in (GradedSeries.gen(spec, "x2", trunc=trunc),
+                       GradedSeries.gen(spec, "x1", coeff=5, trunc=trunc)):
+                got = log.evaluate_at(at)
+                _assert_same_series(got, _power_sum_evaluate_at(log, at))
+                assert got._kind is Fraction
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_term_substitution_refuses_at_the_precision_edge(n):
+    iota = GroupLaw.of(n, 6).hat_iota()
+    roots = GradingSpec(n, roots=1, alphabet="hat")
+    classes = GradingSpec(n, q=2, alphabet="hat")
+    # PrecisionError iff (precision + 1) * weight <= trunc
+    for spec, name, weight in ((roots, "x1", 1), (classes, "c2", 2)):
+        edge = 7 * weight
+        for trunc in (edge - 1, edge):
+            at = GradedSeries.gen(spec, name, trunc=trunc)
+            if trunc < edge:
+                _assert_same_series(iota.evaluate_at(at),
+                                    _power_sum_evaluate_at(iota, at))
+                continue
+            with pytest.raises(PrecisionError):
+                iota.evaluate_at(at)
+            with pytest.raises(PrecisionError):
+                _power_sum_evaluate_at(iota, at)

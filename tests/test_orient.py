@@ -4,7 +4,7 @@ import pytest
 
 import erjw.orient
 from erjw.boring import in_ideal, present, reduce
-from erjw.bss import closed_form_page
+from erjw.bss import StandardSummand, closed_form_page
 from erjw.errors import InputError
 from erjw.fgl import GroupLaw
 from erjw.graded import GradedSeries, GradingSpec
@@ -176,8 +176,54 @@ def test_scan_reads_the_cached_presentation(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cached_presentation_matches_the_scan_law(n):
-    # the scan's conjugation ratio reads a deeper law (precision w + 4)
+    # the scan's conjugation ratio reads a deeper law (precision w + 3)
     # than the cached presentation (w + 1); both give one presentation
     for w in range(2, 7):
-        iota = GroupLaw.of(n, w + 4).hat_iota()
+        iota = GroupLaw.of(n, w + 3).hat_iota()
         assert present(n, 2, w, iota=iota) == present(n, 2, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scan_law_at_weight_plus_three_matches_the_deeper_law(n):
+    # the conjugation-fixed step builds its law at precision weight + 3,
+    # as deep as thom_ratio's context reads; the weight + 4 law gives the
+    # same ratio and the same verdict
+    for w in range(1, 6):
+        new = thom_ratio(GroupLaw.of(n, w + 3).hat_iota(), 1, w)
+        old = thom_ratio(GroupLaw.of(n, w + 4).hat_iota(), 1, w)
+        assert new == old and str(new) == str(old) and new.trunc == old.trunc
+        if w < 2:
+            continue  # the rank-2 presentation needs weight 2
+        pres = present(n, 2, w)
+        top = GradedSeries.gen(pres.spec, "c2", trunc=w)
+        defect = ((old - GradedSeries.unit(pres.spec, 1, w)) * top
+                  ).truncated(w)
+        step = erjw.orient._conjugation_fixed_step(n, w)
+        assert step.verdict == (reduce(defect, pres).is_zero
+                                and in_ideal(defect, pres))
+
+
+def test_scan_builds_one_page_per_level(monkeypatch):
+    want = orientability_scan(3)
+    built = []
+    calls = []
+    structure_at = StandardSummand.structure_at
+
+    def build(n, r, *args, **kwargs):
+        built.append(closed_form_page(n, r, *args, **kwargs))
+        return built[-1]
+
+    def count(self, *args):
+        calls.append(self)
+        return structure_at(self, *args)
+
+    monkeypatch.setattr(erjw.orient, "closed_form_page", build)
+    monkeypatch.setattr(StandardSummand, "structure_at", count)
+    # 3 swap-doubling and 26 degree-gap steps on the levels 1..4
+    assert orientability_scan(3) == want
+    assert len(built) == 4
+    assert sorted(min(p.r.bit_length() - 1, 4) for p in built) == [1, 2, 3, 4]
+    # the steps on a level share its structure memo: no summand structure
+    # is computed twice on one page
+    memo = sum(len(seen) for p in built for seen in p._known.values())
+    assert calls and len(calls) == memo

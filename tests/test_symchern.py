@@ -1,8 +1,16 @@
+from itertools import permutations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from erjw import symchern
 from erjw.boring import present
-from erjw.errors import InputError, PrecisionError, SymmetryError
+from erjw.errors import (
+    InputError,
+    PrecisionError,
+    ReductionError,
+    SymmetryError,
+)
 from erjw.fgl import GroupLaw, ToyLaw, additive_law
 from erjw.graded import GradedSeries, GradingSpec
 from erjw.scalar2 import TwoLocal
@@ -195,3 +203,150 @@ def test_thom_ratio_refuses_a_negative_weight(monkeypatch):
     for weight in range(-1, -6, -1):
         with pytest.raises(InputError, match="^negative weight bound$"):
             thom_ratio(iota, 1, weight)
+
+
+# -- reference routes: the per-k DP and the full Gauss descent ----------------
+
+
+def _per_k_conjugate_elementary(ctx, k):
+    """e_k of the conjugated roots by a DP cut at k, roots substituted
+    afresh: the route conjugate_elementary took for each k."""
+    P = [GradedSeries.unit(ctx.root_spec, 1, ctx.weight)]
+    P += [GradedSeries.zero(ctx.root_spec, ctx.weight)] * k
+    for i in range(1, ctx.q + 1):
+        xb = ctx.iota.evaluate_at(ctx.root(i))
+        for j in range(min(i, k), 0, -1):
+            P[j] = P[j] + xb * P[j - 1]
+    return P[k]
+
+
+def _full_descent(ctx, series):
+    """elementary_reduce over every root exponent, expanding each product
+    of elementary polynomials in full."""
+    if not ctx.is_symmetric(series):
+        raise SymmetryError("input is not symmetric in the roots")
+    cut = ctx.root_spec.n + 1
+    zero_x = (0,) * ctx.q
+    residual = series
+    out = GradedSeries.zero(ctx.spec, series.trunc)
+    prev = None
+    while residual:
+        alpha = max(key[cut:] for key in residual.keys())
+        if any(alpha[i] < alpha[i + 1] for i in range(ctx.q - 1)):
+            raise SymmetryError(f"leading exponent {alpha} not dominant")
+        if prev is not None and not alpha < prev:
+            raise ReductionError("descent stalled")
+        prev = alpha
+        C = residual._mapped(lambda key: (key[:cut] + zero_x, 1)
+                             if key[cut:] == alpha else None)
+        cexp = tuple(alpha[i] - (alpha[i + 1] if i + 1 < ctx.q else 0)
+                     for i in range(ctx.q))
+        P = GradedSeries.unit(ctx.root_spec, 1, residual.trunc)
+        for i, e in enumerate(cexp, start=1):
+            if e:
+                P = P * ctx.elementary(i) ** e
+        out = out + C._mapped(lambda key: (key[:cut] + cexp, 1), ctx.spec)
+        residual = residual - C * P
+    return out
+
+
+def _reference_thom_ratio(iota, k, weight):
+    big = SymmetricContext(iota, 2 * k, weight + 2 * k + 1)
+    ratio = GradedSeries.unit(big.root_spec, 1, big.weight - 1)
+    for i in range(1, 2 * k + 1):
+        xi_key = next(iter(big.root(i).keys()))
+        ratio = ratio * iota.evaluate_at(big.root(i)).divide_by_key(xi_key)
+    return _full_descent(big, ratio).truncated(weight)
+
+
+def _assert_same_series(got, want):
+    assert got == want and str(got) == str(want)
+    assert got.trunc == want.trunc
+    assert list(got.keys()) == list(want.keys())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugate_classes_match_the_reference_routes(n):
+    for q in (1, 2, 3):
+        for w in range(1, 9):
+            ctx = SymmetricContext(GroupLaw.of(n, w + 1).hat_iota(), q, w)
+            for k in range(1, min(q, w) + 1):
+                want = _per_k_conjugate_elementary(ctx, k)
+                _assert_same_series(ctx.conjugate_elementary(k), want)
+                _assert_same_series(ctx.conjugate_chern(k),
+                                    _full_descent(ctx, want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_thom_ratio_matches_the_reference_routes(n):
+    # k = 2 runs q = 4 roots at weight + 5; its reference is the slow one,
+    # so it stops at weight 6 past n = 1
+    for k, top in ((1, 8), (2, 8 if n == 1 else 6)):
+        for w in range(0, top + 1):
+            iota = GroupLaw.of(n, w + 2 * k + 1).hat_iota()
+            _assert_same_series(thom_ratio(iota, k, w),
+                                _reference_thom_ratio(iota, k, w))
+
+
+def test_dominant_products_follow_the_pieri_rule():
+    # each cached dominant part equals the dominant part of the full
+    # product of elementary polynomials
+    for q in (1, 2, 3, 4):
+        ctx = _ctx(q, 7)
+        for cexp in product(range(4), repeat=q):
+            if sum(i * a for i, a in enumerate(cexp, start=1)) > 7:
+                continue
+            full = GradedSeries.unit(ctx.root_spec, 1)
+            for i, a in enumerate(cexp, start=1):
+                full = full * ctx.elementary(i) ** a
+            assert ctx._dominant_product(cexp) == ctx._dominant(full)
+
+
+_ORBITS = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(-3, 3),
+              st.lists(st.integers(0, 2), min_size=4, max_size=4),
+              st.integers(-6, 6).filter(bool), st.sampled_from([1, 3, 5])),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), q=st.integers(1, 4), orbits=_ORBITS)
+def test_dominant_descent_matches_the_full_descent(n, q, orbits):
+    """Orbit sums of random monomials with 2-local coefficients, all under
+    the weight bound, reduce alike on both routes; one monomial off its
+    orbit is refused by both."""
+    ctx = SymmetricContext(GroupLaw.of(n, 8).hat_iota(), q, 8)
+    vh = (0,) * (n - 1)
+    s = GradedSeries.zero(ctx.root_spec, 8)
+    for top, vn, exps, num, den in orbits:
+        head = (0, top, *vh[1:], vn) if n > 1 else (0, vn)
+        terms = {head + perm: TwoLocal(num, den)
+                 for perm in set(permutations(exps[:q]))}
+        s = s + GradedSeries(ctx.root_spec, terms, 8)
+    reduced = ctx.elementary_reduce(s)
+    _assert_same_series(reduced, _full_descent(ctx, s))
+    assert reduced.spec == ctx.spec
+    top, vn, exps, num, den = orbits[0]
+    exps = tuple(exps[:q])
+    if q > 1 and len(set(exps)) > 1:
+        head = (0, top, *vh[1:], vn) if n > 1 else (0, vn)
+        lone = s + GradedSeries(ctx.root_spec, {head + exps: TwoLocal(1)}, 8)
+        with pytest.raises(SymmetryError):
+            ctx.elementary_reduce(lone)
+        with pytest.raises(SymmetryError):
+            _full_descent(ctx, lone)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chern_law_at_weight_plus_one_matches_the_deeper_law(n):
+    # erjw chern builds its law at precision weight + 1; the weight + 4
+    # law gives the same classes and defects
+    for q in (1, 2, 3):
+        for w in range(1, 9):
+            new = SymmetricContext(GroupLaw.of(n, w + 1).hat_iota(), q, w)
+            old = SymmetricContext(GroupLaw.of(n, w + 4).hat_iota(), q, w)
+            for k in range(1, min(q, w) + 1):
+                _assert_same_series(new.conjugate_chern(k),
+                                    old.conjugate_chern(k))
+                assert new.conjugation_defect_mod2(k) == \
+                    old.conjugation_defect_mod2(k)
