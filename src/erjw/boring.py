@@ -8,6 +8,9 @@ bound W: the weight truncation is a ring quotient, so identities proved
 below W are exact statements about the truncated ring.
 
 `present` expands the relation series and pins their leading terms.
+`in_ideal` solves for membership in the relation ideal against the
+degree-D relation lattice, which each presentation builds and certifies
+once per (D, caps) and keeps, its 32 most recent, in `lattice`.
 `reduce` rewrites ring elements to a normal form by eliminating, at each
 step, the smallest term divisible by some relation head; heads are
 minimal in the order (class weight, class tuple, vhat tuple, periodicity
@@ -29,13 +32,15 @@ lattice row is silently projected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import MappingProxyType
 
 from .bss import DegreeColumns
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import LocalMatrix, TwoLocal, preimage_rows, spans, val2
+from .scalar2 import (LocalMatrix, RowSpan, TwoLocal, preimage_rows, spans,
+                      val2)
 from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
@@ -89,7 +94,14 @@ def _check_element(z: GradedSeries, p: RingPresentation) -> None:
 
 @dataclass(frozen=True)
 class RingPresentation:
-    """Class generators and the conjugation relations at one weight bound."""
+    """Class generators and the conjugation relations at one weight bound.
+
+    `lattice(D, caps)` is the relation lattice `in_ideal` solves in:
+    (its columns, a read-only {key: column}; the certified `RowSpan` of
+    its rows).  It is built once per (D, caps) and kept, the 32 most
+    recent, with this presentation alone, so it goes when the
+    presentation does.
+    """
 
     n: int
     q: int
@@ -98,6 +110,21 @@ class RingPresentation:
     generator_degrees: tuple[int, ...]
     relations: tuple[GradedSeries, ...]
     heads: tuple
+
+    def __post_init__(self):
+        # not a field: left out of ==, hash and repr.  The builder holds
+        # the relations, not the presentation, so no cycle keeps it alive
+        object.__setattr__(self, "lattice", lru_cache(maxsize=32)(partial(
+            _relation_lattice, self.spec, self.relations, self.weight)))
+
+
+def _relation_lattice(spec: GradingSpec, relations, weight: int, D: int,
+                      caps: int) -> tuple[MappingProxyType, RowSpan]:
+    """The degree-D lattice of relation multiples of capped basis
+    monomials: its read-only columns and the certified span of its rows."""
+    cols = DegreeColumns(spec, D, caps, weight)
+    span = RowSpan(cols.matrix(cols.lattice_rows(relations, 0, weight)))
+    return MappingProxyType(cols.index), span
 
 
 def _class_key(spec: GradingSpec, k: int):
@@ -220,13 +247,25 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
     is not a proof of non-membership.  It means only that the lattice of
     multiples of capped basis monomials misses z; larger caps can find a
     member that smaller caps miss.
+
+    Each degree-D lattice is built and certified once per (presentation,
+    D, caps), before z is read, and kept in `p.lattice`, at most 32 per
+    presentation; every call places z's part at D in its columns by
+    lookup, registering nothing, and reduces it against the span.  A key
+    of z outside every column gives False at once: every lattice row is
+    zero there.
     """
     _check_element(z, p)
     for D in z.degrees():
-        cols = DegreeColumns(p.spec, D, caps, p.weight)
-        vec = cols.row(z.homogeneous_part(D))
-        num = cols.matrix(cols.lattice_rows(p.relations, 0, p.weight))
-        if not spans(num, cols.matrix([vec])):
+        columns, span = p.lattice(D, caps)
+        nums, den = z.homogeneous_part(D).as_two_local().numerators
+        row = [0] * len(columns)
+        for key, x in nums.items():
+            col = columns.get(key)
+            if col is None:
+                return False
+            row[col] = x
+        if span.reduce(row, den) is None:
             return False
     return True
 

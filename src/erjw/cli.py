@@ -277,27 +277,32 @@ COEFF_ROW_BOUND = 2 ** 17 + 1
 
 # `erjw bo` and `erjw chern` expand the conjugate classes in q formal roots
 # through class weight w, C(w + q, q) root monomials at up to w weights
-# each, priced at C(w + q, q) * w units.  On one core of a 2-vCPU Xeon,
-# n = 1..3, q = 3..7, w = 7..20, a bo unit took 80 to 240 microseconds:
-# bo --n 1 --q 3 --weight 14 (9,520 units) 0.65 s, bo --n 3 --q 4 --weight
-# 10 (10,010 units) 1.9 s, bo --n 3 --q 3 --weight 16 (15,504 units) 3.7 s.
+# each, priced at C(w + q, q) * w units.  A whole run in a fresh process
+# (best of 3, one core of a 2-vCPU Xeon) took 20 to 25 microseconds a unit:
+# bo --n 1 --q 3 --weight 14 (9,520 units) 0.20 s, bo --n 3 --q 4 --weight
+# 10 (10,010 units) 0.21 s, and past the bound bo --n 3 --q 3 --weight 16
+# (15,504 units) 0.39 s.  The bound is older than these timings and has
+# room to grow.
 BO_COST_BOUND = 12_000
 
 # chern builds the same classes with no presentation behind them.  Law
-# included, at the largest admitted weight for q = 1..6 and n = 1..4 and 6,
-# a unit took 12 to 140 microseconds on one core of a 2-vCPU Xeon, at most
-# about 2.5 s: chern --n 1 --q 2 --weight 33 (19,635 units) 0.38 s, --n 3
-# --q 2 --weight 33 2.5 s, --n 3 --q 3 --weight 17 (19,380) 2.2 s.  Past
-# it, --n 3 --q 2 --weight 36 (25,308) took 3.3 s and --weight 50 18 s.
+# included, a whole run in a fresh process (best of 3, one core of a
+# 2-vCPU Xeon) took 14 to 60 microseconds a unit: chern --n 1 --q 2
+# --weight 33 (19,635 units) 0.27 s, --n 3 --q 2 --weight 33 1.1 s, --n 3
+# --q 3 --weight 17 (19,380) 0.47 s.  Past it, --n 3 --q 2 --weight 36
+# (25,308) took 2.4 s and --weight 50 (66,300, with its law's bound
+# lifted too) 8.4 s.
 CHERN_COST_BOUND = 20_000
 
 # `erjw orient` decides one ideal membership at weight w (its
 # conjugation-fixed step), priced at w^8 * 2^s(n) units with s(n) = 0, 6,
-# 8, 11, 17 for n = 1..5 and 7n - 18 past that.  On one core of a 2-vCPU
-# Xeon a unit near the bound took 0.2 to 1.3 nanoseconds.  The largest
-# admitted weights for n = 1..6 are 17 (2.0 s), 10 (1.2 s), 8 (1.0 s),
-# 6 (1.3 s), 3 (0.9 s) and 2 (0.01 s); the next ones up take 3.8, 2.8,
-# 13.6, 3.1, 2.1 and 25 s.
+# 8, 11, 17 for n = 1..5 and 7n - 18 past that.  Timed cold in a fresh
+# process (law, presentation, Thom ratio and the membership; best of 2,
+# one core of a 2-vCPU Xeon), a unit near the bound took 0.02 to 0.2
+# nanoseconds.  The largest admitted weights for n = 1..6 are 17 (0.16 s),
+# 10 (0.14 s), 8 (0.10 s), 6 (0.18 s), 3 (0.16 s) and 2 (0.003 s); the
+# next ones up take 0.23, 0.43, 0.25, 0.44, 0.28 and 1.6 s.  The bound is
+# older than these timings and has room to grow.
 ORIENT_WEIGHT_BOUND = 8 * 10 ** 9
 
 # Its degree-gap steps, about 2^(n+2), each build a closed-form page of

@@ -10,7 +10,8 @@ the only caller of `_eliminate`), answers the lattice questions:
 
 - the row-span questions.  One reduction along E, `_reduce`, gives a
   row's coordinates along E or finds it outside the span: it answers
-  `spans`, `solve_left` and the coordinates in `quotient_structure`.
+  `solve_left`, the coordinates in `quotient_structure` and, through
+  `RowSpan` (E and its pivots, kept to test many rows), `spans`.
   `kernel_basis` is U's rows past the rank, `row_basis` is E, and
   `preimage_rows` rides on both.  Each reduction checks U @ M == E in
   ints, that U is unimodular (full GF(2) rank of its parity rows) and
@@ -490,15 +491,48 @@ def kernel_basis(M: LocalMatrix) -> LocalMatrix:
     return LocalMatrix._of(zip(U.rows[r:], U.dens[r:]), M.nrows)
 
 
+class RowSpan:
+    """The row span of M over Z_(2), held as M's certified echelon basis.
+
+    `basis` is E from `echelon(M)`, certified there, and `pivots` its
+    pivot columns; both are read-only, so one span can answer any number
+    of membership questions, as `in_ideal`'s cached lattices do.
+    """
+
+    __slots__ = ("_basis", "_pivots")
+
+    def __init__(self, M: LocalMatrix):
+        self._basis, _, self._pivots = echelon(M)
+
+    @property
+    def basis(self) -> LocalMatrix:
+        return self._basis
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return self._pivots
+
+    def reduce(self, w: list, d: int = 1) -> tuple[list, int] | None:
+        """(y, e) with y / e @ basis == w / d for the int row w over the
+        odd d, or None if w / d lies outside the span."""
+        return _reduce(w, d, self._basis, self._pivots)
+
+
 def spans(A: LocalMatrix, B: LocalMatrix) -> bool:
-    """Whether every row of B lies in the row span of A over Z_(2)."""
+    """Whether every row of B lies in the row span of A over Z_(2).
+
+    A's span is built and certified on each call; `in_ideal` instead keeps
+    its `RowSpan` with the presentation, built once per (presentation,
+    degree, caps) and at most 32 per presentation, and reduces rows
+    against it as this does.
+    """
     if A.ncols != B.ncols:
         raise ValueError("ambient dimensions differ")
     rows = [row for row in B.rows if any(row)]
     if not rows or A.nrows == 0:
         return not rows
-    E, _, pivots = echelon(A)
-    return all(_reduce(row, 1, E, pivots) is not None for row in rows)
+    span = RowSpan(A)
+    return all(span.reduce(row) is not None for row in rows)
 
 
 def _reduce(w: list, d: int, E: LocalMatrix, pivots) -> tuple[list, int] | None:

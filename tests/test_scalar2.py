@@ -13,6 +13,7 @@ from erjw.graded import GradingSpec, parse_series
 from erjw.scalar2 import (
     LocalMatrix,
     ModuleStructure,
+    RowSpan,
     TwoLocal,
     cokernel_structure,
     echelon,
@@ -698,7 +699,10 @@ def test_echelon_against_smith(m, rnd):
         S = reference_smith(LocalMatrix(smith_kernel, m.nrows))
         for row in K.data:
             assert _smith_solve(S, row) is not None
-    # membership: spans (reduction along E) against Smith's solver
+    # membership: spans (reduction along E) against Smith's solver, and
+    # one RowSpan kept across the rows, its coordinates along E exact
+    span = RowSpan(m)
+    assert span.basis == E and span.pivots == pivots
     for _ in range(4):
         x = [TwoLocal(rnd.randrange(-9, 10), rnd.choice([1, 3, 5]))
              for _ in range(m.nrows)]
@@ -709,6 +713,10 @@ def test_echelon_against_smith(m, rnd):
                              rnd.choice([1, 7]))
         w = LocalMatrix([v], m.ncols)
         assert spans(m, w) == (_smith_solve(decomp, v) is not None)
+        coords = span.reduce(w.rows[0], w.dens[0])
+        assert (coords is not None) == spans(m, w)
+        if coords is not None and E.nrows:
+            assert LocalMatrix._of([coords], E.nrows) @ E == w
     B, ref = row_basis(m), _reference_row_basis(m)
     assert (B.rows, B.dens, B.ncols) == (ref.rows, ref.dens, ref.ncols)
 
