@@ -23,7 +23,8 @@ coefficient ring into parts indexed by the residue of the periodicity
 exponent, each part a multiple of a fixed residue basis element with
 hat-graded coefficient.  `landweber_window_check` verifies, degree by
 degree inside a window, that multiplication by the stage-k generator has
-zero kernel on the presented quotient modulo the stage-k ideal.  The
+zero kernel on the presented quotient modulo the stage-k ideal, over
+Z_(2) at stage 0 and, exactly, over GF(2) at stages k >= 1.  The
 vhat caps are a window, not a quotient: monomials pushed past the cap by
 a relation tail or a multiplication get fresh overflow columns, so no
 lattice row is silently projected.
@@ -39,8 +40,8 @@ from .bss import DegreeColumns
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import (LocalMatrix, RowSpan, TwoLocal, preimage_rows, spans,
-                      val2)
+from .scalar2 import (LocalMatrix, RowSpan, TwoLocal, bit_preimage_within,
+                      preimage_rows, spans, val2)
 from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
@@ -380,6 +381,43 @@ def _stored(M: LocalMatrix) -> tuple:
     return M.ncols, tuple(M.dens), tuple(map(tuple, M.rows))
 
 
+def _mod2(rows) -> tuple[int, ...]:
+    """Each ({column: int}, odd den) row mod 2, as the int bitmask of its
+    columns with an odd numerator."""
+    return tuple(sum(1 << c for c, x in row.items() if x & 1)
+                 for row, _ in rows)
+
+
+def _mod2_lattice(cols: DegreeColumns, rows) -> tuple[int, ...]:
+    """A lattice containing 2 Z_(2)^m, mod 2: its nonzero row bitmasks.
+
+    Raise MathInvariantError unless every column of cols holds a row of
+    one entry of valuation at most 1, which puts twice that column's unit
+    vector in the lattice; only then is the lattice the full preimage of
+    its image mod 2.
+    """
+    doubled = {c for row, _ in rows if len(row) == 1
+               for c, x in row.items() if x % 4}
+    if not doubled.issuperset(range(len(cols.index))):
+        raise MathInvariantError(
+            f"a stage lattice at degree {cols.D} lacks a doubling row")
+    return tuple(bits for bits in _mod2(rows) if bits)
+
+
+def _check_window_inputs(n, q, k, window, weight, caps) -> tuple[int, int]:
+    """The window's ends, once every input is an int (and no bool)."""
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        raise InputError("the window must be a pair of ints") from None
+    for name, value in (("n", n), ("q", q), ("k", k), ("window start", lo),
+                        ("window end", hi), ("weight", weight),
+                        ("caps", caps)):
+        if type(value) is not int:
+            raise InputError(f"{name} must be an int, not {value!r}")
+    return lo, hi
+
+
 def landweber_window_check(n: int, q: int, k: int,
                            window: tuple[int, int], weight: int = 8,
                            caps: int = 6,
@@ -390,13 +428,25 @@ def landweber_window_check(n: int, q: int, k: int,
     For every hat-lattice degree D with the pair (D, D + |stage k|) in
     the window, multiplication by the stage-k generator on the presented
     quotient modulo the stage-k ideal must have zero kernel: the preimage
-    of the target denominator lattice may not exceed the source one.
-    Every pair is built and listed, but a pair whose three matrices equal
-    an earlier pair's, as they do one vn-period on, takes that verdict.
+    {x : x @ A in L_tgt} of the target lattice under the image rows A
+    may not exceed the source lattice L_src.  Every pair is built and
+    listed, but a pair whose question equals an earlier pair's, as it
+    does one vn-period on, takes that verdict.
+
+    Stage 0 asks about 2-torsion, which mod 2 cannot see, and is decided
+    over Z_(2) (`preimage_rows`, then `spans`).  At k >= 1 the question
+    is exactly a GF(2) one (`bit_preimage_within`): I_k contains 2, and
+    `DegreeColumns.lattice_rows` adds a doubling row for every column,
+    so both lattices contain 2 Z_(2)^m and each is the full preimage of
+    its image mod 2.  A's entries lie in Z_(2), so the preimage is the
+    full preimage of its own image mod 2 as well, and the inclusion holds
+    if and only if it holds mod 2.  `_mod2_lattice` checks the doubling
+    rows before any lattice is read mod 2.  At k = n the multiplier
+    vn^-P is a unit, so every verdict there is True; it is still computed.
     """
+    lo, hi = _check_window_inputs(n, q, k, window, weight, caps)
     if not 0 <= k <= n:
         raise InputError("stage index out of range")
-    lo, hi = window
     if lo > hi:
         raise InputError("empty degree window")
     # The presentation is expanded well past the reporting weight: lattice
@@ -413,7 +463,7 @@ def landweber_window_check(n: int, q: int, k: int,
 
     checked = []
     failures = []
-    # one reduction per distinct (A, den, num), kept for this call only
+    # one elimination per distinct (A, den, num), kept for this call only
     verdicts: dict[tuple, bool] = {}
     for D in degrees:
         tgt = D + wk
@@ -422,15 +472,22 @@ def landweber_window_check(n: int, q: int, k: int,
         # one image row per source basis monomial, in basis order
         img = [tgt_cols.row(mult.times_key(mono, deep))
                for mono in src_cols.basis]
-        den = tgt_cols.matrix(tgt_cols.lattice_rows(pres.relations, k, deep))
-        A = tgt_cols.matrix(img)
-        num = src_cols.matrix(src_cols.lattice_rows(pres.relations, k, deep))
-        question = (_stored(A), _stored(den), _stored(num))
-        if question not in verdicts:
-            pre = preimage_rows(A, den)
-            verdicts[question] = spans(num, src_cols.matrix(
-                (dict(enumerate(row)), d)
-                for row, d in zip(pre.rows, pre.dens)))
+        den = tgt_cols.lattice_rows(pres.relations, k, deep)
+        num = src_cols.lattice_rows(pres.relations, k, deep)
+        if k == 0:
+            A, den, num = (tgt_cols.matrix(img), tgt_cols.matrix(den),
+                           src_cols.matrix(num))
+            question = (_stored(A), _stored(den), _stored(num))
+            if question not in verdicts:
+                pre = preimage_rows(A, den)
+                verdicts[question] = spans(num, src_cols.matrix(
+                    (dict(enumerate(row)), d)
+                    for row, d in zip(pre.rows, pre.dens)))
+        else:
+            question = (_mod2(img), _mod2_lattice(tgt_cols, den),
+                        _mod2_lattice(src_cols, num))
+            if question not in verdicts:
+                verdicts[question] = bit_preimage_within(*question)
         if verdicts[question]:
             checked.append((D, tgt))
         else:

@@ -22,6 +22,16 @@ the only caller of `_eliminate`), answers the lattice questions:
   U @ M @ V == D on the composed transforms.  It answers `snf`,
   `cokernel_structure`, and the last step of `quotient_structure`.
 
+Beside it sits one GF(2) kernel on int bitmask rows, `BitSpan` (the only
+caller of `_bit_eliminate`), for questions that are exactly mod-2 ones,
+such as the window checks at stages k >= 1 through
+`bit_preimage_within`.  Each basis row carries the bitmask of input rows
+it came from, and rows that vanish leave theirs as relations.
+`_certify_bits` re-derives every basis row and every relation by XOR of
+its origin rows, checks that each pivot is its row's lowest set bit and
+that the relations are independent, and that basis and relations count
+the input rows.
+
 Convention used by the whole package: matrices act on ROW vectors.  Rows
 index the source basis, columns the target, so the cokernel of M is the
 column module modulo the row span, and a left kernel is a set of row
@@ -533,6 +543,110 @@ def spans(A: LocalMatrix, B: LocalMatrix) -> bool:
         return not rows
     span = RowSpan(A)
     return all(span.reduce(row) is not None for row in rows)
+
+
+class BitSpan:
+    """The row span of GF(2) rows held as int bitmasks, bit j for column j,
+    and the left kernel of those rows (`relations`), both certified."""
+
+    __slots__ = ("_lead", "_relations")
+
+    def __init__(self, rows: Sequence[int]):
+        rows = tuple(rows)
+        self._lead, self._relations = _bit_eliminate(rows)
+        _certify_bits(rows, self._lead, self._relations)
+
+    @property
+    def relations(self) -> tuple[int, ...]:
+        """Bitmasks of input rows, one per independent zero XOR."""
+        return self._relations
+
+    def __contains__(self, v: int) -> bool:
+        # every row of the span has its lowest set bit at a pivot
+        lead = self._lead
+        while v:
+            hit = lead.get(v & -v)
+            if hit is None:
+                return False
+            v ^= hit[0]
+        return True
+
+
+def _bit_eliminate(rows: tuple[int, ...]):
+    """({lowest set bit: (basis row, origin)}, relation origins) of rows.
+
+    Each row is cleared at its lowest set bit by the basis row led there
+    until it leads a new basis row or vanishes; its origin, the bitmask
+    of the input rows it is the XOR of, holds bit i for row i and bits of
+    earlier rows only, so the relations have distinct highest bits.
+    """
+    lead = {}
+    relations = []
+    for i, row in enumerate(rows):
+        origin = 1 << i
+        while row:
+            low = row & -row
+            hit = lead.get(low)
+            if hit is None:
+                lead[low] = (row, origin)
+                break
+            row ^= hit[0]
+            origin ^= hit[1]
+        else:
+            relations.append(origin)
+    return lead, tuple(relations)
+
+
+def _certify_bits(rows: tuple[int, ...], lead: dict, relations) -> None:
+    """Raise MathInvariantError unless each basis row and each relation is
+    the XOR of the input rows its origin names (zero for a relation), each
+    basis row is led by its pivot, the relations have distinct highest
+    bits, and basis and relations together count the input rows.
+
+    Then the basis, led at distinct pivots, is independent and inside the
+    row span, the relations are independent and inside the kernel, and
+    the count leaves no room: the basis spans the rows and the relations
+    span the kernel.
+    """
+    if len(lead) + len(relations) != len(rows):
+        raise MathInvariantError("bit echelon lost a row")
+    for low, (row, origin) in lead.items():
+        if row & -row != low:
+            raise MathInvariantError("bit echelon pivot is not its row's lead")
+        if _xor_of(rows, origin) != row:
+            raise MathInvariantError("bit echelon row is not its origin's XOR")
+    tops = set()
+    for origin in relations:
+        if not origin or _xor_of(rows, origin):
+            raise MathInvariantError("bit echelon relation does not vanish")
+        tops.add(origin.bit_length())
+    if len(tops) != len(relations):
+        raise MathInvariantError("bit echelon relations are dependent")
+
+
+def _xor_of(rows: tuple[int, ...], origin: int) -> int:
+    """The XOR of the rows whose bits are set in origin."""
+    if origin >> len(rows):
+        raise MathInvariantError("bit echelon origin names a missing row")
+    acc = 0
+    while origin:
+        low = origin & -origin
+        acc ^= rows[low.bit_length() - 1]
+        origin ^= low
+    return acc
+
+
+def bit_preimage_within(A: Sequence[int], T: Sequence[int],
+                        S: Sequence[int]) -> bool:
+    """Whether {x : x @ A lies in span(T)} is inside span(S) over GF(2).
+
+    Rows are int bitmasks; x has one bit per row of A, read in the
+    columns of S.  The preimage is the projection onto A's rows of the
+    left kernel of [A; T], so the relations' low len(A) bits span it.
+    """
+    low = (1 << len(A)) - 1
+    within = BitSpan(S)
+    return all((r & low) in within for r in BitSpan((*A, *T)).relations)
 
 
 def _reduce(w: list, d: int, E: LocalMatrix, pivots) -> tuple[list, int] | None:

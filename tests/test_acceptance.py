@@ -322,7 +322,7 @@ def test_criterion_8_orientation_certificates():
 def test_criterion_9_decomposition_and_flatness():
     """Periodicity residue bases with pairwise distinct degree classes at
     n = 2, 3, and window-scale flatness at n = 2 through stage two."""
-    with _budget(6):
+    with _budget(2):
         for n in (2, 3):
             basis_size = 2 ** (n + 1) * (2 ** (n - 1) - 1)
             cert = residue_certificate(n)

@@ -348,6 +348,23 @@ def test_landweber_vacuous_and_errors():
         landweber_window_check(2, 1, 0, (48, -48))
 
 
+@pytest.mark.parametrize("bad", [
+    {"n": True}, {"n": 2.0}, {"q": True}, {"q": "1"}, {"k": True},
+    {"k": 1.0}, {"window": (0.5, 16)}, {"window": (0, True)},
+    {"window": (0, 16, 32)}, {"window": 16}, {"weight": True},
+    {"weight": 4.0}, {"caps": True}, {"caps": 2.5},
+])
+def test_window_check_refuses_non_int_inputs(monkeypatch, bad):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a law was built for refused inputs")
+
+    monkeypatch.setattr(boring, "present", unbuilt)
+    args = {"n": 2, "q": 1, "k": 1, "window": (0, 16), "weight": 4,
+            "caps": 2, **bad}
+    with pytest.raises(InputError):
+        landweber_window_check(**args)
+
+
 def test_landweber_reports_failures():
     # under the additive law's negation the only relation is 2*c1 = 0, so
     # c1 is 2-torsion and doubling has a kernel in every window degree

@@ -13,32 +13,46 @@ matrix from its rows' values through the public `LocalMatrix`
 constructor, and the one-term product in place of `times_key` must give
 the same matrices.  Neither sees how a lattice row is built, since
 `lattice_rows` calls neither `row` nor `times_key`.
+
+Window checks at stages k >= 1 read the rows mod 2 instead, as bitmasks
+(`bit_preimage_within`).  `_reference_window_check` keeps the Z_(2)
+route they replaced, `preimage_rows` then `spans` on
+`DegreeColumns.matrix`, and the GF(2) verdicts are checked against it.
 """
 
 import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from erjw import boring
 from erjw.boring import in_ideal, landweber_window_check, present
 from erjw.bss import DegreeColumns, PresentedModule
-from erjw.errors import NonUnitDivisionError
+from erjw.errors import InputError, MathInvariantError, NonUnitDivisionError
+from erjw.fgl import UniSeries
 from erjw.graded import GradedSeries, GradingSpec, degree_basis
-from erjw.scalar2 import LocalMatrix, TwoLocal, preimage_rows
+from erjw.scalar2 import (LocalMatrix, TwoLocal, bit_preimage_within,
+                          preimage_rows, spans)
 
 
 def _lattice_work():
     """Run the three lattice consumers on small inputs, with overflow
-    columns, doubling rows and odd denominators above 1 among their rows."""
+    columns, doubling rows and odd denominators above 1 among their rows.
+    The window checks at k >= 1 read their rows mod 2, so they are also
+    asked of the Z_(2) reference, whose matrices the spies see."""
     p = present(2, 1, 6)
     c1 = GradedSeries.gen(p.spec, "c1", trunc=6)
     r1 = p.relations[0]
     assert in_ideal((c1 * r1 - r1).truncated(6), p)
     assert not in_ideal(c1, p)
     for k in (0, 1, 2):
-        assert landweber_window_check(2, 1, k, (-32, 32), weight=4,
-                                      caps=2).ok
+        cert = landweber_window_check(2, 1, k, (-32, 32), weight=4, caps=2)
+        assert cert.ok
+        if k:
+            assert _reference_window_check(2, 1, k, (-32, 32), 4, 2) == (
+                cert.checked, cert.failures)
     module = PresentedModule(p.spec, 4, present(2, 1, 4).relations,
                              flat_certificate="conjugation quotient", caps=2)
     for D in (0, *p.generator_degrees):
@@ -133,11 +147,16 @@ def test_window_check_has_one_image_row_per_source_monomial(monkeypatch):
     spec = GradingSpec(2, q=1)
     rows = []
 
-    def counted(A, den):
+    def counted(A, den):  # stage 0, over Z_(2)
         rows.append(A.nrows)
         return preimage_rows(A, den)
 
+    def counted_bits(A, den, num):  # stages k >= 1, over GF(2)
+        rows.append(len(A))
+        return bit_preimage_within(A, den, num)
+
     monkeypatch.setattr(boring, "preimage_rows", counted)
+    monkeypatch.setattr(boring, "bit_preimage_within", counted_bits)
     # one pair per window, so one reduction per call
     for k, wk in ((0, 0), (1, 16), (2, 48)):
         for D in (-32, -16, 0, 16):
@@ -232,3 +251,112 @@ def test_stencil_denominator_edges():
     assert list(cols.index.items()) == list(twin.index.items())
     assert ({cols.index[(0, 0, 0, 1)]: 1}, 1) in got
     assert all(d == 1 for _, d in got)
+
+
+# -- stages k >= 1 over GF(2) against the Z_(2) route -------------------------
+
+
+def _reference_window_check(n, q, k, window, weight, caps, iota=None):
+    """(checked, failures) of `landweber_window_check` over Z_(2) at any
+    stage: every pair's preimage by `preimage_rows`, then `spans`, on the
+    matrices of `DegreeColumns.matrix`, with no verdict reused."""
+    deep = 2 * weight
+    pres = present(n, q, deep, iota=iota)
+    spec = pres.spec
+    mult = boring._stage_multiplier(spec, k, deep)
+    wk = mult.internal_degree()
+    checked, failures = [], []
+    for D in spec.hat_degrees(window[0], window[1] - wk):
+        src_cols = DegreeColumns(spec, D, caps, weight)
+        tgt_cols = DegreeColumns(spec, D + wk, caps, weight)
+        img = [tgt_cols.row(mult.times_key(mono, deep))
+               for mono in src_cols.basis]
+        den = tgt_cols.matrix(tgt_cols.lattice_rows(pres.relations, k, deep))
+        A = tgt_cols.matrix(img)
+        num = src_cols.matrix(src_cols.lattice_rows(pres.relations, k, deep))
+        pre = preimage_rows(A, den)
+        if spans(num, src_cols.matrix((dict(enumerate(row)), d)
+                                      for row, d in zip(pre.rows, pre.dens))):
+            checked.append((D, D + wk))
+        else:
+            failures.append(D)
+    return tuple(checked), tuple(failures)
+
+
+def _iota(kind, n, weight):
+    """None (the law), the additive law's negation, or the toy law
+    [-1](u) = -u + vh1 u^2, at the precision a check at `weight` uses."""
+    if kind == "law":
+        return None
+    bare = GradingSpec(n, alphabet="hat")
+    terms = {1: GradedSeries.unit(bare, -1)}
+    if kind == "toy":
+        terms[2] = GradedSeries.gen(bare, "vh1")
+    return UniSeries.from_terms(bare, terms, precision=2 * weight + 1)
+
+
+@st.composite
+def _window_questions(draw):
+    n = draw(st.sampled_from((2, 3)))
+    q = draw(st.sampled_from((1, 2)))
+    k = draw(st.integers(1, n))
+    # two classes at weight 5 or more cost the reference seconds a degree
+    weight = draw(st.integers(1, 6 if q == 1 else 4))
+    caps = draw(st.integers(0, 5 if q == 1 else 3))
+    kind = draw(st.sampled_from(("law", "additive", "toy")))
+    # |vh1| is the hat-lattice step, and |stage k| = (2^k - 1) |vh1|
+    step = {2: 16, 3: 96}[n]
+    lo = step * draw(st.integers(-3, 2)) - draw(st.integers(0, step - 1))
+    hi = (lo + (2 ** k - 1) * step + step * draw(st.integers(0, 1))
+          + draw(st.integers(0, step - 1)))
+    return n, q, k, (lo, hi), weight, caps, kind
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_window_questions())
+@example((2, 1, 1, (-48, 48), 2, 1, "toy"))
+@example((2, 1, 1, (-48, 48), 4, 2, "toy"))
+@example((2, 1, 1, (-48, 48), 6, 3, "toy"))
+# the largest weight and caps drawn, where draws seldom go
+@example((2, 1, 1, (-48, 48), 6, 5, "law"))
+@example((2, 1, 2, (-48, 48), 6, 5, "law"))
+@example((2, 2, 2, (-48, 48), 4, 3, "law"))
+@example((3, 1, 1, (-96, 96), 6, 5, "law"))
+def test_gf2_window_verdicts_match_the_two_local_route(question):
+    n, q, k, window, weight, caps, kind = question
+    iota = _iota(kind, n, weight)
+    want = _reference_window_check(n, q, k, window, weight, caps, iota)
+    if not want[0] and not want[1]:
+        with pytest.raises(InputError):
+            landweber_window_check(n, q, k, window, weight, caps, iota)
+        return
+    cert = landweber_window_check(n, q, k, window, weight, caps, iota)
+    assert (cert.checked, cert.failures) == want
+    assert cert.ok == (not want[1])
+
+
+def test_the_toy_law_fails_stage_one_where_pinned():
+    """The examples above mix verdicts, and fail every degree."""
+    for weight, caps, failures in ((2, 1, (-32, 16)),
+                                   (4, 2, (-48, -32, -16, 0, 16, 32))):
+        cert = landweber_window_check(2, 1, 1, (-48, 48), weight, caps,
+                                      _iota("toy", 2, weight))
+        assert cert.failures == failures
+        assert len(cert.checked) + len(failures) == 6
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_a_missing_doubling_row_is_refused(monkeypatch, dropped):
+    # at stage 1 the only rows of one entry are the doubling rows; at
+    # stage 2 a vh1 multiple of one term may stand in for one
+    lattice_rows = DegreeColumns.lattice_rows
+
+    def one_short(cols, relations, k, deep):
+        rows = lattice_rows(cols, relations, k, deep)
+        col = range(len(cols.index))[dropped]
+        rows.remove(({col: 2}, 1))
+        return rows
+
+    monkeypatch.setattr(DegreeColumns, "lattice_rows", one_short)
+    with pytest.raises(MathInvariantError, match="doubling row"):
+        landweber_window_check(2, 1, 1, (0, 16), weight=4, caps=2)

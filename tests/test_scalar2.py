@@ -11,10 +11,12 @@ from erjw import scalar2
 from erjw.errors import MathInvariantError, NonUnitDivisionError
 from erjw.graded import GradingSpec, parse_series
 from erjw.scalar2 import (
+    BitSpan,
     LocalMatrix,
     ModuleStructure,
     RowSpan,
     TwoLocal,
+    bit_preimage_within,
     cokernel_structure,
     echelon,
     kernel_basis,
@@ -892,3 +894,89 @@ def test_every_reduction_runs_its_certificate(monkeypatch):
         assert got[3] == got[0]
         if ask in (echelon, kernel_basis):
             assert got == [[1] * 3] * len(mats)
+
+
+# -- the GF(2) bitmask echelon ------------------------------------------------
+
+
+def _xor(rows, picks):
+    acc = 0
+    for i, row in enumerate(rows):
+        if picks >> i & 1:
+            acc ^= row
+    return acc
+
+
+_bit_rows = st.lists(st.integers(0, 63), max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_bit_rows)
+def test_bit_span_against_every_combination(rows):
+    """Membership and relations against all 2^len(rows) XORs of the rows."""
+    span = BitSpan(rows)
+    combos = {_xor(rows, p) for p in range(1 << len(rows))}
+    assert all((v in span) == (v in combos) for v in range(64))
+    kernel = {p for p in range(1 << len(rows)) if not _xor(rows, p)}
+    spanned = {_xor(span.relations, p)
+               for p in range(1 << len(span.relations))}
+    assert spanned == kernel and len(spanned) == 1 << len(span.relations)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 15), min_size=1, max_size=4),
+       st.lists(st.integers(0, 15), max_size=3),
+       st.lists(st.integers(0, 15), max_size=3))
+def test_bit_preimage_within_against_every_x(A, T, S):
+    """{x : x @ A in span(T)} inside span(S), with every x tried."""
+    image = {_xor(T, p) for p in range(1 << len(T))}
+    within = {_xor(S, p) for p in range(1 << len(S))}
+    want = all(x in within for x in range(1 << len(A))
+               if _xor(A, x) in image)
+    assert bit_preimage_within(A, T, S) == want
+
+
+def test_bit_span_names_its_relations():
+    rows = [0b0110, 0b0011, 0b0101, 0, 0b1000]
+    span = BitSpan(rows)
+    # row 2 is rows 0 ^ 1, and row 3 is zero
+    assert sorted(span.relations) == [0b00111, 0b01000]
+    assert 0b1110 in span and 0b0001 not in span and 0 in span
+    assert BitSpan([]).relations == () and 0 in BitSpan([])
+
+
+def _tampered(monkeypatch, tamper):
+    real = scalar2._bit_eliminate
+    monkeypatch.setattr(scalar2, "_bit_eliminate",
+                        lambda rows: tamper(*real(rows)))
+
+
+def _with_first(lead, change):
+    low = min(lead)
+    return {**lead, low: change(*lead[low])}
+
+
+@pytest.mark.parametrize("tamper, message", [
+    # a basis row with a bit flipped above its pivot
+    (lambda lead, rel: (_with_first(lead, lambda r, o: (r ^ 0b1000, o)), rel),
+     "not its origin's XOR"),
+    # an origin mask naming one more input row
+    (lambda lead, rel: (_with_first(lead, lambda r, o: (r, o ^ 0b100)), rel),
+     "not its origin's XOR"),
+    # an origin mask past the last input row
+    (lambda lead, rel: (_with_first(lead, lambda r, o: (r, o | 1 << 9)), rel),
+     "missing row"),
+    # a basis row filed under a pivot that is not its lowest bit
+    (lambda lead, rel: ({low << 8: hit for low, hit in lead.items()}, rel),
+     "not its row's lead"),
+    # a relation that does not vanish, a repeated one, a lost one
+    (lambda lead, rel: (lead, (rel[0] ^ 1, *rel[1:])), "does not vanish"),
+    (lambda lead, rel: (lead, (rel[0], rel[0], *rel[2:])), "dependent"),
+    (lambda lead, rel: (lead, rel[1:]), "lost a row"),
+])
+def test_bit_certificate_catches_tampering(monkeypatch, tamper, message):
+    rows = [0b0110, 0b0011, 0b0101, 0b0110, 0b0001]
+    assert len(BitSpan(rows).relations) == 2
+    _tampered(monkeypatch, tamper)
+    with pytest.raises(MathInvariantError, match=message):
+        BitSpan(rows)
