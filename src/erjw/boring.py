@@ -23,11 +23,13 @@ coefficient ring into parts indexed by the residue of the periodicity
 exponent, each part a multiple of a fixed residue basis element with
 hat-graded coefficient.  `landweber_window_check` verifies, degree by
 degree inside a window, that multiplication by the stage-k generator has
-zero kernel on the presented quotient modulo the stage-k ideal, over
-Z_(2) at stage 0 and, exactly, over GF(2) at stages k >= 1.  The
-vhat caps are a window, not a quotient: monomials pushed past the cap by
-a relation tail or a multiplication get fresh overflow columns, so no
-lattice row is silently projected.
+zero kernel on the presented quotient modulo the stage-k ideal.  At
+stage 0 that is torsion-freeness of the capped part of one lattice, read
+off its Z_(2) echelon form by the parities of the rows that span it; at
+stages k >= 1 it is, exactly, a GF(2) question.  The vhat caps are a
+window, not a quotient: monomials pushed past the cap by a relation tail
+or a multiplication get fresh overflow columns, so no lattice row is
+silently projected.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ from .bss import DegreeColumns
 from .errors import InputError, MathInvariantError, ReductionError
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import (LocalMatrix, RowSpan, TwoLocal, bit_preimage_within,
-                      preimage_rows, spans, val2)
+from .scalar2 import (BitSpan, RowSpan, TwoLocal, bit_preimage_within,
+                      echelon, val2)
 from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
@@ -88,6 +90,13 @@ def _check_element(z: GradedSeries, p: RingPresentation) -> None:
             raise InputError("periodicity exponent off the hat lattice")
     if any(p.spec.weight_of(k) > p.weight for k in z.keys()):
         raise InputError(f"element exceeds the weight bound {p.weight}")
+
+
+def _check_ints(values: dict) -> None:
+    """Raise InputError unless every value is an int (and no bool)."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{name} must be an int, not {value!r}")
 
 
 # -- presentation ----------------------------------------------------------
@@ -152,6 +161,7 @@ def present(n: int, q: int, weight: int,
     to exercise consumers against a hand-built law.  Without one, the
     presentation is built once per process for each (n, q, weight).
     """
+    _check_ints({"n": n, "q": q, "weight": weight})
     if weight < 1:
         raise InputError("weight bound must be positive")
     if q < 1:
@@ -256,6 +266,7 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
     of z outside every column gives False at once: every lattice row is
     zero there.
     """
+    _check_ints({"caps": caps})
     _check_element(z, p)
     for D in z.degrees():
         columns, span = p.lattice(D, caps)
@@ -376,11 +387,6 @@ def _stage_multiplier(spec: GradingSpec, k: int, weight: int) -> GradedSeries:
     return GradedSeries.monomial(spec, vn=-spec.hat_offset, trunc=weight)
 
 
-def _stored(M: LocalMatrix) -> tuple:
-    """A matrix's stored form, hashable: equal matrices store equal rows."""
-    return M.ncols, tuple(M.dens), tuple(map(tuple, M.rows))
-
-
 def _mod2(rows) -> tuple[int, ...]:
     """Each ({column: int}, odd den) row mod 2, as the int bitmask of its
     columns with an odd numerator."""
@@ -404,17 +410,34 @@ def _mod2_lattice(cols: DegreeColumns, rows) -> tuple[int, ...]:
     return tuple(bits for bits in _mod2(rows) if bits)
 
 
+def _torsion_free(cols: DegreeColumns, rows) -> bool:
+    """Whether Z_(2)^nb modulo L' is torsion-free, for L the span of rows
+    in the columns of cols and L' its part on the nb capped columns.
+
+    In the echelon form of L with the overflow columns first, the rows
+    that pivot in a capped column are zero on every overflow column and
+    span L': a combination taking a row that pivots in an overflow column
+    is nonzero at the first such pivot.  Those rows are independent, and
+    the quotient is torsion-free exactly when they have a unit maximal
+    minor, that is when their reductions mod 2 are independent.
+    """
+    nb, width = len(cols.basis), len(cols.index)
+    # column c moves to (c - nb) % width: the capped columns come last
+    E, _, pivots = echelon(cols.matrix(
+        ({(c - nb) % width: x for c, x in row.items()}, d) for row, d in rows))
+    return not BitSpan(
+        sum(1 << c for c, x in enumerate(row) if x & 1)
+        for row, p in zip(E.rows, pivots) if p >= width - nb).relations
+
+
 def _check_window_inputs(n, q, k, window, weight, caps) -> tuple[int, int]:
     """The window's ends, once every input is an int (and no bool)."""
     try:
         lo, hi = window
     except (TypeError, ValueError):
         raise InputError("the window must be a pair of ints") from None
-    for name, value in (("n", n), ("q", q), ("k", k), ("window start", lo),
-                        ("window end", hi), ("weight", weight),
-                        ("caps", caps)):
-        if type(value) is not int:
-            raise InputError(f"{name} must be an int, not {value!r}")
+    _check_ints({"n": n, "q": q, "k": k, "window start": lo,
+                 "window end": hi, "weight": weight, "caps": caps})
     return lo, hi
 
 
@@ -433,8 +456,13 @@ def landweber_window_check(n: int, q: int, k: int,
     listed, but a pair whose question equals an earlier pair's, as it
     does one vn-period on, takes that verdict.
 
-    Stage 0 asks about 2-torsion, which mod 2 cannot see, and is decided
-    over Z_(2) (`preimage_rows`, then `spans`).  At k >= 1 the question
+    At stage 0 the multiplier is 2 in degree 0: the target columns are
+    the source ones, A is 2 [I | 0] and both lattices are the same L, so
+    the question is whether Z_(2)^nb modulo L', the part of L on the nb
+    capped columns, is torsion-free.  `_torsion_free` decides it from
+    one certified `echelon` of L, overflow columns first, and the
+    parities of the rows that span L'.  A pair reuses a verdict when its
+    capped column count, width and rows all equal an earlier pair's.  At k >= 1 the question
     is exactly a GF(2) one (`bit_preimage_within`): I_k contains 2, and
     `DegreeColumns.lattice_rows` adds a doubling row for every column,
     so both lattices contain 2 Z_(2)^m and each is the full preimage of
@@ -463,27 +491,23 @@ def landweber_window_check(n: int, q: int, k: int,
 
     checked = []
     failures = []
-    # one elimination per distinct (A, den, num), kept for this call only
+    # one elimination per distinct question, kept for this call only
     verdicts: dict[tuple, bool] = {}
     for D in degrees:
         tgt = D + wk
         src_cols = DegreeColumns(spec, D, caps, weight)
-        tgt_cols = DegreeColumns(spec, tgt, caps, weight)
-        # one image row per source basis monomial, in basis order
-        img = [tgt_cols.row(mult.times_key(mono, deep))
-               for mono in src_cols.basis]
-        den = tgt_cols.lattice_rows(pres.relations, k, deep)
         num = src_cols.lattice_rows(pres.relations, k, deep)
         if k == 0:
-            A, den, num = (tgt_cols.matrix(img), tgt_cols.matrix(den),
-                           src_cols.matrix(num))
-            question = (_stored(A), _stored(den), _stored(num))
+            question = (len(src_cols.basis), len(src_cols.index),
+                        tuple((frozenset(row.items()), d) for row, d in num))
             if question not in verdicts:
-                pre = preimage_rows(A, den)
-                verdicts[question] = spans(num, src_cols.matrix(
-                    (dict(enumerate(row)), d)
-                    for row, d in zip(pre.rows, pre.dens)))
+                verdicts[question] = _torsion_free(src_cols, num)
         else:
+            tgt_cols = DegreeColumns(spec, tgt, caps, weight)
+            # one image row per source basis monomial, in basis order
+            img = [tgt_cols.row(mult.times_key(mono, deep))
+                   for mono in src_cols.basis]
+            den = tgt_cols.lattice_rows(pres.relations, k, deep)
             question = (_mod2(img), _mod2_lattice(tgt_cols, den),
                         _mod2_lattice(src_cols, num))
             if question not in verdicts:

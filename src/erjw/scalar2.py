@@ -14,8 +14,8 @@ the only caller of `_eliminate`), answers the lattice questions:
   `RowSpan` (E and its pivots, kept to test many rows), `spans`.
   `kernel_basis` is U's rows past the rank, `row_basis` is E, and
   `preimage_rows` rides on both.  Each reduction checks U @ M == E in
-  ints, that U is unimodular (full GF(2) rank of its parity rows) and
-  that E is in echelon shape.
+  ints, that U is unimodular (its parity rows have no `BitSpan`
+  relations, its scales are odd) and that E is in echelon shape.
 - the invariants.  `snf_with_transforms` (D = U @ M @ V, the diagonal a
   divisibility chain of powers of 2) alternates echelon forms of M and
   of their transposes until one entry is left in each row, and checks
@@ -23,10 +23,11 @@ the only caller of `_eliminate`), answers the lattice questions:
   `cokernel_structure`, and the last step of `quotient_structure`.
 
 Beside it sits one GF(2) kernel on int bitmask rows, `BitSpan` (the only
-caller of `_bit_eliminate`), for questions that are exactly mod-2 ones,
-such as the window checks at stages k >= 1 through
-`bit_preimage_within`.  Each basis row carries the bitmask of input rows
-it came from, and rows that vanish leave theirs as relations.
+caller of `_bit_eliminate`), for questions that are exactly mod-2 ones:
+the unimodularity of each echelon transform, the independence mod 2 that
+the stage-0 window check asks, and the window checks at stages k >= 1
+through `bit_preimage_within`.  Each basis row carries the bitmask of
+input rows it came from, and rows that vanish leave theirs as relations.
 `_certify_bits` re-derives every basis row and every relation by XOR of
 its origin rows, checks that each pivot is its row's lowest set bit and
 that the relations are independent, and that basis and relations count
@@ -461,8 +462,8 @@ def _certify_echelon(M: LocalMatrix, W, U, scale, pivots) -> None:
     With P the lcm of M's denominators, U @ M == E is checked in ints as
     sum_k U[i][k] * (P / dens[k]) * M.rows[k] == P * W[i].  U is
     invertible over Z_(2) exactly when it is mod 2, and the odd scales
-    leave parities alone, so that is a full GF(2) rank of the parity
-    bitmasks of U's int rows.
+    leave parities alone, so that is a certified `BitSpan` of the parity
+    bitmasks of U's int rows with no relations.
     """
     m, r = M.nrows, len(pivots)
     if not len(W) == len(U) == len(scale) == m:
@@ -471,22 +472,17 @@ def _certify_echelon(M: LocalMatrix, W, U, scale, pivots) -> None:
     # the rows of P * M, as lists of their nonzero (column, int) entries
     Arows = [[(j, x * (P // d)) for j, x in enumerate(row) if x]
              for row, d in zip(M.rows, M.dens)]
-    lead = {}  # the GF(2) rows so far, by bit length
-    for urow, wrow, s in zip(U, W, scale):
+    for urow, wrow in zip(U, W):
         z = [0] * M.ncols
-        bits = 0
         for k, x in enumerate(urow):
             if x:
-                bits |= (x & 1) << k
                 for j, y in Arows[k]:
                     z[j] += x * y
         if z != [P * x for x in wrow]:
             raise MathInvariantError("echelon lost U*M == E")
-        while bits and bits.bit_length() in lead:
-            bits ^= lead[bits.bit_length()]
-        if not bits or not s & 1:
-            raise MathInvariantError("echelon transform is not unimodular")
-        lead[bits.bit_length()] = bits
+    parity = (sum((x & 1) << k for k, x in enumerate(urow)) for urow in U)
+    if not all(s & 1 for s in scale) or BitSpan(parity).relations:
+        raise MathInvariantError("echelon transform is not unimodular")
     leads = [next((j for j, x in enumerate(row) if x), None) for row in W]
     if leads != [*pivots, *[None] * (m - r)] or any(
             a >= b for a, b in zip(pivots, pivots[1:])):

@@ -19,7 +19,7 @@ from erjw.bss import PresentedModule, closed_form_page, flat_base_change
 from erjw.errors import InputError, MathInvariantError, ReductionError
 from erjw.fgl import GroupLaw, UniSeries
 from erjw.graded import GradedSeries, GradingSpec, degree_basis
-from erjw.scalar2 import TwoLocal, preimage_rows
+from erjw.scalar2 import TwoLocal, echelon
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +365,32 @@ def test_window_check_refuses_non_int_inputs(monkeypatch, bad):
         landweber_window_check(**args)
 
 
+@pytest.mark.parametrize("ask", [
+    lambda p, z: in_ideal(z, p, caps=2.5),
+    lambda p, z: in_ideal(z, p, caps="3"),
+    lambda p, z: in_ideal(z, p, caps=None),
+    lambda p, z: in_ideal(z, p, caps=True),
+    lambda p, z: present(2, 1, True),
+    lambda p, z: present(2.0, 1, 4),
+    lambda p, z: present(True, 1, 4),
+    lambda p, z: present(2, "1", 4),
+    lambda p, z: present(2, 1, 4.0),
+])
+def test_non_int_inputs_are_refused_before_any_build(pres21_small,
+                                                     monkeypatch, ask):
+    # a bool equals an int and a float hashes like one, so without the
+    # check present(2.0, 1, 4) returned the cached n = 2 presentation
+    z = _class_gen(pres21_small.spec, 1, trunc=6)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built for refused inputs")
+
+    for name in ("DegreeColumns", "_present", "_present_law"):
+        monkeypatch.setattr(boring, name, unbuilt)
+    with pytest.raises(InputError, match="must be an int"):
+        ask(pres21_small, z)
+
+
 def test_landweber_reports_failures():
     # under the additive law's negation the only relation is 2*c1 = 0, so
     # c1 is 2-torsion and doubling has a kernel in every window degree
@@ -379,19 +405,19 @@ def test_landweber_reports_failures():
 
 def test_window_check_reuses_only_a_whole_lattice_question(monkeypatch):
     # under the additive law at weight 1 and caps 0 the verdicts mix, and
-    # the degree classes 16 and 32 mod 48 share their source lattice (at
-    # k = 0 also the target one) but not the multiplication matrix: a
-    # verdict reused on the source lattice alone is wrong
+    # the degree classes 16 and 32 mod 48 share their lattice rows but not
+    # their capped columns, so not the multiplication matrix 2 [I | 0]: a
+    # verdict reused on the rows alone is wrong
     bare = GradingSpec(2, alphabet="hat")
     iota = UniSeries.from_terms(bare, {1: GradedSeries.unit(bare, -1)},
                                 precision=9)
     reductions = []
 
-    def counted(A, den):
-        reductions.append(A)
-        return preimage_rows(A, den)
+    def counted(M):
+        reductions.append(M)
+        return echelon(M)
 
-    monkeypatch.setattr(boring, "preimage_rows", counted)
+    monkeypatch.setattr(boring, "echelon", counted)
     cert = landweber_window_check(2, 1, 0, (-48, 48), weight=1, caps=0,
                                   iota=iota)
     assert cert.failures == (-16, 32)

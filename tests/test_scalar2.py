@@ -747,6 +747,12 @@ def _even_pivot_unit(real, rows, aux, scale, k, col, v):
     real(rows, aux, scale, k, col, v)
 
 
+def _even_scale(real, rows, aux, scale, k, col, v):
+    real(rows, aux, scale, k, col, v)
+    if k == 2:  # the kernel row's scale doubles: U @ M == E in ints holds,
+        scale[3] *= 2  # and the parities stand, but U leaves Z_(2)
+
+
 def _entry_left_of_pivot(real, rows, aux, scale, k, col, v):
     real(rows, aux, scale, k, col, v)
     if k == 2:  # at the last pivot, row 2 += row 0 in E and U alike
@@ -761,6 +767,7 @@ def _entry_left_of_pivot(real, rows, aux, scale, k, col, v):
     (_dropped_row, r"U\*M == E"),
     (_dropped_row_and_transform, "not unimodular"),
     (_even_pivot_unit, "not unimodular"),
+    (_even_scale, "not unimodular"),
     (_entry_left_of_pivot, "echelon shape"),
 ])
 def test_echelon_certificate_catches_planted_faults(monkeypatch, plant,
