@@ -39,7 +39,8 @@ from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .bss import DegreeColumns
-from .errors import InputError, MathInvariantError, ReductionError
+from .errors import (InputError, MathInvariantError, ReductionError,
+                     check_ints)
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
 from .scalar2 import (BitSpan, RowSpan, TwoLocal, bit_preimage_within,
@@ -90,13 +91,6 @@ def _check_element(z: GradedSeries, p: RingPresentation) -> None:
             raise InputError("periodicity exponent off the hat lattice")
     if any(p.spec.weight_of(k) > p.weight for k in z.keys()):
         raise InputError(f"element exceeds the weight bound {p.weight}")
-
-
-def _check_ints(values: dict) -> None:
-    """Raise InputError unless every value is an int (and no bool)."""
-    for name, value in values.items():
-        if type(value) is not int:
-            raise InputError(f"{name} must be an int, not {value!r}")
 
 
 # -- presentation ----------------------------------------------------------
@@ -161,7 +155,7 @@ def present(n: int, q: int, weight: int,
     to exercise consumers against a hand-built law.  Without one, the
     presentation is built once per process for each (n, q, weight).
     """
-    _check_ints({"n": n, "q": q, "weight": weight})
+    check_ints({"n": n, "q": q, "weight": weight})
     if weight < 1:
         raise InputError("weight bound must be positive")
     if q < 1:
@@ -266,7 +260,7 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
     of z outside every column gives False at once: every lattice row is
     zero there.
     """
-    _check_ints({"caps": caps})
+    check_ints({"caps": caps})
     _check_element(z, p)
     for D in z.degrees():
         columns, span = p.lattice(D, caps)
@@ -436,8 +430,8 @@ def _check_window_inputs(n, q, k, window, weight, caps) -> tuple[int, int]:
         lo, hi = window
     except (TypeError, ValueError):
         raise InputError("the window must be a pair of ints") from None
-    _check_ints({"n": n, "q": q, "k": k, "window start": lo,
-                 "window end": hi, "weight": weight, "caps": caps})
+    check_ints({"n": n, "q": q, "k": k, "window start": lo,
+                "window end": hi, "weight": weight, "caps": caps})
     return lo, hi
 
 

@@ -26,11 +26,13 @@ The engines:
     one honest cycle and one boundary lattice over the whole window
     through d_r, built once per page as the monomial map the raw formulas
     give, each monomial to at most one and no two to one (checked), so
-    each lattice is one 2-adic valuation per monomial.  A page's work is
-    per key, over the keys d_r moves, and per flag; its two checks run on
-    every page, and a page is charted only when it is read.  Window and
-    cap overflows are flagged per position so comparisons skip exactly
-    the positions the truncation polluted.
+    each lattice is one 2-adic valuation per monomial.  The map is built
+    only on the monomials d_r can move, those whose vn exponent has
+    2-adic valuation k for r = 2^(k+1) - 1, filed by that valuation once
+    per window.  A page's work is per key, over the keys d_r moves, and
+    per flag; its checks run on every page, and a page is charted only
+    when it is read.  Window and cap overflows are flagged per position
+    so comparisons skip exactly the positions the truncation polluted.
 
 Base change along a flat coefficient module tensors a page with either a
 free module (degree-shifted copies of each block) or a presented one
@@ -60,6 +62,7 @@ from .errors import (
     MathInvariantError,
     NonUnitDivisionError,
     PageShapeError,
+    check_ints,
 )
 from .graded import GradedSeries, GradingSpec, degree_basis
 from .scalar2 import (
@@ -79,6 +82,7 @@ def admissible_differentials(n: int) -> tuple[int, ...]:
 
 
 def _page_level(r: int) -> int:
+    check_ints({"page index": r})
     if r < 1:
         raise InputError(f"page index {r} out of range")
     return r.bit_length() - 1
@@ -232,7 +236,8 @@ class Page:
             if c not in seen:
                 seen[c] = s.structure_at(D, caps, spec)
             parts.append(seen[c])
-        return _merge(parts)
+        # a lone part is already a structure; most rows hold one
+        return parts[0] if len(parts) == 1 else _merge(parts)
 
     def chart_structure(self, m: int, t: int, caps: int = 6) -> ModuleStructure:
         return self._cell(self._row(m, caps), t + m * self.spec.lam, caps)
@@ -339,10 +344,15 @@ class TruncatedOracle:
     monomial -> a for the span of 2^a times those monomials: Z starts at
     a = 0 on every key, B empty.  `advance` builds d_r once per page as
     the map `d`, {key: (image key, int coefficient)} for each key d_r does
-    not kill; d∘d = 0 is read off `d` for images in the window and
-    computed only for images past it.  With c a key's coefficient and v
-    the 2-adic valuation, d_r advances all positions at once, working
-    only on the keys of `d`:
+    not kill.  For r = 2^(k+1) - 1 those are the keys whose vn exponent
+    has 2-adic valuation exactly k, so `__init__` files the keys once by
+    that valuation (a key with vn = 0 never moves and is filed nowhere),
+    and `d` is built over class k alone, in the order of `keys`.  An
+    image's vn exponent has valuation at least k + 1, so d∘d vanishes
+    formally; it is still checked, by computing d_r of every image, in
+    the window or past it.  With c a key's coefficient and v the 2-adic
+    valuation, d_r advances all positions at once, working only on the
+    keys of `d`:
 
       * Z becomes the preimage of B: a key sent to key j keeps
         max(a, b_j - v(c)) if j is in B, and dies if not; a key sent
@@ -350,22 +360,27 @@ class TruncatedOracle:
         no image keeps a with no work at all;
       * B grows by the images of Z: b_j = min(b_j, a + v(c)).
 
-    Then, over the new page, no key of Z has an odd vn exponent, and
-    every key of B lies in Z with b >= a (containment).  A boundary that
-    d_r moves into the window and that is no next-page cycle (d_r of it
-    no existing boundary) fails containment at its own key, named as
-    escaping under d_r.  A position reads Z/2^(b - a) per key in Z and B
-    with b > a, and Z per key in Z alone.  It is flagged, permanently,
-    when the truncation makes any of that arithmetic unknowable there: a
-    flag spreads one d_r step a page, to the source and the target of a
-    flagged position, and comes in at (m, t_lo) when the source left of
-    the window holds a monomial.  The odd-exponent check skips flagged
-    positions, containment none.  Each page's (Z, B) is kept in `pages`,
-    and `chart_at` charts a page when it is first read.
+    Then, over the new page, no key of Z has an odd vn exponent (a sweep
+    of all of Z, not of a valuation class), and every key of B lies in Z
+    with b >= a (containment).  A boundary that d_r moves into the window
+    and that is no next-page cycle (d_r of it no existing boundary) fails
+    containment at its own key, named as escaping under d_r.  A position
+    reads Z/2^(b - a) per key in Z and B with b > a, and Z per key in Z
+    alone.  It is flagged, permanently, when the truncation makes any of
+    that arithmetic unknowable there: a flag spreads one d_r step a page,
+    to the source and the target of a flagged position, and comes in at
+    (m, t_lo) when the source left of the window holds a monomial.  The
+    odd-exponent check skips flagged positions, containment none.  Each
+    page's (Z, B) is kept in `pages`, and `chart_at` charts a page when
+    it is first read.
     """
 
     def __init__(self, n: int, t_lo: int, t_hi: int, caps: int = 6,
                  m_max: int | None = None):
+        check_ints({"n": n, "window start": t_lo, "window end": t_hi,
+                    "caps": caps})
+        if m_max is not None:
+            check_ints({"m_max": m_max})
         if n < 1:
             raise InputError("n must be at least 1")
         if t_hi < t_lo:
@@ -390,6 +405,14 @@ class TruncatedOracle:
         self.keys = {key for keys in self.basis.values() for key in keys}
         if self.keys <= {(0,) * (n + 1)}:  # nothing, or the lone unit
             raise EmptyBasisError("window and caps leave nothing to chart")
+        # the keys by the 2-adic valuation of their vn exponent, in the
+        # order of `keys`: d_(2^(k+1) - 1) moves exactly class k, and a key
+        # with vn = 0 never moves, so it is in no class
+        self._by_val: dict[int, list] = {}
+        for key in self.keys:
+            if vn := key[n]:
+                self._by_val.setdefault(
+                    (vn & -vn).bit_length() - 1, []).append(key)
         self.Z = dict.fromkeys(self.keys, 0)
         self.B: dict[tuple, int] = {}
         self.d: dict[tuple, tuple] = {}
@@ -424,9 +447,10 @@ class TruncatedOracle:
         r = 2 ** (k + 1) - 1
         n, P, keys = self.n, self.spec.hat_offset, self.keys
         Z, B, flags = self.Z, self.B, self.flags
-        d = {key: e for key in keys if (e := _d_key(key, r, n, P))}
+        d = {key: e for key in self._by_val.get(k, ())
+             if (e := _d_key(key, r, n, P))}
         images = {j for j, _ in d.values()}
-        if any(j in d if j in keys else _d_key(j, r, n, P) for j in images):
+        if any(_d_key(j, r, n, P) for j in images):
             raise MathInvariantError("d∘d is nonzero at the formula level")
         # a position maps into one position, so this is the per-cell test
         if len(images) < len(d):

@@ -56,3 +56,11 @@ class EmptyBasisError(InputError):
 
 class FlatnessCertificateError(InputError):
     """Base change requested without the certificate that legitimizes it."""
+
+
+def check_ints(values: dict) -> None:
+    """Raise InputError unless every value of {name: value} is an int (and
+    no bool), so a float, str or bool argument is refused by name."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise InputError(f"{name} must be an int, not {value!r}")

@@ -308,6 +308,28 @@ def test_negative_m_max_is_refused(build):
     assert build(0).m_max == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: TruncatedOracle(True, -8, 8, 2),
+    lambda: TruncatedOracle(1, -8, 8, True),
+    lambda: TruncatedOracle(2.0, -8, 8, 2),
+    lambda: TruncatedOracle(1, -8.0, 8, 2),
+    lambda: TruncatedOracle(1, -8, "8", 2),
+    lambda: TruncatedOracle(1, -8, 8, 2.0),
+    lambda: TruncatedOracle(1, -8, 8, 2, m_max=4.0),
+    lambda: TruncatedOracle(1, -8, 8, 2, m_max="4"),
+    lambda: TruncatedOracle(1, -8, 8, 2, m_max=4).chart_at(2.0),
+    lambda: TruncatedOracle(1, -8, 8, 2, m_max=4).chart_at("1"),
+    lambda: TruncatedOracle(1, -8, 8, 2, m_max=4).chart_at(True),
+], ids=["bool-n", "bool-caps", "float-n", "float-t_lo", "str-t_hi",
+        "float-caps", "float-m_max", "str-m_max", "float-page",
+        "str-page", "bool-page"])
+def test_oracle_refuses_non_int_inputs(call):
+    # public API: each is refused by name, never run as an int or left
+    # to raise a TypeError or AttributeError
+    with pytest.raises(InputError, match="must be an int"):
+        call()
+
+
 def test_oracle_chart_before_advance():
     oracle = TruncatedOracle(1, -6, 6, caps=0, m_max=4)
     assert (0, 1) not in oracle.chart_at(1)  # odd parity, empty basis
@@ -592,11 +614,16 @@ def test_oracle_matrices_match_series_reference(n, lo, hi, caps):
     assert leaving
 
 
+def in_class(key, k, n):
+    """Whether the vn exponent of `key` has 2-adic valuation exactly k."""
+    return key[n] % 2 ** (k + 1) == 2 ** k
+
+
 @pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
 def test_advance_computes_each_image_once(n, lo, hi, caps, monkeypatch):
-    # one advance calls _d_key once on every window key, for the map, and
-    # once on every image past the window, for d∘d; an image inside the
-    # window is a key, and its d_r is read off the map
+    # the advance at level k calls _d_key once on every key whose vn
+    # exponent has 2-adic valuation k, for the map, and once on every
+    # image, in the window or past it, for d∘d; no other key is asked
     oracle = TruncatedOracle(n, lo, hi, caps)
     P = oracle.spec.hat_offset
     true_d = bss._d_key
@@ -608,14 +635,41 @@ def test_advance_computes_each_image_once(n, lo, hi, caps, monkeypatch):
 
     monkeypatch.setattr(bss, "_d_key", counting)
     seen_leaving = 0
-    for r in admissible_differentials(n):
+    for k, r in enumerate(admissible_differentials(n)):
         calls.clear()
         oracle.advance()
-        leaving = {image for image, _ in filter(None, (
-            true_d(key, r, n, P) for key in oracle.keys))} - oracle.keys
-        assert calls == Counter([*oracle.keys, *leaving]), r
-        seen_leaving += len(leaving)
+        moved = [key for key in oracle.keys if in_class(key, k, n)]
+        images = {image for image, _ in filter(None, (
+            true_d(key, r, n, P) for key in moved))}
+        assert calls == Counter([*moved, *images]), r
+        seen_leaving += len(images - oracle.keys)
     assert seen_leaving
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), lo=st.integers(-40, 8), width=st.integers(0, 40),
+       caps=st.integers(0, 4))
+def test_oracle_d_matches_the_whole_window_map(n, lo, width, caps):
+    # the valuation classes are disjoint, cover every key with vn != 0,
+    # and each level's d is the map built over every window key, as a
+    # dict and in iteration order
+    try:
+        oracle = TruncatedOracle(n, lo, lo + width, caps)
+    except EmptyBasisError:
+        assume(False)
+    classes = oracle._by_val
+    filed = [key for keys in classes.values() for key in keys]
+    assert len(filed) == len(set(filed))
+    assert set(filed) == {key for key in oracle.keys if key[n]}
+    assert all(in_class(key, k, n) for k, keys in classes.items()
+               for key in keys)
+    P = oracle.spec.hat_offset
+    for r in admissible_differentials(n):
+        oracle.advance()
+        want = {key: e for key in oracle.keys
+                if (e := bss._d_key(key, r, n, P))}
+        assert oracle.d == want, r
+        assert list(oracle.d) == list(want), r
 
 
 @pytest.mark.parametrize("n, lo, hi, caps", ORACLE_WINDOWS)
@@ -743,6 +797,43 @@ def test_odd_cycle_surviving_d_1_is_caught(monkeypatch):
     oracle = TruncatedOracle(2, -24, 24, caps=3)
     with pytest.raises(MathInvariantError, match="odd-exponent cycle"):
         oracle.advance()
+
+
+def test_odd_key_left_out_of_the_index_trips_the_odd_cycle_check():
+    # an odd-vn key dropped from class 0 is never moved by d_1; at a cell
+    # that a faithful run leaves unflagged it stays an odd cycle
+    faithful = TruncatedOracle(2, -24, 24, caps=3)
+    faithful.advance()
+    oracle = TruncatedOracle(2, -24, 24, caps=3)
+    key = next(key for key in oracle._by_val[0]
+               if oracle._cell(key) not in faithful.flags)
+    oracle._by_val[0].remove(key)
+    with pytest.raises(MathInvariantError, match="odd-exponent cycle"):
+        oracle.advance()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_key_left_out_of_a_class_is_caught_by_the_matrix_reference(k):
+    # a class-k key dropped from the index is not moved by d_r on its
+    # page.  Take a cycle, no boundary, that d_r sends onto a cycle j of
+    # the window that is not yet a boundary at its own valuation, so d_r
+    # kills the key or the class of j.  The oracle keeps both, which no
+    # check of its own forbids; the matrix reference, which never reads
+    # the index, charts that page otherwise
+    n, lo, hi, caps = ORACLE_WINDOWS[1]
+    P, r = GradingSpec(n, alphabet="hat").hat_offset, 2 ** (k + 1) - 1
+    faithful = TruncatedOracle(n, lo, hi, caps)
+    for _ in range(k):
+        faithful.advance()
+    Z, B = faithful.Z, faithful.B
+    key = next(key for key in faithful.keys
+               if in_class(key, k, n) and key in Z and key not in B
+               and (j := bss._d_key(key, r, n, P)[0]) in Z
+               and B.get(j) != Z[j])
+    oracle = TruncatedOracle(n, lo, hi, caps)
+    oracle._by_val[k].remove(key)
+    bad, _ = run_side_by_side(oracle, MatrixOracle(n, lo, hi, caps))
+    assert bad and bad[0] == 2 ** (k + 1)
 
 
 @pytest.mark.parametrize("where", ["outside", "below"])
