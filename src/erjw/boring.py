@@ -25,7 +25,7 @@ hat-graded coefficient.  `landweber_window_check` verifies, degree by
 degree inside a window, that multiplication by the stage-k generator has
 zero kernel on the presented quotient modulo the stage-k ideal.  At
 stage 0 that is torsion-freeness of the capped part of one lattice, read
-off its Z_(2) echelon form by the parities of the rows that span it; at
+by the parities of the basis `DegreeColumns.capped_part` gives it; at
 stages k >= 1 it is, exactly, a GF(2) question.  The vhat caps are a
 window, not a quotient: monomials pushed past the cap by a relation tail
 or a multiplication get fresh overflow columns, so no lattice row is
@@ -43,8 +43,7 @@ from .errors import (InputError, MathInvariantError, ReductionError,
                      check_ints)
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
-from .scalar2 import (BitSpan, RowSpan, TwoLocal, bit_preimage_within,
-                      echelon, val2)
+from .scalar2 import BitSpan, RowSpan, TwoLocal, bit_preimage_within, val2
 from .scalar2 import snf_with_transforms  # noqa: F401 (bench/tests traces it)
 from .symchern import SymmetricContext
 
@@ -405,23 +404,11 @@ def _mod2_lattice(cols: DegreeColumns, rows) -> tuple[int, ...]:
 
 
 def _torsion_free(cols: DegreeColumns, rows) -> bool:
-    """Whether Z_(2)^nb modulo L' is torsion-free, for L the span of rows
-    in the columns of cols and L' its part on the nb capped columns.
-
-    In the echelon form of L with the overflow columns first, the rows
-    that pivot in a capped column are zero on every overflow column and
-    span L': a combination taking a row that pivots in an overflow column
-    is nonzero at the first such pivot.  Those rows are independent, and
-    the quotient is torsion-free exactly when they have a unit maximal
-    minor, that is when their reductions mod 2 are independent.
-    """
-    nb, width = len(cols.basis), len(cols.index)
-    # column c moves to (c - nb) % width: the capped columns come last
-    E, _, pivots = echelon(cols.matrix(
-        ({(c - nb) % width: x for c, x in row.items()}, d) for row, d in rows))
-    return not BitSpan(
-        sum(1 << c for c, x in enumerate(row) if x & 1)
-        for row, p in zip(E.rows, pivots) if p >= width - nb).relations
+    """Whether Z_(2)^nb modulo L', the part of the span of rows on the nb
+    capped columns, is torsion-free: whether the independent rows of
+    `cols.capped_part(rows)` stay independent mod 2 (a unit maximal minor)."""
+    return not BitSpan(sum(1 << c for c, x in enumerate(row) if x & 1)
+                       for row in cols.capped_part(rows).rows).relations
 
 
 def _check_window_inputs(n, q, k, window, weight, caps) -> tuple[int, int]:
@@ -454,15 +441,15 @@ def landweber_window_check(n: int, q: int, k: int,
     the source ones, A is 2 [I | 0] and both lattices are the same L, so
     the question is whether Z_(2)^nb modulo L', the part of L on the nb
     capped columns, is torsion-free.  `_torsion_free` decides it from
-    one certified `echelon` of L, overflow columns first, and the
-    parities of the rows that span L'.  A pair reuses a verdict when its
-    capped column count, width and rows all equal an earlier pair's.  At k >= 1 the question
-    is exactly a GF(2) one (`bit_preimage_within`): I_k contains 2, and
-    `DegreeColumns.lattice_rows` adds a doubling row for every column,
-    so both lattices contain 2 Z_(2)^m and each is the full preimage of
-    its image mod 2.  A's entries lie in Z_(2), so the preimage is the
-    full preimage of its own image mod 2 as well, and the inclusion holds
-    if and only if it holds mod 2.  `_mod2_lattice` checks the doubling
+    the parities of the basis of L' that `DegreeColumns.capped_part`
+    reads off one certified echelon form.  A pair reuses a verdict when
+    its capped column count, width and rows all equal an earlier pair's.
+    At k >= 1 the question is exactly a GF(2) one (`bit_preimage_within`):
+    I_k contains 2, and `DegreeColumns.lattice_rows` adds a doubling row
+    for every column, so both lattices contain 2 Z_(2)^m and each is the
+    full preimage of its image mod 2.  A's entries lie in Z_(2), so the
+    preimage is the full preimage of its own image mod 2 as well, and the
+    inclusion holds if and only if it holds mod 2.  `_mod2_lattice` checks the doubling
     rows before any lattice is read mod 2.  At k = n the multiplier
     vn^-P is a unit, so every verdict there is True; it is still computed.
     """

@@ -41,9 +41,11 @@ structures through per-degree lattice quotients.  Their rows come from
 DegreeColumns, the one lattice-row builder: each relation multiple is a
 shift of a stencil compiled once per lattice (see lattice_rows).  A
 multiple that leaves the capped basis keeps its outside monomials as
-overflow columns, never dropped, and the degrees where that happens are
-reported.  Every capped basis here and in the oracle is
-graded.degree_basis, read from one residue table per (spec, caps,
+overflow columns, never dropped, and the degrees where a row meets both
+kinds of column are reported.  Each quotient is of two lattice parts on
+the capped columns, both read by DegreeColumns.capped_part, the route the
+stage-0 window check shares.  Every capped basis here and in the oracle
+is graded.degree_basis, read from one residue table per (spec, caps,
 weight).
 """
 
@@ -68,11 +70,9 @@ from .graded import GradedSeries, GradingSpec, degree_basis
 from .scalar2 import (
     LocalMatrix,
     ModuleStructure,
-    preimage_rows,
+    RowSpan,
     quotient_structure,
-    row_basis,
     snf_with_transforms,  # noqa: F401 (bench/tests traces it)
-    stack_rows,
     val2,
 )
 
@@ -262,6 +262,7 @@ def closed_form_page(n: int, r: int, m_max: int | None = None) -> Page:
     Pages are constant between consecutive admissible differentials, and
     everything from 2^(n+1) on is the last one.
     """
+    check_ints({"n": n} if m_max is None else {"n": n, "m_max": m_max})
     if n < 1:
         raise InputError("n must be at least 1")
     if m_max is None:
@@ -554,14 +555,13 @@ class DegreeColumns:
     `weight`); after them comes every overflow key a row registers.  A
     row registers its new keys in key order, so the columns depend on
     which rows came in which order, never on a series' term order.
-    `mixed` records whether a row met both kinds of column.
+    `capped_part` reads the part of a span on the capped columns.
     """
 
     def __init__(self, spec: GradingSpec, D: int, caps: int, weight: int):
         self.spec, self.D, self.caps, self.weight = spec, D, caps, weight
         self.basis = degree_basis(spec, D, caps, weight, hat_lattice=True)
         self.index = {key: i for i, key in enumerate(self.basis)}
-        self.mixed = False
 
     def row(self, series: GradedSeries) -> tuple[dict, int]:
         return self._placed(*series.as_two_local().numerators)
@@ -571,15 +571,25 @@ class DegreeColumns:
         index = self.index
         for key in sorted(nums.keys() - index.keys()):
             index[key] = len(index)
-        row = {index[key]: x for key, x in nums.items()}
-        nb = len(self.basis)
-        self.mixed |= min(row, default=nb) < nb <= max(row, default=0)
-        return row, den
+        return {index[key]: x for key, x in nums.items()}, den
 
     def matrix(self, rows) -> LocalMatrix:
         width = len(self.index)
         return LocalMatrix._of((([row.get(c, 0) for c in range(width)], d)
                                 for row, d in rows), width)
+
+    def capped_part(self, rows) -> LocalMatrix:
+        """A basis of L ∩ Z_(2)^nb on the nb capped columns, L the span of
+        rows: in L's echelon form with the overflow columns first, the rows
+        that pivot in a capped column span it, as a combination taking a
+        row that pivots in an overflow column is nonzero at the first."""
+        nb, width = len(self.basis), len(self.index)
+        # column c moves to (c - nb) % width: the capped columns come last
+        span = RowSpan(self.matrix(({(c - nb) % width: x for c, x in
+                                     row.items()}, d) for row, d in rows))
+        E, cut = span.basis, width - nb
+        return LocalMatrix._of(((row[cut:], d) for row, d, p in zip(
+            E.rows, E.dens, span.pivots) if p >= cut), nb)
 
     def lattice_rows(self, relations, k: int, deep: int) -> list[tuple]:
         """Relation multiples plus the stage-k ideal I_k at this degree.
@@ -654,6 +664,9 @@ class PresentedModule:
     caps: int = 6
 
     def __post_init__(self):
+        check_ints({"weight": self.weight, "caps": self.caps})
+        if self.weight < 0:
+            raise InputError("negative weight")
         if self.spec.alphabet != "hat" or self.spec.roots:
             raise InputError("presented modules live over the hat class ring")
         self.relations = tuple(self.relations)
@@ -668,10 +681,16 @@ class PresentedModule:
     def twisted_structure_at(self, D: int, i: int, j: int) -> ModuleStructure:
         """Structure of I_i (M / I_j M) in internal degree D.
 
-        The answer is the image of the capped elements of I_i M + I_j M
-        in the extended quotient by the relations and I_j.
+        With L the span of the relation and I_j rows, N that of the I_i
+        rows (the capped basis when i = 0) and C the capped columns' span,
+        it is (N + L) ∩ C modulo L ∩ C, read by `capped_part`: c -> c + L
+        maps that onto (N + L) ∩ (C + L) modulo L, the image of the capped
+        elements of N + L in the extended quotient, with kernel L ∩ C.
         """
         n = self.spec.n
+        check_ints({"degree": D, "i": i, "j": j})
+        if not (0 <= i <= n + 1 and 0 <= j <= n + 1):
+            raise InputError(f"ideal indices ({i}, {j}) outside 0..{n + 1}")
         if (0 < i <= j) or j == n + 1:
             return ModuleStructure(0, ())
         if i == n + 1:
@@ -685,17 +704,13 @@ class PresentedModule:
         if nb == 0:
             self._cache[key] = ModuleStructure(0, ())
             return self._cache[key]
-        capped = [({c: 1}, 1) for c in range(nb)]
-        den_rows = cols.lattice_rows(self.relations, j, self.weight)
-        num_rows = cols.lattice_rows((), i, self.weight) if i else capped
-        if cols.mixed:
+        den = cols.lattice_rows(self.relations, j, self.weight)
+        num = (cols.lattice_rows((), i, self.weight) if i
+               else [({c: 1}, 1) for c in range(nb)])
+        if any(min(row) < nb <= max(row) for row, _ in num + den):
             self.incomplete_degrees.add(D)
-        den = cols.matrix(den_rows)
-        K = row_basis(stack_rows([cols.matrix(num_rows), den]))
-        if i:
-            # I_i multiples may overflow; keep the capped part of the span
-            K = preimage_rows(K, stack_rows([cols.matrix(capped), den])) @ K
-        st = quotient_structure(K, den)
+        st = quotient_structure(cols.capped_part(num + den),
+                                cols.capped_part(den))
         self._cache[key] = st
         return st
 

@@ -15,11 +15,12 @@ from erjw.boring import (
     reduce,
     residue_certificate,
 )
-from erjw.bss import PresentedModule, closed_form_page, flat_base_change
+from erjw.bss import (DegreeColumns, PresentedModule, closed_form_page,
+                      flat_base_change)
 from erjw.errors import InputError, MathInvariantError, ReductionError
 from erjw.fgl import GroupLaw, UniSeries
 from erjw.graded import GradedSeries, GradingSpec, degree_basis
-from erjw.scalar2 import TwoLocal, echelon
+from erjw.scalar2 import TwoLocal
 
 
 @pytest.fixture(scope="module")
@@ -412,12 +413,13 @@ def test_window_check_reuses_only_a_whole_lattice_question(monkeypatch):
     iota = UniSeries.from_terms(bare, {1: GradedSeries.unit(bare, -1)},
                                 precision=9)
     reductions = []
+    capped_part = DegreeColumns.capped_part
 
-    def counted(M):
-        reductions.append(M)
-        return echelon(M)
+    def counted(cols, rows):
+        reductions.append(rows)
+        return capped_part(cols, rows)
 
-    monkeypatch.setattr(boring, "echelon", counted)
+    monkeypatch.setattr(DegreeColumns, "capped_part", counted)
     cert = landweber_window_check(2, 1, 0, (-48, 48), weight=1, caps=0,
                                   iota=iota)
     assert cert.failures == (-16, 32)

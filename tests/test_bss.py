@@ -19,6 +19,7 @@ from erjw.bss import (
     homology_step,
     step_engine_page,
 )
+from erjw.boring import present
 from erjw.errors import (
     EmptyBasisError,
     FlatnessCertificateError,
@@ -134,6 +135,13 @@ def test_summand_zero_rules():
     assert StandardSummand(2, 0, 3, 3, 0).is_zero  # j = n + 1
     assert not StandardSummand(2, 2, 1, 3, 4).is_zero
     assert not StandardSummand(2, 0, 0, 0, 0).is_zero
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (4, 0), (0, -1), (0, 4)])
+def test_summand_refuses_ideal_indices_outside_the_range(i, j):
+    # the same range twisted_structure_at refuses: 0..n+1
+    with pytest.raises(InputError, match="ideal indices out of range"):
+        StandardSummand(2, i, j, 0, 0)
 
 
 def test_summand_offset_normalization():
@@ -328,6 +336,19 @@ def test_oracle_refuses_non_int_inputs(call):
     # to raise a TypeError or AttributeError
     with pytest.raises(InputError, match="must be an int"):
         call()
+
+
+@pytest.mark.parametrize("build", [closed_form_page, step_engine_page],
+                         ids=["closed", "step"])
+@pytest.mark.parametrize("args", [(True, 1), (2.0, 1), ("2", 1),
+                                  (2, 1, True), (2, 1, 4.0)],
+                         ids=["bool-n", "float-n", "str-n", "bool-m_max",
+                              "float-m_max"])
+def test_pages_refuse_non_int_inputs(build, args):
+    # (True, 1) built a page with n = True, (2, 1, True) one with
+    # m_max = True, and the floats raised a raw TypeError
+    with pytest.raises(InputError, match="must be an int"):
+        build(*args)
 
 
 def test_oracle_chart_before_advance():
@@ -1007,6 +1028,45 @@ def test_presented_module_keeps_overflow_columns():
                           flat_certificate="overflow probe", caps=0)
     assert mod.twisted_structure_at(0, 0, 0) == ModuleStructure(0, (2,))
     assert mod.incomplete_degrees == {0}
+
+
+def _conjugation_module(**fields):
+    pres = present(2, 1, 4)
+    return PresentedModule(**{"spec": pres.spec, "weight": 4,
+                              "relations": pres.relations,
+                              "flat_certificate": "conjugation quotient",
+                              "caps": 2, **fields})
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"caps": True}, "must be an int"),
+    ({"caps": 2.0}, "must be an int"),
+    ({"weight": -1}, "^negative weight$"),
+    ({"weight": 4.0}, "must be an int"),
+], ids=["bool-caps", "float-caps", "negative-weight", "float-weight"])
+def test_presented_module_refuses_bad_fields(fields, match):
+    # caps=True answered as caps 1, caps=2.0 raised a raw TypeError, and
+    # weight -1 answered 0 at every degree
+    with pytest.raises(InputError, match=match):
+        _conjugation_module(**fields)
+
+
+@pytest.mark.parametrize("D, i, j, match", [
+    (0, 0, -1, "outside 0..3"),
+    (0, -1, 0, "outside 0..3"),
+    (0, 5, 0, "outside 0..3"),
+    (0, 0, 4, "outside 0..3"),
+    (0.0, 0, 0, "must be an int"),
+    (0, True, 0, "must be an int"),
+], ids=["j-below", "i-below", "i-above", "j-above", "float-degree",
+        "bool-i"])
+def test_twisted_structure_refuses_bad_indices(D, i, j, match):
+    # j = -1 answered as j = 0 (Z^3 + Z/4), i = -1 answered 0, i = 5 and
+    # j = 4 raised a raw ValueError ('vh2' is not a variable)
+    module = _conjugation_module()
+    assert module.twisted_structure_at(0, 0, 0) == ModuleStructure(3, (4,))
+    with pytest.raises(InputError, match=match):
+        module.twisted_structure_at(D, i, j)
 
 
 @pytest.mark.parametrize("n, caps, r", [(2, 2, 8), (3, 1, 16), (3, 2, 16)])

@@ -6,8 +6,8 @@ its denominator, and `DegreeColumns.row` reads any other series the same
 way; `DegreeColumns.matrix` hands the rows to the kernel with no TwoLocal
 between.  The stencil route is checked against a reference kept here,
 `_reference_lattice_rows`, which builds every row as
-`cols.row(factor.times_key(mono, deep))`: rows, denominators, column
-order and `mixed` must all come out equal.  Two more tests check what
+`cols.row(factor.times_key(mono, deep))`: rows, denominators and column
+order must all come out equal.  Two more tests check what
 else reaches the kernel: the TwoLocal reference rebuilds every lattice
 matrix from its rows' values through the public `LocalMatrix`
 constructor, and the one-term product in place of `times_key` must give
@@ -15,10 +15,20 @@ the same matrices.  Neither sees how a lattice row is built, since
 `lattice_rows` calls neither `row` nor `times_key`.
 
 Window checks at stages k >= 1 read the rows mod 2 instead, as bitmasks
-(`bit_preimage_within`), and stage 0 reads the parities of one echelon
-form (`_torsion_free`).  `_reference_window_check` keeps the Z_(2) route
-both replaced, `preimage_rows` then `spans` on `DegreeColumns.matrix`,
-and the verdicts of every stage are checked against it.
+(`bit_preimage_within`), and stage 0 reads the parities of the capped
+part of one lattice (`_torsion_free`).  `_reference_window_check` keeps
+the Z_(2) route both replaced, `preimage_rows` then `spans` on
+`DegreeColumns.matrix`, and the verdicts of every stage are checked
+against it.
+
+`DegreeColumns.capped_part`, the part of a span on the capped columns,
+is the one route by which stage 0 and the flat base change
+(`PresentedModule.twisted_structure_at`) read a lattice.
+`_reference_twisted_structure` keeps the base-change route it replaced,
+`row_basis` of the stacked rows cut by `preimage_rows`, with its own
+per-row test of an incomplete degree; structures and incomplete degrees
+are checked against it, and `capped_part` against the `preimage_rows`
+intersection.
 """
 
 import copy
@@ -34,8 +44,9 @@ from erjw.bss import DegreeColumns, PresentedModule
 from erjw.errors import InputError, MathInvariantError, NonUnitDivisionError
 from erjw.fgl import UniSeries
 from erjw.graded import GradedSeries, GradingSpec, degree_basis
-from erjw.scalar2 import (LocalMatrix, TwoLocal, bit_preimage_within,
-                          preimage_rows, spans)
+from erjw.scalar2 import (LocalMatrix, ModuleStructure, TwoLocal,
+                          bit_preimage_within, preimage_rows,
+                          quotient_structure, row_basis, spans, stack_rows)
 
 
 def _lattice_work():
@@ -221,7 +232,6 @@ def test_lattice_rows_match_the_times_key_reference(monkeypatch):
         got = lattice_rows(cols, relations, k, deep)
         assert got == _reference_lattice_rows(twin, relations, k, deep)
         assert list(cols.index.items()) == list(twin.index.items())
-        assert cols.mixed == twin.mixed
         compared.append(got)
         return got
 
@@ -389,3 +399,116 @@ def test_a_missing_doubling_row_is_refused(monkeypatch, dropped):
     monkeypatch.setattr(DegreeColumns, "lattice_rows", one_short)
     with pytest.raises(MathInvariantError, match="doubling row"):
         landweber_window_check(2, 1, 1, (0, 16), weight=4, caps=2)
+
+
+# -- the flat base change against the route it replaced ----------------------
+
+
+def _reference_twisted_structure(module, D, i, j):
+    """(structure, whether D is incomplete) of
+    `PresentedModule.twisted_structure_at` by the Z_(2) route it replaced:
+    the row basis of the numerator and denominator rows, cut by
+    `preimage_rows` to its part in the span of the capped columns and the
+    denominator when i > 0, modulo the denominator.  A degree is
+    incomplete when a row placed in the columns meets both a capped and an
+    overflow column."""
+    n = module.spec.n
+    if (0 < i <= j) or j == n + 1:
+        return ModuleStructure(0, ()), False
+    if i == n + 1:
+        i = 0
+    cols = DegreeColumns(module.spec, D, module.caps, module.weight)
+    nb = len(cols.basis)
+    if nb == 0:
+        return ModuleStructure(0, ()), False
+    capped = [({c: 1}, 1) for c in range(nb)]
+    den_rows = cols.lattice_rows(module.relations, j, module.weight)
+    num_rows = cols.lattice_rows((), i, module.weight) if i else capped
+    placed = den_rows + (num_rows if i else [])
+    mixed = any(min(row, default=nb) < nb <= max(row, default=0)
+                for row, _ in placed)
+    den = cols.matrix(den_rows)
+    K = row_basis(stack_rows([cols.matrix(num_rows), den]))
+    if i:
+        K = preimage_rows(K, stack_rows([cols.matrix(capped), den])) @ K
+    return quotient_structure(K, den), mixed
+
+
+def _module(n, q, weight, caps, kind):
+    """A presented module: the conjugation quotient ("law"), the free one
+    ("free"), or one of the overflow plants of tests/test_bss.py at n = 2,
+    q = 1 ("cap overflow": 2 c1 = vh1 c1^2; "overflow columns":
+    2 = vh1 c1 and vh1 c1 = 0)."""
+    if kind in ("law", "free"):
+        pres = present(n, q, weight)
+        relations = pres.relations if kind == "law" else ()
+        return PresentedModule(pres.spec, weight, relations, "cross-check",
+                               caps)
+    spec = GradingSpec(2, q=1, alphabet="hat")
+    if kind == "cap overflow":
+        relations = (GradedSeries.monomial(spec, 2, c=(1,), trunc=weight)
+                     - GradedSeries.monomial(spec, vh=(1,), c=(2,),
+                                             trunc=weight),)
+    else:
+        vc = GradedSeries.monomial(spec, vh=(1,), c=(1,), trunc=weight)
+        relations = (GradedSeries.unit(spec, 2, trunc=weight) - vc, vc)
+    return PresentedModule(spec, weight, relations, "overflow plant", caps)
+
+
+@st.composite
+def _base_change_questions(draw):
+    n = draw(st.sampled_from((2, 3, 1)))
+    q = draw(st.sampled_from((1, 2)))
+    weight = draw(st.integers(q, 4 if q == 1 else 3))  # a class needs q
+    caps = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("law", "free")))
+    step = {1: 16, 2: 16, 3: 96}[n]
+    spec = GradingSpec(n, alphabet="hat")
+    D = draw(st.sampled_from(spec.hat_degrees(-3 * step, 3 * step)))
+    return n, q, weight, caps, D, kind
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_base_change_questions())
+# the overflow plants: incomplete at degree -16, and at {0}
+@example((2, 1, 4, 1, -16, "cap overflow"))
+@example((2, 1, 2, 0, 0, "overflow columns"))
+def test_base_change_matches_the_preimage_route(question):
+    n, q, weight, caps, D, kind = question
+    module = _module(n, q, weight, caps, kind)
+    incomplete = False
+    for i in range(n + 2):
+        for j in range(n + 2):
+            want, mixed = _reference_twisted_structure(module, D, i, j)
+            assert module.twisted_structure_at(D, i, j) == want, (i, j)
+            incomplete |= mixed
+    assert module.incomplete_degrees == ({D} if incomplete else set())
+
+
+@pytest.mark.parametrize("n, q, weight, caps, kind", [
+    (2, 1, 4, 1, "cap overflow"),
+    (2, 1, 2, 0, "overflow columns"),
+    (2, 1, 4, 2, "law"),
+    (2, 2, 3, 1, "law"),
+    (3, 1, 3, 1, "law"),
+])
+def test_capped_part_spans_the_preimage_intersection(n, q, weight, caps,
+                                                     kind):
+    # L ∩ Z^nb two ways: capped_part's echelon rows, and the x with
+    # x @ [I | 0] in L that preimage_rows finds; each spans the other
+    module = _module(n, q, weight, caps, kind)
+    spec, step = module.spec, {2: 16, 3: 96}[n]
+    seen = []
+    for D in spec.hat_degrees(-3 * step, 3 * step):
+        for k in range(n + 1):
+            cols = DegreeColumns(spec, D, caps, weight)
+            rows = cols.lattice_rows(module.relations, k, weight)
+            nb = len(cols.basis)
+            got = cols.capped_part(rows)
+            capped = cols.matrix(({c: 1}, 1) for c in range(nb))
+            want = preimage_rows(capped, cols.matrix(rows))
+            assert got.ncols == want.ncols == nb
+            assert spans(got, want) and spans(want, got), (D, k)
+            seen.append((len(cols.index) > nb, got.nrows))
+    # some lattice overflows the cap and still meets the capped columns
+    assert any(over and rank for over, rank in seen)
