@@ -34,12 +34,11 @@ silently projected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from types import MappingProxyType
 
 from .bss import DegreeColumns
-from .errors import (InputError, MathInvariantError, ReductionError,
+from .errors import (InputError, MathInvariantError, Record, ReductionError,
                      check_ints)
 from .fgl import GroupLaw, UniSeries
 from .graded import GradedSeries, GradingSpec
@@ -95,8 +94,7 @@ def _check_element(z: GradedSeries, p: RingPresentation) -> None:
 # -- presentation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(Record):
     """Class generators and the conjugation relations at one weight bound.
 
     `lattice(D, caps)` is the relation lattice `in_ideal` solves in:
@@ -106,19 +104,17 @@ class RingPresentation:
     presentation does.
     """
 
-    n: int
-    q: int
-    weight: int
-    spec: GradingSpec
-    generator_degrees: tuple[int, ...]
-    relations: tuple[GradedSeries, ...]
-    heads: tuple
+    _fields = ("n", "q", "weight", "spec", "generator_degrees", "relations",
+               "heads")
 
-    def __post_init__(self):
+    def __init__(self, n: int, q: int, weight: int, spec: GradingSpec,
+                 generator_degrees: tuple[int, ...],
+                 relations: tuple[GradedSeries, ...], heads: tuple):
+        self._fill(n, q, weight, spec, generator_degrees, relations, heads)
         # not a field: left out of ==, hash and repr.  The builder holds
         # the relations, not the presentation, so no cycle keeps it alive
         object.__setattr__(self, "lattice", lru_cache(maxsize=32)(partial(
-            _relation_lattice, self.spec, self.relations, self.weight)))
+            _relation_lattice, spec, relations, weight)))
 
 
 def _relation_lattice(spec: GradingSpec, relations, weight: int, D: int,
@@ -278,15 +274,14 @@ def in_ideal(z: GradedSeries, p: RingPresentation, caps: int = 6) -> bool:
 # -- periodicity decomposition ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class HatDecomposition:
+class HatDecomposition(Record):
     """A homogeneous element split along the periodicity residue basis."""
 
-    n: int
-    source_spec: GradingSpec
-    components: dict
-    residues: tuple[int, ...]
-    bounded: bool
+    _fields = ("n", "source_spec", "components", "residues", "bounded")
+
+    def __init__(self, n: int, source_spec: GradingSpec, components: dict,
+                 residues: tuple[int, ...], bounded: bool):
+        self._fill(n, source_spec, components, residues, bounded)
 
     def recombine(self) -> GradedSeries:
         n, spec = self.n, self.source_spec
@@ -359,17 +354,19 @@ def residue_certificate(n: int) -> dict[int, int]:
 # -- window-scale flatness ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlatnessCertificate:
-    n: int
-    q: int
-    k: int
-    window: tuple[int, int]
-    weight: int
-    caps: int
-    ok: bool
-    checked: tuple[tuple[int, int], ...]
-    failures: tuple[int, ...]
+class FlatnessCertificate(Record):
+    """The outcome of one window check: its inputs, whether every degree
+    passed, the (degree, target degree) pairs that passed and the degrees
+    that failed."""
+
+    _fields = ("n", "q", "k", "window", "weight", "caps", "ok", "checked",
+               "failures")
+
+    def __init__(self, n: int, q: int, k: int, window: tuple[int, int],
+                 weight: int, caps: int, ok: bool,
+                 checked: tuple[tuple[int, int], ...],
+                 failures: tuple[int, ...]):
+        self._fill(n, q, k, window, weight, caps, ok, checked, failures)
 
 
 def _stage_multiplier(spec: GradingSpec, k: int, weight: int) -> GradedSeries:

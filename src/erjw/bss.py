@@ -52,7 +52,6 @@ weight).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from math import gcd
 from operator import add, itemgetter
@@ -64,6 +63,7 @@ from .errors import (
     MathInvariantError,
     NonUnitDivisionError,
     PageShapeError,
+    Record,
     check_ints,
 )
 from .graded import GradedSeries, GradingSpec, degree_basis
@@ -149,23 +149,21 @@ def _d_key(key: tuple, r: int, n: int, P: int):
 # -- standard blocks and closed-form pages ---------------------------------
 
 
-@dataclass(frozen=True)
-class StandardSummand:
-    """One block I_i (R[v^(+-2^s)] / I_j) v^c, possibly degree-shifted."""
+class StandardSummand(Record):
+    """One block I_i (R[v^(+-2^s)] / I_j) v^c, possibly degree-shifted;
+    c is kept modulo 2^s."""
 
-    n: int
-    i: int
-    j: int
-    s: int
-    c: int
-    shift: int = 0
+    _fields = ("n", "i", "j", "s", "c", "shift")
 
-    def __post_init__(self):
-        if not 0 <= self.i <= self.n + 1 or not 0 <= self.j <= self.n + 1:
+    def __init__(self, n: int, i: int, j: int, s: int, c: int,
+                 shift: int = 0):
+        self._fill(n, i, j, s, c, shift)
+        if not 0 <= i <= n + 1 or not 0 <= j <= n + 1:
+            # the message shows c as given
             raise InputError(f"ideal indices out of range in {self}")
-        if self.s < 0:
+        if s < 0:
             raise InputError("negative periodicity exponent")
-        object.__setattr__(self, "c", self.c % 2 ** self.s)
+        object.__setattr__(self, "c", c % 2 ** s)
 
     @property
     def is_zero(self) -> bool:
@@ -202,12 +200,16 @@ class StandardSummand:
         return ModuleStructure(0, (2,) * count)
 
 
-@dataclass
-class Page:
-    n: int
-    r: int
-    rows: dict[int, tuple[StandardSummand, ...]]
-    m_max: int
+class Page(Record):
+    """The page at index r: its nonzero blocks by filtration row, rows
+    0..m_max.  Compared by value and unhashable, as `rows` is a dict."""
+
+    _fields = ("n", "r", "rows", "m_max")
+    __hash__ = None
+
+    def __init__(self, n: int, r: int,
+                 rows: dict[int, tuple[StandardSummand, ...]], m_max: int):
+        self._fill(n, r, rows, m_max)
 
     @cached_property
     def spec(self) -> GradingSpec:
@@ -527,12 +529,13 @@ class TruncatedOracle:
 # -- flat base change --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FreeModule:
+class FreeModule(Record):
     """Finitely many free generators with internal degree shifts."""
 
-    shifts: tuple[int, ...]
-    flat_certificate: str
+    _fields = ("shifts", "flat_certificate")
+
+    def __init__(self, shifts: tuple[int, ...], flat_certificate: str):
+        self._fill(shifts, flat_certificate)
 
 
 def _stencil(factor: GradedSeries, deep: int) -> tuple:
@@ -638,8 +641,7 @@ class DegreeColumns:
         return rows
 
 
-@dataclass
-class PresentedModule:
+class PresentedModule(Record):
     """Quotient of a weight-truncated class ring by homogeneous relations.
 
     The ambient ring augments the coefficient ring with q class
@@ -655,28 +657,32 @@ class PresentedModule:
     under multiplication, so the rows the cap leaves out lie wholly in
     overflow columns, and a lattice whose rows each stay on one side
     splits into a capped and an overflow part.
+
+    The fields are fixed once built, as the answers are cached by degree
+    and ideal indices alone; it compares by value and is unhashable.
     """
 
-    spec: GradingSpec
-    weight: int
-    relations: tuple[GradedSeries, ...]
-    flat_certificate: str
-    caps: int = 6
+    _fields = ("spec", "weight", "relations", "flat_certificate", "caps")
+    __hash__ = None
 
-    def __post_init__(self):
-        check_ints({"weight": self.weight, "caps": self.caps})
-        if self.weight < 0:
+    def __init__(self, spec: GradingSpec, weight: int,
+                 relations: tuple[GradedSeries, ...], flat_certificate: str,
+                 caps: int = 6):
+        check_ints({"weight": weight, "caps": caps})
+        if weight < 0:
             raise InputError("negative weight")
-        if self.spec.alphabet != "hat" or self.spec.roots:
+        if spec.alphabet != "hat" or spec.roots:
             raise InputError("presented modules live over the hat class ring")
-        self.relations = tuple(self.relations)
-        for rel in self.relations:
-            if rel.spec != self.spec:
+        relations = tuple(relations)
+        for rel in relations:
+            if rel.spec != spec:
                 raise InputError("relation over the wrong spec")
             if not rel.is_homogeneous():
                 raise InputError("relations must be homogeneous")
-        self.incomplete_degrees: set[int] = set()
-        self._cache: dict = {}
+        self._fill(spec, weight, relations, flat_certificate, caps)
+        # not fields, so left out of == and repr; they fill as it answers
+        object.__setattr__(self, "incomplete_degrees", set())
+        object.__setattr__(self, "_cache", {})
 
     def twisted_structure_at(self, D: int, i: int, j: int) -> ModuleStructure:
         """Structure of I_i (M / I_j M) in internal degree D.
@@ -781,7 +787,8 @@ def flat_base_change(page: Page, module):
         raise FlatnessCertificateError(
             "flat base change without a flatness certificate")
     if isinstance(module, FreeModule):
-        rows = {m: tuple(replace(s, shift=s.shift + d)
+        rows = {m: tuple(StandardSummand(s.n, s.i, s.j, s.s, s.c,
+                                         s.shift + d)
                          for d in module.shifts for s in blocks)
                 for m, blocks in page.rows.items()}
         return Page(page.n, page.r, rows, page.m_max)

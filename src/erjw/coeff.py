@@ -9,10 +9,8 @@ sides live.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bss import Page, StandardSummand, closed_form_page
-from .errors import InputError, MathInvariantError
+from .errors import InputError, MathInvariantError, Record
 from .graded import GradedSeries, GradingSpec, parse_series
 from .scalar2 import ONE, TwoLocal
 
@@ -32,12 +30,15 @@ def total_period(n: int) -> int:
     return 2 ** (n + 2) * (2 ** n - 1)
 
 
-@dataclass(frozen=True)
-class NamedClass:
-    name: str
-    series: GradedSeries
-    row: int
-    total_degree: int
+class NamedClass(Record):
+    """A named class of the limit chart: its monomial, filtration row and
+    total degree."""
+
+    _fields = ("name", "series", "row", "total_degree")
+
+    def __init__(self, name: str, series: GradedSeries, row: int,
+                 total_degree: int):
+        self._fill(name, series, row, total_degree)
 
 
 # Frozen degree bookkeeping for the named classes.  The table is checked
@@ -138,11 +139,13 @@ def _normal_form(block: StandardSummand | None, term):
     return (key, ONE)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    holds: bool
-    witness: str
-    summand: str
+class RelationReport(Record):
+    """Whether a relation holds, why, and the chart block it was read in."""
+
+    _fields = ("holds", "witness", "summand")
+
+    def __init__(self, holds: bool, witness: str, summand: str):
+        self._fill(holds, witness, summand)
 
 
 def _render(spec: GradingSpec, nf) -> str:

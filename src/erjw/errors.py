@@ -4,7 +4,13 @@ Two branches matter for callers: MathInvariantError means a computation
 produced something the underlying algebra forbids (a genuine bug or a broken
 input object), InputError means the request itself was malformed.  The CLI
 maps them to exit codes 1 and 2 respectively.
+
+It also holds `Record`, the base of the package's small immutable records.
 """
+
+from operator import attrgetter
+
+_set = object.__setattr__
 
 
 class ErjwError(Exception):
@@ -64,3 +70,50 @@ def check_ints(values: dict) -> None:
     for name, value in values.items():
         if type(value) is not int:
             raise InputError(f"{name} must be an int, not {value!r}")
+
+
+class Record:
+    """An immutable record of the fields its class names in `_fields`.
+
+    Each record class writes its own `__init__`, which checks its
+    arguments and stores them with `_fill` (or field by field with
+    `object.__setattr__`, as the hot ones do).  The base gives what a frozen
+    dataclass of those fields would: the repr `Name(f=v!r, ...)`, `==`
+    on equal field tuples of the same class (NotImplemented for another
+    class), a hash of that tuple, and an AttributeError on assignment or
+    deletion.  A class that sets `__hash__ = None` compares by value and
+    is unhashable, as an eq-only dataclass is.  Values computed on first
+    read (`functools.cached_property`) go straight to the instance dict.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # called as cls._values(record): one C call reads the field values
+        cls._values = attrgetter(*cls._fields)
+
+    def _fill(self, *values) -> None:
+        # object.__setattr__ keeps the values inline, where reads are fast;
+        # writing through __dict__ would make every later read slower
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

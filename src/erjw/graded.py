@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import ast
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as iter_product
@@ -64,24 +63,43 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Callable
 
-from .errors import InputError, MathInvariantError, NonUnitDivisionError
+from .errors import (InputError, MathInvariantError, NonUnitDivisionError,
+                     Record)
 from .scalar2 import TwoLocal
 
 
-@dataclass(frozen=True)
-class GradingSpec:
-    n: int
-    q: int = 0
-    roots: int = 0
-    alphabet: str = "hat"
+class GradingSpec(Record):
+    """Slot layout of a graded series: height n, q classes, `roots` roots,
+    and the alphabet of the coefficient generators.  Its field tuple and
+    hash are kept from construction: caches key on the spec."""
 
-    def __post_init__(self):
-        if self.n < 1:
+    _fields = ("n", "q", "roots", "alphabet")
+
+    def __init__(self, n: int, q: int = 0, roots: int = 0,
+                 alphabet: str = "hat"):
+        if n < 1:
             raise InputError("n must be at least 1")
-        if self.q < 0 or self.roots < 0:
+        if q < 0 or roots < 0:
             raise InputError("negative slot counts")
-        if self.alphabet not in ("hat", "standard"):
-            raise InputError(f"unknown alphabet {self.alphabet!r}")
+        if alphabet not in ("hat", "standard"):
+            raise InputError(f"unknown alphabet {alphabet!r}")
+        key = (n, q, roots, alphabet)
+        # by hand, not _fill: specs are built on every call
+        set_ = object.__setattr__
+        set_(self, "n", n)
+        set_(self, "q", q)
+        set_(self, "roots", roots)
+        set_(self, "alphabet", alphabet)
+        set_(self, "_key", key)
+        set_(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     @cached_property
     def lam(self) -> int:

@@ -29,11 +29,9 @@ it as an external fact and never recomputes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .boring import in_ideal, present, reduce
 from .bss import Page, closed_form_page
-from .errors import InputError, MathInvariantError
+from .errors import InputError, MathInvariantError, Record
 from .fgl import GroupLaw
 from .graded import GradedSeries, GradingSpec
 from .symchern import thom_ratio
@@ -70,28 +68,29 @@ def obstruction_residue(n: int, k: int, r: int) -> int:
     return residue
 
 
-@dataclass(frozen=True)
-class OrientationStep:
+class OrientationStep(Record):
     """One inductive step: which page, which argument, what it proved."""
 
-    k: int
-    page: int
-    method: str
-    verdict: bool
-    target_degree: int | None = None
-    residue: int | None = None
-    modulus: int | None = None
-    rechecked: tuple[int, ...] = ()
+    _fields = ("k", "page", "method", "verdict", "target_degree", "residue",
+               "modulus", "rechecked")
+
+    def __init__(self, k: int, page: int, method: str, verdict: bool,
+                 target_degree: int | None = None, residue: int | None = None,
+                 modulus: int | None = None, rechecked: tuple[int, ...] = ()):
+        self._fill(k, page, method, verdict, target_degree, residue, modulus,
+                   rechecked)
 
 
-@dataclass(frozen=True)
-class OrientationScan:
-    n: int
-    bundle: str
-    steps: tuple[OrientationStep, ...]
-    certified: bool
-    external_facts: tuple[str, ...]
-    notes: tuple[str, ...]
+class OrientationScan(Record):
+    """The orientation certificate of the 2^(n+1)-fold bundle: its steps,
+    whether they certify it, and the facts it quotes."""
+
+    _fields = ("n", "bundle", "steps", "certified", "external_facts", "notes")
+
+    def __init__(self, n: int, bundle: str,
+                 steps: tuple[OrientationStep, ...], certified: bool,
+                 external_facts: tuple[str, ...], notes: tuple[str, ...]):
+        self._fill(n, bundle, steps, certified, external_facts, notes)
 
 
 def _conjugation_fixed_step(n: int, weight: int) -> OrientationStep:

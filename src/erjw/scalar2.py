@@ -42,11 +42,10 @@ vectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import MathInvariantError, NonUnitDivisionError
+from .errors import MathInvariantError, NonUnitDivisionError, Record
 
 
 def val2(x) -> int | float:
@@ -207,25 +206,26 @@ def _coerce(x):
 ONE = TwoLocal._raw(1, 1)
 
 
-@dataclass(frozen=True)
-class ModuleStructure:
+class ModuleStructure(Record):
     """Isomorphism type of a finitely generated Z_(2)-module.
 
     torsion holds the cyclic orders (each a power of 2, > 1) in
     nondecreasing order, e.g. (2, 2, 8).
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2 or t & (t - 1):
                 raise ValueError(f"torsion order {t} is not a power of 2 above 1")
-        if list(self.torsion) != sorted(self.torsion):
+        if list(torsion) != sorted(torsion):
             raise ValueError("torsion orders must be nondecreasing")
+        # by hand, not _fill: a pages list builds thousands of these
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def is_zero(self) -> bool:

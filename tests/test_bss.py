@@ -1069,6 +1069,37 @@ def test_twisted_structure_refuses_bad_indices(D, i, j, match):
         module.twisted_structure_at(D, i, j)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("caps", 0), ("caps", True), ("weight", 0), ("relations", ()),
+], ids=["caps-0", "bool-caps", "weight-0", "no-relations"])
+def test_presented_module_fields_are_fixed_after_a_read(field, value):
+    # answers are cached by (D, i, j) alone: caps set to 0 after a read
+    # served the stale Z^3 + Z/4 (a fresh caps-0 module answers Z^2), and
+    # caps set to True skipped the int check
+    module = _conjugation_module()
+    assert module.twisted_structure_at(0, 0, 0) == ModuleStructure(3, (4,))
+    with pytest.raises(AttributeError):
+        setattr(module, field, value)
+    with pytest.raises(AttributeError):
+        delattr(module, field)
+    assert getattr(module, field) == getattr(_conjugation_module(), field)
+    assert module.twisted_structure_at(0, 0, 0) == ModuleStructure(3, (4,))
+    assert _conjugation_module(caps=0).twisted_structure_at(0, 0, 0) == \
+        ModuleStructure(2, ())
+
+
+def test_pages_are_immutable_and_unhashable():
+    page = closed_form_page(2, 3)
+    for field in ("n", "r", "rows", "m_max"):
+        with pytest.raises(AttributeError):
+            setattr(page, field, 0)
+    assert page == closed_form_page(2, 3) != closed_form_page(2, 7)
+    with pytest.raises(TypeError):
+        hash(page)
+    with pytest.raises(TypeError):
+        hash(_conjugation_module())
+
+
 @pytest.mark.parametrize("n, caps, r", [(2, 2, 8), (3, 1, 16), (3, 2, 16)])
 def test_trivial_module_matches_blocks_past_the_cap(n, caps, r):
     # blocks I_i(R/I_j) with i >= 2 multiply by vh_l, which overflows at

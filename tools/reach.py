@@ -42,8 +42,10 @@ REASONS = ("tracer", "reference", "api")
 _BASE_CHANGE = "api: the flat base change, pinned by tests/test_bss.py"
 _LOCAL = "api: TwoLocal arithmetic, pinned by tests/test_scalar2.py"
 _MATRIX = "api: LocalMatrix entries, pinned by tests/test_scalar2.py"
+_RECORD = "api: the records' repr and immutability, tests/test_records.py"
 ALLOWED = {
-    "bss.PresentedModule.__post_init__": _BASE_CHANGE,
+    "bss.FreeModule.__init__": _BASE_CHANGE,
+    "bss.PresentedModule.__init__": _BASE_CHANGE,
     "bss.PresentedModule.twisted_structure_at": _BASE_CHANGE,
     "bss.TensoredPage.__init__": _BASE_CHANGE,
     "bss.TensoredPage.chart": _BASE_CHANGE,
@@ -52,6 +54,12 @@ ALLOWED = {
     "bss.flat_base_change": _BASE_CHANGE,
     "cli._blocks": "api: the `page` engines-disagree message, pinned by"
                    " tests/test_cli.py",
+    "errors.Record.__delattr__": _RECORD,
+    "errors.Record.__init_subclass__":
+        "api: runs as each record class is defined, at import, before the"
+        " trace starts; tests/test_records.py",
+    "errors.Record.__repr__": _RECORD,
+    "errors.Record.__setattr__": _RECORD,
     "fgl.UniSeries.__neg__": "api: series arithmetic, tests/test_fgl.py",
     "fgl.UniSeries.__pow__": "api: series arithmetic, tests/test_fgl.py",
     "fgl.UniSeries.__repr__": "api: series repr",
