@@ -336,6 +336,7 @@ def residue_certificate(n: int) -> dict[int, int]:
     The classes cover exactly the even residues modulo the hat degree
     unit; the gcd witness is (2^n - 1) - 2(2^(n-1) - 1) = 1.
     """
+    check_ints({"n": n})
     if n < 2:
         raise InputError("height one has no finite residue basis")
     P = GradingSpec(n, alphabet="hat").hat_offset

@@ -78,6 +78,7 @@ from .scalar2 import (
 
 
 def admissible_differentials(n: int) -> tuple[int, ...]:
+    check_ints({"n": n})
     return tuple(2 ** (k + 1) - 1 for k in range(n + 1))
 
 

@@ -10,7 +10,7 @@ sides live.
 from __future__ import annotations
 
 from .bss import Page, StandardSummand, closed_form_page
-from .errors import InputError, MathInvariantError, Record
+from .errors import InputError, MathInvariantError, Record, check_ints
 from .graded import GradedSeries, GradingSpec, parse_series
 from .scalar2 import ONE, TwoLocal
 
@@ -27,6 +27,9 @@ __all__ = [
 
 def total_period(n: int) -> int:
     """Total degree of the invertible class on the limit chart."""
+    check_ints({"n": n})
+    if n < 1:  # 2 ** n would be a float
+        raise InputError("n must be at least 1")
     return 2 ** (n + 2) * (2 ** n - 1)
 
 
@@ -64,6 +67,7 @@ def named_generators(n: int) -> dict[str, NamedClass]:
     Every n has x (the row-one class carried by y).  For n up to 3 the
     row-zero classes with standing names are included as well.
     """
+    check_ints({"n": n})
     if n < 1:
         raise InputError("n must be at least 1")
     spec = GradingSpec(n, alphabet="hat")
@@ -170,6 +174,7 @@ def relation_check(n: int, text: str,
     or blocks never hold unless both sides vanish.  `page`, if given, is
     limit_page(n), built once by a caller that reads it again.
     """
+    check_ints({"n": n})
     spec = GradingSpec(n, alphabet="hat")
     names = {name: cls.series for name, cls in named_generators(n).items()}
     sides = text.split("=")

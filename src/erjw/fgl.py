@@ -37,6 +37,7 @@ from .errors import (
     MathInvariantError,
     NonUnitDivisionError,
     PrecisionError,
+    check_ints,
 )
 from .graded import GradedSeries, GradingSpec
 from .scalar2 import TwoLocal
@@ -112,9 +113,11 @@ class UniSeries:
 
     @classmethod
     def from_terms(cls, spec, terms: dict, precision: int):
+        check_ints({"precision": precision})
         z = GradedSeries.zero(spec)
         coeffs = [z] * (precision + 1)
         for m, c in terms.items():
+            check_ints({"exponent": m})
             if m < 0:
                 raise InputError(f"negative exponent {m} in a power series")
             if not isinstance(c, GradedSeries):
@@ -374,6 +377,7 @@ class GroupLaw(_LawBase):
     """The Araki-normalized law with generators truncated above v_n."""
 
     def __init__(self, n: int, precision: int | None = None):
+        _check_law_args(n, precision)
         if n < 1:
             raise InputError("n must be at least 1")
         self.n = n
@@ -382,12 +386,14 @@ class GroupLaw(_LawBase):
             raise InputError("precision below 2 carries no law content")
         self.spec = GradingSpec(n, alphabet="standard")
 
-    @classmethod
-    @lru_cache(maxsize=32)
-    def of(cls, n: int, precision: int | None = None) -> "GroupLaw":
+    @staticmethod
+    def of(n: int, precision: int | None = None) -> "GroupLaw":
         """The process's one law at (n, precision), so its cached series
-        carry across queries; GroupLaw(...) stays the fresh route."""
-        return cls(n, precision)
+        carry across queries; GroupLaw(...) stays the fresh route.  The
+        arguments are checked before the cache is read: True and 1.0 hash
+        like 1, and would otherwise share or poison its entry."""
+        _check_law_args(n, precision)
+        return _law_of(n, precision)
 
     # -- logarithm and exponential (rational world) -----------------------
 
@@ -467,6 +473,7 @@ class GroupLaw(_LawBase):
 
         _LawBase.k_series(self, k) is the independent apply2 route.
         """
+        check_ints({"k": k})
         cache = self._k_by_log
         if k not in cache:
             inner = self.log_series().scale(Fraction(k))
@@ -514,6 +521,7 @@ class GroupLaw(_LawBase):
         return {}
 
     def hat_k_series(self, k: int) -> UniSeries:
+        check_ints({"k": k})
         if k not in self._hat_k:
             self._hat_k[k] = self.k_series(k).regrade_to_hat()
         return self._hat_k[k]
@@ -533,3 +541,13 @@ class GroupLaw(_LawBase):
 
     def araki_identity_holds(self) -> bool:
         return self.k_series(2) == self.two_series_via_formal_sum()
+
+
+def _check_law_args(n: int, precision: int | None) -> None:
+    check_ints({"n": n} if precision is None
+               else {"n": n, "precision": precision})
+
+
+@lru_cache(maxsize=32)
+def _law_of(n: int, precision: int | None) -> GroupLaw:
+    return GroupLaw(n, precision)

@@ -64,7 +64,7 @@ from types import MappingProxyType
 from typing import Callable
 
 from .errors import (InputError, MathInvariantError, NonUnitDivisionError,
-                     Record)
+                     Record, check_ints)
 from .scalar2 import TwoLocal
 
 
@@ -77,6 +77,7 @@ class GradingSpec(Record):
 
     def __init__(self, n: int, q: int = 0, roots: int = 0,
                  alphabet: str = "hat"):
+        check_ints({"n": n, "q": q, "roots": roots})
         if n < 1:
             raise InputError("n must be at least 1")
         if q < 0 or roots < 0:

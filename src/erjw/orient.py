@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .boring import in_ideal, present, reduce
 from .bss import Page, closed_form_page
-from .errors import InputError, MathInvariantError, Record
+from .errors import InputError, MathInvariantError, Record, check_ints
 from .fgl import GroupLaw
 from .graded import GradedSeries, GradingSpec
 from .symchern import thom_ratio
@@ -52,6 +52,7 @@ def obstruction_residue(n: int, k: int, r: int) -> int:
     divisible by 2^{n+2}, the degree is congruent to 2^k + r + 1, which
     is trapped strictly between 2^k and 2^{k+1}.
     """
+    check_ints({"n": n, "k": k, "r": r})
     if n < 1:
         raise InputError("height must be at least one")
     if not 1 <= k <= n + 1:
@@ -152,6 +153,7 @@ def orientability_scan(n: int, weight: int = 4, span: int = 8,
     re-read from the chart; emptiness in the window corroborates the
     divisibility proof rather than replacing it.
     """
+    check_ints({"n": n, "weight": weight, "span": span, "caps": caps})
     lam = GradingSpec(n).lam
     if lam % 2 == 0:
         raise MathInvariantError("degree unit must be odd")

@@ -41,6 +41,7 @@ from .errors import (
     PrecisionError,
     ReductionError,
     SymmetryError,
+    check_ints,
 )
 from .fgl import UniSeries
 from .graded import GradedSeries, GradingSpec
@@ -52,6 +53,7 @@ class SymmetricContext:
     holds the classes, `root_spec` the roots, and no series has both."""
 
     def __init__(self, iota: UniSeries, q: int, weight: int):
+        check_ints({"q": q, "weight": weight})
         if q < 1:
             raise InputError("need at least one root")
         if weight < 0:
@@ -269,6 +271,7 @@ def thom_ratio(iota: UniSeries, k: int, weight: int) -> GradedSeries:
     defining identity ratio * e_2k(x) = e_2k(iota(x)) is recomputed at
     weight + 2k + 1 so every returned coefficient is pinned by it.
     """
+    check_ints({"k": k, "weight": weight})
     if k < 1:
         raise InputError("k must be positive")
     if weight < 0:

@@ -376,6 +376,8 @@ def test_window_check_refuses_non_int_inputs(monkeypatch, bad):
     lambda p, z: present(True, 1, 4),
     lambda p, z: present(2, "1", 4),
     lambda p, z: present(2, 1, 4.0),
+    lambda p, z: residue_certificate(2.0),
+    lambda p, z: residue_certificate(True),
 ])
 def test_non_int_inputs_are_refused_before_any_build(pres21_small,
                                                      monkeypatch, ask):
@@ -386,7 +388,7 @@ def test_non_int_inputs_are_refused_before_any_build(pres21_small,
     def unbuilt(*args, **kwargs):
         raise AssertionError("built for refused inputs")
 
-    for name in ("DegreeColumns", "_present", "_present_law"):
+    for name in ("DegreeColumns", "_present", "_present_law", "GradingSpec"):
         monkeypatch.setattr(boring, name, unbuilt)
     with pytest.raises(InputError, match="must be an int"):
         ask(pres21_small, z)

@@ -96,6 +96,13 @@ def test_differential_degree_shift():
                     1 + r * spec.lam
 
 
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_admissible_differentials_refuse_a_non_int_height(n):
+    # admissible_differentials(True) used to list the height-one pages
+    with pytest.raises(InputError, match="^n must be an int"):
+        admissible_differentials(n)
+
+
 def test_differential_squares_to_zero():
     rng = random.Random(23)
     for n in (1, 2):

@@ -195,3 +195,21 @@ def test_a_passed_limit_page_gives_the_same_answers():
         assert filtration_profile(n, page) == filtration_profile(n)
         for text in ("2*x = 0", "x^3 = 0", "x = x^2"):
             assert relation_check(n, text, page) == relation_check(n, text)
+
+
+@pytest.mark.parametrize("message, ask", [
+    ("n must be an int", lambda: total_period(2.5)),
+    ("n must be an int", lambda: total_period(True)),
+    ("n must be at least 1", lambda: total_period(-1)),
+    ("n must be an int", lambda: named_generators(2.0)),
+    ("n must be an int", lambda: relation_check(2.0, "x = 0")),
+])
+def test_non_int_heights_are_refused(monkeypatch, message, ask):
+    # total_period(2.5) and total_period(-1) used to return floats
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built for refused inputs")
+
+    for name in ("GradingSpec", "limit_page"):
+        monkeypatch.setattr(coeff, name, unbuilt)
+    with pytest.raises(InputError, match=f"^{message}"):
+        ask()

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erjw import fgl
 from erjw.errors import (
     ConstantTermError,
     InputError,
@@ -62,6 +63,43 @@ def test_shared_law_refuses_on_every_ask():
             GroupLaw.of(0, 8)
         with pytest.raises(InputError, match="precision below 2"):
             GroupLaw.of(1, 1)
+
+
+@pytest.mark.parametrize("message, ask", [
+    ("n must be an int", lambda: GroupLaw(2.0)),
+    ("precision must be an int", lambda: GroupLaw(2, 8.0)),
+    ("n must be an int", lambda: GroupLaw.of(True, 4)),
+    ("n must be an int", lambda: GroupLaw.of(1.0, 8)),
+    ("precision must be an int", lambda: GroupLaw.of(1, 8.0)),
+    ("k must be an int", lambda: LAW1.k_series(2.0)),
+    ("k must be an int", lambda: LAW1.k_series(True)),
+    ("k must be an int", lambda: LAW1.hat_k_series(-1.0)),
+    ("exponent must be an int", lambda: UniSeries.from_terms(
+        SPEC1, {1.5: 1}, 4)),
+    ("precision must be an int", lambda: UniSeries.from_terms(
+        SPEC1, {1: 1}, 4.0)),
+])
+def test_non_int_law_inputs_are_refused_before_any_cache(monkeypatch,
+                                                         message, ask):
+    # True and 2.0 equal and hash like 1 and 2: read before the check, the
+    # shared laws and the k-series caches answer them with the int entry
+    GroupLaw.of(1, 8), LAW1.k_series(1), LAW1.k_series(2), LAW1.hat_iota()
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a law was built for refused inputs")
+
+    monkeypatch.setattr(fgl, "GradingSpec", unbuilt)
+    with pytest.raises(InputError, match=f"^{message}"):
+        ask()
+
+
+def test_a_refused_shared_law_leaves_the_int_law_alone():
+    # a bool used to be cached as n, so GroupLaw.of(1, 4) handed back a
+    # law whose spec printed GradingSpec(n=True, ...)
+    with pytest.raises(InputError, match="^n must be an int, not True"):
+        GroupLaw.of(True, 4)
+    law = GroupLaw.of(1, 4)
+    assert type(law.n) is int and type(law.spec.n) is int
 
 
 def test_uniseries_arithmetic():

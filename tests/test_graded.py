@@ -238,8 +238,10 @@ def test_homogeneous_parts():
 def test_grading_spec_rejects_bad_input():
     # InputError is also a ValueError, for callers that catch it that way
     assert issubclass(InputError, ValueError)
+    # GradingSpec(2.0) used to build a spec of width 3.0
     for kwargs in ({"n": 0}, {"n": 2, "q": -1}, {"n": 2, "roots": -1},
-                   {"n": 2, "alphabet": "greek"}):
+                   {"n": 2, "alphabet": "greek"}, {"n": 2.0}, {"n": True},
+                   {"n": 2, "q": 1.0}, {"n": 2, "roots": True}):
         with pytest.raises(InputError):
             GradingSpec(**kwargs)
 

@@ -227,3 +227,23 @@ def test_scan_builds_one_page_per_level(monkeypatch):
     # is computed twice on one page
     memo = sum(len(seen) for p in built for seen in p._known.values())
     assert calls and len(calls) == memo
+
+
+@pytest.mark.parametrize("message, ask", [
+    ("k must be an int", lambda: obstruction_residue(2, 1.0, 0)),
+    ("n must be an int", lambda: obstruction_residue(2.0, 1, 0)),
+    ("r must be an int", lambda: obstruction_residue(2, 1, True)),
+    ("span must be an int", lambda: orientability_scan(1, span=2.0)),
+    ("caps must be an int", lambda: orientability_scan(1, caps=1.5)),
+    ("weight must be an int", lambda: orientability_scan(1, weight=4.0)),
+    ("n must be an int", lambda: orientability_scan(True)),
+])
+def test_non_int_orientation_inputs_are_refused(monkeypatch, message, ask):
+    # obstruction_residue(2, 1.0, 0) used to return the float 3.0
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built for refused inputs")
+
+    for name in ("GradingSpec", "present", "closed_form_page"):
+        monkeypatch.setattr(erjw.orient, name, unbuilt)
+    with pytest.raises(InputError, match=f"^{message}"):
+        ask()

@@ -25,6 +25,26 @@ def _ctx(q, weight, iota=None):
     return SymmetricContext(iota if iota is not None else ADD.iota(), q, weight)
 
 
+@pytest.mark.parametrize("message, ask", [
+    ("q must be an int", lambda iota: SymmetricContext(iota, 2.0, 4)),
+    ("weight must be an int", lambda iota: SymmetricContext(iota, 1, 4.0)),
+    ("q must be an int", lambda iota: SymmetricContext(iota, True, 4)),
+    ("k must be an int", lambda iota: thom_ratio(iota, 1.0, 4)),
+    ("weight must be an int", lambda iota: thom_ratio(iota, 1, 2.5)),
+    ("k must be an int", lambda iota: thom_ratio(iota, True, 4)),
+])
+def test_non_int_ranks_and_weights_are_refused(monkeypatch, message, ask):
+    # SymmetricContext(iota, True, 4) used to run as if q were 1
+    iota = ADD.iota()
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a context was built for refused inputs")
+
+    monkeypatch.setattr(symchern, "GradingSpec", unbuilt)
+    with pytest.raises(InputError, match=f"^{message}"):
+        ask(iota)
+
+
 def test_elementary_polynomials():
     ctx = _ctx(3, 4)
     e1, e2, e3 = ctx.elementary(1), ctx.elementary(2), ctx.elementary(3)

@@ -32,6 +32,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from rules import scoped  # noqa: E402  the scope walker of the design rules
 
 REASONS = ("tracer", "reference", "api")
 # tracer:    bench/tracer.py wraps it by name, so it stays until the bench
@@ -119,22 +121,12 @@ def defined_functions(src: Path) -> dict[tuple[str, int], tuple[str, int]]:
     decorator, and its lines run from there to its end."""
     out = {}
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                inner = scope
-                if isinstance(child, (ast.ClassDef, ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                    inner = f"{scope}.{child.name}"
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    first = min([child.lineno] + [d.lineno for d in
-                                                  child.decorator_list])
-                    out[(str(path.resolve()), first)] = (
-                        inner, child.end_lineno - first + 1)
-                visit(child, inner)
-
-        visit(tree, path.stem)
+        for node, scope in scoped(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([node.lineno] + [d.lineno for d in
+                                             node.decorator_list])
+                out[(str(path.resolve()), first)] = (
+                    f"{path.stem}.{scope}", node.end_lineno - first + 1)
     return out
 
 
