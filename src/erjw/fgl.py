@@ -16,13 +16,20 @@ The table is built only on request; it carries the apply2 route
 (_LawBase.k_series, iota_by_inversion, formal sums), which serves toy laws
 and checks the one-variable route independently.
 
+Since (k log u)^m = k^m log(u)^m term by term, [k](u) is a polynomial in
+k: the sum of k^m T_m over the terms T_m = E_m log(u)^m of exp(log u), cut
+at the precision.  Each law builds those terms once (composition is the
+costly series operation) and answers every k from them; their value at
+k = 1 is the check that exp inverts log, run before exp is first read.
+
 A series in one formal variable u is one GradedSeries over the bare spec
 plus a root x1 = u, truncated at its precision: exact through that power
 of u and unknown beyond it.  Its arithmetic is GradedSeries arithmetic, and
-UniSeries.evaluate_at is the one substitution routine (compose uses it).
-Inside it, a monomial substitution (one term with an int coefficient, such
-as a root or a class) is one key map, GradedSeries._last_at_term; any other
-target is summed over its powers.
+UniSeries.evaluate_at is the one substitution routine: compose uses it,
+and a law's terms T_m are the per-power terms of its general loop,
+UniSeries._power_terms.  Inside it, a monomial substitution (one term with
+an int coefficient, such as a root or a class) is one key map,
+GradedSeries._last_at_term; any other target is summed over its powers.
 """
 
 from __future__ import annotations
@@ -163,6 +170,7 @@ class UniSeries:
         return "UniSeries(" + (" + ".join(parts) or "0") + ")"
 
     def prefix(self, precision: int) -> "UniSeries":
+        check_ints({"precision": precision})
         if precision >= self.precision:
             return self
         return self._with(self.series.truncated(precision))
@@ -242,13 +250,23 @@ class UniSeries:
                 return self.series._last_at_term(at.spec, key, coeff,
                                                  at.trunc)
         acc = GradedSeries.zero(at.spec, at.trunc)
+        for _, term in self._power_terms(at):
+            acc = acc + term
+        return acc
+
+    def _power_terms(self, at: GradedSeries) -> tuple:
+        """The pairs (m, c_m * at^m) for each nonzero coefficient c_m, in
+        ascending m: the terms whose sum is this series at `at`, a target
+        with weight-positive terms and a truncation bound.  PrecisionError
+        if a power of `at` survives past this series' precision."""
+        terms = []
         p = GradedSeries.unit(at.spec, 1, at.trunc)
-        for k, c in enumerate(self.coeffs):
+        for m, c in enumerate(self.coeffs):
             if c:
-                acc = acc + c.extended_to(at.spec) * p
+                terms.append((m, c.extended_to(at.spec) * p))
             p = p * at
             if p.is_zero:
-                return acc
+                return tuple(terms)
         raise PrecisionError(
             f"need powers beyond u^{self.precision} to honor trunc={at.trunc}")
 
@@ -453,13 +471,30 @@ class GroupLaw(_LawBase):
                     c = c + lc * G[i]
                 a *= 2
             F.append(-c)
-        exp = UniSeries(spec, [z] + F)
-        # functional inverse really inverts, through the precision
-        if not (exp.compose(log) - UniSeries.identity(spec, N)).is_zero():
+        return UniSeries(spec, [z] + F)
+
+    @cached_property
+    def _exp_terms(self) -> tuple:
+        """The pairs (m, E_m * log(u)^m), cut at u^N, whose sum is
+        exp(log u); [k](u) is their sum weighted by k^m.  At k = 1 that
+        sum must be u: the functional inverse really inverts, through the
+        precision."""
+        terms = self._exp._power_terms(self.log_series().series)
+        if not (self._k_sum(terms, 1)
+                - UniSeries.identity(self.spec, self.precision)).is_zero():
             raise MathInvariantError("exp does not invert log")
-        return exp
+        return terms
+
+    def _k_sum(self, terms: tuple, k: int) -> UniSeries:
+        """The sum of k^m * term over the pairs (m, term), in ascending m:
+        exp(k log u) from the terms of exp(log u)."""
+        acc = GradedSeries.zero(_root_spec(self.spec), self.precision)
+        for m, term in terms:
+            acc = acc + term * k ** m
+        return self.log_series()._with(acc)
 
     def exp_series(self) -> UniSeries:
+        self._exp_terms  # every read of exp is checked
         return self._exp
 
     # -- one-variable series of the law -------------------------------------
@@ -471,14 +506,18 @@ class GroupLaw(_LawBase):
     def k_series(self, k: int) -> UniSeries:
         """[k](u) = exp(k*log(u)), in one variable; no law table is built.
 
-        _LawBase.k_series(self, k) is the independent apply2 route.
+        It is the sum of k^m * E_m * log(u)^m over the cached terms of
+        exp(log u).  _LawBase.k_series(self, k) is the independent apply2
+        route, and exp.compose(log.scale(k)) the substitution route.
         """
         check_ints({"k": k})
         cache = self._k_by_log
         if k not in cache:
-            inner = self.log_series().scale(Fraction(k))
+            # exp and its checked terms are built inside exp_series, so
+            # the bench tracer's fgl.exp_series span times them
+            self.exp_series()
             cache[k] = _check_k_series(
-                _to_two_local(self.exp_series().compose(inner)), k)
+                _to_two_local(self._k_sum(self._exp_terms, k)), k)
         return cache[k]
 
     # [-1](u) from the logarithm; _LawBase.iota is the inversion route

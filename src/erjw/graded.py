@@ -254,6 +254,12 @@ def degree_basis(spec: GradingSpec, D: int, caps: int, weight: int = 0,
     return tuple(out)
 
 
+def _check_trunc(trunc) -> None:
+    """InputError unless a truncation bound is an int or None."""
+    if trunc is not None:
+        check_ints({"trunc": trunc})
+
+
 def _min_trunc(a, b):
     if a is None:
         return b
@@ -301,6 +307,7 @@ class GradedSeries:
     __slots__ = ("spec", "trunc", "_nums", "_den", "_kind", "_terms")
 
     def __init__(self, spec: GradingSpec, terms=None, trunc: int | None = None):
+        _check_trunc(trunc)
         # den is the lcm of the coefficients' own, so the form is reduced
         nums, den, kind = {}, 1, int
         if terms:
@@ -350,10 +357,12 @@ class GradedSeries:
 
     @classmethod
     def zero(cls, spec, trunc=None):
+        _check_trunc(trunc)
         return cls._raw(spec, {}, 1, int, trunc)
 
     @classmethod
     def unit(cls, spec, coeff=1, trunc=None):
+        _check_trunc(trunc)
         num, den, kind = _split(coeff)
         if not num:
             return cls.zero(spec, trunc)
@@ -644,6 +653,7 @@ class GradedSeries:
         return max((wof(k) for k in self._nums), default=0)
 
     def truncated(self, trunc: int | None) -> "GradedSeries":
+        _check_trunc(trunc)
         tr = _min_trunc(self.trunc, trunc)
         if tr == self.trunc:
             return self
@@ -669,6 +679,7 @@ class GradedSeries:
         would cut them."""
         spec = self.spec
         spec.validate_key(key)
+        _check_trunc(trunc)
         tr = _min_trunc(self.trunc, trunc)
         add, wof = operator.add, spec.weight_of
         room = None if tr is None else tr - wof(key)

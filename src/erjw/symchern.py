@@ -73,17 +73,20 @@ class SymmetricContext:
     # -- basic series -----------------------------------------------------
 
     def root(self, i: int) -> GradedSeries:
+        check_ints({"i": i})
         if not 1 <= i <= self.q:
             raise InputError(f"root index {i} out of range")
         return GradedSeries.gen(self.root_spec, f"x{i}", trunc=self.weight)
 
     def chern_class(self, k: int) -> GradedSeries:
+        check_ints({"k": k})
         if not 1 <= k <= self.q:
             raise InputError(f"class index {k} out of range")
         return GradedSeries.gen(self.spec, f"c{k}", trunc=self.weight)
 
     def elementary(self, k: int) -> GradedSeries:
         """k-th elementary symmetric polynomial of the roots."""
+        check_ints({"k": k})
         if k == 0:
             return GradedSeries.unit(self.root_spec, 1, self.weight)
         if not 0 <= k <= self.q:
@@ -215,6 +218,7 @@ class SymmetricContext:
 
     def conjugate_chern(self, k: int) -> GradedSeries:
         """The conjugate k-th class, as a polynomial in the classes."""
+        check_ints({"k": k})
         if not 1 <= k <= self.q:
             raise InputError(f"need at least {k} roots for class {k}")
         if self.weight < k:

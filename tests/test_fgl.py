@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from erjw import fgl
 from erjw.errors import (
@@ -18,6 +18,7 @@ from erjw.fgl import (
     UniSeries,
     _check_k_series,
     _LawBase,
+    _to_two_local,
     additive_law,
 )
 from erjw.graded import GradedSeries, GradingSpec
@@ -78,6 +79,8 @@ def test_shared_law_refuses_on_every_ask():
         SPEC1, {1.5: 1}, 4)),
     ("precision must be an int", lambda: UniSeries.from_terms(
         SPEC1, {1: 1}, 4.0)),
+    ("precision must be an int", lambda: LAW1.log_series().prefix(2.0)),
+    ("precision must be an int", lambda: LAW1.log_series().prefix(True)),
 ])
 def test_non_int_law_inputs_are_refused_before_any_cache(monkeypatch,
                                                          message, ask):
@@ -464,14 +467,46 @@ def test_corrupted_k_series_trips_the_check():
 
 
 def test_corrupted_exponential_trips_the_k_series_check():
-    # an integral but off-degree term planted in exp survives into [2](u)
+    # an integral but off-degree term planted in the cached exp terms
+    # (2*v1*u^3 added to E_3 * log(u)^3) survives into [2](u)
     law = GroupLaw(1, precision=6)
-    exp = law.exp_series()
-    coeffs = list(exp.coeffs)
-    coeffs[3] = coeffs[3] + _v(SPEC1, 1, coeff=Fraction(2))
-    vars(law)["_exp"] = UniSeries(SPEC1, coeffs)
+    plant = UniSeries.from_terms(
+        SPEC1, {3: _v(SPEC1, 1, coeff=Fraction(2))}, 6).series
+    terms = dict(law._exp_terms)
+    terms[3] = terms[3] + plant
+    vars(law)["_exp_terms"] = tuple(terms.items())
     with pytest.raises(MathInvariantError, match="u\\^3 off-degree"):
         law.k_series(2)
+
+
+@pytest.mark.parametrize("read", [lambda law: law.exp_series(),
+                                  lambda law: law.k_series(2),
+                                  lambda law: law.iota()])
+def test_corrupted_exponential_fails_to_invert_log(read):
+    # the plant goes in before exp is first read, so the exp-inverts-log
+    # check over the cached terms sees it, whichever read comes first
+    law = GroupLaw(1, precision=6)
+    coeffs = list(GroupLaw(1, precision=6)._exp.coeffs)
+    coeffs[3] = coeffs[3] + _v(SPEC1, 1, coeff=Fraction(2))
+    vars(law)["_exp"] = UniSeries(SPEC1, coeffs)
+    with pytest.raises(MathInvariantError, match="exp does not invert log"):
+        read(law)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), precision=st.integers(2, 16),
+       k=st.integers(-6, 6))
+@example(n=1, precision=2, k=0)
+@example(n=2, precision=8, k=-1)
+@example(n=3, precision=16, k=1)
+def test_k_series_matches_the_compose_route(n, precision, k):
+    # the sum of k^m * E_m * log(u)^m against exp(k * log(u)) substituted
+    law = GroupLaw.of(n, precision)
+    want = _to_two_local(law.exp_series().compose(
+        law.log_series().scale(Fraction(k))))
+    got = law.k_series(k)
+    _assert_same_series(got.series, want.series)
+    assert got.precision == want.precision == precision
 
 
 def test_series_cost_grows_and_stays_cheap():

@@ -97,6 +97,21 @@ def test_weight_and_truncation():
     assert (c2 * c2).truncated(3).is_zero
 
 
+@pytest.mark.parametrize("build", [
+    lambda s: GradedSeries(s, {s.unit_key(): 1}, 2.5),
+    lambda s: GradedSeries.zero(s, 2.5),
+    lambda s: GradedSeries.unit(s, 1, 2.5),
+    lambda s: GradedSeries.monomial(s, x=(1,), trunc=2.5),
+    lambda s: GradedSeries.gen(s, "c1", trunc=True),
+    lambda s: GradedSeries.gen(s, "x1").truncated(2.0),
+    lambda s: GradedSeries.gen(s, "x1").times_key(s.unit_key(), trunc=2.5),
+])
+def test_non_int_truncation_bounds_are_refused(build):
+    # a float bound used to be stored as is, and products kept it
+    with pytest.raises(InputError, match="^trunc must be an int, not"):
+        build(GradingSpec(1, q=1, roots=1))
+
+
 def test_mul_respects_truncation_content():
     spec = GradingSpec(1, q=1, roots=0)
     c1 = GradedSeries.gen(spec, "c1")

@@ -45,6 +45,23 @@ def test_non_int_ranks_and_weights_are_refused(monkeypatch, message, ask):
         ask(iota)
 
 
+@pytest.mark.parametrize("message, ask", [
+    ("i must be an int", lambda ctx: ctx.root(1.0)),
+    ("i must be an int", lambda ctx: ctx.root(True)),
+    ("k must be an int", lambda ctx: ctx.chern_class(True)),
+    ("k must be an int", lambda ctx: ctx.chern_class(1.0)),
+    ("k must be an int", lambda ctx: ctx.elementary(1.0)),
+    ("k must be an int", lambda ctx: ctx.elementary(False)),
+    ("k must be an int", lambda ctx: ctx.conjugate_chern(1.0)),
+    ("k must be an int", lambda ctx: ctx.conjugate_chern(True)),
+])
+def test_non_int_indices_are_refused(message, ask):
+    # elementary(1.0) used to raise a raw TypeError and chern_class(True)
+    # a plain ValueError about the variable 'cTrue'
+    with pytest.raises(InputError, match=f"^{message}"):
+        ask(_ctx(2, 4))
+
+
 def test_elementary_polynomials():
     ctx = _ctx(3, 4)
     e1, e2, e3 = ctx.elementary(1), ctx.elementary(2), ctx.elementary(3)

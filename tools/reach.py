@@ -65,6 +65,7 @@ ALLOWED = {
     "fgl.UniSeries.__neg__": "api: series arithmetic, tests/test_fgl.py",
     "fgl.UniSeries.__pow__": "api: series arithmetic, tests/test_fgl.py",
     "fgl.UniSeries.__repr__": "api: series repr",
+    "fgl.UniSeries.compose": "tracer: fgl.compose",
     "fgl._LawBase._k_cache": "reference: under _LawBase.k_series",
     "fgl._LawBase.k_series": "reference: the apply2 route of [k](u)",
     "fgl._LawBase.law_table": "tracer: fgl.law_table",
