@@ -22,6 +22,15 @@ at the precision.  Each law builds those terms once (composition is the
 costly series operation) and answers every k from them; their value at
 k = 1 is the check that exp inverts log, run before exp is first read.
 
+Truncation at u^N is a ring map, so a law at precision p <= P has exactly
+the truncations of the P-law's log, exp and terms.  Each height keeps one
+record, (precision, log, exp, terms), of its checked build at the largest
+precision so far (_height_store); any GroupLaw at or below that precision,
+new or shared, reads truncations of it, and runs the k = 1 check on its own
+terms.  A law above it, or at a height with nothing stored, builds as
+before, and its record replaces the stored one once its check passes.  The
+reference route is a build with an empty store: _height_store.cache_clear().
+
 A series in one formal variable u is one GradedSeries over the bare spec
 plus a root x1 = u, truncated at its precision: exact through that power
 of u and unknown beyond it.  Its arithmetic is GradedSeries arithmetic, and
@@ -77,6 +86,12 @@ def _check_k_series(series: UniSeries, k: int) -> UniSeries:
     return series
 
 
+def _check_precision(precision: int) -> None:
+    check_ints({"precision": precision})
+    if precision < 0:
+        raise InputError(f"negative precision {precision} in a power series")
+
+
 @lru_cache(maxsize=16)
 def _root_spec(spec: GradingSpec) -> GradingSpec:
     """The spec of a UniSeries' one series: spec plus one root x1 = u."""
@@ -100,9 +115,11 @@ class UniSeries:
     def __init__(self, spec: GradingSpec, coeffs):
         coeffs = tuple(coeffs)
         root_spec = _root_spec(spec)
-        if not all(isinstance(c, GradedSeries) and c.spec == spec
-                   for c in coeffs):
-            raise ValueError("coefficients must be series over the law's spec")
+        # an empty list would be a series of precision -1
+        if not coeffs or not all(isinstance(c, GradedSeries)
+                                 and c.spec == spec for c in coeffs):
+            raise ValueError("coefficients must be one or more series over"
+                             " the law's spec")
         self.spec = spec
         self.series = GradedSeries._stack_last(root_spec, coeffs,
                                                len(coeffs) - 1)
@@ -120,7 +137,7 @@ class UniSeries:
 
     @classmethod
     def from_terms(cls, spec, terms: dict, precision: int):
-        check_ints({"precision": precision})
+        _check_precision(precision)
         z = GradedSeries.zero(spec)
         coeffs = [z] * (precision + 1)
         for m, c in terms.items():
@@ -170,7 +187,7 @@ class UniSeries:
         return "UniSeries(" + (" + ".join(parts) or "0") + ")"
 
     def prefix(self, precision: int) -> "UniSeries":
-        check_ints({"precision": precision})
+        _check_precision(precision)
         if precision >= self.precision:
             return self
         return self._with(self.series.truncated(precision))
@@ -406,17 +423,35 @@ class GroupLaw(_LawBase):
 
     @staticmethod
     def of(n: int, precision: int | None = None) -> "GroupLaw":
-        """The process's one law at (n, precision), so its cached series
-        carry across queries; GroupLaw(...) stays the fresh route.  The
+        """The process's one law at (n, precision), so its k-series and
+        table carry across queries.  GroupLaw(...) makes a new law; like
+        this one, it reads its log, exp and terms off the height's store
+        when that holds a build at or above its precision.  The
         arguments are checked before the cache is read: True and 1.0 hash
-        like 1, and would otherwise share or poison its entry."""
+        like 1, and would otherwise share or poison its entry.  The
+        default precision is resolved before it too, so GroupLaw.of(2)
+        is GroupLaw.of(2, 16); a bad n passes None on, for GroupLaw's own
+        message."""
         _check_law_args(n, precision)
+        if precision is None and n >= 1:
+            precision = 2 ** (n + 2)
         return _law_of(n, precision)
 
     # -- logarithm and exponential (rational world) -----------------------
 
     @cached_property
+    def _stored(self) -> tuple | None:
+        """The stored build of this height that this law truncates, read
+        once: (precision, log, exp, terms) at a precision >= this law's,
+        or None when the law builds its own.  Truncation at u^N is a ring
+        map, so the truncations are exactly what a build would give."""
+        record = _height_store(self.n)[0]
+        return record if record and record[0] >= self.precision else None
+
+    @cached_property
     def _log(self) -> UniSeries:
+        if self._stored:
+            return self._stored[1].prefix(self.precision)
         spec, N = self.spec, self.precision
         lk = [GradedSeries.unit(spec, Fraction(1))]
         k = 1
@@ -446,6 +481,8 @@ class GroupLaw(_LawBase):
         coefficient per step by J. C. P. Miller's recurrence
         i*G_i = sum over j = 1..i of ((a+1)*j - i) * F_j * G_(i-j).
         """
+        if self._stored:
+            return self._stored[2].prefix(self.precision)
         spec, N = self.spec, self.precision
         log = self.log_series()
         z = GradedSeries.zero(spec)
@@ -478,11 +515,19 @@ class GroupLaw(_LawBase):
         """The pairs (m, E_m * log(u)^m), cut at u^N, whose sum is
         exp(log u); [k](u) is their sum weighted by k^m.  At k = 1 that
         sum must be u: the functional inverse really inverts, through the
-        precision."""
-        terms = self._exp._power_terms(self.log_series().series)
+        precision.  The check runs on this law's own terms, built or read
+        off the store, and only a build that passes it is stored."""
+        N, stored = self.precision, self._stored
+        if stored:
+            terms = tuple((m, t.truncated(N)) for m, t in stored[3] if m <= N)
+        else:
+            terms = self._exp._power_terms(self.log_series().series)
         if not (self._k_sum(terms, 1)
-                - UniSeries.identity(self.spec, self.precision)).is_zero():
+                - UniSeries.identity(self.spec, N)).is_zero():
             raise MathInvariantError("exp does not invert log")
+        slot = _height_store(self.n)
+        if not stored and not (slot[0] and slot[0][0] >= N):
+            slot[0] = (N, self._log, self._exp, terms)
         return terms
 
     def _k_sum(self, terms: tuple, k: int) -> UniSeries:
@@ -590,3 +635,12 @@ def _check_law_args(n: int, precision: int | None) -> None:
 @lru_cache(maxsize=32)
 def _law_of(n: int, precision: int | None) -> GroupLaw:
     return GroupLaw(n, precision)
+
+
+@lru_cache(maxsize=8)
+def _height_store(n: int) -> list:
+    """Height n's one slot: [(precision, log, exp, terms)] of the checked
+    build at the largest precision so far, or [None] before any.  It keeps
+    the record, not the law, so no law's k-series or table stays alive
+    through it; a law at or below that precision reads truncations."""
+    return [None]

@@ -31,6 +31,13 @@ LAW1 = GroupLaw(1, precision=8)
 LAW2 = GroupLaw(2, precision=8)
 
 
+@pytest.fixture(autouse=True)
+def empty_height_store():
+    # every test starts with no stored build, so none depends on which
+    # heights an earlier test built
+    fgl._height_store.cache_clear()
+
+
 def _v(spec, i, exp=1, coeff=None):
     return GradedSeries.gen(spec, f"v{i}", exp=exp,
                             coeff=coeff if coeff is not None else TwoLocal(1))
@@ -48,8 +55,13 @@ def test_shared_law_matches_a_fresh_one(n):
     # two precisions at one height: a factory keyed on n alone fails here
     # whichever of them it happened to store first
     for precision in (5, 7, None):
-        law = GroupLaw.of(n, precision)
+        # the fresh law builds with an empty store, before the shared law
+        # can leave a record for it to read
+        fgl._height_store.cache_clear()
         fresh = GroupLaw(n, precision=precision)
+        fresh.exp_series()
+        assert fresh._stored is None
+        law = GroupLaw.of(n, precision)
         assert law is not fresh and law.precision == fresh.precision
         assert law.hat_iota() == fresh.hat_iota()
         assert law.hat_k_series(2) == fresh.hat_k_series(2)
@@ -64,6 +76,17 @@ def test_shared_law_refuses_on_every_ask():
             GroupLaw.of(0, 8)
         with pytest.raises(InputError, match="precision below 2"):
             GroupLaw.of(1, 1)
+        # the default precision is resolved for n >= 1 only: 2 ** -3 is a
+        # float, which would be refused as a precision instead
+        with pytest.raises(InputError, match="n must be at least 1"):
+            GroupLaw.of(-5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_law_resolves_the_default_precision_first(n):
+    # GroupLaw.of(n) and GroupLaw.of(n, 2^(n+2)) used to be two cache
+    # entries, each with its own k-series and table
+    assert GroupLaw.of(n) is GroupLaw.of(n, 2 ** (n + 2))
 
 
 @pytest.mark.parametrize("message, ask", [
@@ -137,6 +160,32 @@ def test_uniseries_refuses_classes_and_roots():
             UniSeries.identity(spec, 4)
         with pytest.raises(InputError):
             UniSeries(spec, [GradedSeries.zero(spec)])
+
+
+@pytest.mark.parametrize("ask", [
+    lambda: UniSeries.zero(SPEC1, -3),
+    lambda: UniSeries.identity(SPEC1, -1),
+    lambda: UniSeries.from_terms(SPEC1, {}, -1),
+    lambda: UniSeries.from_terms(SPEC1, {0: 1}, -2),
+    lambda: LAW1.log_series().prefix(-1),
+])
+def test_a_negative_precision_is_refused(ask):
+    # zero(spec, -3) used to build a series of precision -1, from_terms
+    # one with no coefficients, and prefix(-1) a precision -1 too
+    with pytest.raises(InputError, match="negative precision"):
+        ask()
+
+
+def test_precision_zero_is_the_constant_term():
+    assert UniSeries.zero(SPEC1, 0).precision == 0
+    assert UniSeries.from_terms(SPEC1, {0: 3, 1: 1}, 0) == \
+        UniSeries.from_terms(SPEC1, {0: 3}, 0)
+    assert LAW1.log_series().prefix(0) == UniSeries.zero(SPEC1, 0)
+
+
+def test_an_empty_coefficient_list_is_refused():
+    with pytest.raises(ValueError, match="one or more series"):
+        UniSeries(SPEC1, [])
 
 
 def test_from_terms_refuses_a_negative_exponent():
@@ -484,13 +533,80 @@ def test_corrupted_exponential_trips_the_k_series_check():
                                   lambda law: law.iota()])
 def test_corrupted_exponential_fails_to_invert_log(read):
     # the plant goes in before exp is first read, so the exp-inverts-log
-    # check over the cached terms sees it, whichever read comes first
+    # check over the cached terms sees it, whichever read comes first; the
+    # store is empty, so the law builds its terms from the planted exp
     law = GroupLaw(1, precision=6)
     coeffs = list(GroupLaw(1, precision=6)._exp.coeffs)
     coeffs[3] = coeffs[3] + _v(SPEC1, 1, coeff=Fraction(2))
     vars(law)["_exp"] = UniSeries(SPEC1, coeffs)
+    assert law._stored is None
     with pytest.raises(MathInvariantError, match="exp does not invert log"):
         read(law)
+    # a build that fails its check stores nothing: the next law at the
+    # height builds its own, passes, and is the one stored
+    assert fgl._height_store(1) == [None]
+    fresh = GroupLaw(1, precision=6)
+    assert fresh._stored is None
+    assert fresh.exp_series() == _exp_by_powers(fresh)
+    assert fresh.araki_identity_holds()
+    assert fgl._height_store(1)[0][0] == 6
+
+
+@pytest.mark.parametrize("read", [lambda law: law.exp_series(),
+                                  lambda law: law.k_series(2),
+                                  lambda law: law.iota()])
+def test_a_plant_in_the_stored_terms_trips_a_derived_law(read):
+    # 2*v1*u^3 added to the stored T_3: a law that reads its terms off the
+    # store runs the k = 1 check on them itself
+    GroupLaw(1, precision=8).exp_series()
+    slot = fgl._height_store(1)
+    top, log, exp, terms = slot[0]
+    plant = UniSeries.from_terms(
+        SPEC1, {3: _v(SPEC1, 1, coeff=Fraction(2))}, top).series
+    slot[0] = (top, log, exp,
+               tuple((m, t + plant if m == 3 else t) for m, t in terms))
+    law = GroupLaw(1, precision=6)
+    assert law._stored is slot[0]
+    with pytest.raises(MathInvariantError, match="exp does not invert log"):
+        read(law)
+
+
+def _law_fields(law, k):
+    """What a law answers from its log, exp and terms, all read."""
+    return ([law.log_series().series, law.exp_series().series]
+            + [t for _, t in law._exp_terms]
+            + [law.k_series(k).series, law.hat_k_series(k).series])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3), precision=st.integers(2, 20),
+       extra=st.integers(0, 18), k=st.integers(-6, 6))
+@example(n=3, precision=20, extra=0, k=-1)
+@example(n=2, precision=2, extra=18, k=3)
+@example(n=1, precision=7, extra=0, k=0)
+def test_a_law_below_the_stored_build_matches_its_own_build(n, precision,
+                                                            extra, k):
+    # p = precision <= P = top: the p-law read off the P-law's record
+    # against the p-law built with an empty store, field by field
+    top = min(precision + extra, 20)
+    fgl._height_store.cache_clear()
+    built = GroupLaw(n, precision)
+    want = _law_fields(built, k)
+    assert built._stored is None
+    fgl._height_store.cache_clear()
+    GroupLaw(n, top).exp_series()
+    law = GroupLaw(n, precision)
+    got = _law_fields(law, k)
+    assert law._stored is not None and law._stored[0] == top
+    assert [m for m, _ in law._exp_terms] == [m for m, _ in built._exp_terms]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        _assert_same_series(g, w)
+    for a, b in ((law.log_series(), built.log_series()),
+                 (law.k_series(k), built.k_series(k)),
+                 (law.hat_k_series(k), built.hat_k_series(k))):
+        assert a.precision == b.precision == precision
+        assert a.spec == b.spec
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
